@@ -4,9 +4,11 @@ Each study kind reproduces one numerical experiment end to end from a
 serializable config: spatial mesh sweep, stochastic index-set sweep,
 iteration-convergence run, coefficient-decay report, subspace-angle study.
 Outputs are CSV files plus a JSON manifest with per-file content hashes.
-Runs are fully deterministic: a config (with its seed) maps to identical
-output bytes, every CSV row carries the config hash and package version,
-and sweep members execute in a fixed order.
+Runs are deterministic per machine and BLAS thread count: on one machine,
+with the same thread setting, a config (with its seed) maps to identical
+output bytes.  Another thread count may round BLAS kernels differently and
+change the last bits.  Every CSV row carries the config hash and package
+version, and sweep members execute in a fixed order.
 """
 
 from __future__ import annotations

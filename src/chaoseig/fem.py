@@ -12,9 +12,22 @@ with the built-in fluctuation family a_0 = 1 and, for m >= 1,
     a_m(x) = (m+1)^(-varsigma) * sin(m pi x_1)   (m odd)
     a_m(x) = (m+1)^(-varsigma) * sin(m pi x_2)   (m even),
 
-whose amplitudes sum below 1 for varsigma > 1, keeping every K(y) positive
-definite.  All assembled matrices share one sparsity pattern, so pointwise
-matrices K(y) are formed by combining stored data arrays only.
+whose amplitudes (m+1)^(-varsigma) sum to zeta(varsigma) - 1.  That sum is
+below 1, so a(x, y) >= 1 - sum > 0 for every y, only for varsigma above
+about 1.73 (the default 3.2 gives 0.17); smaller varsigma is accepted but
+not checked.  All assembled matrices share one sparsity pattern, so
+pointwise matrices K(y) are formed by combining stored data arrays only.
+
+Each a_m depends on x_1 alone or on x_2 alone and the grid is a tensor
+product, so every stiffness term is also stored in separable form: with the
+1D interior-node mass M and stiffness A (coefficient 1) and the 1D matrices
+M_m, A_m weighted by the profile of a_m,
+
+    K_m = M (x) A_m + A (x) M_m     (a_m varies along x_1)
+    K_m = M_m (x) A + A_m (x) M     (a_m varies along x_2),
+
+where the left Kronecker factor acts on the x_2 (slow) dof index; the mass
+matrix is M (x) M.
 """
 
 from __future__ import annotations
@@ -54,6 +67,14 @@ def _lagrange_1d(order, x):
     for k in range(1, order + 1):
         dpowers[:, k] = k * powers[:, k - 1]
     return powers @ C, dpowers @ C
+
+
+def _cell_rule_1d(order, nquad):
+    """1D Gauss rule per cell (order + 2 points by default): reference
+    points, weights, and the Lagrange basis values and derivatives there."""
+    gx, gw = np.polynomial.legendre.leggauss((order + 2) if nquad is None
+                                             else int(nquad))
+    return (gx, gw) + _lagrange_1d(order, gx)
 
 
 @dataclass
@@ -109,9 +130,8 @@ class Mesh:
         """Tensor Gauss rule per cell: points (ncells, nq, 2), weights (nq,),
         reference basis values (nq, nb) and gradients (nq, nb, 2)."""
         o = self.order
-        n1 = (o + 2) if nquad is None else int(nquad)
-        gx, gw = np.polynomial.legendre.leggauss(n1)
-        v1, d1 = _lagrange_1d(o, gx)
+        gx, gw, v1, d1 = _cell_rule_1d(o, nquad)
+        n1 = gx.size
         # 2D tensor products, q = qy*n1 + qx, local node a = jy*(o+1) + jx
         vals = np.empty((n1 * n1, (o + 1) ** 2))
         gradx = np.empty_like(vals)
@@ -150,15 +170,20 @@ def coefficient_amplitude(m, varsigma):
     return float(m + 1) ** (-varsigma)
 
 
-def coefficient_term(m, varsigma=3.2):
-    """Closed-form coefficient term a_m as a vectorized callable of (...,2)."""
+def _coefficient_profile(m, varsigma):
+    """(axis, f) with a_m(x) = f(x[axis]): the 1D profile of term m."""
     if m < 0:
         raise ValueError("term index must be non-negative")
     if m == 0:
-        return lambda x: np.ones(np.asarray(x).shape[:-1])
+        return 0, lambda t: np.ones(np.shape(t))
     amp = coefficient_amplitude(m, varsigma)
-    axis = 0 if m % 2 == 1 else 1
-    return lambda x: amp * np.sin(m * np.pi * np.asarray(x)[..., axis])
+    return (0 if m % 2 == 1 else 1), lambda t: amp * np.sin(m * np.pi * t)
+
+
+def coefficient_term(m, varsigma=3.2):
+    """Closed-form coefficient term a_m as a vectorized callable of (...,2)."""
+    axis, profile = _coefficient_profile(m, varsigma)
+    return lambda x: profile(np.asarray(x)[..., axis])
 
 
 def _assemble(mesh, local_matrices):
@@ -176,7 +201,11 @@ def _assemble(mesh, local_matrices):
 
 def assemble_mass(mesh, nquad=None):
     """Interior-dof mass matrix, symmetric positive definite."""
-    _, w2, vals, _ = mesh.quadrature(nquad)
+    return _mass(mesh, mesh.quadrature(nquad))
+
+
+def _mass(mesh, rule):
+    _, w2, vals, _ = rule
     jac = (mesh.h / 2.0) ** 2
     local = jac * np.einsum("q,qa,qb->ab", w2, vals, vals)
     ncells = mesh.cell_nodes.shape[0]
@@ -191,12 +220,33 @@ def assemble_stiffness(mesh, coef=None, nquad=None):
     oscillatory built-in coefficients are integrated approximately, with an
     error bounded by the term amplitude.
     """
-    pts, w2, _, grads = mesh.quadrature(nquad)
+    return _stiffness(mesh, mesh.quadrature(nquad), coef)
+
+
+def _stiffness(mesh, rule, coef):
+    pts, w2, _, grads = rule
     avals = np.ones(pts.shape[:2]) if coef is None else coef(pts)
     # reference gradients scale by 2/h, the Jacobian by (h/2)^2: they cancel
     gk = np.einsum("qad,qbd->qab", grads, grads)
     local = np.einsum("cq,qab->cab", avals * w2[None, :], gk)
     return _assemble(mesh, local)
+
+
+def _assemble_1d(mesh, nquad, profile):
+    """Dense 1D interior-node (mass, stiffness) for a coefficient profile.
+
+    Uses the per-cell Gauss rule of the 2D assembly along one axis, so the
+    Kronecker products of these factors reproduce the assembled terms.
+    """
+    o, n, h = mesh.order, mesh.n, mesh.h
+    gx, gw, v1, d1 = _cell_rule_1d(o, nquad)
+    cw = profile(np.arange(n)[:, None] * h + (gx + 1.0) * (h / 2.0)) * gw
+    local = np.stack([(h / 2.0) * np.einsum("cq,qa,qb->cab", cw, v1, v1),
+                      (2.0 / h) * np.einsum("cq,qa,qb->cab", cw, d1, d1)])
+    node = np.arange(n)[:, None] * o + np.arange(o + 1)  # (cells, o+1)
+    out = np.zeros((2, n * o + 1, n * o + 1))
+    np.add.at(out, (slice(None), node[:, :, None], node[:, None, :]), local)
+    return out[:, 1:-1, 1:-1]  # drop the two Dirichlet end nodes
 
 
 @dataclass
@@ -205,7 +255,10 @@ class ParametricOperator:
 
     K(y) = K[0] + sum_{m>=1} y_m K[m]; all K[m] share one sparsity pattern
     (stored stacked in `stiffness_data`), so `matrix_at` is a pure data
-    combination.
+    combination.  `factors[m]` holds the dense 1D (M_m, A_m) of term m and
+    `axes[m]` the axis its profile varies along (0 for x_1); the separable
+    form in the module docstring rebuilds K[m] from them, with (M, A) =
+    `factors[0]`.
     """
 
     mesh: Mesh
@@ -213,6 +266,8 @@ class ParametricOperator:
     mass: sp.csr_matrix
     stiffness: list
     stiffness_data: np.ndarray = field(repr=False)
+    factors: np.ndarray = field(repr=False)
+    axes: np.ndarray = field(repr=False)
 
     @property
     def ndof(self):
@@ -235,18 +290,22 @@ class ParametricOperator:
 
 
 def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
-    """Assemble M and K^(0..nterms) for the built-in coefficient family."""
-    mass = assemble_mass(mesh, nquad)
-    mats = [assemble_stiffness(mesh, None, nquad)]
+    """Assemble M and K^(0..nterms) for the built-in coefficient family,
+    plus the 1D factors of every term."""
+    rule = mesh.quadrature(nquad)  # once: it is the costly part per term
+    mass = _mass(mesh, rule)
+    mats = [_stiffness(mesh, rule, None)]
     for m in range(1, nterms + 1):
-        mats.append(assemble_stiffness(mesh, coefficient_term(m, varsigma),
-                                       nquad))
+        mats.append(_stiffness(mesh, rule, coefficient_term(m, varsigma)))
     for K in mats[1:]:
         if not np.array_equal(K.indptr, mats[0].indptr) or \
            not np.array_equal(K.indices, mats[0].indices):
             raise AssertionError("stiffness terms lost the shared pattern")
     data = np.stack([K.data for K in mats])
-    return ParametricOperator(mesh, varsigma, mass, mats, data)
+    profiles = [_coefficient_profile(m, varsigma) for m in range(nterms + 1)]
+    factors = np.stack([_assemble_1d(mesh, nquad, f) for _, f in profiles])
+    axes = np.array([axis for axis, _ in profiles])
+    return ParametricOperator(mesh, varsigma, mass, mats, data, factors, axes)
 
 
 def prolongation_matrix(coarse: Mesh, fine: Mesh):

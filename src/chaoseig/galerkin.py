@@ -7,8 +7,14 @@ the PN x PN system matrix; the stiffness operator
 
     sum_m  (raise matrix m)  (x)  (stiffness term m)
 
-is applied blockwise.  The tensor norm pairs the stochastic blocks with the
-spatial mass matrix:  ||V||^2 = sum_a V[a] . M V[a].
+is applied blockwise, and so is the mean-based preconditioner.  Both run on
+the 1D factors of the separable stiffness terms (see `fem`): each spatial
+block is an (n, n) array acted on by batched small matmuls, term m only
+touches the chaos rows its raise matrix couples, and the mean term is
+inverted by fast diagonalization.  The assembled 2D stiffness matrices are
+left to starting guesses, pointwise solves and tests.  The tensor norm
+pairs the stochastic blocks with the spatial mass matrix:
+||V||^2 = sum_a V[a] . M V[a].
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fem import ParametricOperator, build_mesh, build_parametric_operator
 from .legendre import TripleProductTensor, build_moment_matrices, \
@@ -28,6 +33,7 @@ from .multiindex import generate_index_set, generate_index_set_by_size
 __all__ = [
     "IndefiniteOperatorError",
     "NearSingularError",
+    "SeparableTerms",
     "KroneckerOperator",
     "MeanPreconditioner",
     "PcgInfo",
@@ -62,53 +68,151 @@ def tensor_norm(V, M):
     return float(np.sqrt(max(np.sum(V * (M @ V.T).T), 0.0)))
 
 
+# KroneckerOperator.apply gathers at most this many bytes of (n, n) slices
+# at a time: its temporaries beside the output and one (P, n, 2n) buffer
+# stay a few times that size, and in cache.
+_CHUNK_BYTES = 2**16
+
+
+class SeparableTerms:
+    """The affine stiffness terms in separable form, with the chaos rows
+    each one touches; built once per system and shared by its operators.
+
+    Term m >= 1 enters the operator as G_m (x) K_m.  G_m has nonzeros in
+    few rows, so only the blocks V[b] of the rows b it touches are
+    gathered, multiplied by the term's right factor [M_m | A_m] (see
+    `fem`), and added back through the nonzeros of G_m.  A term along x_2
+    acts on V[b]^T as a term along x_1 acts on V[b] (transpose the
+    separable form), so the terms are split into two passes by axis.  Each
+    pass is a list of chunks of at most `step` gathered rows:
+    (rows, runs, targets, scatter).  `runs` holds (start, end, right) for
+    the stretch of the chunk that belongs to one term, `right` being that
+    term's [M_m | A_m]: an (n, 2n) view of its stacked (M_m; A_m),
+    transposed, as the factors are symmetric.  `scatter` maps the chunk's
+    products onto the chaos rows `targets`.
+    """
+
+    def __init__(self, gmats, fem_op):
+        if len(gmats) != fem_op.nterms + 1:
+            raise ValueError("need one spatial term per raise matrix")
+        self.P = P = gmats[0].shape[0]
+        factors = fem_op.factors
+        self.n = n = factors.shape[-1]
+        self.M, self.A = factors[0]
+        self.step = max(1, _CHUNK_BYTES // (8 * n * n))
+        self.passes = ([], [])
+        for axis, chunks in enumerate(self.passes):
+            pieces, width = [], 0
+            for m in np.flatnonzero(fem_op.axes[1:] == axis) + 1:
+                G = sp.coo_matrix(gmats[m])
+                touched = np.unique(G.col)
+                pieces.append((touched, np.full(touched.size, m), G.row,
+                               width + np.searchsorted(touched, G.col),
+                               G.data))
+                width += touched.size
+            if not width:
+                continue
+            rows, term, srow, scol, sval = map(np.concatenate, zip(*pieces))
+            for lo in range(0, width, self.step):
+                hi = min(lo + self.step, width)
+                nz = (scol >= lo) & (scol < hi)
+                targets, local = np.unique(srow[nz], return_inverse=True)
+                scatter = sp.csr_matrix((sval[nz], (local, scol[nz] - lo)),
+                                        shape=(targets.size, hi - lo))
+                cuts = [0, *(np.flatnonzero(np.diff(term[lo:hi])) + 1),
+                        hi - lo]
+                runs = [(a, b, factors[term[lo + a]].reshape(2 * n, n).T)
+                        for a, b in zip(cuts, cuts[1:])]
+                chunks.append((rows[lo:hi], runs, targets, scatter))
+
+
 class KroneckerOperator:
     """Blockwise application of the affine Galerkin stiffness operator.
 
     Parameters
     ----------
-    gmats : list of sparse (P, P) raise matrices; entry 0 is the identity.
-    kmats : list of sparse (N, N) stiffness terms, same length.
-    shift, mass : optional spectral shift; the operator becomes
-        (stiffness part) - shift * (identity (x) mass).  Shifted operators
-        may be indefinite; pcg_solve reports that instead of silently
-        iterating.
+    terms : SeparableTerms of the system (raise-matrix rows, 1D factors).
+    shift : optional spectral shift; the operator becomes
+        (stiffness part) - shift * (identity (x) mass), the mass being
+        M (x) M.  Shifted operators may be indefinite; pcg_solve reports
+        that instead of silently iterating.
+
+    A block V is applied as P slices X = V[b] reshaped to (n, n), x_2
+    index first, on which B (x) C acts as B X C^T (= B X C: every factor
+    is symmetric).  A term along x_1 is M (x) A_m + A (x) M_m, so
+    X [M_m | A_m] is formed for every term and touched row, the chaos rows
+    are combined, and A and M are applied once per slice at the end; terms
+    along x_2 do the same on X^T.
     """
 
-    def __init__(self, gmats, kmats, shift=0.0, mass=None):
-        if len(gmats) != len(kmats):
-            raise ValueError("need one spatial matrix per raise matrix")
-        if shift and mass is None:
-            raise ValueError("shift mode requires the mass matrix")
-        self.gmats = gmats
-        self.kmats = kmats
+    def __init__(self, terms, shift=0.0):
+        self.terms = terms
         self.shift = float(shift)
-        self.mass = mass
-        self.P = gmats[0].shape[0]
-        self.N = kmats[0].shape[0]
+        self.P = terms.P
+        self.N = terms.n * terms.n
+        # mean term and shift: A X M + M X (A - shift M)
+        self.right0 = np.hstack([terms.M, terms.A - self.shift * terms.M])
 
     def apply(self, V):
         """Matrix-free product with a (P, N) coefficient block."""
-        V = np.asarray(V)
+        V = np.asarray(V, dtype=float)
         if V.shape != (self.P, self.N):
             raise ValueError(f"block shape {V.shape}, expected "
                              f"{(self.P, self.N)}")
-        out = (self.kmats[0] @ V.T).T  # identity raise matrix for term 0
-        for G, K in zip(self.gmats[1:], self.kmats[1:]):
-            out += G @ (K @ V.T).T
-        if self.shift:
-            out -= self.shift * (self.mass @ V.T).T
-        return out
+        t, P, n, step = self.terms, self.P, self.terms.n, self.terms.step
+        X = V.reshape(P, n, n)
+        out = np.empty_like(X)
+        E = np.empty((P, n, 2 * n))
+        for axis, chunks in enumerate(t.passes):
+            if axis == 0:
+                np.matmul(X.reshape(-1, n), self.right0,
+                          out=E.reshape(-1, 2 * n))
+            elif chunks:
+                E.fill(0.0)
+            else:
+                break
+            for rows, runs, targets, scatter in chunks:
+                Xg = X[rows]
+                if axis:
+                    Xg = np.ascontiguousarray(Xg.transpose(0, 2, 1))
+                T = np.empty((rows.size, n, 2 * n))
+                for start, end, right in runs:
+                    np.matmul(Xg[start:end].reshape(-1, n), right,
+                              out=T[start:end].reshape(-1, 2 * n))
+                E.reshape(P, -1)[targets] += scatter @ T.reshape(
+                    rows.size, -1)
+            for lo in range(0, P, step):
+                part = E[lo:lo + step]
+                L = np.matmul(t.A, part[..., :n])
+                L += np.matmul(t.M, part[..., n:])
+                if axis:
+                    out[lo:lo + step] += L.transpose(0, 2, 1)
+                else:
+                    out[lo:lo + step] = L
+        return out.reshape(P, self.N)
 
 
 class MeanPreconditioner:
-    """Blockwise inverse of the mean stiffness term (sparse LU, cached)."""
+    """Blockwise inverse of the mean term K_0 = M (x) A + A (x) M by fast
+    diagonalization (Lynch, Rice & Thomas 1964).
 
-    def __init__(self, k0):
-        self.lu = spla.splu(sp.csc_matrix(k0))
+    With A Q = M Q diag(lam) and Q^T M Q = I, K_0 = (Q (x) Q)^-T
+    (I (x) lam + lam (x) I) (Q (x) Q)^-1, so each slice R of a block maps
+    to Q [(Q^T R Q) / (lam_i + lam_j)] Q^T.
+    """
+
+    def __init__(self, mass_1d, stiffness_1d):
+        lam, self.Q = scipy.linalg.eigh(stiffness_1d, mass_1d)
+        self.denom = lam[:, None] + lam[None, :]
 
     def apply(self, R):
-        return self.lu.solve(R.T).T
+        Q = self.Q
+        n = Q.shape[0]
+        Y = (R.reshape(-1, n) @ Q).reshape(-1, n, n)
+        Z = np.matmul(Q.T, Y)
+        Z /= self.denom
+        np.matmul(Z.reshape(-1, n), Q.T, out=Y.reshape(-1, n))
+        return np.matmul(Q, Y, out=Z).reshape(R.shape)
 
 
 @dataclass
@@ -259,13 +363,15 @@ class GalerkinSystem:
     """Everything one discretized problem needs: index set, mesh, matrices.
 
     Bundles the parametric FEM operator with the chaos moment structures
-    over one multi-index set, plus a cached mean-based preconditioner.
+    over one multi-index set, plus the cached separable terms and
+    mean-based preconditioner.
     """
 
     aset: object
     fem_op: ParametricOperator
     gmats: list
     tt: TripleProductTensor
+    _terms: SeparableTerms = field(default=None, repr=False)
     _mean_prec: MeanPreconditioner = field(default=None, repr=False)
 
     @property
@@ -284,13 +390,18 @@ class GalerkinSystem:
     def N(self):
         return self.fem_op.ndof
 
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = SeparableTerms(self.gmats, self.fem_op)
+        return self._terms
+
     def operator(self, shift=0.0):
-        return KroneckerOperator(self.gmats, self.fem_op.stiffness,
-                                 shift=shift, mass=self.mass)
+        return KroneckerOperator(self.terms, shift=shift)
 
     def mean_preconditioner(self):
         if self._mean_prec is None:
-            self._mean_prec = MeanPreconditioner(self.fem_op.stiffness[0])
+            self._mean_prec = MeanPreconditioner(*self.fem_op.factors[0])
         return self._mean_prec
 
     def mass_apply(self, V):

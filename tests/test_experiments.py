@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaoseig
 from chaoseig import __version__
 from chaoseig.cli import main
 from chaoseig.experiments import (
@@ -265,6 +270,43 @@ class TestReport:
         assert "study: iteration" in text
         assert f"config hash: {cfg.config_hash}" in text
         assert "increment:" in text
+
+
+class TestDeterminismContract:
+    """Study bytes are identical per machine and BLAS thread count.
+
+    Kernels built on BLAS (batched matmuls, dense factorizations) may round
+    differently at another thread count, so the contract is checked between
+    two fresh processes with the same setting.
+    """
+
+    @staticmethod
+    def digests(workdir, cfg_path, threads):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env.pop(var, None)
+            if threads is not None:
+                env[var] = threads
+        src = str(Path(chaoseig.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        workdir.mkdir()
+        subprocess.run([sys.executable, "-m", "chaoseig", "run",
+                        str(cfg_path)], cwd=workdir, env=env, check=True,
+                       capture_output=True, timeout=300)
+        manifest = json.loads((workdir / "results" / "manifest.json")
+                              .read_text())
+        return manifest["outputs"]
+
+    @pytest.mark.parametrize("threads", ["1", None], ids=["one", "default"])
+    def test_same_thread_count_gives_same_digests(self, tmp_path, threads):
+        cfg = tiny_config("iteration", "results", n=8, order=2, set_size=20)
+        cfg_path = tmp_path / "config.json"
+        cfg.save(cfg_path)
+        first = self.digests(tmp_path / "a", cfg_path, threads)
+        assert first
+        assert self.digests(tmp_path / "b", cfg_path, threads) == first
 
 
 class TestCli:

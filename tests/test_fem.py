@@ -136,6 +136,27 @@ class TestParametricOperator:
             lu = spla.splu(K.tocsc())
             assert np.all(lu.U.diagonal() > 0)
 
+    @pytest.mark.parametrize("n, order, nquad", [(4, 1, None), (4, 2, None),
+                                                 (5, 2, 3), (3, 1, 4)])
+    def test_separable_factors_reproduce_terms(self, n, order, nquad):
+        op = build_parametric_operator(build_mesh(n, order), nterms=7,
+                                       nquad=nquad)
+        M, A = op.factors[0]
+        assert set(op.axes[1:]) == {0, 1}
+        for m, K in enumerate(op.stiffness):
+            Mm, Am = op.factors[m]
+            if op.axes[m] == 0:
+                sep = sp.kron(M, Am) + sp.kron(A, Mm)
+            else:
+                sep = sp.kron(Mm, A) + sp.kron(Am, M)
+            # a term the quadrature cancels to roundoff (n=3, m=6) is
+            # measured against its amplitude times the mean term
+            scale = max(abs(K).max(), coefficient_amplitude(m, op.varsigma)
+                        * abs(op.stiffness[0]).max())
+            assert abs(sep - K).max() <= 1e-14 * scale
+        mass = sp.kron(M, M)
+        assert abs(mass - op.mass).max() <= 1e-14 * abs(op.mass).max()
+
     def test_shared_pattern(self):
         op = build_parametric_operator(build_mesh(4, 2), nterms=6)
         for K in op.stiffness[1:]:

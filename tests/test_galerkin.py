@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from chaoseig import galerkin
 from chaoseig.fem import build_mesh, build_parametric_operator
 from chaoseig.galerkin import (
     DeltaFactor,
@@ -18,6 +19,7 @@ from chaoseig.galerkin import (
     KroneckerOperator,
     MeanPreconditioner,
     NearSingularError,
+    SeparableTerms,
     build_system,
     delta_solve,
     newton_normalize,
@@ -98,8 +100,30 @@ class TestKroneckerOperator:
         right = float(np.sum(V * op.apply(W)))
         np.testing.assert_allclose(left, right, rtol=1e-12)
 
+    @pytest.mark.parametrize("order, nquad", [(1, None), (2, None), (1, 4),
+                                              (2, 5)])
+    @pytest.mark.parametrize("shift", [0.0, 7.5])
+    @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
+    def test_separable_apply_matches_assembled(self, order, nquad, shift,
+                                               rows_per_chunk, monkeypatch):
+        sys = build_system(n=3, order=order, size=12, nquad=nquad)
+        assert sys.fem_op.nterms >= 2  # terms along both axes
+        if rows_per_chunk is not None:
+            # split terms across chunks and chunks across terms
+            slice_bytes = sys.N * 8
+            monkeypatch.setattr(galerkin, "_CHUNK_BYTES",
+                                rows_per_chunk * slice_bytes)
+            assert sys.terms.step == rows_per_chunk
+        dense = materialize_kronecker(sys.gmats, sys.fem_op.stiffness,
+                                      shift=shift, mass=sys.mass)
+        V = random_block(sys, np.random.default_rng(26))
+        got = sys.operator(shift).apply(V).ravel()
+        want = dense @ V.ravel()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_positive_definite_without_shift(self):
-        # amplitude sum below one keeps a(x,y) > 0, hence energy > 0
+        # the default varsigma = 3.2 keeps the amplitude sum zeta(3.2) - 1
+        # below one, so a(x,y) > 0 and the energy is positive
         sys = build_system(n=4, order=1, size=12)
         op = sys.operator()
         rng = np.random.default_rng(24)
@@ -122,27 +146,37 @@ class TestKroneckerOperator:
             op.apply(np.zeros((sys.P, sys.N + 1)))
 
     def test_shift_requires_mass(self):
+        # the shift term is taken from the 1D mass factors; it must equal
+        # shift * (identity (x) assembled mass)
         sys = small_system()
-        with pytest.raises(ValueError, match="mass"):
-            KroneckerOperator(sys.gmats, sys.fem_op.stiffness, shift=1.0)
+        V = random_block(sys, np.random.default_rng(27))
+        diff = (KroneckerOperator(sys.terms).apply(V)
+                - KroneckerOperator(sys.terms, shift=1.5).apply(V))
+        np.testing.assert_allclose(diff, 1.5 * sys.mass_apply(V),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_rejects_length_mismatch(self):
         sys = small_system()
         with pytest.raises(ValueError, match="per raise matrix"):
-            KroneckerOperator(sys.gmats[:-1], sys.fem_op.stiffness)
+            SeparableTerms(sys.gmats[:-1], sys.fem_op)
+
+    def test_operators_share_cached_terms(self):
+        sys = small_system()
+        a, b = sys.operator(), sys.operator(shift=2.0)
+        assert a.terms is b.terms is sys.terms
 
 
 class TestMeanPreconditioner:
     def test_inverts_mean_term_blockwise(self):
-        sys = small_system()
-        prec = sys.mean_preconditioner()
-        rng = np.random.default_rng(31)
-        R = random_block(sys, rng)
-        X = prec.apply(R)
-        K0 = sys.fem_op.stiffness[0].toarray()
-        for a in range(sys.P):
-            np.testing.assert_allclose(K0 @ X[a], R[a], rtol=1e-11,
-                                       atol=1e-12)
+        for sys in (small_system(), build_system(n=4, order=1, size=6)):
+            prec = sys.mean_preconditioner()
+            rng = np.random.default_rng(31)
+            R = random_block(sys, rng)
+            X = prec.apply(R)
+            K0 = sys.fem_op.stiffness[0].toarray()
+            for a in range(sys.P):
+                np.testing.assert_allclose(K0 @ X[a], R[a], rtol=1e-11,
+                                           atol=1e-12)
 
     def test_symmetric_positive(self):
         sys = small_system()
