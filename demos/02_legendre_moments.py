@@ -18,16 +18,17 @@ from chaoseig.legendre import (
 from chaoseig.multiindex import generate_index_set_by_size
 
 aset = generate_index_set_by_size(12, varsigma=3.2)
-mats = build_moment_matrices(aset)
+tt = build_triple_tensor(aset)
+print(f"triple-product tensor: {len(tt.values)} stored entries over "
+      f"{len(aset)}^3 = {len(aset) ** 3} slots")
+print()
+
+# coordinate m's coupling matrix is the tensor's slice at e_m over sqrt(3)
+mats = build_moment_matrices(tt)
 print("coordinate coupling matrices (structural nonzeros per row <= 2):")
 for m, G in enumerate(mats[1:4], start=1):
     print(f"  coordinate {m}: nnz = {G.nnz}, symmetric = "
           f"{(abs(G - G.T)).nnz == 0}")
-print()
-
-tt = build_triple_tensor(aset)
-print(f"triple-product tensor: {len(tt.values)} stored entries over "
-      f"{len(aset)}^3 = {len(aset) ** 3} slots")
 print()
 
 # a positive random expansion: multiplication operator stays positive

@@ -14,9 +14,11 @@ with the built-in fluctuation family a_0 = 1 and, for m >= 1,
 
 whose amplitudes (m+1)^(-varsigma) sum to zeta(varsigma) - 1.  That sum is
 below 1, so a(x, y) >= 1 - sum > 0 for every y, only for varsigma above
-about 1.73 (the default 3.2 gives 0.17); smaller varsigma is accepted but
-not checked.  All assembled matrices share one sparsity pattern, so
-pointwise matrices K(y) are formed by combining stored data arrays only.
+about 1.73 (the default 3.2 gives 0.17).  For smaller varsigma a truncated
+family can still be uniformly positive; `build_parametric_operator`
+rejects one that is not at the quadrature points.  All assembled matrices
+share one sparsity pattern, so pointwise matrices K(y) are formed by
+combining stored data arrays only.
 
 Each a_m depends on x_1 alone or on x_2 alone and the grid is a tensor
 product, so every stiffness term is also stored in separable form: with the
@@ -232,15 +234,16 @@ def _stiffness(mesh, rule, coef):
     return _assemble(mesh, local)
 
 
-def _assemble_1d(mesh, nquad, profile):
-    """Dense 1D interior-node (mass, stiffness) for a coefficient profile.
+def _assemble_1d(mesh, rule_1d, values):
+    """Dense 1D interior-node (mass, stiffness) for a coefficient profile,
+    given its values (cells, points) at the points of the per-cell 1D rule.
 
-    Uses the per-cell Gauss rule of the 2D assembly along one axis, so the
-    Kronecker products of these factors reproduce the assembled terms.
+    That rule is the 2D assembly's along one axis, so the Kronecker
+    products of these factors reproduce the assembled terms.
     """
     o, n, h = mesh.order, mesh.n, mesh.h
-    gx, gw, v1, d1 = _cell_rule_1d(o, nquad)
-    cw = profile(np.arange(n)[:, None] * h + (gx + 1.0) * (h / 2.0)) * gw
+    _, gw, v1, d1 = rule_1d
+    cw = values * gw
     local = np.stack([(h / 2.0) * np.einsum("cq,qa,qb->cab", cw, v1, v1),
                       (2.0 / h) * np.einsum("cq,qa,qb->cab", cw, d1, d1)])
     node = np.arange(n)[:, None] * o + np.arange(o + 1)  # (cells, o+1)
@@ -291,7 +294,27 @@ class ParametricOperator:
 
 def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
     """Assemble M and K^(0..nterms) for the built-in coefficient family,
-    plus the 1D factors of every term."""
+    plus the 1D factors of every term.
+
+    Raises ValueError if the coefficient is not uniformly positive over the
+    active terms, that is if a_0 - sum_m |a_m| <= 0 at a quadrature point.
+    """
+    profiles = [_coefficient_profile(m, varsigma) for m in range(nterms + 1)]
+    axes = np.array([axis for axis, _ in profiles])
+    rule_1d = _cell_rule_1d(mesh.order, nquad)
+    h = mesh.h
+    t = np.arange(mesh.n)[:, None] * h + (rule_1d[0] + 1.0) * (h / 2.0)
+    values = np.stack([f(t) for _, f in profiles])  # (terms, cells, points)
+    # the 2D rule is the 1D rule squared and each a_m varies along one
+    # axis, so the largest sum of |a_m| per axis bounds a_0 - sum |a_m|
+    # over the 2D points from below (exactly, for a constant a_0)
+    floor = values[0].min() - sum(
+        np.abs(values[1:][axes[1:] == k]).sum(axis=0).max() for k in (0, 1))
+    if floor <= 0.0:
+        raise ValueError(
+            f"coefficient not uniformly positive for varsigma={varsigma} "
+            f"with {nterms} terms: a_0 - sum |a_m| = {floor:.3g} at the "
+            f"quadrature points; raise varsigma or cap the terms")
     rule = mesh.quadrature(nquad)  # once: it is the costly part per term
     mass = _mass(mesh, rule)
     mats = [_stiffness(mesh, rule, None)]
@@ -302,9 +325,7 @@ def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
            not np.array_equal(K.indices, mats[0].indices):
             raise AssertionError("stiffness terms lost the shared pattern")
     data = np.stack([K.data for K in mats])
-    profiles = [_coefficient_profile(m, varsigma) for m in range(nterms + 1)]
-    factors = np.stack([_assemble_1d(mesh, nquad, f) for _, f in profiles])
-    axes = np.array([axis for axis, _ in profiles])
+    factors = np.stack([_assemble_1d(mesh, rule_1d, v) for v in values])
     return ParametricOperator(mesh, varsigma, mass, mats, data, factors, axes)
 
 

@@ -422,7 +422,9 @@ def build_system(n, order=2, size=None, eps=None, varsigma=3.2, nquad=None,
     (eps).  The stiffness family is truncated at the set's own maximal
     active dimension: dimensions the chaos basis never sees cannot enter
     the Galerkin operator.  max_terms additionally caps the number of
-    coefficient fluctuation terms, turning later parameters inert.
+    coefficient fluctuation terms, turning later parameters inert.  A
+    coefficient that is not uniformly positive over the active terms is
+    rejected (see `build_parametric_operator`).
     """
     if (size is None) == (eps is None):
         raise ValueError("give exactly one of size or eps")
@@ -438,6 +440,6 @@ def build_system(n, order=2, size=None, eps=None, varsigma=3.2, nquad=None,
     mesh = build_mesh(n, order)
     fem_op = build_parametric_operator(mesh, varsigma=varsigma,
                                        nterms=nterms, nquad=nquad)
-    gmats = build_moment_matrices(aset)[:nterms + 1]
     tt = build_triple_tensor(aset)
+    gmats = build_moment_matrices(tt)[:nterms + 1]
     return GalerkinSystem(aset, fem_op, gmats, tt)

@@ -7,13 +7,16 @@ are finite tensor products indexed by sparse multi-indices.
 
 Two moment contractions drive all Galerkin products:
 
+* the triple product tensor with entries E[Lam_a Lam_b Lam_c], factorizing
+  into univariate triples that vanish unless each coordinate's degrees pass
+  the parity and triangle conditions; built by a vectorized search over
+  all triples (see `build_triple_tensor`).
 * raise matrices, one per dimension m >= 1, with entries
   E[y_m Lam_a Lam_b]: nonzero only when a and b agree except in coordinate m
   where they differ by one, with univariate value (p+1)/sqrt((2p+1)(2p+3));
-  the m = 0 matrix is the identity by convention.
-* the triple product tensor with entries E[Lam_a Lam_b Lam_c], factorizing
-  into univariate triples that vanish unless each coordinate's degrees pass
-  the parity and triangle conditions.
+  the m = 0 matrix is the identity by convention.  Since Lam_{e_m} =
+  sqrt(3) y_m, they are read off the triple tensor as its slices at the
+  first-order indices e_m, divided by sqrt(3).
 
 Univariate triple products are evaluated by exact-degree Gauss quadrature
 (cached per degree sum) rather than factorial closed forms.
@@ -21,12 +24,12 @@ Univariate triple products are evaluated by exact-degree Gauss quadrature
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .multiindex import MultiIndexSet, dense_exponents
+from .multiindex import MultiIndexSet
 
 __all__ = [
     "eval_univariate",
@@ -97,30 +100,24 @@ def univariate_raise(p):
     return (p + 1) / np.sqrt((2.0 * p + 1.0) * (2.0 * p + 3.0))
 
 
-def build_moment_matrices(aset: MultiIndexSet):
-    """Sparse raise matrices for m = 0..max_dimension of the index set.
+def build_moment_matrices(tt):
+    """Sparse raise matrices for m = 0..max_dimension of the tensor's set.
 
     Entry (a, b) of matrix m >= 1 is E[y_m Lam_a Lam_b]; matrix 0 is the
-    identity.  Each matrix is symmetric with at most two structural nonzeros
-    per row (the one-step neighbors in coordinate m).
+    identity.  As Lam_{e_m} = sqrt(3) y_m, matrix m is the triple tensor's
+    slice at the first-order index e_m divided by sqrt(3): symmetric, with
+    at most two structural nonzeros per row (the one-step neighbors in
+    coordinate m).
     """
+    aset = tt.aset
     P = len(aset)
     mats = [sp.identity(P, format="csr")]
     for m in range(1, aset.max_dimension + 1):
-        rows, cols, vals = [], [], []
-        for i, alpha in enumerate(aset.indices):
-            d = dict(alpha)
-            p = d.get(m, 0)
-            # the +1 neighbor; the -1 pairing is covered by symmetry
-            d[m] = p + 1
-            up = tuple(sorted(d.items()))
-            j = aset.position(up)
-            if j is not None:
-                v = univariate_raise(p)
-                rows += [i, j]
-                cols += [j, i]
-                vals += [v, v]
-        mats.append(sp.csr_matrix((vals, (rows, cols)), shape=(P, P)))
+        a = aset.position(((m, 1),))
+        lo, hi = np.searchsorted(tt.ia, [a, a + 1])
+        mats.append(sp.csr_matrix(
+            (tt.values[lo:hi] / np.sqrt(3.0), (tt.ib[lo:hi], tt.ic[lo:hi])),
+            shape=(P, P)))
     return mats
 
 
@@ -129,8 +126,9 @@ class TripleProductTensor:
     """Flat sparse storage of all triples E[Lam_a Lam_b Lam_c] over a set.
 
     Entries are stored fully expanded over the last two slots (for every
-    first-slot index a, every nonzero (b, c) pair appears once), so the
-    row-wise contractions used by the solvers are single vectorized passes.
+    first-slot index a, every nonzero (b, c) pair appears once), sorted by
+    (a, b, c), so the row-wise contractions used by the solvers are single
+    vectorized passes and the slice of one first-slot index is contiguous.
     """
 
     aset: MultiIndexSet
@@ -138,20 +136,10 @@ class TripleProductTensor:
     ib: np.ndarray
     ic: np.ndarray
     values: np.ndarray
-    _per_row: dict = field(default_factory=dict, repr=False)
 
     @property
     def size(self):
         return len(self.aset)
-
-    def matrix(self, a):
-        """Sparse P x P slice for first-slot index position a."""
-        if a not in self._per_row:
-            mask = self.ia == a
-            self._per_row[a] = sp.csr_matrix(
-                (self.values[mask], (self.ib[mask], self.ic[mask])),
-                shape=(self.size, self.size))
-        return self._per_row[a]
 
     def contract_gram(self, H):
         """Row-wise Frobenius products {sum_bc c_abc H_bc}_a for dense H."""
@@ -171,61 +159,95 @@ class TripleProductTensor:
         return D
 
 
-def build_triple_tensor(aset: MultiIndexSet) -> TripleProductTensor:
-    """All nonzero triples over the index set, by pair scan.
+# Candidate (a, b, c) triples are formed and filtered in chunks of about
+# this many, so memory stays bounded on low-dimensional sets, where one row
+# a can pair up nearly all P**2 (b, c).
+_CHUNK_TRIPLES = 2**20
 
-    For each pair (b, c), candidate first-slot indices are enumerated per
-    coordinate from the triangle/parity admissible range, then checked for
-    membership; the value is the product of univariate triples over the
-    union support.
+
+def _equal_key_pairs(K):
+    """Chunks (a, b, c) of every ordered pair (b, c) with K[a, b] == K[a, c].
+
+    Each row of K is sorted; each member of a run of equal keys is repeated
+    once per member of its run and paired with each of them in turn.
     """
-    P = len(aset)
-    dense = [dense_exponents(a) for a in aset.indices]
-    ia, ib, ic, vals = [], [], [], []
+    P = K.shape[0]
+    order = np.argsort(K, axis=1, kind="stable").ravel()
+    key = np.take_along_axis(K, order.reshape(P, P), axis=1).ravel()
+    first = np.ones(P * P, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    first[::P] = True
+    run = np.cumsum(first) - 1
+    start = np.flatnonzero(first)
+    reps = np.diff(np.append(start, P * P))[run]
+    total = np.cumsum(reps.reshape(P, P).sum(axis=1))
+    cuts = np.searchsorted(total, np.arange(_CHUNK_TRIPLES, total[-1],
+                                            _CHUNK_TRIPLES), side="right")
+    cuts = np.unique(np.concatenate([[0], cuts, [P]]))
+    for lo, hi in zip(cuts[:-1] * P, cuts[1:] * P):
+        n = reps[lo:hi]
+        src = np.repeat(np.arange(lo, hi), n)
+        offset = np.arange(src.size) - np.repeat(np.cumsum(n) - n, n)
+        yield src // P, order[src], order[start[run[src]] + offset]
 
-    def emit(a, b, c, v):
-        ia.append(a)
-        ib.append(b)
-        ic.append(c)
-        vals.append(v)
-        if b != c:
-            ia.append(a)
-            ib.append(c)
-            ic.append(b)
-            vals.append(v)
 
-    for b in range(P):
-        eb = dense[b]
-        for c in range(b, P):
-            ec = dense[c]
-            ndim = max(len(eb), len(ec))
-            pb = eb + (0,) * (ndim - len(eb))
-            pc = ec + (0,) * (ndim - len(ec))
-            # per-dim admissible first-slot degrees: |pb-pc| .. pb+pc, step 2
-            cands = [()]
-            for m in range(ndim):
-                lo, hi = abs(pb[m] - pc[m]), pb[m] + pc[m]
-                step = [(m + 1, d) for d in range(lo, hi + 1, 2) if d > 0]
-                base = [c0 for c0 in cands] if lo == 0 else []
-                cands = base + [c0 + (p,) for c0 in cands for p in step]
-                if not cands:
-                    break
-            for cand in cands:
-                a = aset.position(cand)
-                if a is None:
-                    continue
-                da = dict(cand)
-                v = 1.0
-                for m in range(ndim):
-                    pa = da.get(m + 1, 0)
-                    if pa or pb[m] or pc[m]:
-                        v *= univariate_triple(pa, pb[m], pc[m])
-                emit(a, b, c, v)
+def build_triple_tensor(aset: MultiIndexSet) -> TripleProductTensor:
+    """All nonzero triples over the index set, vectorized over all triples.
 
-    return TripleProductTensor(
-        aset,
-        np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp),
-        np.asarray(ic, dtype=np.intp), np.asarray(vals, dtype=float))
+    An entry (a, b, c) is nonzero only if b and c agree outside supp(a)
+    (there a_m = 0 forces b_m = c_m) and every coordinate passes the
+    triangle and parity conditions.  Rows are hashed with the coordinates
+    of supp(a) removed; pairs in one hash group of row a are the
+    candidates, which the conditions on supp(a) then filter.  The value is
+    the product of univariate triples over the union support in ascending
+    coordinate order, each distinct univariate triple evaluated once.  A
+    hash collision would leave a pair that differs outside supp(a), whose
+    factor univariate_triple(0, p, q) with p != q is exactly zero: such
+    entries are dropped.
+    """
+    P, M = len(aset), aset.max_dimension
+    # dense exponents plus a zero column M; supports padded with M
+    D = np.zeros((P, M + 1), dtype=np.int64)
+    S = np.full((P, max(1, max(len(a) for a in aset.indices))), M)
+    for i, alpha in enumerate(aset.indices):
+        for k, (d, e) in enumerate(alpha):
+            D[i, d - 1] = e
+            S[i, k] = d - 1
+    # fixed multipliers below 2**40: sums of a few small exponents times
+    # them cannot overflow
+    r = np.random.default_rng(0).integers(1, 2**40, size=M + 1)
+    r[M] = 0
+    # K[a, b]: hash of row b without the coordinates of supp(a)
+    K = np.tile(D @ r, (P, 1))
+    for k in range(S.shape[1]):
+        K -= D[:, S[:, k]].T * r[S[:, k]][:, None]
+    parts = []
+    for ia, ib, ic in _equal_key_pairs(K):
+        ok = np.ones(ia.size, dtype=bool)
+        for k in range(S.shape[1]):
+            m = S[ia, k]
+            pa, pb, pc = D[ia, m], D[ib, m], D[ic, m]
+            ok &= (np.abs(pb - pc) <= pa) & (pa <= pb + pc) \
+                & ((pa + pb + pc) % 2 == 0)
+        parts.append(np.stack([ia[ok], ib[ok], ic[ok]]))
+    ia, ib, ic = np.concatenate(parts, axis=1)
+    # union supports in ascending order, repeats replaced by the zero column
+    dims = np.sort(np.concatenate([S[ia], S[ib], S[ic]], axis=1), axis=1)
+    dims[:, 1:][dims[:, 1:] == dims[:, :-1]] = M
+    base = int(D.max()) + 1
+    codes = (D[ia[:, None], dims] * base + D[ib[:, None], dims]) * base \
+        + D[ic[:, None], dims]
+    uniq, inv = np.unique(codes, return_inverse=True)
+    table = np.array([univariate_triple(u // base**2, u // base % base,
+                                        u % base) for u in uniq])
+    factors = table[inv.reshape(codes.shape)]
+    values = np.ones(ia.size)
+    for k in range(factors.shape[1]):
+        values *= factors[:, k]
+    keep = values != 0.0
+    ia, ib, ic, values = ia[keep], ib[keep], ic[keep], values[keep]
+    o = np.lexsort((ic, ib, ia))
+    return TripleProductTensor(aset, ia[o], ib[o], ic[o], values[o])
 
 
 def basis_matrix(aset: MultiIndexSet, Y):

@@ -19,10 +19,14 @@ match a diffusion coefficient whose m-th fluctuation has amplitude
 
 Members are kept in decreasing weight order; exact weight ties are broken by
 total degree (ascending), then lexicographically on dense exponent tuples.
+A set of a requested size is cut from that order: a best-first walk over
+the margin of the growing set finds the threshold without enumerating any
+larger set.
 """
 
 from __future__ import annotations
 
+import heapq
 import io
 import math
 
@@ -256,6 +260,16 @@ class MultiIndexSet:
             return cls.from_text(fh.read())
 
 
+def _explicit_weights(weights):
+    """Validated explicit per-dimension weights as a float array."""
+    eta = np.asarray(weights, dtype=float)
+    if eta.size and (np.any(eta <= 0) or np.any(eta >= 1)):
+        raise ValueError("weights must lie strictly between 0 and 1")
+    if np.any(np.diff(eta) > 0):
+        raise ValueError("weights must be non-increasing")
+    return eta
+
+
 def generate_index_set(eps, varsigma=None, weights=None):
     """All multi-indices with product weight > eps, canonically ordered.
 
@@ -284,11 +298,7 @@ def generate_index_set(eps, varsigma=None, weights=None):
         ncap = _weight_cutoff(varsigma, eps)
         eta = dimension_weights(varsigma, ncap)
     else:
-        eta = np.asarray(weights, dtype=float)
-        if eta.size and (np.any(eta <= 0) or np.any(eta >= 1)):
-            raise ValueError("weights must lie strictly between 0 and 1")
-        if np.any(np.diff(eta) > 0):
-            raise ValueError("weights must be non-increasing")
+        eta = _explicit_weights(weights)
         eta = eta[eta > eps]
     entries = _enumerate(list(eta), eps)
     entries.sort(key=_sort_key)
@@ -297,31 +307,53 @@ def generate_index_set(eps, varsigma=None, weights=None):
     return MultiIndexSet(idx, ws, eps, varsigma, eta=eta)
 
 
+# Weights at or below this floor are not resolved: no size whose cut needs
+# one is reachable.
+_WEIGHT_FLOOR = 1e-300
+
+
 def generate_index_set_by_size(size, varsigma=3.2, weights=None):
     """Index set of a requested cardinality for a given weight rule.
 
-    Finds a threshold eps such that the weight-rule set has exactly ``size``
-    members, placing eps at the log-space midpoint of the two boundary
-    weights.  Raises ValueError if an exact weight tie straddles the cut, in
-    which case no threshold realizes the requested size.
+    Walks the canonical tree of `_enumerate` best first (a heap keyed on
+    weight; each pop pushes the node's first child and its next sibling),
+    so the weights come out in non-increasing order and only the margin of
+    the growing set is ever held (Chkifa, Cohen & Schwab 2014).  The weights
+    are the tree's own left-to-right products, so the set is the one
+    `generate_index_set` returns at the threshold eps placed at the
+    log-space midpoint of the size-th and (size+1)-th weights.  Raises
+    ValueError if an exact weight tie straddles the cut, in which case no
+    threshold realizes the requested size, or if the rule runs out of
+    weights above 1e-300 before reaching size + 1 members.  The built-in
+    rule needs at most size + 1 dimensions; explicit weights are used as
+    given (varsigma is then ignored).
     """
     if size < 1:
         raise ValueError("size must be at least 1")
-    kw = {"weights": weights} if weights is not None else {"varsigma": varsigma}
-    eps = 0.5
-    aset = generate_index_set(eps, **kw)
-    while len(aset) < size + 1:
-        new_eps = eps * eps
-        if new_eps < 1e-300:
-            raise ValueError(f"weight rule cannot reach size {size}")
-        eps = new_eps
-        aset = generate_index_set(eps, **kw)
-    w_in, w_out = aset.weights[size - 1], aset.weights[size]
+    if weights is None:
+        eta = dimension_weights(varsigma, size + 1)
+        kw = {"varsigma": varsigma}
+    else:
+        eta = _explicit_weights(weights)
+        kw = {"weights": weights}
+    ws = [1.0]
+    # heap entries: (-weight, 0-based last active dim j, parent weight); the
+    # first child multiplies by eta[j], the next sibling is parent * eta[j+1]
+    heap = [(-float(eta[0]), 0, 1.0)] if eta.size else []
+    while heap and (len(ws) <= size or -heap[0][0] == ws[size]):
+        negw, j, parent = heapq.heappop(heap)
+        w = -negw
+        if w <= _WEIGHT_FLOOR:
+            break
+        ws.append(w)
+        heapq.heappush(heap, (-(w * eta[j]), j, w))
+        if j + 1 < eta.size:
+            heapq.heappush(heap, (-(parent * eta[j + 1]), j + 1, parent))
+    if len(ws) <= size:
+        raise ValueError(f"weight rule cannot reach size {size}")
+    w_in, w_out = ws[size - 1], ws[size]
     if not w_in > w_out:
-        sizes = np.nonzero(np.diff(aset.weights) < 0)[0] + 1
-        lo = int(sizes[sizes < size][-1]) if np.any(sizes < size) else 1
-        hi = int(sizes[sizes > size][0]) if np.any(sizes > size) else len(aset)
-        raise ValueError(
-            f"size {size} splits a weight tie; nearest achievable: {lo}, {hi}")
+        raise ValueError(f"size {size} splits a weight tie; nearest "
+                         f"achievable: {ws.index(w_in)}, {len(ws)}")
     cut = math.exp(0.5 * (math.log(w_in) + math.log(w_out)))
     return generate_index_set(cut, **kw)

@@ -3,15 +3,20 @@
 These deliberately avoid the package's own evaluation routines: Legendre
 values come from numpy.polynomial.legendre.legval, eigenpairs from dense
 scipy eigensolvers, Kronecker applications from explicit materialization.
+The two construction oracles at the end are slow reference algorithms
+instead: an index set found by squaring eps until it overshoots, and a
+triple tensor found by scanning every index pair.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from chaoseig.multiindex import dense_exponents
+from chaoseig.legendre import univariate_triple
+from chaoseig.multiindex import dense_exponents, generate_index_set
 
 
 def legval_normalized(p, x):
@@ -92,3 +97,83 @@ def box_indices(aset):
     """Dense exponent tuples padded to the set's max dimension."""
     mdim = aset.max_dimension
     return [dense_exponents(a, mdim) for a in aset.indices]
+
+
+def dense_triple_tensor(tt):
+    """Dense (P, P, P) array of a TripleProductTensor's entries; [a] is the
+    slice of first-slot index a."""
+    P = tt.size
+    out = np.zeros((P, P, P))
+    out[tt.ia, tt.ib, tt.ic] = tt.values
+    return out
+
+
+def index_set_by_squaring(size, varsigma=3.2, weights=None):
+    """Index set of a given size, found by squaring eps from 1/2 until the
+    set has more than size members, then cutting it at the log-space
+    midpoint of the size-th and (size+1)-th weights."""
+    if size < 1:
+        raise ValueError("size must be at least 1")
+    kw = {"weights": weights} if weights is not None else {"varsigma": varsigma}
+    eps = 0.5
+    aset = generate_index_set(eps, **kw)
+    while len(aset) < size + 1:
+        new_eps = eps * eps
+        if new_eps < 1e-300:
+            raise ValueError(f"weight rule cannot reach size {size}")
+        eps = new_eps
+        aset = generate_index_set(eps, **kw)
+    w_in, w_out = aset.weights[size - 1], aset.weights[size]
+    if not w_in > w_out:
+        sizes = np.nonzero(np.diff(aset.weights) < 0)[0] + 1
+        lo = int(sizes[sizes < size][-1]) if np.any(sizes < size) else 1
+        hi = int(sizes[sizes > size][0]) if np.any(sizes > size) else len(aset)
+        raise ValueError(
+            f"size {size} splits a weight tie; nearest achievable: {lo}, {hi}")
+    cut = math.exp(0.5 * (math.log(w_in) + math.log(w_out)))
+    return generate_index_set(cut, **kw)
+
+
+def triple_tensor_pair_scan(aset):
+    """Entries (ia, ib, ic, values) of the triple tensor, by pair scan.
+
+    For each pair (b, c), candidate first-slot indices are enumerated per
+    coordinate from the triangle/parity admissible range, then checked for
+    membership; the value is the product of univariate triples over the
+    union support, in ascending coordinate order.
+    """
+    P = len(aset)
+    dense = [dense_exponents(a) for a in aset.indices]
+    out = []
+    for b in range(P):
+        eb = dense[b]
+        for c in range(b, P):
+            ec = dense[c]
+            ndim = max(len(eb), len(ec))
+            pb = eb + (0,) * (ndim - len(eb))
+            pc = ec + (0,) * (ndim - len(ec))
+            # per-dim admissible first-slot degrees: |pb-pc| .. pb+pc, step 2
+            cands = [()]
+            for m in range(ndim):
+                lo, hi = abs(pb[m] - pc[m]), pb[m] + pc[m]
+                step = [(m + 1, d) for d in range(lo, hi + 1, 2) if d > 0]
+                base = list(cands) if lo == 0 else []
+                cands = base + [c0 + (p,) for c0 in cands for p in step]
+                if not cands:
+                    break
+            for cand in cands:
+                a = aset.position(cand)
+                if a is None:
+                    continue
+                da = dict(cand)
+                v = 1.0
+                for m in range(ndim):
+                    pa = da.get(m + 1, 0)
+                    if pa or pb[m] or pc[m]:
+                        v *= univariate_triple(pa, pb[m], pc[m])
+                out.append((a, b, c, v))
+                if b != c:
+                    out.append((a, c, b, v))
+    ia, ib, ic, vals = (np.array(col) for col in zip(*out))
+    return ia.astype(np.intp), ib.astype(np.intp), ic.astype(np.intp), \
+        vals.astype(float)

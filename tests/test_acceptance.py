@@ -42,7 +42,7 @@ def test_01_moment_tensors_match_quadrature():
     np.add.at(dense, (tt.ia, tt.ib, tt.ic), tt.values)
     ref = oracles.triple_tensor_dense(aset)
     assert np.max(np.abs(dense - ref)) <= 1e-12
-    mats = build_moment_matrices(aset)
+    mats = build_moment_matrices(tt)
     assert np.max(np.abs(mats[0].toarray() - np.eye(12))) == 0.0
     raise_ref = oracles.raise_matrices_dense(aset)
     for m in range(1, aset.max_dimension + 1):

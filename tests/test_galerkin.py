@@ -457,3 +457,16 @@ class TestBuildSystem:
     def test_max_terms_must_be_positive(self):
         with pytest.raises(ValueError, match="max_terms must be positive"):
             build_system(n=2, order=1, size=6, max_terms=0)
+
+    def test_rejects_coefficient_not_uniformly_positive(self):
+        # varsigma = 1.5 with 120 members activates 103 terms whose
+        # amplitudes sum to 1.42: a_0 - sum |a_m| = -0.196 at the
+        # quadrature points of this mesh
+        with pytest.raises(ValueError, match=r"varsigma=1\.5 with 103 terms: "
+                           r"a_0 - sum \|a_m\| = -0\.196 "):
+            build_system(n=8, order=2, size=120, varsigma=1.5)
+
+    def test_positivity_checked_over_active_terms_only(self):
+        # the same rule capped at 4 terms keeps a_0 - sum |a_m| near 0.28
+        sys = build_system(n=8, order=2, size=120, varsigma=1.5, max_terms=4)
+        assert sys.fem_op.nterms == 4

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from chaoseig import legendre
 from chaoseig.legendre import (
     basis_matrix,
     build_moment_matrices,
@@ -116,20 +119,20 @@ class TestUnivariateMoments:
 class TestMomentMatrices:
     def test_zero_set_identity_only(self):
         aset = generate_index_set(0.999, varsigma=3.2)
-        mats = build_moment_matrices(aset)
+        mats = build_moment_matrices(build_triple_tensor(aset))
         assert len(mats) == 1
         np.testing.assert_allclose(mats[0].toarray(), [[1.0]])
 
     def test_two_member_set(self):
         # {0, e_1} gives the single off-diagonal raise value 1/sqrt(3)
         aset = generate_index_set_by_size(2, varsigma=3.2)
-        mats = build_moment_matrices(aset)
+        mats = build_moment_matrices(build_triple_tensor(aset))
         expected = np.array([[0.0, 0.57735026918962576],
                              [0.57735026918962576, 0.0]])
         np.testing.assert_allclose(mats[1].toarray(), expected, atol=1e-15)
 
     def test_against_tensor_quadrature_oracle(self, medium_set):
-        mats = build_moment_matrices(medium_set)
+        mats = build_moment_matrices(build_triple_tensor(medium_set))
         ref = oracles.raise_matrices_dense(medium_set)
         assert len(mats) == len(ref) + 1
         for m in range(1, len(mats)):
@@ -137,18 +140,39 @@ class TestMomentMatrices:
                                        atol=1e-12)
 
     def test_structure(self, medium_set):
-        mats = build_moment_matrices(medium_set)
+        mats = build_moment_matrices(build_triple_tensor(medium_set))
         for G in mats[1:]:
             A = G.toarray()
             np.testing.assert_allclose(A, A.T, atol=0)
             assert np.all(np.diag(A) == 0)
             assert np.max((A != 0).sum(axis=1)) <= 2
 
+    @pytest.mark.parametrize("size", [12, 120])
+    def test_slices_match_univariate_raise(self, size):
+        # the slice at e_m over sqrt(3) is E[y_m Lam_a Lam_b]: nonzero
+        # exactly where a and b differ by one in coordinate m, with value
+        # univariate_raise of the lower degree
+        aset = generate_index_set_by_size(size, varsigma=3.2)
+        mats = build_moment_matrices(build_triple_tensor(aset))
+        assert len(mats) == aset.max_dimension + 1
+        for m in range(1, len(mats)):
+            ref = np.zeros((len(aset), len(aset)))
+            for i, alpha in enumerate(aset.indices):
+                d = dict(alpha)
+                p = d.get(m, 0)
+                d[m] = p + 1
+                j = aset.position(tuple(sorted(d.items())))
+                if j is not None:
+                    ref[i, j] = ref[j, i] = univariate_raise(p)
+            A = mats[m].toarray()
+            assert np.array_equal(A != 0, ref != 0)
+            np.testing.assert_allclose(A, ref, rtol=1e-15, atol=0)
+
 
 class TestTripleTensor:
     def test_zero_slice_identity(self, medium_set):
         tt = build_triple_tensor(medium_set)
-        np.testing.assert_allclose(tt.matrix(0).toarray(),
+        np.testing.assert_allclose(oracles.dense_triple_tensor(tt)[0],
                                    np.eye(len(medium_set)), atol=1e-13)
 
     def test_neighbor_entry_value(self):
@@ -158,22 +182,18 @@ class TestTripleTensor:
         assert e1 in aset and e1e1 in aset
         tt = build_triple_tensor(aset)
         a = aset.position(e1)
-        entry = tt.matrix(a)[aset.position(e1), aset.position(e1e1)]
+        entry = oracles.dense_triple_tensor(tt)[a, aset.position(e1),
+                                                aset.position(e1e1)]
         assert entry == pytest.approx(0.89442719099991588, abs=1e-14)
 
     def test_full_tensor_against_quadrature_oracle(self, small_set):
         tt = build_triple_tensor(small_set)
         ref = oracles.triple_tensor_dense(small_set)
-        P = len(small_set)
-        dense = np.zeros((P, P, P))
-        for a in range(P):
-            dense[a] = tt.matrix(a).toarray()
-        np.testing.assert_allclose(dense, ref, atol=1e-13)
+        np.testing.assert_allclose(oracles.dense_triple_tensor(tt), ref,
+                                   atol=1e-13)
 
     def test_full_symmetry(self, medium_set):
-        tt = build_triple_tensor(medium_set)
-        P = len(medium_set)
-        dense = np.array([tt.matrix(a).toarray() for a in range(P)])
+        dense = oracles.dense_triple_tensor(build_triple_tensor(medium_set))
         np.testing.assert_allclose(dense, dense.transpose(1, 0, 2), atol=1e-14)
         np.testing.assert_allclose(dense, dense.transpose(2, 1, 0), atol=1e-14)
 
@@ -181,7 +201,7 @@ class TestTripleTensor:
         tt = build_triple_tensor(medium_set)
         P = len(medium_set)
         rng = np.random.default_rng(11)
-        dense = np.array([tt.matrix(a).toarray() for a in range(P)])
+        dense = oracles.dense_triple_tensor(tt)
         H = rng.standard_normal((P, P))
         s = rng.standard_normal(P)
         t = rng.standard_normal(P)
@@ -194,6 +214,45 @@ class TestTripleTensor:
         np.testing.assert_allclose(tt.multiply_matrix(s),
                                    np.einsum("abc,a->bc", dense, s),
                                    atol=1e-12)
+
+
+def assert_matches_pair_scan(aset):
+    tt = build_triple_tensor(aset)
+    ia, ib, ic, vals = oracles.triple_tensor_pair_scan(aset)
+    o = np.lexsort((ic, ib, ia))
+    assert np.array_equal(tt.ia, ia[o])
+    assert np.array_equal(tt.ib, ib[o])
+    assert np.array_equal(tt.ic, ic[o])
+    assert tt.values.tobytes() == vals[o].tobytes()
+
+
+class TestTripleTensorAgainstPairScan:
+    @pytest.mark.parametrize("size", [1, 2, 6, 31, 52, 120])
+    def test_rule_sets(self, size):
+        assert_matches_pair_scan(generate_index_set_by_size(size,
+                                                            varsigma=3.2))
+
+    def test_chunked_candidates_give_the_same_tensor(self, monkeypatch):
+        aset = generate_index_set_by_size(52, varsigma=3.2)
+        whole = build_triple_tensor(aset)
+        monkeypatch.setattr(legendre, "_CHUNK_TRIPLES", 50)
+        chunked = build_triple_tensor(aset)
+        for name in ("ia", "ib", "ic", "values"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+
+    def test_one_dimensional_set(self):
+        # every entry of a 1D set shares one support: one hash group per row
+        assert_matches_pair_scan(generate_index_set(1e-6, weights=[0.5]))
+
+    # the pair scan is slow on large low-dimensional sets: keep P <= 80
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.floats(0.05, 0.6), min_size=1, max_size=6),
+           st.floats(0.005, 0.3))
+    def test_random_weight_sets(self, weights, eps):
+        aset = generate_index_set(eps, weights=sorted(weights, reverse=True))
+        assume(len(aset) <= 80)
+        assert_matches_pair_scan(aset)
 
 
 class TestExpansion:
@@ -243,7 +302,7 @@ class TestExpansion:
 
 
 def test_coordinate_dump_format(tmp_path, small_set):
-    mats = build_moment_matrices(small_set)
+    mats = build_moment_matrices(build_triple_tensor(small_set))
     path = tmp_path / "gm1.txt"
     dump_coordinate_text(mats[1], path)
     lines = path.read_text().strip().split("\n")

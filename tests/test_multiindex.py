@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from chaoseig.multiindex import (
     MultiIndexSet,
     dense_exponents,
@@ -174,9 +177,62 @@ class TestBySize:
         assert aset.max_dimension == 113
 
     def test_tie_raises_with_diagnostic(self):
+        # weights 1, .5, .25, .25, .125, ...: the cut after 3 splits the .25
+        # tie, and 2 and 4 are the nearest sizes a threshold can give
         eta = [0.5, 0.25, 0.125]
-        with pytest.raises(ValueError, match="tie"):
-            generate_index_set_by_size(3, weights=eta)  # .25 tie at the cut
+        with pytest.raises(ValueError, match="tie; nearest achievable: 2, 4"):
+            generate_index_set_by_size(3, weights=eta)
+
+    @pytest.mark.parametrize("weights, size", [([], 2), ([], 1),
+                                               ([0.5], 2000)])
+    def test_unreachable_size_raises(self, weights, size):
+        # no dimension to grow, or weights that fall to 1e-300 first
+        # (0.5**997 < 1e-300 < 0.5**996)
+        with pytest.raises(ValueError, match=f"cannot reach size {size}"):
+            generate_index_set_by_size(size, weights=weights)
+
+    def test_reaches_weights_down_to_the_floor(self):
+        aset = generate_index_set_by_size(996, weights=[0.5])
+        assert len(aset) == 996
+        assert aset.weights[-1] == 0.5 ** 995
+
+    def test_rejects_invalid_explicit_weights(self):
+        with pytest.raises(ValueError, match="between 0 and 1"):
+            generate_index_set_by_size(3, weights=[0.5, 1.0])
+        with pytest.raises(ValueError, match="non-increasing"):
+            generate_index_set_by_size(3, weights=[0.25, 0.5])
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 31, 52, 120, 121])
+    def test_rule_matches_squaring_oracle_bitwise(self, size):
+        aset = generate_index_set_by_size(size, varsigma=3.2)
+        ref = oracles.index_set_by_squaring(size, varsigma=3.2)
+        assert aset.indices == ref.indices
+        assert aset.weights.tobytes() == ref.weights.tobytes()
+        assert aset.eps == ref.eps
+        assert aset.eta.tobytes() == ref.eta.tobytes()
+
+    # weights from a few powers of two make exact ties common; at least
+    # 0.05 and size <= 40 keep every needed weight above the oracle's
+    # 2**-512 floor, so both searches reach the same sizes
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.5, 0.25, 0.125, 0.0625]),
+                              st.floats(0.05, 0.7)), max_size=5),
+           st.integers(1, 40))
+    def test_explicit_weights_match_squaring_oracle(self, weights, size):
+        weights = sorted(weights, reverse=True)
+        try:
+            ref = oracles.index_set_by_squaring(size, weights=weights)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                generate_index_set_by_size(size, weights=weights)
+            assert str(err.value) == str(exc)
+            return
+        aset = generate_index_set_by_size(size, weights=weights)
+        assert aset.indices == ref.indices
+        assert aset.weights.tobytes() == ref.weights.tobytes()
+        assert aset.eps == ref.eps
+        assert aset.is_downward_closed()
 
 
 class TestSerialization:
