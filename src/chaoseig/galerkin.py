@@ -42,7 +42,6 @@ __all__ = [
     "tensor_dot",
     "weighted_gram",
     "DeltaFactor",
-    "delta_solve",
     "newton_normalize",
     "GalerkinSystem",
     "build_system",
@@ -303,11 +302,6 @@ class DeltaFactor:
                                      np.asarray(rhs, dtype=float))
 
 
-def delta_solve(tt, s, rhs, cond_limit=1e12):
-    """One-shot DeltaFactor solve (factor + apply)."""
-    return DeltaFactor(tt, s, cond_limit).solve(rhs)
-
-
 def newton_normalize(tt: TripleProductTensor, V, M, tol=1e-12, maxiter=50,
                      max_halvings=30):
     """Chaos coefficients s of the pointwise norm of an expansion block.
@@ -406,9 +400,6 @@ class GalerkinSystem:
 
     def mass_apply(self, V):
         return (self.mass @ V.T).T
-
-    def norm(self, V):
-        return tensor_norm(V, self.mass)
 
     def gram(self, V, W):
         return weighted_gram(self.tt, V, W, self.mass)

@@ -6,11 +6,13 @@ One sweep maps the current normalized eigenvector expansion U through
     (2)  find the chaos coefficients s of the pointwise norm of V,
     (3)  divide V by s in the Galerkin sense,
 
-all blockwise on (P, N) coefficient arrays.  The reciprocal of s also
-carries the eigenvalue: with a shift below the target eigenvalue,
-mu(y) = shift + 1/s(y), so one Galerkin division of the constant one by s
-yields the eigenvalue expansion of the step.  A separate Rayleigh-quotient
-extraction is available as a cross-check on the converged pair.
+all blockwise on (P, N) coefficient arrays.  This is the block sweep of
+`subspace_iteration` at Q = 1, run by the same loop on U[:, :, None].  The
+reciprocal of s also carries the eigenvalue: with a shift below the target
+eigenvalue, mu(y) = shift + 1/s(y), so one Galerkin division of the
+constant one by s yields the eigenvalue expansion of the step.  A separate
+Rayleigh-quotient extraction is available as a cross-check on the
+converged pair.
 """
 
 from __future__ import annotations
@@ -19,20 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galerkin import (
-    DeltaFactor,
-    GalerkinSystem,
-    newton_normalize,
-    pcg_solve,
-    tensor_norm,
-)
-from .validation import expansion_statistics, smallest_eigenpairs
+from .galerkin import DeltaFactor, GalerkinSystem, tensor_norm
+from .subspace_iteration import _iterate, initial_basis
+from .validation import expansion_statistics
 
 __all__ = [
     "IterationHistory",
     "EigenpairResult",
     "initial_guess",
-    "iterate_once",
     "rayleigh_quotient",
     "run_inverse_iteration",
 ]
@@ -87,47 +83,9 @@ class EigenpairResult:
 
 
 def initial_guess(system: GalerkinSystem):
-    """Deterministic start: the mean-problem ground mode in the zero block.
-
-    The smallest eigenvector of the mean stiffness term against the mass
-    matrix (mass-normalized, largest entry positive) becomes the zero-index
-    coefficient; all fluctuation blocks start at zero.  Unit tensor norm by
-    construction.
-    """
-    _, vecs = smallest_eigenpairs(system.fem_op.stiffness[0], system.mass, 1,
-                                  tol=1e-12)
-    U = np.zeros((system.P, system.N))
-    U[0] = vecs[:, 0]
-    return U
-
-
-def iterate_once(system: GalerkinSystem, U, shift=0.0, cg_tol=1e-12,
-                 cg_maxiter=500, warm_start=None, newton_tol=1e-12,
-                 cond_limit=1e12):
-    """One inverse-iteration sweep.
-
-    Returns (U_next, mu, V, info, newton_steps) where mu holds the chaos
-    coefficients of the eigenvalue estimate shift + 1/s(y) and V is the
-    unnormalized solve result (useful as the next warm start).
-    """
-    op = system.operator(shift)
-    B = system.mass_apply(U)
-    V, info = pcg_solve(op, B, system.mean_preconditioner(), tol=cg_tol,
-                        maxiter=cg_maxiter, x0=warm_start)
-    if not info.converged:
-        raise RuntimeError(
-            f"inner CG stalled at relative residual "
-            f"{info.relative_residual:.3e} after {info.iterations} "
-            f"iterations")
-    s, nhist = newton_normalize(system.tt, V, system.mass, tol=newton_tol)
-    fac = DeltaFactor(system.tt, s, cond_limit=cond_limit)
-    U_next = fac.solve(V)
-    one = np.zeros(system.P)
-    one[0] = 1.0
-    mu = fac.solve(one)
-    if shift:
-        mu = mu + shift * one
-    return U_next, mu, V, info, len(nhist) - 1
+    """Deterministic start: the mean-problem ground mode in the zero block,
+    as the single column of `initial_basis`.  Unit tensor norm."""
+    return initial_basis(system, 1)[:, :, 0]
 
 
 def rayleigh_quotient(system: GalerkinSystem, U):
@@ -155,50 +113,24 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
     progress: a fraction cg_tol_factor of the previous increment, floored
     at cg_tol_floor, and each solve warm-starts from the previous one.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be positive")
-    U = initial_guess(system) if initial is None else \
+    U0 = initial_guess(system) if initial is None else \
         np.array(initial, dtype=float) / tensor_norm(initial, system.mass)
-    U0 = U.copy()
-    iterates = [U.copy()] if store_iterates else None
-    increments = []
-    mu_means = []
-    mu_changes = []
-    cg_its = []
-    cg_tols = []
-    newton_its = []
-    warm = None
-    prev_inc = 1.0
-    mu = None
-    converged = False
-    for _ in range(kmax):
-        cg_tol = max(cg_tol_floor, cg_tol_factor * prev_inc)
-        U_next, mu_next, warm, info, nsteps = iterate_once(
-            system, U, shift=shift, cg_tol=cg_tol, cg_maxiter=cg_maxiter,
-            warm_start=warm, newton_tol=newton_tol)
-        inc = tensor_norm(U_next - U, system.mass)
-        increments.append(inc)
-        mu_means.append(mu_next[0])
-        mu_changes.append(np.nan if mu is None else
-                          abs(mu_next[0] - mu[0]))
-        cg_its.append(info.iterations)
-        cg_tols.append(cg_tol)
-        newton_its.append(nsteps)
-        U, mu = U_next, mu_next
-        if store_iterates:
-            iterates.append(U.copy())
-        prev_inc = inc
-        if inc < tol:
-            converged = True
-            break
+    B, converged, iterates, (inc, cg_its, cg_tols, newton_its, _, _, mu) = \
+        _iterate(system, U0[:, :, None], tol, kmax, store_iterates,
+                 cg_tol_floor, cg_tol_factor, shift=shift,
+                 cg_maxiter=cg_maxiter, newton_tol=newton_tol)
+    if shift:
+        mu = mu + shift * np.eye(1, system.P)[0]
     # safety net: pin the overall sign to the starting mode (the sweep maps
     # U to a positive multiple, so this only fires on pathological starts);
     # stored iterates keep their raw signs
+    U = B[:, :, 0]
     if float(np.sum(U[0] * (system.mass @ U0[0]))) < 0.0:
         U = -U
     history = IterationHistory(
-        np.asarray(increments), np.asarray(mu_means),
-        np.asarray(mu_changes), np.asarray(cg_its, dtype=int),
-        np.asarray(cg_tols), np.asarray(newton_its, dtype=int))
-    return EigenpairResult(system, U, mu, rayleigh_quotient(system, U),
+        inc[:, 0], mu[:, 0], np.append(np.nan, np.abs(np.diff(mu[:, 0]))),
+        cg_its[:, 0], cg_tols, newton_its)
+    if store_iterates:
+        iterates = [S[:, :, 0] for S in iterates]
+    return EigenpairResult(system, U, mu[-1], rayleigh_quotient(system, U),
                            converged, history, iterates)

@@ -32,17 +32,14 @@ import scipy.sparse as sp
 from .multiindex import MultiIndexSet
 
 __all__ = [
-    "eval_univariate",
     "eval_univariate_all",
     "gauss_rule",
     "univariate_triple",
-    "univariate_raise",
     "build_moment_matrices",
     "build_triple_tensor",
     "TripleProductTensor",
     "basis_matrix",
     "evaluate_expansion",
-    "dump_coordinate_text",
 ]
 
 _gauss_cache = {}
@@ -75,11 +72,6 @@ def eval_univariate_all(pmax, x):
     return out * scale.reshape((-1,) + (1,) * x.ndim)
 
 
-def eval_univariate(p, x):
-    """Normalized Legendre value Lt_p(x); E[Lt_p^2] = 1 on uniform [-1,1]."""
-    return eval_univariate_all(p, np.asarray(x, dtype=float))[p]
-
-
 def univariate_triple(a, b, c):
     """E[Lt_a Lt_b Lt_c]: exactly zero unless the degrees have even sum and
     satisfy the triangle inequality; otherwise by exact Gauss quadrature."""
@@ -92,12 +84,6 @@ def univariate_triple(a, b, c):
         vals = eval_univariate_all(c, x)
         _triple_cache[key] = float(np.sum(w * vals[a] * vals[b] * vals[c]))
     return _triple_cache[key]
-
-
-def univariate_raise(p):
-    """E[x Lt_p Lt_{p+1}] = (p+1)/sqrt((2p+1)(2p+3))."""
-    p = int(p)
-    return (p + 1) / np.sqrt((2.0 * p + 1.0) * (2.0 * p + 3.0))
 
 
 def build_moment_matrices(tt):
@@ -291,12 +277,3 @@ def evaluate_expansion(coeffs, aset: MultiIndexSet, Y):
     single = np.asarray(Y).ndim == 1
     vals = basis_matrix(aset, Y) @ coeffs
     return vals[0] if single else vals
-
-
-def dump_coordinate_text(mat, path):
-    """Write a sparse matrix as 'row col value' lines (debug interchange)."""
-    coo = sp.coo_matrix(mat)
-    with open(path, "w") as fh:
-        fh.write(f"# shape={coo.shape[0]}x{coo.shape[1]} nnz={coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

@@ -1,14 +1,16 @@
 """Block spectral iteration for low-dimensional invariant subspaces.
 
-Extends the inverse-iteration sweep to a basis of Q expansions held as a
-(P, N, Q) stack.  Each sweep solves the Galerkin system per basis vector,
-optionally pools the solves into the first vector (`sum_trick`, which
-stabilizes bases that straddle eigenvalue crossings), then runs a
+The sweep of spectral inverse iteration, on a basis of Q expansions held
+as a (P, N, Q) stack.  Each sweep solves the Galerkin system per basis
+vector, optionally pools the solves into the first vector (`sum_trick`,
+which stabilizes bases that straddle eigenvalue crossings), then runs a
 Gram-Schmidt pass in the Galerkin product sense: the projection of w onto
-u removes the chaos expansion of <w(y), u(y)> times u.  Pointwise products
-of truncated expansions fall outside the chaos space, so one pass leaves
-an orthogonality defect at truncation level; the sweep refines with extra
-passes while the defect exceeds a threshold.
+u removes the chaos expansion of <w(y), u(y)> times u, and each vector is
+divided by the expansion of its pointwise norm.  Pointwise products of
+truncated expansions fall outside the chaos space, so one pass leaves an
+orthogonality defect at truncation level; the sweep refines with extra
+passes while the defect exceeds a threshold.  `inverse_iteration` runs
+this sweep and its loop at Q = 1.
 
 Per-vector eigenvalue expansions are deliberately not produced here: when
 eigenvalues cross inside the tracked cluster, individual pairs are not
@@ -73,7 +75,11 @@ class SubspaceResult:
 
 
 def initial_basis(system: GalerkinSystem, q):
-    """Mean-problem eigenvectors in the zero block, one per basis column."""
+    """Mean-problem eigenvectors in the zero block, one per basis column.
+
+    Mass-normalized with the largest entry positive, so every column has
+    unit tensor norm; all fluctuation blocks start at zero.
+    """
     _, vecs = smallest_eigenpairs(system.fem_op.stiffness[0], system.mass, q,
                                   tol=1e-12)
     B = np.zeros((system.P, system.N, q))
@@ -92,19 +98,30 @@ def orthogonality_defect(system: GalerkinSystem, B):
     return worst
 
 
-def _orthonormalize_column(system, W, done, newton_tol, breakdown_tol,
-                           cond_limit):
-    """Galerkin Gram-Schmidt against `done` columns, then normalize."""
-    for U_i in done:
-        coeff = weighted_gram(system.tt, W, U_i, system.mass)
-        W = W - system.tt.multiply_matrix(coeff) @ U_i
-    norm = tensor_norm(W, system.mass)
-    if norm <= breakdown_tol:
-        raise SubspaceBreakdownError(
-            f"basis vector collapsed to tensor norm {norm:.3e} during "
-            f"orthogonalization against {len(done)} previous vectors")
-    s, _ = newton_normalize(system.tt, W, system.mass, tol=newton_tol)
-    return DeltaFactor(system.tt, s, cond_limit=cond_limit).solve(W)
+def _orthonormalize(system, columns, newton_tol, breakdown_tol, cond_limit):
+    """One Galerkin Gram-Schmidt pass over columns, normalizing each.
+
+    Returns the (P, N, Q) basis, the Newton iterations of the pass and the
+    expansion of 1/s for the first column's norm expansion s.
+    """
+    done = []
+    newton_steps = 0
+    for W in columns:
+        for U_i in done:
+            coeff = weighted_gram(system.tt, W, U_i, system.mass)
+            W = W - system.tt.multiply_matrix(coeff) @ U_i
+        norm = tensor_norm(W, system.mass)
+        if norm <= breakdown_tol:
+            raise SubspaceBreakdownError(
+                f"basis vector collapsed to tensor norm {norm:.3e} during "
+                f"orthogonalization against {len(done)} previous vectors")
+        s, nhist = newton_normalize(system.tt, W, system.mass, tol=newton_tol)
+        factor = DeltaFactor(system.tt, s, cond_limit=cond_limit)
+        if not done:
+            inv_s = factor.solve(np.eye(1, system.P)[0])
+        done.append(factor.solve(W))
+        newton_steps += len(nhist) - 1
+    return np.stack(done, axis=2), newton_steps, inv_s
 
 
 def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
@@ -114,8 +131,11 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
                           cond_limit=1e12):
     """One block sweep: per-vector solves, then orthonormalization.
 
-    Returns (B_next, solves, cg_iteration_counts, extra_passes); `solves`
-    holds the raw CG solutions for warm-starting the next sweep.
+    Returns (B_next, solves, cg_iteration_counts, extra_passes,
+    newton_iterations, inv_s); `solves` holds the raw CG solutions for
+    warm-starting the next sweep, and `inv_s` is the Galerkin division of
+    the constant one by the first column's norm expansion s in the last
+    pass (at Q = 1, mu = shift + 1/s is the eigenvalue expansion).
     """
     q = B.shape[2]
     op = system.operator(shift)
@@ -127,33 +147,72 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
         V, info = pcg_solve(op, system.mass_apply(B[:, :, L]), prec,
                             tol=cg_tol, maxiter=cg_maxiter, x0=x0)
         if not info.converged:
+            where = f" on basis vector {L}" if q > 1 else ""
+            after = "" if q > 1 else f" after {info.iterations} iterations"
             raise RuntimeError(
-                f"inner CG stalled on basis vector {L} at relative residual "
-                f"{info.relative_residual:.3e}")
+                f"inner CG stalled{where} at relative residual "
+                f"{info.relative_residual:.3e}{after}")
         solves.append(V)
         cg_counts.append(info.iterations)
-    work = [V.copy() for V in solves]
-    if sum_trick:
-        # pooling the solves makes the leading vector a cluster average,
-        # which varies smoothly across eigenvalue crossings
-        work[0] = np.sum(solves, axis=0)
-    done = []
-    for L in range(q):
-        done.append(_orthonormalize_column(system, work[L], done,
-                                           newton_tol, breakdown_tol,
-                                           cond_limit))
-    B_next = np.stack(done, axis=2)
+    work = solves
+    if q > 1:
+        # a block normalizes C-ordered copies of the solves (the layout
+        # sets the rounding of the Gram products); pooling the solves makes
+        # the leading vector a cluster average, which varies smoothly
+        # across eigenvalue crossings
+        work = [V.copy() for V in solves]
+        if sum_trick:
+            work[0] = np.sum(solves, axis=0)
+    B_next, newton_steps, inv_s = _orthonormalize(
+        system, work, newton_tol, breakdown_tol, cond_limit)
     extra = 0
     while extra < max_reorth and \
             orthogonality_defect(system, B_next) > reorth_threshold:
-        redone = []
-        for L in range(q):
-            redone.append(_orthonormalize_column(
-                system, B_next[:, :, L], redone, newton_tol, breakdown_tol,
-                cond_limit))
-        B_next = np.stack(redone, axis=2)
+        B_next, steps, inv_s = _orthonormalize(
+            system, [B_next[:, :, L] for L in range(q)], newton_tol,
+            breakdown_tol, cond_limit)
+        newton_steps += steps
         extra += 1
-    return B_next, solves, np.asarray(cg_counts, dtype=int), extra
+    return (B_next, solves, np.asarray(cg_counts, dtype=int), extra,
+            newton_steps, inv_s)
+
+
+def _iterate(system, B, tol, kmax, store, cg_tol_floor, cg_tol_factor,
+             **sweep_args):
+    """Sweep the basis B until its largest vector increment is below tol.
+
+    The CG tolerance is a fraction cg_tol_factor of the previous sweep's
+    largest increment, floored at cg_tol_floor, and each solve warm-starts
+    from the previous sweep's.  Returns (B, converged, snapshots, records):
+    one array per record, one row per sweep, of the increments and CG
+    iterations per vector, the CG tolerance, the Newton iterations, the
+    extra passes, the orthogonality defect and the first vector's 1/s.
+    """
+    if kmax < 1:
+        raise ValueError("kmax must be positive")
+    q = B.shape[2]
+    snapshots = [B.copy()] if store else None
+    rows = []
+    warm = None
+    prev_inc = 1.0
+    converged = False
+    for _ in range(kmax):
+        cg_tol = max(cg_tol_floor, cg_tol_factor * prev_inc)
+        B_next, warm, counts, extra, newton_steps, inv_s = \
+            subspace_iterate_once(system, B, cg_tol=cg_tol, warm_starts=warm,
+                                  **sweep_args)
+        inc = np.array([tensor_norm(B_next[:, :, L] - B[:, :, L],
+                                    system.mass) for L in range(q)])
+        rows.append((inc, counts, cg_tol, newton_steps, extra,
+                     orthogonality_defect(system, B_next), inv_s))
+        B = B_next
+        if store:
+            snapshots.append(B.copy())
+        prev_inc = float(inc.max())
+        if prev_inc < tol:
+            converged = True
+            break
+    return B, converged, snapshots, [np.asarray(r) for r in zip(*rows)]
 
 
 def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
@@ -164,12 +223,11 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
                            newton_tol=1e-12, breakdown_tol=1e-10):
     """Iterate a Q-vector basis until the largest vector increment is small.
 
-    The CG tolerance tracks the previous sweep's largest increment exactly
-    as in the single-vector driver.  Snapshots (when requested) include the
-    initial basis, so entry k is the basis after k sweeps.
+    Inverse iteration runs the same sweep and loop at Q = 1, so both share
+    the CG-tolerance schedule and the stop test.  Snapshots (when
+    requested) include the initial basis, so entry k is the basis after k
+    sweeps.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be positive")
     if q < 1:
         raise ValueError("need at least one basis vector")
     B = initial_basis(system, q) if initial is None else \
@@ -177,36 +235,11 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
     if B.shape != (system.P, system.N, q):
         raise ValueError(f"basis shape {B.shape}, expected "
                          f"{(system.P, system.N, q)}")
-    snapshots = [B.copy()] if store_snapshots else None
-    increments = []
-    defects = []
-    extras = []
-    cg_its = []
-    warm = None
-    prev_inc = 1.0
-    converged = False
-    for _ in range(kmax):
-        cg_tol = max(cg_tol_floor, cg_tol_factor * prev_inc)
-        B_next, warm, counts, extra = subspace_iterate_once(
-            system, B, shift=shift, cg_tol=cg_tol, cg_maxiter=cg_maxiter,
-            warm_starts=warm, sum_trick=sum_trick,
-            reorth_threshold=reorth_threshold, max_reorth=max_reorth,
-            newton_tol=newton_tol, breakdown_tol=breakdown_tol)
-        inc = np.array([tensor_norm(B_next[:, :, L] - B[:, :, L],
-                                    system.mass) for L in range(q)])
-        increments.append(inc)
-        defects.append(orthogonality_defect(system, B_next))
-        extras.append(extra)
-        cg_its.append(counts)
-        B = B_next
-        if store_snapshots:
-            snapshots.append(B.copy())
-        prev_inc = float(inc.max())
-        if prev_inc < tol:
-            converged = True
-            break
-    history = SubspaceHistory(
-        np.asarray(increments), np.asarray(increments).max(axis=1),
-        np.asarray(defects), np.asarray(extras, dtype=int),
-        np.asarray(cg_its, dtype=int))
+    B, converged, snapshots, (inc, cg_its, _, _, extras, defects, _) = \
+        _iterate(system, B, tol, kmax, store_snapshots, cg_tol_floor,
+                 cg_tol_factor, shift=shift, cg_maxiter=cg_maxiter,
+                 sum_trick=sum_trick, reorth_threshold=reorth_threshold,
+                 max_reorth=max_reorth, newton_tol=newton_tol,
+                 breakdown_tol=breakdown_tol)
+    history = SubspaceHistory(inc, inc.max(axis=1), defects, extras, cg_its)
     return SubspaceResult(system, B, converged, history, snapshots)

@@ -26,7 +26,6 @@ __all__ = [
     "overlap_permutation",
     "eigenvalue_ratio",
     "coefficient_decay",
-    "fit_loglog",
 ]
 
 
@@ -210,22 +209,21 @@ def angle_statistics(op, aset, snapshots, npoints=256, seed=777, tol=1e-11):
     every snapshot's evaluated basis is compared to it.  Returns
     (mean, var): arrays of E[theta] and Var[theta] per snapshot.
     """
-    from .legendre import evaluate_expansion
+    from .legendre import basis_matrix
 
     snaps = [np.asarray(S, dtype=float) for S in snapshots]
     q = snaps[0].shape[2]
     mdim = max(aset.max_dimension, 1)
     sampler = qmc.Sobol(d=mdim, scramble=True, seed=seed)
     Y = 2.0 * sampler.random(npoints) - 1.0
+    Phi = basis_matrix(aset, Y)
     M = op.mass
     thetas = np.empty((len(snaps), npoints))
-    for j in range(npoints):
-        y = Y[j]
+    for j, y in enumerate(Y):
         _, V = smallest_eigenpairs(op.matrix_at(y[:op.nterms]), M, q,
                                    tol=tol)
         for i, S in enumerate(snaps):
-            By = np.stack([evaluate_expansion(S[:, :, L], aset, y)
-                           for L in range(q)], axis=1)
+            By = np.stack([Phi[j] @ S[:, :, L] for L in range(q)], axis=1)
             thetas[i, j] = subspace_angle(By, V, M)
     return thetas.mean(axis=1), thetas.var(axis=1)
 
@@ -276,21 +274,3 @@ def coefficient_decay(aset, coeffs, M=None):
     if len(mags) != len(aset):
         raise ValueError("coefficient count does not match the index set")
     return {"magnitudes": mags, "sorted": np.sort(mags)[::-1]}
-
-
-def fit_loglog(x, y, skip=0, drop_nonpositive=True):
-    """Least-squares slope of log(y) against log(x), with head skipping.
-
-    Returns (slope, intercept).  Nonpositive entries are dropped (they have
-    no logarithm); `skip` discards the leading entries, which usually sit
-    in a preasymptotic regime.
-    """
-    x = np.asarray(x, dtype=float)[skip:]
-    y = np.asarray(y, dtype=float)[skip:]
-    if drop_nonpositive:
-        keep = (x > 0) & (y > 0)
-        x, y = x[keep], y[keep]
-    if len(x) < 2:
-        raise ValueError("need at least two points for a slope")
-    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
-    return float(slope), float(intercept)

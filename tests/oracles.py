@@ -27,6 +27,11 @@ def legval_normalized(p, x):
         * np.sqrt(2.0 * p + 1.0)
 
 
+def univariate_raise(p):
+    """E[x Lt_p Lt_{p+1}] in closed form: (p+1)/sqrt((2p+1)(2p+3))."""
+    return (p + 1) / np.sqrt((2.0 * p + 1.0) * (2.0 * p + 3.0))
+
+
 def tensor_grid(aset, extra_degree=0):
     """Tensor Gauss grid exact for triple products over the set's dims.
 

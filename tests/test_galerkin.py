@@ -21,7 +21,6 @@ from chaoseig.galerkin import (
     NearSingularError,
     SeparableTerms,
     build_system,
-    delta_solve,
     newton_normalize,
     pcg_solve,
     tensor_dot,
@@ -308,12 +307,12 @@ class TestDeltaFactor:
         # inside the pointwise range of s over the parameter box
         sys = small_system(size=6)
         rng = np.random.default_rng(62)
+        _, _, B = tensor_grid(sys.aset, extra_degree=40)
         for _ in range(5):
             s = rng.uniform(-0.3, 0.3, sys.P)
             s[0] = rng.uniform(1.0, 2.0)
             D = sys.tt.multiply_matrix(s)
             eigs = scipy.linalg.eigvalsh(D)
-            pts, _, B = tensor_grid(sys.aset, extra_degree=40)
             svals = s @ B
             lo, hi = svals.min(), svals.max()
             corners = np.array(np.meshgrid(
@@ -337,16 +336,6 @@ class TestDeltaFactor:
         B = rng.standard_normal((sys.P, sys.N))
         np.testing.assert_allclose(fac.matrix @ fac.solve(B), B, rtol=1e-11,
                                    atol=1e-12)
-
-    def test_one_shot_wrapper(self):
-        sys = small_system()
-        rng = np.random.default_rng(64)
-        s = rng.standard_normal(sys.P) * 0.1
-        s[0] = 1.5
-        b = rng.standard_normal(sys.P)
-        np.testing.assert_allclose(delta_solve(sys.tt, s, b),
-                                   DeltaFactor(sys.tt, s).solve(b),
-                                   rtol=1e-14)
 
     def test_flags_singular_multiplication(self):
         # unit coefficient on the normalized degree-one mode makes

@@ -13,7 +13,6 @@ import scipy.linalg
 from chaoseig.galerkin import build_system, tensor_norm
 from chaoseig.inverse_iteration import (
     initial_guess,
-    iterate_once,
     rayleigh_quotient,
     run_inverse_iteration,
 )
@@ -56,17 +55,20 @@ class TestInitialGuess:
 class TestSingletonSetReduction:
     def test_tracks_classical_iteration_stepwise(self):
         sys = build_system(n=4, order=2, size=1)
-        U = initial_guess(sys)
-        x = U[0].copy()
+        res = run_inverse_iteration(sys, tol=0.0, kmax=6,
+                                    store_iterates=True, cg_tol_floor=1e-14,
+                                    cg_tol_factor=0.0)
+        x = initial_guess(sys)[0].copy()
         Kd = sys.fem_op.stiffness[0].toarray()
         Md = sys.mass.toarray()
-        for _ in range(6):
-            U, mu, _, _, _ = iterate_once(sys, U, cg_tol=1e-14)
+        assert len(res.iterates) == 7
+        for U in res.iterates[1:]:
             x = np.linalg.solve(Kd, Md @ x)
             x /= np.sqrt(x @ Md @ x)
             np.testing.assert_allclose(U[0], x, atol=1e-9)
         lam = (x @ Kd @ x) / (x @ Md @ x)
-        np.testing.assert_allclose(1.0 / mu[0], 1.0 / lam, rtol=1e-6)
+        np.testing.assert_allclose(1.0 / res.eigenvalue[0], 1.0 / lam,
+                                   rtol=1e-6)
 
     def test_converged_pair_matches_classical(self):
         sys = build_system(n=4, order=1, size=1)

@@ -11,12 +11,9 @@ from chaoseig.legendre import (
     basis_matrix,
     build_moment_matrices,
     build_triple_tensor,
-    dump_coordinate_text,
-    eval_univariate,
     eval_univariate_all,
     evaluate_expansion,
     gauss_rule,
-    univariate_raise,
     univariate_triple,
 )
 from chaoseig.multiindex import generate_index_set, generate_index_set_by_size
@@ -35,22 +32,23 @@ def medium_set():
 class TestUnivariate:
     def test_degree_zero_constant(self):
         x = np.linspace(-1, 1, 7)
-        np.testing.assert_allclose(eval_univariate(0, x), np.ones(7))
+        np.testing.assert_allclose(eval_univariate_all(0, x)[0], np.ones(7))
 
     def test_degree_one_at_one(self):
-        assert eval_univariate(1, 1.0) == pytest.approx(np.sqrt(3), abs=1e-15)
+        assert eval_univariate_all(1, 1.0)[1] == pytest.approx(np.sqrt(3),
+                                                               abs=1e-15)
 
     def test_frozen_degree_two_value(self):
         # closed form sqrt(5)(3x^2-1)/2 at x = 0.5 equals -sqrt(5)/8
-        assert eval_univariate(2, 0.5) == pytest.approx(
+        assert eval_univariate_all(2, 0.5)[2] == pytest.approx(
             -0.27950849718747371, abs=1e-15)
 
     def test_matches_numpy_legval(self):
         x = np.linspace(-1, 1, 23)
         for p in range(9):
             np.testing.assert_allclose(
-                eval_univariate(p, x), oracles.legval_normalized(p, x),
-                atol=1e-13)
+                eval_univariate_all(p, x)[p],
+                oracles.legval_normalized(p, x), atol=1e-13)
 
     def test_orthonormal_by_quadrature(self):
         pmax = 8
@@ -94,17 +92,18 @@ class TestUnivariateMoments:
                         ref, abs=1e-13)
 
     def test_raise_frozen_values(self):
-        assert univariate_raise(0) == pytest.approx(0.57735026918962576,
-                                                    abs=1e-15)
-        assert univariate_raise(1) == pytest.approx(0.51639777949432225,
-                                                    abs=1e-15)
+        assert oracles.univariate_raise(0) == pytest.approx(
+            0.57735026918962576, abs=1e-15)
+        assert oracles.univariate_raise(1) == pytest.approx(
+            0.51639777949432225, abs=1e-15)
 
     def test_raise_against_quadrature(self):
         x, w = np.polynomial.legendre.leggauss(12)
         for p in range(6):
             ref = np.sum(w / 2.0 * x * oracles.legval_normalized(p, x)
                          * oracles.legval_normalized(p + 1, x))
-            assert univariate_raise(p) == pytest.approx(ref, abs=1e-14)
+            assert oracles.univariate_raise(p) == pytest.approx(ref,
+                                                                abs=1e-14)
 
     def test_raise_off_neighbor_moments_vanish(self):
         x, w = np.polynomial.legendre.leggauss(14)
@@ -151,7 +150,7 @@ class TestMomentMatrices:
     def test_slices_match_univariate_raise(self, size):
         # the slice at e_m over sqrt(3) is E[y_m Lam_a Lam_b]: nonzero
         # exactly where a and b differ by one in coordinate m, with value
-        # univariate_raise of the lower degree
+        # oracles.univariate_raise of the lower degree
         aset = generate_index_set_by_size(size, varsigma=3.2)
         mats = build_moment_matrices(build_triple_tensor(aset))
         assert len(mats) == aset.max_dimension + 1
@@ -163,7 +162,7 @@ class TestMomentMatrices:
                 d[m] = p + 1
                 j = aset.position(tuple(sorted(d.items())))
                 if j is not None:
-                    ref[i, j] = ref[j, i] = univariate_raise(p)
+                    ref[i, j] = ref[j, i] = oracles.univariate_raise(p)
             A = mats[m].toarray()
             assert np.array_equal(A != 0, ref != 0)
             np.testing.assert_allclose(A, ref, rtol=1e-15, atol=0)
@@ -299,14 +298,3 @@ class TestExpansion:
     def test_dimension_mismatch_rejected(self, small_set):
         with pytest.raises(ValueError):
             evaluate_expansion(np.ones(3), small_set, np.zeros(8))
-
-
-def test_coordinate_dump_format(tmp_path, small_set):
-    mats = build_moment_matrices(build_triple_tensor(small_set))
-    path = tmp_path / "gm1.txt"
-    dump_coordinate_text(mats[1], path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("# shape=")
-    row, col, val = lines[1].split()
-    assert int(row) >= 0 and int(col) >= 0
-    assert np.isfinite(float(val))

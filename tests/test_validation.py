@@ -17,7 +17,6 @@ from chaoseig.validation import (
     coefficient_decay,
     eigenvalue_ratio,
     expansion_statistics,
-    fit_loglog,
     fix_signs,
     monte_carlo_statistics,
     overlap_permutation,
@@ -257,23 +256,3 @@ class TestCoefficientDecay:
         aset = generate_index_set_by_size(5)
         with pytest.raises(ValueError, match="does not match"):
             coefficient_decay(aset, np.ones(4))
-
-
-class TestFitLoglog:
-    def test_recovers_power_law(self):
-        x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-        slope, intercept = fit_loglog(x, 3.0 * x ** -2.4)
-        np.testing.assert_allclose(slope, -2.4, atol=1e-12)
-        np.testing.assert_allclose(intercept, np.log(3.0), atol=1e-12)
-
-    def test_skip_discards_preasymptotic_head(self):
-        x = np.array([1.0, 2.0, 4.0, 8.0])
-        y = np.array([5.0, 1.0, 0.25, 0.0625])  # clean -2 slope after x=1
-        slope, _ = fit_loglog(x, y, skip=1)
-        np.testing.assert_allclose(slope, -2.0, atol=1e-12)
-
-    def test_drops_nonpositive_and_validates(self):
-        slope, _ = fit_loglog([1.0, 2.0, 4.0], [1.0, 0.0, 0.0625])
-        np.testing.assert_allclose(slope, -2.0, atol=1e-12)
-        with pytest.raises(ValueError, match="two points"):
-            fit_loglog([1.0, 2.0], [1.0, 0.0])
