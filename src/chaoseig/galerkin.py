@@ -276,21 +276,28 @@ def weighted_gram(tt: TripleProductTensor, V, W, M):
 
 
 class DeltaFactor:
-    """Dense factorization of the Galerkin multiplication operator of s.
+    """Dense inverse of the Galerkin multiplication operator of s.
 
-    The operator is sum_a s_a G(a) (P x P, symmetric); one LU factorization
-    serves every spatial column as well as the eigenvalue extraction solve.
-    A reciprocal-condition estimate guards against s(y) losing positivity,
-    which manifests as near-singularity here.
+    The operator is sum_a s_a G(a) (P x P, symmetric).  It is inverted once,
+    and the inverse serves every spatial column as well as the eigenvalue
+    extraction solve, each by one matmul.  The inverse also gives the exact
+    1-norm reciprocal condition number, which guards against s(y) losing
+    positivity, as that shows up here as near-singularity.
+
+    numpy.linalg runs on the same BLAS as the matmuls of the sweep; scipy's
+    wheel bundles a second one, whose thread pool would compete with
+    numpy's for the cores (see README).
     """
 
     def __init__(self, tt: TripleProductTensor, s, cond_limit=1e12):
         self.matrix = tt.multiply_matrix(np.asarray(s, dtype=float))
-        anorm = np.linalg.norm(self.matrix, 1)
-        self.lu, self.piv = scipy.linalg.lu_factor(self.matrix)
-        gecon = scipy.linalg.get_lapack_funcs(("gecon",), (self.matrix,))[0]
-        rcond, _ = gecon(self.lu, anorm, norm="1")
-        self.rcond = float(rcond)
+        try:
+            self.inverse = np.linalg.inv(self.matrix)
+        except np.linalg.LinAlgError:
+            self.rcond = 0.0
+        else:
+            self.rcond = float(1.0 / (np.linalg.norm(self.matrix, 1)
+                                      * np.linalg.norm(self.inverse, 1)))
         if not np.isfinite(self.rcond) or self.rcond < 1.0 / cond_limit:
             raise NearSingularError(
                 f"Galerkin multiplication operator has rcond {self.rcond:.3e}"
@@ -298,8 +305,7 @@ class DeltaFactor:
 
     def solve(self, rhs):
         """Solve against a (P,) vector or (P, N) block."""
-        return scipy.linalg.lu_solve((self.lu, self.piv),
-                                     np.asarray(rhs, dtype=float))
+        return self.inverse @ np.asarray(rhs, dtype=float)
 
 
 def newton_normalize(tt: TripleProductTensor, V, M, tol=1e-12, maxiter=50,
@@ -329,8 +335,8 @@ def newton_normalize(tt: TripleProductTensor, V, M, tol=1e-12, maxiter=50,
             return s, np.asarray(history)
         J = 2.0 * tt.multiply_matrix(s)
         try:
-            step = scipy.linalg.solve(J, -F, assume_a="sym")
-        except scipy.linalg.LinAlgError as exc:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError as exc:
             raise NearSingularError(
                 f"singular Newton Jacobian at residual {res:.3e}") from exc
         t = 1.0

@@ -78,6 +78,8 @@ def univariate_triple(a, b, c):
     a, b, c = sorted((int(a), int(b), int(c)))
     if (a + b + c) % 2 == 1 or a + b < c:
         return 0.0
+    if a == 0:
+        return 1.0  # orthonormality, exactly rather than by quadrature
     key = (a, b, c)
     if key not in _triple_cache:
         x, w = gauss_rule((a + b + c) // 2 + 1)

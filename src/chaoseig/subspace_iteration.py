@@ -132,10 +132,11 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
     """One block sweep: per-vector solves, then orthonormalization.
 
     Returns (B_next, solves, cg_iteration_counts, extra_passes,
-    newton_iterations, inv_s); `solves` holds the raw CG solutions for
-    warm-starting the next sweep, and `inv_s` is the Galerkin division of
+    newton_iterations, inv_s, defect); `solves` holds the raw CG solutions
+    for warm-starting the next sweep, `inv_s` is the Galerkin division of
     the constant one by the first column's norm expansion s in the last
-    pass (at Q = 1, mu = shift + 1/s is the eigenvalue expansion).
+    pass (at Q = 1, mu = shift + 1/s is the eigenvalue expansion), and
+    `defect` is the orthogonality defect of B_next.
     """
     q = B.shape[2]
     op = system.operator(shift)
@@ -166,15 +167,16 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
     B_next, newton_steps, inv_s = _orthonormalize(
         system, work, newton_tol, breakdown_tol, cond_limit)
     extra = 0
-    while extra < max_reorth and \
-            orthogonality_defect(system, B_next) > reorth_threshold:
+    defect = orthogonality_defect(system, B_next)
+    while extra < max_reorth and defect > reorth_threshold:
         B_next, steps, inv_s = _orthonormalize(
             system, [B_next[:, :, L] for L in range(q)], newton_tol,
             breakdown_tol, cond_limit)
         newton_steps += steps
         extra += 1
+        defect = orthogonality_defect(system, B_next)
     return (B_next, solves, np.asarray(cg_counts, dtype=int), extra,
-            newton_steps, inv_s)
+            newton_steps, inv_s, defect)
 
 
 def _iterate(system, B, tol, kmax, store, cg_tol_floor, cg_tol_factor,
@@ -198,13 +200,13 @@ def _iterate(system, B, tol, kmax, store, cg_tol_floor, cg_tol_factor,
     converged = False
     for _ in range(kmax):
         cg_tol = max(cg_tol_floor, cg_tol_factor * prev_inc)
-        B_next, warm, counts, extra, newton_steps, inv_s = \
+        B_next, warm, counts, extra, newton_steps, inv_s, defect = \
             subspace_iterate_once(system, B, cg_tol=cg_tol, warm_starts=warm,
                                   **sweep_args)
         inc = np.array([tensor_norm(B_next[:, :, L] - B[:, :, L],
                                     system.mass) for L in range(q)])
-        rows.append((inc, counts, cg_tol, newton_steps, extra,
-                     orthogonality_defect(system, B_next), inv_s))
+        rows.append((inc, counts, cg_tol, newton_steps, extra, defect,
+                     inv_s))
         B = B_next
         if store:
             snapshots.append(B.copy())

@@ -349,6 +349,23 @@ class TestDeltaFactor:
         with pytest.raises(NearSingularError, match="rcond"):
             DeltaFactor(sys.tt, s)
 
+    def test_flags_exactly_singular_matrix(self):
+        # s = 0 gives the zero matrix, singular in floating point: the
+        # factorization fails outright and still reports the rcond
+        sys = small_system()
+        with pytest.raises(NearSingularError, match="rcond 0"):
+            DeltaFactor(sys.tt, np.zeros(sys.P))
+
+    def test_rcond_is_exact(self):
+        sys = small_system(size=12)
+        rng = np.random.default_rng(64)
+        s = rng.standard_normal(sys.P) * 0.3
+        s[0] = 1.2
+        fac = DeltaFactor(sys.tt, s)
+        np.testing.assert_allclose(fac.rcond,
+                                   1.0 / np.linalg.cond(fac.matrix, 1),
+                                   rtol=1e-12)
+
 
 class TestNewtonNormalize:
     def test_mean_only_block_is_exact(self):
@@ -411,6 +428,22 @@ class TestNewtonNormalize:
         sys = small_system()
         with pytest.raises(ValueError, match="zero block"):
             newton_normalize(sys.tt, np.zeros((sys.P, sys.N)), sys.mass)
+
+    def test_stalls_without_halvings(self):
+        sys = small_system(size=12)
+        V = random_block(sys, np.random.default_rng(76), scale_by_weight=True)
+        with pytest.raises(NearSingularError,
+                           match=r"Newton stalled: no decrease from residual "
+                                 r"\d\.\d{3}e[+-]\d+ after 0 halvings"):
+            newton_normalize(sys.tt, V, sys.mass, max_halvings=0)
+
+    def test_iteration_budget_exhausted(self):
+        sys = small_system(size=12)
+        V = random_block(sys, np.random.default_rng(77), scale_by_weight=True)
+        with pytest.raises(NearSingularError,
+                           match=r"did not reach tolerance 0\.0e\+00 in 1 "
+                                 r"iterations \(last residual \d\.\d{3}e"):
+            newton_normalize(sys.tt, V, sys.mass, maxiter=1, tol=0.0)
 
 
 class TestBuildSystem:

@@ -189,3 +189,11 @@ class TestDriverBookkeeping:
         sys = build_system(n=3, order=1, size=5)
         with pytest.raises(ValueError, match="kmax"):
             run_inverse_iteration(sys, kmax=0)
+
+    def test_cg_stall_names_the_iteration_count(self):
+        sys = build_system(n=3, order=1, size=5)
+        with pytest.raises(RuntimeError,
+                           match=r"inner CG stalled at relative residual "
+                                 r"\d\.\d{3}e-\d+ after 1 iterations"):
+            run_inverse_iteration(sys, cg_maxiter=1, cg_tol_factor=0.0,
+                                  cg_tol_floor=1e-14)

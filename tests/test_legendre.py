@@ -215,6 +215,11 @@ class TestTripleTensor:
                                    atol=1e-12)
 
 
+# random weight sets: 1-6 weights in [0.05, 0.6], threshold in [0.005, 0.3]
+WEIGHTS = st.lists(st.floats(0.05, 0.6), min_size=1, max_size=6)
+EPS = st.floats(0.005, 0.3)
+
+
 def assert_matches_pair_scan(aset):
     tt = build_triple_tensor(aset)
     ia, ib, ic, vals = oracles.triple_tensor_pair_scan(aset)
@@ -246,12 +251,22 @@ class TestTripleTensorAgainstPairScan:
     # the pair scan is slow on large low-dimensional sets: keep P <= 80
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
-    @given(st.lists(st.floats(0.05, 0.6), min_size=1, max_size=6),
-           st.floats(0.005, 0.3))
+    @given(WEIGHTS, EPS)
     def test_random_weight_sets(self, weights, eps):
         aset = generate_index_set(eps, weights=sorted(weights, reverse=True))
         assume(len(aset) <= 80)
         assert_matches_pair_scan(aset)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(WEIGHTS, EPS)
+    def test_zero_slice_is_exactly_the_identity(self, weights, eps):
+        # E[Lam_0 Lam_b Lam_c] = delta_bc by orthonormality, to the bit
+        aset = generate_index_set(eps, weights=sorted(weights, reverse=True))
+        assume(len(aset) <= 200)
+        P = len(aset)
+        D = build_triple_tensor(aset).multiply_matrix(np.eye(1, P)[0])
+        assert np.array_equal(D, np.eye(P))
 
 
 class TestExpansion:

@@ -1,0 +1,48 @@
+"""The sweep and validation loops run on numpy.linalg only.
+
+The numpy and scipy wheels each bundle their own OpenBLAS with its own
+thread pool; alternating between them inside a loop makes the two pools
+compete for the cores.  With the dense scipy.linalg routines made to
+raise, every per-sweep, per-point and per-iteration path must still run.
+Set-up that runs once per system (the mean preconditioner's generalized
+eigenproblem) is built before they are disabled.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from chaoseig.galerkin import build_system
+from chaoseig.inverse_iteration import run_inverse_iteration
+from chaoseig.subspace_iteration import run_subspace_iteration
+from chaoseig.validation import (
+    angle_statistics,
+    pointwise_error,
+    smallest_eigenpairs,
+)
+
+DISABLED = ("lu_factor", "lu_solve", "solve", "cholesky", "solve_triangular",
+            "eigh", "get_lapack_funcs")
+
+
+def test_loops_avoid_scipy_linalg(monkeypatch):
+    sys = build_system(n=3, order=1, size=5)
+    sys.mean_preconditioner()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg called inside a loop")
+
+    for name in DISABLED:
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    inv = run_inverse_iteration(sys, tol=0.0, kmax=2)
+    assert len(inv.history) == 2
+    sub = run_subspace_iteration(sys, q=2, tol=0.0, kmax=2,
+                                 store_snapshots=True)
+    assert len(sub.history) == 2
+    op = sys.fem_op
+    vals, vecs = smallest_eigenpairs(op.stiffness[0], op.mass, 2)
+    assert vals[0] < vals[1] and vecs.shape == (op.ndof, 2)
+    rep = pointwise_error(op, sys.aset, inv.U, inv.eigenvalue,
+                          np.zeros(sys.aset.max_dimension))
+    assert rep["residual"] < 1.0
+    mean, _ = angle_statistics(op, sys.aset, sub.snapshots, npoints=4)
+    assert mean.shape == (3,)

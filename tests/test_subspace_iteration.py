@@ -98,6 +98,24 @@ class TestStochasticBlock:
         np.testing.assert_allclose(res.history.max_increments,
                                    res.history.increments.max(axis=1))
 
+    @pytest.mark.parametrize("max_reorth, threshold, capped", [
+        (0, 0.0, True), (1, 0.0, True), (3, 1e-8, False)])
+    def test_history_defects_are_those_of_the_snapshots(self, max_reorth,
+                                                        threshold, capped):
+        # the sweep reports the defect of the basis it returns, both when
+        # the refinement passes end below the threshold and when max_reorth
+        # cuts them off above it
+        sys = build_system(n=3, order=1, size=12)
+        res = run_subspace_iteration(sys, q=2, tol=1e-9, kmax=6,
+                                     reorth_threshold=threshold,
+                                     max_reorth=max_reorth,
+                                     store_snapshots=True)
+        extras = res.history.extra_orthogonalizations
+        assert np.all(extras == max_reorth) == capped
+        want = [orthogonality_defect(sys, S) for S in res.snapshots[1:]]
+        np.testing.assert_array_equal(res.history.orthogonality_defects,
+                                      want)
+
     def test_aligned_with_direct_solve_at_origin(self, block_solved):
         sys, res = block_solved
         y0 = np.zeros(sys.aset.max_dimension)
@@ -132,6 +150,14 @@ class TestFailureModes:
         B[:, :, 1] = B[:, :, 0]
         with pytest.raises(SubspaceBreakdownError, match="collapsed"):
             run_subspace_iteration(sys, q=2, kmax=5, initial=B)
+
+    def test_cg_stall_names_the_basis_vector(self):
+        sys = build_system(n=3, order=1, size=5)
+        with pytest.raises(RuntimeError,
+                           match=r"inner CG stalled on basis vector 0 at "
+                                 r"relative residual \d\.\d{3}e-\d+$"):
+            run_subspace_iteration(sys, q=2, cg_maxiter=1, cg_tol_factor=0.0,
+                                   cg_tol_floor=1e-14)
 
     def test_shape_and_argument_validation(self):
         sys = build_system(n=3, order=1, size=5)
