@@ -342,8 +342,7 @@ def _run_iteration(cfg, outdir):
                 "eigenvalue_error", "field_error", "cg_iterations",
                 "cg_tolerance", "newton_iterations", "config_hash",
                 "version"], rows)
-    vals, _ = smallest_eigenpairs(sys_.fem_op.stiffness[0], sys_.mass, 2,
-                                  tol=1e-12)
+    vals, _ = sys_.mean_preconditioner().eigenpairs(2)
     summary = {
         "target_eigenvalue_mean": target.eigenvalue_mean,
         "target_converged": bool(target.converged),
@@ -398,8 +397,7 @@ def _run_subspace(cfg, outdir):
     perm, _, _ = overlap_permutation(
         sys_.fem_op, [-1.0] + [0.0] * (sys_.fem_op.nterms - 1),
         [1.0] + [0.0] * (sys_.fem_op.nterms - 1), which=(1, 2))
-    qvals, _ = smallest_eigenpairs(sys_.fem_op.stiffness[0], sys_.mass,
-                                   cfg.q + 1, tol=1e-12)
+    qvals, _ = sys_.mean_preconditioner().eigenpairs(cfg.q + 1)
     summary = {
         "sweep_endpoint_pairing": [int(p) for p in perm],
         "crossing_detected": bool(perm[0] == 1 and perm[1] == 0),

@@ -16,20 +16,20 @@ whose amplitudes (m+1)^(-varsigma) sum to zeta(varsigma) - 1.  That sum is
 below 1, so a(x, y) >= 1 - sum > 0 for every y, only for varsigma above
 about 1.73 (the default 3.2 gives 0.17).  For smaller varsigma a truncated
 family can still be uniformly positive; `build_parametric_operator`
-rejects one that is not at the quadrature points.  All assembled matrices
-share one sparsity pattern, so pointwise matrices K(y) are formed by
-combining stored data arrays only.
+rejects one that is not at the quadrature points.
 
 Each a_m depends on x_1 alone or on x_2 alone and the grid is a tensor
-product, so every stiffness term is also stored in separable form: with the
-1D interior-node mass M and stiffness A (coefficient 1) and the 1D matrices
+product, so every term is held only in separable form: with the 1D
+interior-node mass M and stiffness A (coefficient 1) and the 1D matrices
 M_m, A_m weighted by the profile of a_m,
 
     K_m = M (x) A_m + A (x) M_m     (a_m varies along x_1)
     K_m = M_m (x) A + A_m (x) M     (a_m varies along x_2),
 
 where the left Kronecker factor acts on the x_2 (slow) dof index; the mass
-matrix is M (x) M.
+matrix is M (x) M.  With the tensor Gauss rule per cell these are exactly
+the matrices a 2D quadrature assembly would give.  The sparse M and K(y)
+are formed from the factors on one sparsity pattern.
 """
 
 from __future__ import annotations
@@ -42,14 +42,10 @@ import scipy.sparse as sp
 __all__ = [
     "Mesh",
     "build_mesh",
-    "coefficient_term",
     "coefficient_amplitude",
-    "assemble_mass",
-    "assemble_stiffness",
     "ParametricOperator",
     "build_parametric_operator",
     "prolongation_matrix",
-    "l2_error_against_function",
 ]
 
 
@@ -128,39 +124,6 @@ class Mesh:
     def h(self):
         return 1.0 / self.n
 
-    def quadrature(self, nquad=None):
-        """Tensor Gauss rule per cell: points (ncells, nq, 2), weights (nq,),
-        reference basis values (nq, nb) and gradients (nq, nb, 2)."""
-        o = self.order
-        gx, gw, v1, d1 = _cell_rule_1d(o, nquad)
-        n1 = gx.size
-        # 2D tensor products, q = qy*n1 + qx, local node a = jy*(o+1) + jx
-        vals = np.empty((n1 * n1, (o + 1) ** 2))
-        gradx = np.empty_like(vals)
-        grady = np.empty_like(vals)
-        for qy in range(n1):
-            for qx in range(n1):
-                q = qy * n1 + qx
-                for jy in range(o + 1):
-                    for jx in range(o + 1):
-                        a = jy * (o + 1) + jx
-                        vals[q, a] = v1[qx, jx] * v1[qy, jy]
-                        gradx[q, a] = d1[qx, jx] * v1[qy, jy]
-                        grady[q, a] = v1[qx, jx] * d1[qy, jy]
-        w2 = (np.outer(gw, gw)).ravel()  # qy outer, qx inner
-        h = self.h
-        # physical quad points per cell
-        cx, cy = np.meshgrid(np.arange(self.n), np.arange(self.n),
-                             indexing="xy")
-        origins = np.stack([cx.ravel() * h, cy.ravel() * h], axis=1)
-        ref = np.empty((n1 * n1, 2))
-        for qy in range(n1):
-            for qx in range(n1):
-                ref[qy * n1 + qx] = (gx[qx], gx[qy])
-        pts = origins[:, None, :] + (ref[None, :, :] + 1.0) * (h / 2.0)
-        grads = np.stack([gradx, grady], axis=2)
-        return pts, w2, vals, grads
-
 
 def build_mesh(n, order):
     """Uniform mesh of the unit square; see Mesh."""
@@ -182,71 +145,22 @@ def _coefficient_profile(m, varsigma):
     return (0 if m % 2 == 1 else 1), lambda t: amp * np.sin(m * np.pi * t)
 
 
-def coefficient_term(m, varsigma=3.2):
-    """Closed-form coefficient term a_m as a vectorized callable of (...,2)."""
-    axis, profile = _coefficient_profile(m, varsigma)
-    return lambda x: profile(np.asarray(x)[..., axis])
-
-
-def _assemble(mesh, local_matrices):
-    """Scatter per-cell local matrices into an interior-dof CSR matrix."""
-    nb = mesh.cell_nodes.shape[1]
-    dofs = mesh.interior_of_node[mesh.cell_nodes]  # (ncells, nb), -1 boundary
-    rows = np.repeat(dofs, nb, axis=1).ravel()
-    cols = np.tile(dofs, (1, nb)).ravel()
-    data = local_matrices.reshape(-1)
-    keep = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix((data[keep], (rows[keep], cols[keep])),
-                      shape=(mesh.ndof, mesh.ndof))
-    return A.tocsr()
-
-
-def assemble_mass(mesh, nquad=None):
-    """Interior-dof mass matrix, symmetric positive definite."""
-    return _mass(mesh, mesh.quadrature(nquad))
-
-
-def _mass(mesh, rule):
-    _, w2, vals, _ = rule
-    jac = (mesh.h / 2.0) ** 2
-    local = jac * np.einsum("q,qa,qb->ab", w2, vals, vals)
-    ncells = mesh.cell_nodes.shape[0]
-    return _assemble(mesh, np.broadcast_to(local, (ncells,) + local.shape))
-
-
-def assemble_stiffness(mesh, coef=None, nquad=None):
-    """Interior-dof stiffness matrix for a scalar coefficient.
-
-    coef is a vectorized callable of physical points (default: 1).  The
-    default quadrature, (order+2)^2 Gauss points per cell, is a knob: the
-    oscillatory built-in coefficients are integrated approximately, with an
-    error bounded by the term amplitude.
-    """
-    return _stiffness(mesh, mesh.quadrature(nquad), coef)
-
-
-def _stiffness(mesh, rule, coef):
-    pts, w2, _, grads = rule
-    avals = np.ones(pts.shape[:2]) if coef is None else coef(pts)
-    # reference gradients scale by 2/h, the Jacobian by (h/2)^2: they cancel
-    gk = np.einsum("qad,qbd->qab", grads, grads)
-    local = np.einsum("cq,qab->cab", avals * w2[None, :], gk)
-    return _assemble(mesh, local)
+def _cell_nodes_1d(mesh):
+    """Nodes (cells, order+1) of each cell along one axis, counting the two
+    Dirichlet end nodes."""
+    return np.arange(mesh.n)[:, None] * mesh.order + np.arange(mesh.order + 1)
 
 
 def _assemble_1d(mesh, rule_1d, values):
     """Dense 1D interior-node (mass, stiffness) for a coefficient profile,
     given its values (cells, points) at the points of the per-cell 1D rule.
-
-    That rule is the 2D assembly's along one axis, so the Kronecker
-    products of these factors reproduce the assembled terms.
     """
     o, n, h = mesh.order, mesh.n, mesh.h
     _, gw, v1, d1 = rule_1d
     cw = values * gw
     local = np.stack([(h / 2.0) * np.einsum("cq,qa,qb->cab", cw, v1, v1),
                       (2.0 / h) * np.einsum("cq,qa,qb->cab", cw, d1, d1)])
-    node = np.arange(n)[:, None] * o + np.arange(o + 1)  # (cells, o+1)
+    node = _cell_nodes_1d(mesh)
     out = np.zeros((2, n * o + 1, n * o + 1))
     np.add.at(out, (slice(None), node[:, :, None], node[:, None, :]), local)
     return out[:, 1:-1, 1:-1]  # drop the two Dirichlet end nodes
@@ -254,23 +168,45 @@ def _assemble_1d(mesh, rule_1d, values):
 
 @dataclass
 class ParametricOperator:
-    """Mass matrix plus affine stiffness family on one mesh.
+    """Mass matrix plus affine stiffness family on one mesh, in 1D factors.
 
-    K(y) = K[0] + sum_{m>=1} y_m K[m]; all K[m] share one sparsity pattern
-    (stored stacked in `stiffness_data`), so `matrix_at` is a pure data
-    combination.  `factors[m]` holds the dense 1D (M_m, A_m) of term m and
-    `axes[m]` the axis its profile varies along (0 for x_1); the separable
-    form in the module docstring rebuilds K[m] from them, with (M, A) =
-    `factors[0]`.
+    K(y) = K_0 + sum_{m>=1} y_m K_m.  `factors[m]` holds the dense 1D
+    (M_m, A_m) of term m and `axes[m]` the axis its profile varies along
+    (0 for x_1), with (M, A) = `factors[0]`; the separable form in the
+    module docstring gives K_m.  `mass` and `matrix_at` combine the factors
+    on the band of the 1D matrices (the node pairs that share a cell), so
+    every matrix has the same CSR pattern: the Kronecker square of the band.
     """
 
     mesh: Mesh
     varsigma: float
-    mass: sp.csr_matrix
-    stiffness: list
-    stiffness_data: np.ndarray = field(repr=False)
     factors: np.ndarray = field(repr=False)
     axes: np.ndarray = field(repr=False)
+    mass: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        node = _cell_nodes_1d(self.mesh)
+        shares = np.zeros((node.max() + 1,) * 2, dtype=bool)
+        shares[node[:, :, None], node[:, None, :]] = True
+        rows, cols = np.nonzero(shares[1:-1, 1:-1])
+        # factor data on the band, one row (M_m | A_m) per term, and the
+        # terms along x_1 (row 0) and along x_2 (row 1)
+        self._band = self.factors[:, :, rows, cols].reshape(
+            len(self.factors), -1)
+        self._by_axis = np.stack([self.axes == 0, self.axes == 1]) * 1.0
+        # entry (p, r) of the outer product of two band vectors is the
+        # Kronecker entry at (rows[p], rows[r]), (cols[p], cols[r]); sort
+        # those into CSR order once
+        side = self.factors.shape[-1]
+        row = (rows[:, None] * side + rows).ravel()
+        col = (cols[:, None] * side + cols).ravel()
+        self._csr_order = np.lexsort((col, row))
+        self._indices = col[self._csr_order].astype(np.int32)
+        self._indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(row, minlength=self.ndof))]
+        ).astype(np.int32)
+        M = self._band[0, :rows.size]
+        self.mass = self._csr(np.outer(M, M))
 
     @property
     def ndof(self):
@@ -278,23 +214,41 @@ class ParametricOperator:
 
     @property
     def nterms(self):
-        return len(self.stiffness) - 1
+        return len(self.factors) - 1
+
+    def _csr(self, outer):
+        """CSR matrix of the band outer product `outer` on the pattern."""
+        return sp.csr_matrix((outer.ravel()[self._csr_order],
+                              self._indices.copy(), self._indptr.copy()),
+                             shape=(self.ndof, self.ndof))
 
     def matrix_at(self, y):
-        """Pointwise stiffness K(y) for y in [-1,1]^nterms (short y padded)."""
+        """Pointwise stiffness K(y) for y in [-1,1]^nterms (short y padded).
+
+        K(y) = M (x) R_A + A (x) R_M + L_M (x) A + L_A (x) M, where (R_M,
+        R_A) sums y_m (M_m, A_m) over the terms along x_1 (K_0 included,
+        y_0 = 1) and (L_M, L_A) over the terms along x_2; all on the band.
+        """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.size > self.nterms:
             raise ValueError(f"point has {y.size} dims, operator has "
                              f"{self.nterms} terms")
-        K = self.stiffness[0].copy()
-        if y.size:
-            K.data = self.stiffness_data[0] + y @ self.stiffness_data[1:y.size + 1]
-        return K
+        w = np.zeros(self.nterms + 1)
+        w[0] = 1.0
+        w[1:y.size + 1] = y
+        # (R_M | R_A) and (L_M | L_A) on the band
+        right, left = (self._by_axis * w) @ self._band
+        mean = self._band[0]  # (M | A)
+        left = np.concatenate([mean, left]).reshape(4, -1)
+        right = np.concatenate([right, mean]).reshape(4, -1)[[1, 0, 3, 2]]
+        # rows M, A, L_M, L_A paired with rows R_A, R_M, A, M
+        return self._csr(left.T @ right)
 
 
 def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
-    """Assemble M and K^(0..nterms) for the built-in coefficient family,
-    plus the 1D factors of every term.
+    """The 1D factors of M and K_0..K_nterms for the built-in coefficient
+    family, each integrated with the per-cell Gauss rule (order + 2 points
+    by default, or nquad).
 
     Raises ValueError if the coefficient is not uniformly positive over the
     active terms, that is if a_0 - sum_m |a_m| <= 0 at a quadrature point.
@@ -305,9 +259,10 @@ def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
     h = mesh.h
     t = np.arange(mesh.n)[:, None] * h + (rule_1d[0] + 1.0) * (h / 2.0)
     values = np.stack([f(t) for _, f in profiles])  # (terms, cells, points)
-    # the 2D rule is the 1D rule squared and each a_m varies along one
-    # axis, so the largest sum of |a_m| per axis bounds a_0 - sum |a_m|
-    # over the 2D points from below (exactly, for a constant a_0)
+    # the 2D rule behind the factors is the 1D rule squared and each a_m
+    # varies along one axis, so the largest sum of |a_m| per axis bounds
+    # a_0 - sum |a_m| over the 2D points from below (exactly, for a
+    # constant a_0)
     floor = values[0].min() - sum(
         np.abs(values[1:][axes[1:] == k]).sum(axis=0).max() for k in (0, 1))
     if floor <= 0.0:
@@ -315,18 +270,8 @@ def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
             f"coefficient not uniformly positive for varsigma={varsigma} "
             f"with {nterms} terms: a_0 - sum |a_m| = {floor:.3g} at the "
             f"quadrature points; raise varsigma or cap the terms")
-    rule = mesh.quadrature(nquad)  # once: it is the costly part per term
-    mass = _mass(mesh, rule)
-    mats = [_stiffness(mesh, rule, None)]
-    for m in range(1, nterms + 1):
-        mats.append(_stiffness(mesh, rule, coefficient_term(m, varsigma)))
-    for K in mats[1:]:
-        if not np.array_equal(K.indptr, mats[0].indptr) or \
-           not np.array_equal(K.indices, mats[0].indices):
-            raise AssertionError("stiffness terms lost the shared pattern")
-    data = np.stack([K.data for K in mats])
     factors = np.stack([_assemble_1d(mesh, rule_1d, v) for v in values])
-    return ParametricOperator(mesh, varsigma, mass, mats, data, factors, axes)
+    return ParametricOperator(mesh, varsigma, factors, axes)
 
 
 def prolongation_matrix(coarse: Mesh, fine: Mesh):
@@ -360,14 +305,3 @@ def prolongation_matrix(coarse: Mesh, fine: Mesh):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(fine.ndof, coarse.ndof))
     return P.tocsr()
-
-
-def l2_error_against_function(mesh, dof_values, fn, nquad=None):
-    """L2(D) distance between an interior-dof FE function and a callable."""
-    pts, w2, vals, _ = mesh.quadrature(nquad)
-    jac = (mesh.h / 2.0) ** 2
-    dofs = mesh.interior_of_node[mesh.cell_nodes]
-    u_cell = np.where(dofs >= 0, np.asarray(dof_values)[dofs], 0.0)
-    fe = np.einsum("cb,qb->cq", u_cell, vals)
-    diff = fe - fn(pts)
-    return float(np.sqrt(jac * np.sum(w2[None, :] * diff * diff)))

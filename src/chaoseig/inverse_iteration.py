@@ -23,7 +23,6 @@ import numpy as np
 
 from .galerkin import DeltaFactor, GalerkinSystem, tensor_norm
 from .subspace_iteration import _iterate, initial_basis
-from .validation import expansion_statistics
 
 __all__ = [
     "IterationHistory",
@@ -79,7 +78,7 @@ class EigenpairResult:
 
     @property
     def variance_field(self):
-        return expansion_statistics(self.U)[1]
+        return np.sum(self.U[1:] ** 2, axis=0)
 
 
 def initial_guess(system: GalerkinSystem):

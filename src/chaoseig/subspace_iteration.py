@@ -32,7 +32,6 @@ from .galerkin import (
     tensor_norm,
     weighted_gram,
 )
-from .validation import smallest_eigenpairs
 
 __all__ = [
     "SubspaceBreakdownError",
@@ -77,11 +76,12 @@ class SubspaceResult:
 def initial_basis(system: GalerkinSystem, q):
     """Mean-problem eigenvectors in the zero block, one per basis column.
 
-    Mass-normalized with the largest entry positive, so every column has
-    unit tensor norm; all fluctuation blocks start at zero.
+    The q smallest, exact from the 1D eigenbasis of the mean preconditioner
+    (see `MeanPreconditioner.eigenpairs`, which fixes ties and signs).  They
+    are mass-normalized, so every column has unit tensor norm; all
+    fluctuation blocks start at zero.
     """
-    _, vecs = smallest_eigenpairs(system.fem_op.stiffness[0], system.mass, q,
-                                  tol=1e-12)
+    _, vecs = system.mean_preconditioner().eigenpairs(q)
     B = np.zeros((system.P, system.N, q))
     B[0] = vecs
     return B

@@ -1,8 +1,8 @@
 """Deterministic reference solvers and statistical cross-checks.
 
 Everything here goes around the chaos machinery on purpose: pointwise
-eigenpairs come from sparse block inverse iteration on the assembled
-matrices, statistics from plain Monte Carlo, subspace angles from dense
+eigenpairs come from sparse block inverse iteration on the sparse matrices
+K(y) and M, statistics from plain Monte Carlo, subspace angles from dense
 linear algebra on evaluated bases.  The spectral iteration modules are
 validated against these routines, never the other way around.
 """
@@ -23,18 +23,21 @@ __all__ = [
     "subspace_angle",
     "angle_statistics",
     "overlap_permutation",
-    "eigenvalue_ratio",
     "coefficient_decay",
 ]
 
 
 def fix_signs(vecs):
-    """Flip columns so the largest-magnitude entry of each is positive."""
+    """Flip columns so the largest-magnitude entry of each is positive.
+
+    Entries within 1e-8 relative of the largest magnitude count as tied
+    (a symmetric mode has several, equal up to roundoff), and the first of
+    them is made positive.
+    """
     vecs = np.array(vecs, dtype=float)
-    for j in range(vecs.shape[1]):
-        k = np.argmax(np.abs(vecs[:, j]))
-        if vecs[k, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    mags = np.abs(vecs)
+    lead = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0), axis=0)
+    vecs[:, vecs[lead, np.arange(vecs.shape[1])] < 0.0] *= -1.0
     return vecs
 
 
@@ -55,8 +58,8 @@ def smallest_eigenpairs(K, M, count=1, tol=1e-10, maxiter=200, seed=12345,
     vectors so a (near-)degenerate cluster at position `count` cannot stall
     the rate; convergence is tested on the requested columns only.
     Deterministic: the random start is seeded (or supplied).  Returns
-    (values, vectors) with M-orthonormal columns, each column's largest
-    entry positive, values ascending.
+    (values, vectors) with M-orthonormal columns, signed by `fix_signs`,
+    values ascending.
     """
     n = K.shape[0]
     if not 1 <= count <= n:
@@ -246,12 +249,6 @@ def overlap_permutation(op, ya, yb, which=(1, 2), tol=1e-11):
     O = np.abs(Va[:, sel].T @ (M @ Vb[:, sel]))
     perm = np.argmax(O, axis=1)
     return perm, la[sel], lb[sel]
-
-
-def eigenvalue_ratio(K, M, i, j, tol=1e-12):
-    """Ratio lambda_i / lambda_j of the pencil (K, M), zero-based, i < j."""
-    vals, _ = smallest_eigenpairs(K, M, j + 1, tol=tol)
-    return float(vals[i] / vals[j])
 
 
 def coefficient_decay(aset, coeffs, M=None):

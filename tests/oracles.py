@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's own evaluation routines: Legendre
 values come from numpy.polynomial.legendre.legval, eigenpairs from dense
-scipy eigensolvers, Kronecker applications from explicit materialization.
+scipy eigensolvers, Kronecker applications from explicit materialization,
+and the FEM matrices from a 2D quadrature assembly per term, not from the
+1D factors the package keeps.
 The two construction oracles at the end are slow reference algorithms
 instead: an index set found by squaring eps until it overshoots, and a
 triple tensor found by scanning every index pair.
@@ -15,6 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from chaoseig.fem import _cell_rule_1d
 from chaoseig.legendre import univariate_triple
 from chaoseig.multiindex import dense_exponents, generate_index_set
 
@@ -96,6 +99,100 @@ def dense_generalized_eigenpairs(K, M, Q):
     Md = np.asarray(sp.csr_matrix(M).todense())
     vals, vecs = scipy.linalg.eigh(Kd, Md)
     return vals[:Q], vecs[:, :Q]
+
+
+def quadrature(mesh, nquad=None):
+    """Tensor Gauss rule per cell: points (ncells, nq, 2), weights (nq,),
+    reference basis values (nq, nb) and gradients (nq, nb, 2)."""
+    o = mesh.order
+    gx, gw, v1, d1 = _cell_rule_1d(o, nquad)
+    n1 = gx.size
+    # 2D tensor products, q = qy*n1 + qx, local node a = jy*(o+1) + jx
+    vals = np.empty((n1 * n1, (o + 1) ** 2))
+    gradx = np.empty_like(vals)
+    grady = np.empty_like(vals)
+    for qy in range(n1):
+        for qx in range(n1):
+            q = qy * n1 + qx
+            for jy in range(o + 1):
+                for jx in range(o + 1):
+                    a = jy * (o + 1) + jx
+                    vals[q, a] = v1[qx, jx] * v1[qy, jy]
+                    gradx[q, a] = d1[qx, jx] * v1[qy, jy]
+                    grady[q, a] = v1[qx, jx] * d1[qy, jy]
+    w2 = (np.outer(gw, gw)).ravel()  # qy outer, qx inner
+    h = mesh.h
+    # physical quad points per cell
+    cx, cy = np.meshgrid(np.arange(mesh.n), np.arange(mesh.n), indexing="xy")
+    origins = np.stack([cx.ravel() * h, cy.ravel() * h], axis=1)
+    ref = np.empty((n1 * n1, 2))
+    for qy in range(n1):
+        for qx in range(n1):
+            ref[qy * n1 + qx] = (gx[qx], gx[qy])
+    pts = origins[:, None, :] + (ref[None, :, :] + 1.0) * (h / 2.0)
+    grads = np.stack([gradx, grady], axis=2)
+    return pts, w2, vals, grads
+
+
+def coefficient_term(m, varsigma=3.2):
+    """Closed-form coefficient term a_m as a vectorized callable of (...,2):
+    1 for m = 0, else (m+1)^-varsigma sin(m pi x_1) (m odd) or sin(m pi x_2)
+    (m even)."""
+    if m == 0:
+        return lambda x: np.ones(np.shape(x)[:-1])
+    axis = 0 if m % 2 == 1 else 1
+    amp = float(m + 1) ** (-varsigma)
+    return lambda x: amp * np.sin(m * np.pi * np.asarray(x)[..., axis])
+
+
+def _assemble(mesh, local_matrices):
+    """Scatter per-cell local matrices into an interior-dof CSR matrix."""
+    nb = mesh.cell_nodes.shape[1]
+    dofs = mesh.interior_of_node[mesh.cell_nodes]  # (ncells, nb), -1 boundary
+    rows = np.repeat(dofs, nb, axis=1).ravel()
+    cols = np.tile(dofs, (1, nb)).ravel()
+    data = local_matrices.reshape(-1)
+    keep = (rows >= 0) & (cols >= 0)
+    A = sp.coo_matrix((data[keep], (rows[keep], cols[keep])),
+                      shape=(mesh.ndof, mesh.ndof))
+    return A.tocsr()
+
+
+def assemble_mass(mesh, nquad=None):
+    """Interior-dof mass matrix by 2D quadrature."""
+    _, w2, vals, _ = quadrature(mesh, nquad)
+    jac = (mesh.h / 2.0) ** 2
+    local = jac * np.einsum("q,qa,qb->ab", w2, vals, vals)
+    ncells = mesh.cell_nodes.shape[0]
+    return _assemble(mesh, np.broadcast_to(local, (ncells,) + local.shape))
+
+
+def assemble_stiffness(mesh, coef=None, nquad=None):
+    """Interior-dof stiffness matrix by 2D quadrature for a scalar
+    coefficient, a vectorized callable of physical points (default: 1)."""
+    pts, w2, _, grads = quadrature(mesh, nquad)
+    avals = np.ones(pts.shape[:2]) if coef is None else coef(pts)
+    # reference gradients scale by 2/h, the Jacobian by (h/2)^2: they cancel
+    gk = np.einsum("qad,qbd->qab", grads, grads)
+    local = np.einsum("cq,qab->cab", avals * w2[None, :], gk)
+    return _assemble(mesh, local)
+
+
+def assemble_terms(mesh, nterms, varsigma=3.2, nquad=None):
+    """Stiffness terms K_0..K_nterms of the built-in family, assembled."""
+    return [assemble_stiffness(mesh, coefficient_term(m, varsigma), nquad)
+            for m in range(nterms + 1)]
+
+
+def l2_error_against_function(mesh, dof_values, fn, nquad=None):
+    """L2(D) distance between an interior-dof FE function and a callable."""
+    pts, w2, vals, _ = quadrature(mesh, nquad)
+    jac = (mesh.h / 2.0) ** 2
+    dofs = mesh.interior_of_node[mesh.cell_nodes]
+    u_cell = np.where(dofs >= 0, np.asarray(dof_values)[dofs], 0.0)
+    fe = np.einsum("cb,qb->cq", u_cell, vals)
+    diff = fe - fn(pts)
+    return float(np.sqrt(jac * np.sum(w2[None, :] * diff * diff)))
 
 
 def box_indices(aset):

@@ -6,14 +6,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from chaoseig.fem import (
-    assemble_mass,
-    assemble_stiffness,
     build_mesh,
     build_parametric_operator,
     coefficient_amplitude,
+    prolongation_matrix,
+)
+from oracles import (
+    assemble_mass,
+    assemble_stiffness,
+    assemble_terms,
     coefficient_term,
     l2_error_against_function,
-    prolongation_matrix,
 )
 
 PI2_2 = 19.739208802178717  # 2*pi^2, smallest Dirichlet Laplace eigenvalue
@@ -22,6 +25,12 @@ PI2_2 = 19.739208802178717  # 2*pi^2, smallest Dirichlet Laplace eigenvalue
 def exact_ground_mode(x):
     # L2(D)-normalized first eigenfunction of the Dirichlet Laplacian
     return 2.0 * np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+
+
+def mean_pencil(mesh):
+    """K_0 and M of the package, formed from the 1D factors."""
+    op = build_parametric_operator(mesh)
+    return op.matrix_at([]), op.mass
 
 
 def smallest_eig(K, M, k=1):
@@ -50,7 +59,7 @@ class TestMesh:
 class TestMass:
     def test_symmetric_positive_definite(self):
         for order in (1, 2):
-            M = assemble_mass(build_mesh(4, order))
+            M = build_parametric_operator(build_mesh(4, order)).mass
             A = M.toarray()
             np.testing.assert_allclose(A, A.T, atol=1e-16)
             assert np.linalg.eigvalsh(A).min() > 0
@@ -61,7 +70,7 @@ class TestMass:
         # linearly in h
         deficits = []
         for n in (8, 16, 32):
-            M = assemble_mass(build_mesh(n, 1))
+            M = build_parametric_operator(build_mesh(n, 1)).mass
             deficits.append(1.0 - M.sum())
         assert np.all(np.array(deficits) > 0)
         ratios = np.array(deficits[:-1]) / np.array(deficits[1:])
@@ -80,13 +89,14 @@ class TestStiffness:
     def test_single_dof_hand_value(self):
         # four bilinear elements around the lone interior node of the 2x2
         # grid each contribute 2/3 to the diagonal
-        K = assemble_stiffness(build_mesh(2, 1))
+        K, _ = mean_pencil(build_mesh(2, 1))
         np.testing.assert_allclose(K.toarray(), [[8.0 / 3.0]], rtol=1e-14)
 
     def test_symmetry_all_terms(self):
-        mesh = build_mesh(4, 2)
+        # K_0 alone, then K_0 + K_m for each fluctuation term m
+        op = build_parametric_operator(build_mesh(4, 2), nterms=5)
         for m in range(6):
-            K = assemble_stiffness(mesh, coefficient_term(m) if m else None)
+            K = op.matrix_at(np.eye(1, 5, m - 1)[0] if m else [])
             np.testing.assert_allclose(K.toarray(), K.toarray().T, atol=1e-14)
 
     def test_term_norm_decay(self):
@@ -105,9 +115,12 @@ class TestStiffness:
 
 class TestParametricOperator:
     def test_center_point_is_mean_matrix(self):
-        op = build_parametric_operator(build_mesh(4, 2), nterms=5)
+        mesh = build_mesh(4, 2)
+        op = build_parametric_operator(mesh, nterms=5)
         K = op.matrix_at(np.zeros(5))
-        assert (K != op.stiffness[0]).nnz == 0
+        assert (K != op.matrix_at([])).nnz == 0
+        K0 = assemble_stiffness(mesh)
+        assert abs(K - K0).max() <= 1e-14 * abs(K0).max()
 
     def test_linearity(self):
         op = build_parametric_operator(build_mesh(4, 2), nterms=5)
@@ -115,14 +128,15 @@ class TestParametricOperator:
         y = rng.uniform(-1, 1, 5)
         A = op.matrix_at(y) + op.matrix_at(-y)
         np.testing.assert_allclose(A.toarray(),
-                                   2 * op.stiffness[0].toarray(), atol=1e-13)
+                                   2 * op.matrix_at([]).toarray(), atol=1e-13)
 
     def test_matches_direct_sum(self):
-        op = build_parametric_operator(build_mesh(4, 2), nterms=8)
+        mesh = build_mesh(4, 2)
+        op = build_parametric_operator(mesh, nterms=8)
+        terms = assemble_terms(mesh, 8)
         rng = np.random.default_rng(4)
         y = rng.uniform(-1, 1, 8)
-        direct = op.stiffness[0] + sum(
-            y[m - 1] * op.stiffness[m] for m in range(1, 9))
+        direct = terms[0] + sum(y[m - 1] * terms[m] for m in range(1, 9))
         np.testing.assert_allclose(op.matrix_at(y).toarray(),
                                    direct.toarray(), atol=1e-13)
 
@@ -139,11 +153,12 @@ class TestParametricOperator:
     @pytest.mark.parametrize("n, order, nquad", [(4, 1, None), (4, 2, None),
                                                  (5, 2, 3), (3, 1, 4)])
     def test_separable_factors_reproduce_terms(self, n, order, nquad):
-        op = build_parametric_operator(build_mesh(n, order), nterms=7,
-                                       nquad=nquad)
+        mesh = build_mesh(n, order)
+        op = build_parametric_operator(mesh, nterms=7, nquad=nquad)
+        terms = assemble_terms(mesh, 7, nquad=nquad)
         M, A = op.factors[0]
         assert set(op.axes[1:]) == {0, 1}
-        for m, K in enumerate(op.stiffness):
+        for m, K in enumerate(terms):
             Mm, Am = op.factors[m]
             if op.axes[m] == 0:
                 sep = sp.kron(M, Am) + sp.kron(A, Mm)
@@ -152,16 +167,32 @@ class TestParametricOperator:
             # a term the quadrature cancels to roundoff (n=3, m=6) is
             # measured against its amplitude times the mean term
             scale = max(abs(K).max(), coefficient_amplitude(m, op.varsigma)
-                        * abs(op.stiffness[0]).max())
+                        * abs(terms[0]).max())
             assert abs(sep - K).max() <= 1e-14 * scale
-        mass = sp.kron(M, M)
-        assert abs(mass - op.mass).max() <= 1e-14 * abs(op.mass).max()
+        mass = assemble_mass(mesh, nquad)
+        assert abs(sp.kron(M, M) - mass).max() <= 1e-14 * abs(mass).max()
+        # the sparse matrices the package forms from the factors
+        assert op.mass.nnz == mass.nnz
+        assert abs(op.mass - mass).max() <= 1e-14 * abs(mass).max()
+        rng = np.random.default_rng(n + order)
+        points = [rng.uniform(-1, 1, 7) for _ in range(3)]
+        points += [rng.uniform(-1, 1, 3), []]  # short y padded; [] gives K_0
+        for y in points:
+            direct = terms[0] + sum(
+                y[m - 1] * terms[m] for m in range(1, len(y) + 1))
+            K = op.matrix_at(y)
+            assert K.nnz == direct.nnz
+            assert abs(K - direct).max() <= 1e-14 * abs(direct).max()
 
     def test_shared_pattern(self):
-        op = build_parametric_operator(build_mesh(4, 2), nterms=6)
-        for K in op.stiffness[1:]:
-            assert np.array_equal(K.indptr, op.stiffness[0].indptr)
-            assert np.array_equal(K.indices, op.stiffness[0].indices)
+        mesh = build_mesh(4, 2)
+        op = build_parametric_operator(mesh, nterms=6)
+        want = assemble_mass(mesh)
+        rng = np.random.default_rng(3)
+        for K in [op.mass, op.matrix_at([])] + [
+                op.matrix_at(rng.uniform(-1, 1, 6)) for _ in range(3)]:
+            assert np.array_equal(K.indptr, want.indptr)
+            assert np.array_equal(K.indices, want.indices)
 
 
 class TestSpatialConvergence:
@@ -169,8 +200,7 @@ class TestSpatialConvergence:
         errs = []
         for n in (2, 4, 8, 16):
             mesh = build_mesh(n, 2)
-            K = assemble_stiffness(mesh)
-            M = assemble_mass(mesh)
+            K, M = mean_pencil(mesh)
             vals, _ = smallest_eig(K, M)
             errs.append(abs(vals[0] - PI2_2))
         rates = np.log2(np.array(errs)[:-1] / np.array(errs)[1:])
@@ -180,8 +210,7 @@ class TestSpatialConvergence:
         errs = []
         for n in (2, 4, 8, 16):
             mesh = build_mesh(n, 2)
-            K = assemble_stiffness(mesh)
-            M = assemble_mass(mesh)
+            K, M = mean_pencil(mesh)
             _, vecs = smallest_eig(K, M)
             u = vecs[:, 0]
             u /= np.sqrt(u @ (M @ u))
@@ -195,8 +224,7 @@ class TestSpatialConvergence:
         errs = []
         for n in (4, 8, 16, 32):
             mesh = build_mesh(n, 1)
-            K = assemble_stiffness(mesh)
-            M = assemble_mass(mesh)
+            K, M = mean_pencil(mesh)
             vals, _ = smallest_eig(K, M)
             errs.append(abs(vals[0] - PI2_2))
         rates = np.log2(np.array(errs)[:-1] / np.array(errs)[1:])
@@ -211,9 +239,9 @@ class TestProlongation:
         P = prolongation_matrix(coarse, fine)
         rng = np.random.default_rng(8)
         uc = rng.standard_normal(coarse.ndof)
-        Mf = assemble_mass(fine)
+        Mf = build_parametric_operator(fine).mass
         # compare L2 norms: ||uc||_{L2} computed on either mesh must agree
-        Mc = assemble_mass(coarse)
+        Mc = build_parametric_operator(coarse).mass
         nc = uc @ (Mc @ uc)
         uf = P @ uc
         nf = uf @ (Mf @ uf)
@@ -235,8 +263,10 @@ def test_quadrature_knob_changes_high_frequency_terms_little():
     # raising the rule refines oscillatory-term integrals; the change is
     # bounded by the tiny term amplitude
     mesh = build_mesh(8, 2)
+    default = build_parametric_operator(mesh, nterms=30)
+    fine = build_parametric_operator(mesh, nterms=30, nquad=10)
     for m in (15, 30):
-        K_default = assemble_stiffness(mesh, coefficient_term(m))
-        K_fine = assemble_stiffness(mesh, coefficient_term(m), nquad=10)
+        y = np.eye(1, 30, m - 1)[0]
+        K_default, K_fine = default.matrix_at(y), fine.matrix_at(y)
         diff = sp.linalg.norm(K_default - K_fine, "fro")
         assert diff < coefficient_amplitude(m, 3.2) * 50

@@ -29,6 +29,8 @@ from chaoseig.galerkin import (
 )
 from chaoseig.legendre import evaluate_expansion
 from oracles import (
+    assemble_stiffness,
+    assemble_terms,
     dense_generalized_eigenpairs,
     materialize_kronecker,
     tensor_grid,
@@ -38,6 +40,12 @@ from oracles import (
 
 def small_system(n=2, size=6):
     return build_system(n=n, order=2, size=size)
+
+
+def assembled_terms(sys, nquad=None):
+    """The system's stiffness terms K_0..K_M, assembled by 2D quadrature."""
+    return assemble_terms(sys.mesh, sys.fem_op.nterms, sys.fem_op.varsigma,
+                          nquad)
 
 
 def random_block(sys, rng, scale_by_weight=False):
@@ -71,7 +79,7 @@ class TestKroneckerOperator:
     def test_matches_dense_kron(self):
         sys = small_system()
         op = sys.operator()
-        dense = materialize_kronecker(sys.gmats, sys.fem_op.stiffness)
+        dense = materialize_kronecker(sys.gmats, assembled_terms(sys))
         rng = np.random.default_rng(21)
         for _ in range(4):
             V = random_block(sys, rng)
@@ -82,7 +90,7 @@ class TestKroneckerOperator:
     def test_shifted_matches_dense(self):
         sys = small_system()
         op = sys.operator(shift=7.5)
-        dense = materialize_kronecker(sys.gmats, sys.fem_op.stiffness,
+        dense = materialize_kronecker(sys.gmats, assembled_terms(sys),
                                       shift=7.5, mass=sys.mass)
         rng = np.random.default_rng(22)
         V = random_block(sys, rng)
@@ -113,7 +121,7 @@ class TestKroneckerOperator:
             monkeypatch.setattr(galerkin, "_CHUNK_BYTES",
                                 rows_per_chunk * slice_bytes)
             assert sys.terms.step == rows_per_chunk
-        dense = materialize_kronecker(sys.gmats, sys.fem_op.stiffness,
+        dense = materialize_kronecker(sys.gmats, assembled_terms(sys, nquad),
                                       shift=shift, mass=sys.mass)
         V = random_block(sys, np.random.default_rng(26))
         got = sys.operator(shift).apply(V).ravel()
@@ -135,7 +143,7 @@ class TestKroneckerOperator:
         op = sys.operator()
         rng = np.random.default_rng(25)
         V = random_block(sys, rng)
-        want = (sys.fem_op.stiffness[0] @ V.T).T
+        want = (sys.fem_op.matrix_at([]) @ V.T).T
         np.testing.assert_allclose(op.apply(V), want, rtol=1e-14)
 
     def test_rejects_wrong_shape(self):
@@ -172,7 +180,7 @@ class TestMeanPreconditioner:
             rng = np.random.default_rng(31)
             R = random_block(sys, rng)
             X = prec.apply(R)
-            K0 = sys.fem_op.stiffness[0].toarray()
+            K0 = assemble_stiffness(sys.mesh).toarray()
             for a in range(sys.P):
                 np.testing.assert_allclose(K0 @ X[a], R[a], rtol=1e-11,
                                            atol=1e-12)
@@ -197,7 +205,7 @@ class TestPcgSolve:
     def test_matches_dense_solve(self):
         sys = small_system()
         op = sys.operator()
-        dense = materialize_kronecker(sys.gmats, sys.fem_op.stiffness)
+        dense = materialize_kronecker(sys.gmats, assembled_terms(sys))
         rng = np.random.default_rng(41)
         B = random_block(sys, rng)
         X, info = pcg_solve(op, B, sys.mean_preconditioner(), tol=1e-13,
@@ -246,7 +254,7 @@ class TestPcgSolve:
         # regression bound: the mean-based preconditioner keeps the count
         # small even with 113 active dimensions truncated to the set
         sys = build_system(n=8, order=2, size=31)
-        _, v = dense_generalized_eigenpairs(sys.fem_op.stiffness[0],
+        _, v = dense_generalized_eigenpairs(sys.fem_op.matrix_at([]),
                                             sys.mass, 1)
         v = v[:, 0]
         v /= np.sqrt(v @ (sys.mass @ v))
@@ -452,7 +460,7 @@ class TestBuildSystem:
         assert sys.P == len(sys.aset) == sys.tt.size == 12
         assert sys.N == sys.mesh.ndof == (3 * 2 - 1) ** 2
         assert len(sys.gmats) == sys.aset.max_dimension + 1
-        assert len(sys.fem_op.stiffness) == len(sys.gmats)
+        assert len(sys.fem_op.factors) == len(sys.gmats)
 
     def test_requires_exactly_one_cardinality_spec(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -471,7 +479,7 @@ class TestBuildSystem:
         assert full.fem_op.nterms == full.aset.max_dimension
         assert capped.fem_op.nterms == 2
         assert len(capped.gmats) == 3
-        assert len(capped.fem_op.stiffness) == 3
+        assert len(capped.fem_op.factors) == 3
         # a cap at or above the active dimension count changes nothing
         loose = build_system(n=2, order=1, size=6, max_terms=50)
         assert loose.fem_op.nterms == full.fem_op.nterms

@@ -18,6 +18,11 @@ from chaoseig.subspace_iteration import (
     run_subspace_iteration,
 )
 from chaoseig.validation import smallest_eigenpairs, subspace_angle
+from oracles import (
+    assemble_mass,
+    assemble_stiffness,
+    dense_generalized_eigenpairs,
+)
 
 
 class TestInitialBasis:
@@ -29,6 +34,25 @@ class TestInitialBasis:
         G = B[0].T @ (sys.mass @ B[0])
         np.testing.assert_allclose(G, np.eye(3), atol=1e-10)
         assert orthogonality_defect(sys, B) <= 1e-10
+
+    def test_exact_mean_eigenpairs(self):
+        # the subspace-validation mesh: the 2nd and 3rd mean eigenvalues
+        # are exactly degenerate on the square
+        sys = build_system(n=16, order=1, size=1)
+        B = initial_basis(sys, 3)
+        X = B[0]
+        K0, M = assemble_stiffness(sys.mesh), assemble_mass(sys.mesh)
+        vals, vecs = dense_generalized_eigenpairs(K0, M, 3)
+        np.testing.assert_allclose(vals[1:], 49.8897, rtol=1e-6)
+        for j in range(3):
+            r = K0 @ X[:, j] - vals[j] * (M @ X[:, j])
+            assert np.linalg.norm(r) <= 1e-12 * vals[j] * np.linalg.norm(
+                M @ X[:, j])
+        np.testing.assert_allclose(X.T @ (M @ X), np.eye(3), atol=1e-12)
+        assert subspace_angle(X[:, 1:], vecs[:, 1:], M) >= 1.0 - 1e-12
+        np.testing.assert_array_equal(B, initial_basis(sys, 3))
+        np.testing.assert_array_equal(
+            B, initial_basis(build_system(n=16, order=1, size=1), 3))
 
 
 class TestSingleVectorLimit:
@@ -51,7 +75,7 @@ class TestSingletonSetLimit:
         sys = build_system(n=4, order=2, size=1)
         res = run_subspace_iteration(sys, q=3, tol=1e-12, kmax=80)
         assert res.converged
-        vals, vecs = smallest_eigenpairs(sys.fem_op.stiffness[0], sys.mass,
+        vals, vecs = smallest_eigenpairs(sys.fem_op.matrix_at([]), sys.mass,
                                          3, tol=1e-12)
         assert subspace_angle(res.basis[0], vecs, sys.mass) >= 1.0 - 1e-9
         # the leading column resolves the isolated ground mode itself
@@ -117,14 +141,20 @@ class TestStochasticBlock:
                                       want)
 
     def test_aligned_with_direct_solve_at_origin(self, block_solved):
+        # at the origin the 2nd and 3rd modes are exactly degenerate, so a
+        # two-column span holds the ground mode and some direction inside
+        # that pair: compare it with the span of the three smallest modes
         sys, res = block_solved
         y0 = np.zeros(sys.aset.max_dimension)
+        M = sys.mass
         _, vecs = smallest_eigenpairs(sys.fem_op.matrix_at(
-            np.zeros(sys.fem_op.nterms)), sys.mass, 2, tol=1e-12)
+            np.zeros(sys.fem_op.nterms)), M, 3, tol=1e-12)
         from chaoseig.legendre import evaluate_expansion
         By = np.stack([evaluate_expansion(res.basis[:, :, L], sys.aset, y0)
                        for L in range(2)], axis=1)
-        assert subspace_angle(By, vecs, sys.mass) >= 1.0 - 1e-3
+        assert subspace_angle(By[:, :1], vecs[:, :1], M) >= 1.0 - 1e-3
+        inside = vecs @ (vecs.T @ (M @ By))
+        assert subspace_angle(By, inside, M) >= 1.0 - 1e-3
 
     def test_sum_trick_reaches_the_same_span(self, block_solved):
         sys, res = block_solved
