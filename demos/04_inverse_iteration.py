@@ -20,7 +20,7 @@ res = run_inverse_iteration(sys_, tol=1e-10, kmax=30)
 print(f"converged = {res.converged} after {len(res.history)} sweeps")
 print()
 
-vals, _ = sys_.mean_preconditioner().eigenpairs(2)
+vals, _ = sys_.fem_op.mean_eigenpairs(2)
 rho = vals[0] / vals[1]
 print(f"mean-problem gap ratio (predicted contraction): {rho:.5f}")
 print(" k   increment     ratio     cg its")

@@ -16,7 +16,7 @@ from chaoseig.subspace_iteration import run_subspace_iteration
 from chaoseig.validation import (
     angle_statistics,
     overlap_permutation,
-    smallest_eigenpairs,
+    pointwise_eigenpairs,
 )
 
 sys_ = build_system(n=8, order=1, size=52)
@@ -36,9 +36,9 @@ print()
 
 # eigenvalue crossing along the first parameter coordinate
 print("second/third eigenvalue sweep over the first coordinate:")
-for y1 in np.linspace(-1.0, 1.0, 9):
-    vals, _ = smallest_eigenpairs(sys_.fem_op.matrix_at(np.array([y1])),
-                                  sys_.mass, 3, tol=1e-11)
+grid = np.linspace(-1.0, 1.0, 9)
+sweep, _ = pointwise_eigenpairs(sys_.fem_op, grid[:, None], 3, tol=1e-11)
+for y1, vals in zip(grid, sweep):
     print(f"  y1 = {y1:5.2f}   {vals[1]:.5f}   {vals[2]:.5f}   "
           f"gap {vals[2] - vals[1]:.5f}")
 perm, _, _ = overlap_permutation(sys_.fem_op, [-1.0], [1.0], which=(1, 2))

@@ -21,19 +21,26 @@ experiments         reproducible study runner behind the CLI
 
 __version__ = "0.1.0"
 
-from .galerkin import GalerkinSystem, build_system
-from .inverse_iteration import run_inverse_iteration
-from .subspace_iteration import run_subspace_iteration
-
-# The study runner imports the reference solvers of `validation`; it loads
-# on first use, so that importing the solver modules leaves them out.
-_FROM_EXPERIMENTS = ("ExperimentConfig", "make_reference", "run_experiment")
+# The public names load their module on first use, so that importing one
+# side (the solver modules, or the reference solvers of `validation` that
+# check them) leaves the other out.
+_LAZY = {
+    "GalerkinSystem": "galerkin",
+    "build_system": "galerkin",
+    "run_inverse_iteration": "inverse_iteration",
+    "run_subspace_iteration": "subspace_iteration",
+    "ExperimentConfig": "experiments",
+    "make_reference": "experiments",
+    "run_experiment": "experiments",
+}
 
 
 def __getattr__(name):
-    if name in _FROM_EXPERIMENTS:
-        from . import experiments
-        return getattr(experiments, name)
+    if name in _LAZY:
+        import importlib
+
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

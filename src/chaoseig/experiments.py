@@ -31,7 +31,7 @@ from .validation import (
     angle_statistics,
     coefficient_decay,
     overlap_permutation,
-    smallest_eigenpairs,
+    pointwise_eigenpairs,
 )
 
 __all__ = [
@@ -342,7 +342,7 @@ def _run_iteration(cfg, outdir):
                 "eigenvalue_error", "field_error", "cg_iterations",
                 "cg_tolerance", "newton_iterations", "config_hash",
                 "version"], rows)
-    vals, _ = sys_.mean_preconditioner().eigenpairs(2)
+    vals, _ = sys_.fem_op.mean_eigenpairs(2)
     summary = {
         "target_eigenvalue_mean": target.eigenvalue_mean,
         "target_converged": bool(target.converged),
@@ -384,20 +384,17 @@ def _run_subspace(cfg, outdir):
                 "config_hash", "version"], rows)
     grid = np.linspace(-1.0, 1.0, cfg.crossing_points)
     count = max(cfg.q, 3)
-    crows = []
-    for y1 in grid:
-        y = np.zeros(sys_.fem_op.nterms)
-        y[0] = y1
-        vals, _ = smallest_eigenpairs(sys_.fem_op.matrix_at(y), sys_.mass,
-                                      count, tol=1e-11)
-        crows.append([y1, *vals, cfg.config_hash, __version__])
+    vals, _ = pointwise_eigenpairs(sys_.fem_op, grid[:, None], count,
+                                   tol=1e-11)
+    crows = [[y1, *v, cfg.config_hash, __version__]
+             for y1, v in zip(grid, vals)]
     _write_csv(outdir / "crossing.csv",
                ["y1", *[f"lambda{i + 1}" for i in range(count)],
                 "config_hash", "version"], crows)
     perm, _, _ = overlap_permutation(
         sys_.fem_op, [-1.0] + [0.0] * (sys_.fem_op.nterms - 1),
         [1.0] + [0.0] * (sys_.fem_op.nterms - 1), which=(1, 2))
-    qvals, _ = sys_.mean_preconditioner().eigenpairs(cfg.q + 1)
+    qvals, _ = sys_.fem_op.mean_eigenpairs(cfg.q + 1)
     summary = {
         "sweep_endpoint_pairing": [int(p) for p in perm],
         "crossing_detected": bool(perm[0] == 1 and perm[1] == 0),

@@ -28,15 +28,17 @@ M_m, A_m weighted by the profile of a_m,
 
 where the left Kronecker factor acts on the x_2 (slow) dof index; the mass
 matrix is M (x) M.  With the tensor Gauss rule per cell these are exactly
-the matrices a 2D quadrature assembly would give.  The sparse M and K(y)
-are formed from the factors on one sparsity pattern.
+the matrices a 2D quadrature assembly would give.  The sparse M is formed
+from the factors on the Kronecker square of the 1D band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
@@ -173,15 +175,23 @@ class ParametricOperator:
     K(y) = K_0 + sum_{m>=1} y_m K_m.  `factors[m]` holds the dense 1D
     (M_m, A_m) of term m and `axes[m]` the axis its profile varies along
     (0 for x_1), with (M, A) = `factors[0]`; the separable form in the
-    module docstring gives K_m.  `mass` and `matrix_at` combine the factors
-    on the band of the 1D matrices (the node pairs that share a cell), so
-    every matrix has the same CSR pattern: the Kronecker square of the band.
+    module docstring gives K_m.  Summing y_m (M_m, A_m) over the terms
+    along x_1 (K_0 included, y_0 = 1) into (R_M, R_A) and over the terms
+    along x_2 into (L_M, L_A) gives
+
+        K(y) = M (x) R_A + A (x) R_M + L_M (x) A + L_A (x) M.
+
+    `mass` is the sparse M (x) M on the band of the 1D matrices (the node
+    pairs that share a cell).  `ellipticity` = (a_lo, a_hi) bounds the
+    coefficient at the quadrature points for every y in the box, so that
+    a_lo K_0 <= K(y) <= a_hi K_0.
     """
 
     mesh: Mesh
     varsigma: float
     factors: np.ndarray = field(repr=False)
     axes: np.ndarray = field(repr=False)
+    ellipticity: tuple
     mass: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -189,24 +199,19 @@ class ParametricOperator:
         shares = np.zeros((node.max() + 1,) * 2, dtype=bool)
         shares[node[:, :, None], node[:, None, :]] = True
         rows, cols = np.nonzero(shares[1:-1, 1:-1])
-        # factor data on the band, one row (M_m | A_m) per term, and the
-        # terms along x_1 (row 0) and along x_2 (row 1)
-        self._band = self.factors[:, :, rows, cols].reshape(
-            len(self.factors), -1)
-        self._by_axis = np.stack([self.axes == 0, self.axes == 1]) * 1.0
         # entry (p, r) of the outer product of two band vectors is the
         # Kronecker entry at (rows[p], rows[r]), (cols[p], cols[r]); sort
-        # those into CSR order once
+        # those into CSR order
         side = self.factors.shape[-1]
         row = (rows[:, None] * side + rows).ravel()
         col = (cols[:, None] * side + cols).ravel()
-        self._csr_order = np.lexsort((col, row))
-        self._indices = col[self._csr_order].astype(np.int32)
-        self._indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(row, minlength=self.ndof))]
-        ).astype(np.int32)
-        M = self._band[0, :rows.size]
-        self.mass = self._csr(np.outer(M, M))
+        order = np.lexsort((col, row))
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(row, minlength=self.ndof))])
+        M = self.factors[0, 0, rows, cols]
+        self.mass = sp.csr_matrix(
+            (np.outer(M, M).ravel()[order], col[order].astype(np.int32),
+             indptr.astype(np.int32)), shape=(self.ndof, self.ndof))
 
     @property
     def ndof(self):
@@ -216,33 +221,31 @@ class ParametricOperator:
     def nterms(self):
         return len(self.factors) - 1
 
-    def _csr(self, outer):
-        """CSR matrix of the band outer product `outer` on the pattern."""
-        return sp.csr_matrix((outer.ravel()[self._csr_order],
-                              self._indices.copy(), self._indptr.copy()),
-                             shape=(self.ndof, self.ndof))
-
-    def matrix_at(self, y):
-        """Pointwise stiffness K(y) for y in [-1,1]^nterms (short y padded).
-
-        K(y) = M (x) R_A + A (x) R_M + L_M (x) A + L_A (x) M, where (R_M,
-        R_A) sums y_m (M_m, A_m) over the terms along x_1 (K_0 included,
-        y_0 = 1) and (L_M, L_A) over the terms along x_2; all on the band.
+    @cached_property
+    def mean_eigenbasis(self):
+        """(lam, Q) with A Q = M Q diag(lam) and Q^T M Q = I for the 1D
+        mean factors (M, A) = `factors[0]`.  K_0 = M (x) A + A (x) M is
+        then diagonal in Q (x) Q, with the values lam_i + lam_j: the fast
+        diagonalization of the mean term and its exact eigenpairs both
+        come from here.  Computed once per operator.
         """
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.size > self.nterms:
-            raise ValueError(f"point has {y.size} dims, operator has "
-                             f"{self.nterms} terms")
-        w = np.zeros(self.nterms + 1)
-        w[0] = 1.0
-        w[1:y.size + 1] = y
-        # (R_M | R_A) and (L_M | L_A) on the band
-        right, left = (self._by_axis * w) @ self._band
-        mean = self._band[0]  # (M | A)
-        left = np.concatenate([mean, left]).reshape(4, -1)
-        right = np.concatenate([right, mean]).reshape(4, -1)[[1, 0, 3, 2]]
-        # rows M, A, L_M, L_A paired with rows R_A, R_M, A, M
-        return self._csr(left.T @ right)
+        M, A = self.factors[0]
+        return scipy.linalg.eigh(A, M)
+
+    def mean_eigenpairs(self, count):
+        """The `count` smallest eigenpairs of (K_0, M (x) M): values
+        lam_i + lam_j ascending, ties in row-major (i, j) order, and
+        M-orthonormal vectors Q_i (x) Q_j as (N, count) columns.  Each 1D
+        column Q_i is signed so that its first entry is positive, which
+        makes the basis of a degenerate eigenspace part of the contract.
+        """
+        lam, Q = self.mean_eigenbasis
+        values = lam[:, None] + lam[None, :]
+        pick = np.argsort(values, axis=None, kind="stable")[:count]
+        i, j = np.unravel_index(pick, values.shape)
+        Q = np.where(Q[:1] < 0.0, -Q, Q)
+        vecs = Q[:, None, i] * Q[None, :, j]
+        return values[i, j], vecs.reshape(-1, pick.size)
 
 
 def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
@@ -263,15 +266,18 @@ def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
     # varies along one axis, so the largest sum of |a_m| per axis bounds
     # a_0 - sum |a_m| over the 2D points from below (exactly, for a
     # constant a_0)
-    floor = values[0].min() - sum(
-        np.abs(values[1:][axes[1:] == k]).sum(axis=0).max() for k in (0, 1))
+    spread = sum(np.abs(values[1:][axes[1:] == k]).sum(axis=0).max()
+                 for k in (0, 1))
+    floor = values[0].min() - spread
     if floor <= 0.0:
         raise ValueError(
             f"coefficient not uniformly positive for varsigma={varsigma} "
             f"with {nterms} terms: a_0 - sum |a_m| = {floor:.3g} at the "
             f"quadrature points; raise varsigma or cap the terms")
     factors = np.stack([_assemble_1d(mesh, rule_1d, v) for v in values])
-    return ParametricOperator(mesh, varsigma, factors, axes)
+    return ParametricOperator(mesh, varsigma, factors, axes,
+                              (float(floor),
+                               float(values[0].max() + spread)))
 
 
 def prolongation_matrix(coarse: Mesh, fine: Mesh):

@@ -11,10 +11,8 @@ is applied blockwise, and so is the mean-based preconditioner.  Both run on
 the 1D factors of the separable stiffness terms (see `fem`): each spatial
 block is an (n, n) array acted on by batched small matmuls, term m only
 touches the chaos rows its raise matrix couples, and the mean term is
-inverted by fast diagonalization, which also gives the mean problem's
-exact eigenpairs (the starting guesses).  The sparse pointwise K(y) that
-`fem` forms from the same factors is left to pointwise solves.  The tensor
-norm pairs the stochastic blocks with the spatial mass matrix:
+inverted by fast diagonalization in the operator's 1D mean eigenbasis.
+The tensor norm pairs the stochastic blocks with the spatial mass matrix:
 ||V||^2 = sum_a V[a] . M V[a].
 """
 
@@ -23,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .fem import ParametricOperator, build_mesh, build_parametric_operator
@@ -196,28 +193,15 @@ class MeanPreconditioner:
     """Blockwise inverse of the mean term K_0 = M (x) A + A (x) M by fast
     diagonalization (Lynch, Rice & Thomas 1964).
 
-    With A Q = M Q diag(lam) and Q^T M Q = I, K_0 = (Q (x) Q)^-T
-    (I (x) lam + lam (x) I) (Q (x) Q)^-1, so each slice R of a block maps
-    to Q [(Q^T R Q) / (lam_i + lam_j)] Q^T.  The same Q and lam give the
-    eigenpairs of the pencil (K_0, M (x) M) exactly (`eigenpairs`).
+    With A Q = M Q diag(lam) and Q^T M Q = I (the operator's
+    `mean_eigenbasis`), K_0 = (Q (x) Q)^-T (I (x) lam + lam (x) I)
+    (Q (x) Q)^-1, so each slice R of a block maps to
+    Q [(Q^T R Q) / (lam_i + lam_j)] Q^T.
     """
 
-    def __init__(self, mass_1d, stiffness_1d):
-        lam, self.Q = scipy.linalg.eigh(stiffness_1d, mass_1d)
+    def __init__(self, lam, Q):
+        self.Q = Q
         self.denom = lam[:, None] + lam[None, :]
-
-    def eigenpairs(self, count):
-        """The `count` smallest eigenpairs of (K_0, M (x) M): values
-        lam_i + lam_j ascending, ties in row-major (i, j) order, and
-        M-orthonormal vectors Q_i (x) Q_j as (N, count) columns.  Each 1D
-        column Q_i is signed so that its first entry is positive, which
-        makes the basis of a degenerate eigenspace part of the contract.
-        """
-        pick = np.argsort(self.denom, axis=None, kind="stable")[:count]
-        i, j = np.unravel_index(pick, self.denom.shape)
-        Q = np.where(self.Q[:1] < 0.0, -self.Q, self.Q)
-        vecs = Q[:, None, i] * Q[None, :, j]
-        return self.denom[i, j], vecs.reshape(-1, pick.size)
 
     def apply(self, R):
         Q = self.Q
@@ -416,7 +400,8 @@ class GalerkinSystem:
 
     def mean_preconditioner(self):
         if self._mean_prec is None:
-            self._mean_prec = MeanPreconditioner(*self.fem_op.factors[0])
+            self._mean_prec = MeanPreconditioner(
+                *self.fem_op.mean_eigenbasis)
         return self._mean_prec
 
     def mass_apply(self, V):

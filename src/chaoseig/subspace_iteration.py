@@ -76,12 +76,12 @@ class SubspaceResult:
 def initial_basis(system: GalerkinSystem, q):
     """Mean-problem eigenvectors in the zero block, one per basis column.
 
-    The q smallest, exact from the 1D eigenbasis of the mean preconditioner
-    (see `MeanPreconditioner.eigenpairs`, which fixes ties and signs).  They
+    The q smallest, exact from the operator's 1D mean eigenbasis (see
+    `ParametricOperator.mean_eigenpairs`, which fixes ties and signs).  They
     are mass-normalized, so every column has unit tensor norm; all
     fluctuation blocks start at zero.
     """
-    _, vecs = system.mean_preconditioner().eigenpairs(q)
+    _, vecs = system.fem_op.mean_eigenpairs(q)
     B = np.zeros((system.P, system.N, q))
     B[0] = vecs
     return B

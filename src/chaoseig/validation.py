@@ -1,21 +1,22 @@
 """Deterministic reference solvers and statistical cross-checks.
 
 Everything here goes around the chaos machinery on purpose: pointwise
-eigenpairs come from sparse block inverse iteration on the sparse matrices
-K(y) and M, statistics from plain Monte Carlo, subspace angles from dense
-linear algebra on evaluated bases.  The spectral iteration modules are
-validated against these routines, never the other way around.
+eigenpairs come from a batched block eigensolver on the pencils
+(K(y), M), applied through the 1D factors of the FEM operator and
+preconditioned by the mean problem's fast diagonalization; statistics come
+from plain Monte Carlo, subspace angles from dense linear algebra on
+evaluated bases.  The spectral iteration modules are validated against
+these routines, never the other way around.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.stats import qmc
 
 __all__ = [
-    "smallest_eigenpairs",
+    "PointwiseStallError",
+    "pointwise_eigenpairs",
     "fix_signs",
     "expansion_statistics",
     "monte_carlo_statistics",
@@ -26,68 +27,241 @@ __all__ = [
     "coefficient_decay",
 ]
 
+# Working-set budget of the batched eigensolver: a chunk of points is sized
+# so that its (points, 3 * block, N) search basis holds at most this many
+# float64 entries (512 KiB).  Larger chunks amortize the per-call overhead
+# of the small products no further and only raise the memory high-water
+# mark.
+_CHUNK_ENTRIES = 1 << 16
+
+# A search direction is dropped when it is numerically in the span of the
+# others: when projecting out the Ritz vectors leaves less than _KEPT of
+# its norm, or when its scaled Gram eigenvalue in SVQB is below _KEPT^2 of
+# the largest.
+_KEPT = 1e-7
+
+
+class PointwiseStallError(RuntimeError):
+    """The pointwise eigensolver missed its tolerance within maxiter."""
+
 
 def fix_signs(vecs):
     """Flip columns so the largest-magnitude entry of each is positive.
 
     Entries within 1e-8 relative of the largest magnitude count as tied
     (a symmetric mode has several, equal up to roundoff), and the first of
-    them is made positive.
+    them is made positive.  Works on one (N, k) array of columns or on a
+    stack (..., N, k).
     """
     vecs = np.array(vecs, dtype=float)
     mags = np.abs(vecs)
-    lead = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0), axis=0)
-    vecs[:, vecs[lead, np.arange(vecs.shape[1])] < 0.0] *= -1.0
-    return vecs
+    lead = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=-2, keepdims=True),
+                     axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(vecs, lead, axis=-2) < 0.0, -vecs,
+                    vecs)
 
 
-def _orthonormalize(X, M):
-    """M-orthonormalize columns via Cholesky of the Gram matrix."""
-    G = X.T @ (M @ X)
-    L = np.linalg.cholesky(G)
-    return np.linalg.solve(L, X.T).T
+class _Pencils:
+    """The pencils (K(y), M) at a batch of points, on (n, n) slices.
 
-
-def smallest_eigenpairs(K, M, count=1, tol=1e-10, maxiter=200, seed=12345,
-                        start=None, guard=2):
-    """Smallest eigenpairs of the pencil (K, M) on sparse matrices.
-
-    Block inverse iteration with Rayleigh-Ritz extraction: factor K once,
-    then repeatedly apply K^{-1} M to an M-orthonormal block and rotate by
-    the small projected eigenproblem.  The block carries `guard` extra
-    vectors so a (near-)degenerate cluster at position `count` cannot stall
-    the rate; convergence is tested on the requested columns only.
-    Deterministic: the random start is seeded (or supplied).  Returns
-    (values, vectors) with M-orthonormal columns, signed by `fix_signs`,
-    values ascending.
+    A vector of length N = n^2 is the slice X with X[i, j] at dof i n + j
+    (i along x_2).  With the per-point sums of `fem.ParametricOperator`,
+    K(y) maps X to M X R_A + A X R_M + L_M X A + L_A X M, the mass to
+    M X M, and the mean preconditioner (fast diagonalization) to
+    Q [(Q^T X Q) / (lam_i + lam_j)] Q^T.  Blocks are (points, k, N).
     """
-    n = K.shape[0]
-    if not 1 <= count <= n:
+
+    def __init__(self, op, Y):
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] > op.nterms:
+            raise ValueError(f"points must be (count, <= {op.nterms}), "
+                             f"got shape {Y.shape}")
+        w = np.zeros((len(Y), op.nterms + 1))
+        w[:, 0] = 1.0
+        w[:, 1:Y.shape[1] + 1] = Y
+        self.n = n = op.factors.shape[-1]
+        self.M, self.A = op.factors[0]
+        flat = op.factors.reshape(len(op.factors), -1)
+        # per point (R_M, R_A, L_M, L_A), each (points, 1, n, n)
+        self.sums = np.stack([(w * (op.axes == k)) @ flat for k in (0, 1)],
+                             axis=1).reshape(len(Y), 4, 1, n, n)
+        lam, self.Q = op.mean_eigenbasis
+        self.denom = lam[:, None] + lam[None, :]
+
+    def take(self, keep):
+        """Keep only the points selected by the mask `keep`."""
+        self.sums = self.sums[keep]
+
+    def _slices(self, X):
+        return X.reshape(X.shape[0], -1, self.n, self.n)
+
+    def stiffness(self, X):
+        S = self._slices(X)
+        M, A = self.M, self.A
+        R_M, R_A, L_M, L_A = self.sums.transpose(1, 0, 2, 3, 4)
+        return ((M @ S) @ R_A + (A @ S) @ R_M + L_M @ (S @ A)
+                + L_A @ (S @ M)).reshape(X.shape)
+
+    def mass(self, X):
+        return (self.M @ self._slices(X) @ self.M).reshape(X.shape)
+
+    def precondition(self, X):
+        Q = self.Q
+        Z = Q.T @ self._slices(X) @ Q
+        Z /= self.denom
+        return (Q @ Z @ Q.T).reshape(X.shape)
+
+
+def _t(X):
+    return np.swapaxes(X, -1, -2)
+
+
+def _svqb(C, MC):
+    """M-orthonormalize the rows of each C[s] (Stathopoulos & Wu 2002).
+
+    The scaled Gram D G D = U diag(theta) U^T gives C <- (D U theta^-1/2)^T
+    C; directions with theta below _KEPT^2 of the largest are set to zero
+    instead.  MC = M C on entry; returns the new (C, MC).
+    """
+    G = C @ _t(MC)
+    d = np.diagonal(G, axis1=1, axis2=2)
+    scale = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+    theta, U = np.linalg.eigh(scale[:, :, None] * G * scale[:, None, :])
+    keep = theta > _KEPT ** 2 * theta[:, -1:]
+    inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, theta, 1.0)), 0.0)
+    T = _t(scale[:, :, None] * U * inv[:, None, :])
+    return T @ C, T @ MC
+
+
+def _rayleigh_ritz(B, KB, MB, count):
+    """The `count` smallest Ritz pairs of each point's basis rows B[s].
+
+    Returns (values, coefficients): the Ritz vectors are coefficients^T B.
+    Rows that SVQB zeroed are decoupled with a value above every kept one.
+    """
+    GK = B @ _t(KB)
+    GM = B @ _t(MB)
+    GK = 0.5 * (GK + _t(GK))
+    GM = 0.5 * (GM + _t(GM))
+    dk = np.diagonal(GK, axis1=1, axis2=2)
+    zero = np.diagonal(GM, axis1=1, axis2=2) == 0.0
+    if zero.any():
+        s, j = np.nonzero(zero)
+        GM[s, j, j] = 1.0
+        GK[s, j, j] = GK.shape[1] * np.abs(dk).max(axis=1)[s] + 1.0
+    Linv = np.linalg.inv(np.linalg.cholesky(GM))
+    H = Linv @ GK @ _t(Linv)
+    theta, U = np.linalg.eigh(0.5 * (H + _t(H)))
+    return theta[:, :count], _t(Linv) @ U[:, :, :count]
+
+
+def _lobpcg(pencils, X, count, tol, maxiter):
+    """Batched LOBPCG (Knyazev 2001) from the M-orthonormal start rows X.
+
+    Each point's search basis is [x, P r, p]: its Ritz vectors, their
+    preconditioned residuals and the previous step's search directions,
+    P r and p projected M-orthogonal to x and orthonormalized by SVQB,
+    twice over.  A point stops when each of its b = X.shape[1] >= count
+    Ritz pairs meets ||K x - lam M x|| <= tol |lam| ||M x||, and leaves
+    the active set; the first count pairs are returned, as (values
+    (S, count), vectors (S, count, N)).
+    """
+    S, b = X.shape[:2]
+    values = np.empty((S, count))
+    vectors = np.empty((S, count, X.shape[2]))
+    active = np.arange(S)
+    KX, MX = pencils.stiffness(X), pencils.mass(X)
+    lam, coef = _rayleigh_ritz(X, KX, MX, b)
+    X = _t(coef) @ X
+    P = None
+    for it in range(maxiter + 1):
+        KX, MX = pencils.stiffness(X), pencils.mass(X)
+        R = KX - lam[:, :, None] * MX
+        done = np.all(np.linalg.norm(R, axis=2) <= tol * np.abs(lam)
+                      * np.linalg.norm(MX, axis=2), axis=1)
+        if done.any():
+            values[active[done]] = lam[done, :count]
+            vectors[active[done]] = X[done, :count]
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                return values, vectors
+            pencils.take(keep)
+            X, KX, MX, R, lam = X[keep], KX[keep], MX[keep], R[keep], \
+                lam[keep]
+            if P is not None:
+                P = P[keep]
+        if it == maxiter:
+            break
+        W = pencils.precondition(R)
+        C = W if P is None else np.concatenate([W, P], axis=1)
+        for _ in range(2):
+            # the projection leaves an error of roundoff times the norm
+            # before it, which SVQB scales up with the rest: the second
+            # pass removes what the first one magnified
+            before = np.linalg.norm(C, axis=2)
+            C = C - (C @ _t(MX)) @ X
+            C *= (np.linalg.norm(C, axis=2) > _KEPT * before)[:, :, None]
+            C, MC = _svqb(C, pencils.mass(C))
+        B = np.concatenate([X, C], axis=1)
+        lam, coef = _rayleigh_ritz(
+            B, np.concatenate([KX, pencils.stiffness(C)], axis=1),
+            np.concatenate([MX, MC], axis=1), b)
+        X = _t(coef) @ B
+        P = _t(coef[:, b:]) @ C
+    raise PointwiseStallError(
+        f"pointwise eigensolver: {active.size} of {S} points missed the "
+        f"relative residual {tol:.1e} after {maxiter} iterations")
+
+
+def _block_size(op, count):
+    """Block size for the `count` smallest eigenpairs anywhere in the box.
+
+    a_lo K_0 <= K(y) <= a_hi K_0 (`op.ellipticity`) puts the k-th
+    eigenvalue of the pencil within [a_lo, a_hi] times the k-th mean
+    eigenvalue.  The block carries every mean mode that could move below
+    the count-th one: a cluster is never cut, and a mode that couples to
+    the start only at second order (each term keeps one of the two 1D
+    indices of a mean mode) is not missed.
+    """
+    lo, hi = op.ellipticity
+    lam = op.mean_eigenbasis[0]
+    mean = np.sort(lam[:, None] + lam[None, :], axis=None)
+    return int(np.searchsorted(mean, mean[count - 1] * hi / lo, "right"))
+
+
+def _chunks(op, Y, block):
+    """(start, stop) of the chunks solved together with this block size."""
+    size = max(1, _CHUNK_ENTRIES // (3 * block * op.ndof))
+    return [(a, min(a + size, len(Y))) for a in range(0, len(Y), size)]
+
+
+def pointwise_eigenpairs(op, Y, count=1, tol=1e-10, maxiter=100):
+    """The `count` smallest eigenpairs of (K(y), M) at every row y of Y.
+
+    Y is (S, d) with d <= op.nterms (short rows padded with zeros).  The
+    points are solved in chunks by batched LOBPCG on the 1D factors,
+    started from the exact mean eigenvectors and preconditioned by the
+    mean problem's fast diagonalization; each point stops on its own
+    residual test ||K x - lam M x|| <= tol |lam| ||M x||.  Returns
+    (values (S, count) ascending, vectors (S, N, count)) with M-orthonormal
+    columns, signed by `fix_signs`.  Raises PointwiseStallError if a point
+    misses the tolerance within maxiter iterations.
+    """
+    if not 1 <= count <= op.ndof:
         raise ValueError("count out of range")
-    b = min(count + max(guard, 0), n)
-    lu = spla.splu(sp.csc_matrix(K))
-    rng = np.random.default_rng(seed)
-    if start is None:
-        X = rng.standard_normal((n, b))
-    else:
-        X = np.array(start, dtype=float).reshape(n, -1)
-        if X.shape[1] < b:
-            X = np.hstack([X, rng.standard_normal((n, b - X.shape[1]))])
-    X = _orthonormalize(X, M)
-    for _ in range(maxiter):
-        X = lu.solve(M @ X)
-        X = _orthonormalize(X, M)
-        A = X.T @ (K @ X)
-        A = 0.5 * (A + A.T)
-        vals, S = np.linalg.eigh(A)
-        X = X @ S
-        Xc = X[:, :count]
-        R = K @ Xc - (M @ Xc) * vals[None, :count]
-        scale = np.abs(vals[:count]) * np.linalg.norm(M @ Xc, axis=0)
-        if np.all(np.linalg.norm(R, axis=0) <= tol * scale):
-            return vals[:count].copy(), fix_signs(Xc)
-    raise RuntimeError(f"block inverse iteration stalled after {maxiter} "
-                       f"sweeps (tol {tol:.1e})")
+    Y = np.asarray(Y, dtype=float)
+    values = np.empty((len(Y), count))
+    vectors = np.empty((len(Y), op.ndof, count))
+    block = _block_size(op, count)
+    start = op.mean_eigenpairs(block)[1].T
+    for a, b in _chunks(op, Y, block):
+        vals, X = _lobpcg(_Pencils(op, Y[a:b]),
+                          np.repeat(start[None], b - a, axis=0), count, tol,
+                          maxiter)
+        values[a:b] = vals
+        vectors[a:b] = fix_signs(_t(X))
+    return values, vectors
 
 
 def expansion_statistics(coeffs):
@@ -100,49 +274,31 @@ def expansion_statistics(coeffs):
     return coeffs[0].copy(), np.sum(coeffs[1:] ** 2, axis=0)
 
 
-def _single_pair_warm(Kdata_matrix, M, x0, tol=1e-11, maxiter=100):
-    """Smallest eigenpair via inverse iteration warm-started at x0."""
-    lu = spla.splu(sp.csc_matrix(Kdata_matrix))
-    x = x0 / np.sqrt(x0 @ (M @ x0))
-    lam = x @ (Kdata_matrix @ x)
-    for _ in range(maxiter):
-        x = lu.solve(M @ x)
-        x /= np.sqrt(x @ (M @ x))
-        lam_new = x @ (Kdata_matrix @ x)
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            return lam_new, x
-        lam = lam_new
-    raise RuntimeError("pointwise inverse iteration stalled")
-
-
 def monte_carlo_statistics(op, nsamples=10000, seed=1234, tol=1e-11):
     """Monte Carlo statistics of the smallest eigenpair over the box.
 
-    Samples the parameter uniformly, solves each pointwise eigenproblem by
-    warm-started inverse iteration (the factorization reuses the shared
-    sparsity pattern of the operator family), and accumulates mean and
-    variance of the eigenvalue together with their standard errors, plus
-    the running mean and variance fields of the sign-aligned eigenvector.
+    Samples the parameter uniformly, solves the pointwise eigenproblems in
+    chunks with `pointwise_eigenpairs`, aligns each eigenvector's sign with
+    the mean problem's ground mode by mass overlap, and accumulates mean
+    and variance of the eigenvalue together with their standard errors,
+    plus the mean and variance fields of the eigenvector.
 
     Returns a dict with keys eigenvalue_mean, eigenvalue_var, se_mean,
     se_var, vector_mean, vector_var, nsamples.
     """
-    rng = np.random.default_rng(seed)
-    M = op.mass
-    lam0, x = _single_pair_warm(op.matrix_at(np.zeros(op.nterms)), M,
-                                np.ones(op.ndof), tol)
-    x = fix_signs(x[:, None])[:, 0]
+    Y = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                             (nsamples, op.nterms))
+    ground = op.mass @ op.mean_eigenpairs(1)[1][:, 0]
     lams = np.empty(nsamples)
     vsum = np.zeros(op.ndof)
     vsq = np.zeros(op.ndof)
-    for i in range(nsamples):
-        y = rng.uniform(-1.0, 1.0, op.nterms)
-        lam, v = _single_pair_warm(op.matrix_at(y), M, x, tol)
-        if v @ (M @ x) < 0.0:
-            v = -v
-        lams[i] = lam
-        vsum += v
-        vsq += v * v
+    for a, b in _chunks(op, Y, _block_size(op, 1)):
+        vals, vecs = pointwise_eigenpairs(op, Y[a:b], 1, tol)
+        V = vecs[:, :, 0]
+        V *= np.where(V @ ground < 0.0, -1.0, 1.0)[:, None]
+        lams[a:b] = vals[:, 0]
+        vsum += V.sum(axis=0)
+        vsq += (V * V).sum(axis=0)
     mean = float(lams.mean())
     var = float(lams.var(ddof=1))
     centred = lams - mean
@@ -171,22 +327,30 @@ def pointwise_error(op, aset, U, mu, y, tol=1e-12):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     uy = evaluate_expansion(U, aset, y)
     muy = float(evaluate_expansion(np.asarray(mu), aset, y))
-    K = op.matrix_at(y[:op.nterms])
-    M = op.mass
-    lam, v = smallest_eigenpairs(K, M, 1, tol=tol)
-    v = v[:, 0]
-    if v @ (M @ uy) < 0.0:
+    Y = y[None, :op.nterms]
+    lam, V = pointwise_eigenpairs(op, Y, 1, tol=tol)
+    lam, v = float(lam[0, 0]), V[0, :, 0]
+    pencils = _Pencils(op, Y)
+    Kuy = pencils.stiffness(uy[None, None])[0, 0]
+    Muy = pencils.mass(uy[None, None])[0, 0]
+    if v @ Muy < 0.0:
         v = -v
-    norm_u = float(np.sqrt(uy @ (M @ uy)))
-    resid = K @ uy - muy * (M @ uy)
+    d = uy - v
     return {
-        "eigenvalue_ref": float(lam[0]),
-        "eigenvalue_error": abs(muy - float(lam[0])),
-        "vector_error": float(np.sqrt(max((uy - v) @ (M @ (uy - v)), 0.0))),
-        "residual": float(np.linalg.norm(resid) / (abs(muy)
-                                                   * np.linalg.norm(M @ uy))),
-        "normalization_error": abs(norm_u - 1.0),
+        "eigenvalue_ref": lam,
+        "eigenvalue_error": abs(muy - lam),
+        "vector_error": float(np.sqrt(max(d @ (op.mass @ d), 0.0))),
+        "residual": float(np.linalg.norm(Kuy - muy * Muy)
+                          / (abs(muy) * np.linalg.norm(Muy))),
+        "normalization_error": abs(float(np.sqrt(uy @ Muy)) - 1.0),
     }
+
+
+def _mass_apply(M, B):
+    """M applied to every column of a stack B (..., N, q)."""
+    cols = np.moveaxis(B, -2, 0)
+    return np.moveaxis((M @ cols.reshape(len(cols), -1))
+                       .reshape(cols.shape), 0, -2)
 
 
 def subspace_angle(B1, B2, M):
@@ -194,12 +358,22 @@ def subspace_angle(B1, B2, M):
 
     1 means identical subspaces, 0 means some direction of one span is
     M-orthogonal to all of the other.  Insensitive to basis choice and to
-    signs.  Values are clipped to [0, 1] against roundoff.
+    signs.  B1 and B2 are (N, q) bases or stacks (..., N, q) of them,
+    compared pairwise with broadcasting; values are clipped to [0, 1]
+    against roundoff.  With Gram matrices G_ab = B_a' M B_b and their
+    Cholesky factors L_a, the alignment is |det G_12| / (det L_1 det L_2).
     """
-    Q1 = _orthonormalize(np.asarray(B1, dtype=float), M)
-    Q2 = _orthonormalize(np.asarray(B2, dtype=float), M)
-    theta = abs(float(np.linalg.det(Q1.T @ (M @ Q2))))
-    return min(theta, 1.0)
+    B1 = np.asarray(B1, dtype=float)
+    B2 = np.asarray(B2, dtype=float)
+    MB2 = _mass_apply(M, B2)
+
+    def root_det(B, MB):
+        L = np.linalg.cholesky(_t(B) @ MB)
+        return np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
+
+    theta = np.abs(np.linalg.det(_t(B1) @ MB2)) / (
+        root_det(B1, _mass_apply(M, B1)) * root_det(B2, MB2))
+    return np.minimum(theta, 1.0)
 
 
 def angle_statistics(op, aset, snapshots, npoints=256, seed=777, tol=1e-11):
@@ -213,20 +387,17 @@ def angle_statistics(op, aset, snapshots, npoints=256, seed=777, tol=1e-11):
     """
     from .legendre import basis_matrix
 
-    snaps = [np.asarray(S, dtype=float) for S in snapshots]
-    q = snaps[0].shape[2]
+    P, N, q = np.shape(snapshots[0])
     mdim = max(aset.max_dimension, 1)
     sampler = qmc.Sobol(d=mdim, scramble=True, seed=seed)
     Y = 2.0 * sampler.random(npoints) - 1.0
+    _, V = pointwise_eigenpairs(op, Y[:, :op.nterms], q, tol=tol)
     Phi = basis_matrix(aset, Y)
-    M = op.mass
-    thetas = np.empty((len(snaps), npoints))
-    for j, y in enumerate(Y):
-        _, V = smallest_eigenpairs(op.matrix_at(y[:op.nterms]), M, q,
-                                   tol=tol)
-        for i, S in enumerate(snaps):
-            By = np.stack([Phi[j] @ S[:, :, L] for L in range(q)], axis=1)
-            thetas[i, j] = subspace_angle(By, V, M)
+    # one snapshot's basis at every point at a time, (npoints, N, q): all
+    # snapshots at once would hold them all, several times over
+    thetas = np.array([
+        subspace_angle((Phi @ np.reshape(S, (P, N * q))).reshape(-1, N, q),
+                       V, op.mass) for S in snapshots])
     return thetas.mean(axis=1), thetas.var(axis=1)
 
 
@@ -239,16 +410,12 @@ def overlap_permutation(op, ya, yb, which=(1, 2), tol=1e-11):
     eigenvalue crossing shows up.  Returns (permutation, values_a,
     values_b).
     """
-    count = max(which) + 1
-    M = op.mass
-    la, Va = smallest_eigenpairs(op.matrix_at(np.asarray(ya, dtype=float)),
-                                 M, count, tol=tol)
-    lb, Vb = smallest_eigenpairs(op.matrix_at(np.asarray(yb, dtype=float)),
-                                 M, count, tol=tol)
     sel = list(which)
-    O = np.abs(Va[:, sel].T @ (M @ Vb[:, sel]))
-    perm = np.argmax(O, axis=1)
-    return perm, la[sel], lb[sel]
+    vals, V = pointwise_eigenpairs(op, np.array([ya, yb], dtype=float),
+                                   max(which) + 1, tol=tol)
+    Va, Vb = V[:, :, sel]
+    O = np.abs(Va.T @ (op.mass @ Vb))
+    return np.argmax(O, axis=1), vals[0, sel], vals[1, sel]
 
 
 def coefficient_decay(aset, coeffs, M=None):

@@ -2,9 +2,10 @@
 
 These deliberately avoid the package's own evaluation routines: Legendre
 values come from numpy.polynomial.legendre.legval, eigenpairs from dense
-scipy eigensolvers, Kronecker applications from explicit materialization,
-and the FEM matrices from a 2D quadrature assembly per term, not from the
-1D factors the package keeps.
+scipy eigensolvers or from block inverse iteration on a sparse LU,
+Kronecker applications from explicit materialization, and the FEM
+matrices from a 2D quadrature assembly per term, or from explicit sparse
+Kronecker products of the 1D factors the package keeps.
 The two construction oracles at the end are slow reference algorithms
 instead: an index set found by squaring eps until it overshoots, and a
 triple tensor found by scanning every index pair.
@@ -16,10 +17,12 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from chaoseig.fem import _cell_rule_1d
 from chaoseig.legendre import univariate_triple
 from chaoseig.multiindex import dense_exponents, generate_index_set
+from chaoseig.validation import fix_signs
 
 
 def legval_normalized(p, x):
@@ -99,6 +102,78 @@ def dense_generalized_eigenpairs(K, M, Q):
     Md = np.asarray(sp.csr_matrix(M).todense())
     vals, vecs = scipy.linalg.eigh(Kd, Md)
     return vals[:Q], vecs[:, :Q]
+
+
+def _orthonormalize(X, M):
+    """M-orthonormalize columns via Cholesky of the Gram matrix."""
+    G = X.T @ (M @ X)
+    L = np.linalg.cholesky(G)
+    return np.linalg.solve(L, X.T).T
+
+
+def smallest_eigenpairs(K, M, count=1, tol=1e-10, maxiter=200, seed=12345,
+                        start=None, guard=2):
+    """Smallest eigenpairs of the pencil (K, M) on sparse matrices.
+
+    Block inverse iteration with Rayleigh-Ritz extraction: factor K once
+    (sparse LU), then repeatedly apply K^{-1} M to an M-orthonormal block
+    and rotate by the small projected eigenproblem.  The block carries
+    `guard` extra vectors so a (near-)degenerate cluster at position
+    `count` cannot stall the rate; convergence is tested on the requested
+    columns only.  Deterministic: the random start is seeded (or supplied).
+    Returns (values, vectors) with M-orthonormal columns, signed by
+    `fix_signs`, values ascending.
+    """
+    n = K.shape[0]
+    if not 1 <= count <= n:
+        raise ValueError("count out of range")
+    b = min(count + max(guard, 0), n)
+    lu = spla.splu(sp.csc_matrix(K))
+    rng = np.random.default_rng(seed)
+    if start is None:
+        X = rng.standard_normal((n, b))
+    else:
+        X = np.array(start, dtype=float).reshape(n, -1)
+        if X.shape[1] < b:
+            X = np.hstack([X, rng.standard_normal((n, b - X.shape[1]))])
+    X = _orthonormalize(X, M)
+    for _ in range(maxiter):
+        X = lu.solve(M @ X)
+        X = _orthonormalize(X, M)
+        A = X.T @ (K @ X)
+        A = 0.5 * (A + A.T)
+        vals, S = np.linalg.eigh(A)
+        X = X @ S
+        Xc = X[:, :count]
+        R = K @ Xc - (M @ Xc) * vals[None, :count]
+        scale = np.abs(vals[:count]) * np.linalg.norm(M @ Xc, axis=0)
+        if np.all(np.linalg.norm(R, axis=0) <= tol * scale):
+            return vals[:count].copy(), fix_signs(Xc)
+    raise RuntimeError(f"block inverse iteration stalled after {maxiter} "
+                       f"sweeps (tol {tol:.1e})")
+
+
+def matrix_at(op, y=()):
+    """Pointwise stiffness K(y) of a ParametricOperator as a sparse matrix,
+    for y in [-1,1]^nterms (short y padded with zeros; by default K_0).
+
+    Explicit sparse Kronecker products of the 1D factor sums:
+    K(y) = M (x) R_A + A (x) R_M + L_M (x) A + L_A (x) M, where (R_M, R_A)
+    sums y_m (M_m, A_m) over the terms along x_1 (K_0 included, y_0 = 1)
+    and (L_M, L_A) over the terms along x_2.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.size > op.nterms:
+        raise ValueError(f"point has {y.size} dims, operator has "
+                         f"{op.nterms} terms")
+    w = np.zeros(op.nterms + 1)
+    w[0] = 1.0
+    w[1:y.size + 1] = y
+    R_M, R_A = np.tensordot(w * (op.axes == 0), op.factors, axes=1)
+    L_M, L_A = np.tensordot(w * (op.axes == 1), op.factors, axes=1)
+    M, A = op.factors[0]
+    return sum(sp.kron(L, R, format="csr") for L, R in
+               ((M, R_A), (A, R_M), (L_M, A), (L_A, M)))
 
 
 def quadrature(mesh, nquad=None):

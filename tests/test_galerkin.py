@@ -33,6 +33,7 @@ from oracles import (
     assemble_terms,
     dense_generalized_eigenpairs,
     materialize_kronecker,
+    matrix_at,
     tensor_grid,
     triple_tensor_dense,
 )
@@ -143,7 +144,7 @@ class TestKroneckerOperator:
         op = sys.operator()
         rng = np.random.default_rng(25)
         V = random_block(sys, rng)
-        want = (sys.fem_op.matrix_at([]) @ V.T).T
+        want = (matrix_at(sys.fem_op) @ V.T).T
         np.testing.assert_allclose(op.apply(V), want, rtol=1e-14)
 
     def test_rejects_wrong_shape(self):
@@ -254,7 +255,7 @@ class TestPcgSolve:
         # regression bound: the mean-based preconditioner keeps the count
         # small even with 113 active dimensions truncated to the set
         sys = build_system(n=8, order=2, size=31)
-        _, v = dense_generalized_eigenpairs(sys.fem_op.matrix_at([]),
+        _, v = dense_generalized_eigenpairs(matrix_at(sys.fem_op),
                                             sys.mass, 1)
         v = v[:, 0]
         v /= np.sqrt(v @ (sys.mass @ v))

@@ -4,8 +4,9 @@ The numpy and scipy wheels each bundle their own OpenBLAS with its own
 thread pool; alternating between them inside a loop makes the two pools
 compete for the cores.  With the dense scipy.linalg routines made to
 raise, every per-sweep, per-point and per-iteration path must still run.
-Set-up that runs once per system (the mean preconditioner's generalized
-eigenproblem) is built before they are disabled.
+Set-up that runs once per operator (the 1D mean eigenbasis behind the
+mean preconditioner and the pointwise eigensolver) is built before they
+are disabled.
 """
 
 import numpy as np
@@ -16,8 +17,10 @@ from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.subspace_iteration import run_subspace_iteration
 from chaoseig.validation import (
     angle_statistics,
+    monte_carlo_statistics,
+    overlap_permutation,
+    pointwise_eigenpairs,
     pointwise_error,
-    smallest_eigenpairs,
 )
 
 DISABLED = ("lu_factor", "lu_solve", "solve", "cholesky", "solve_triangular",
@@ -39,10 +42,14 @@ def test_loops_avoid_scipy_linalg(monkeypatch):
                                  store_snapshots=True)
     assert len(sub.history) == 2
     op = sys.fem_op
-    vals, vecs = smallest_eigenpairs(op.matrix_at([]), op.mass, 2)
-    assert vals[0] < vals[1] and vecs.shape == (op.ndof, 2)
+    vals, vecs = pointwise_eigenpairs(op, np.zeros((1, op.nterms)), 2)
+    assert vals[0, 0] < vals[0, 1] and vecs.shape == (1, op.ndof, 2)
     rep = pointwise_error(op, sys.aset, inv.U, inv.eigenvalue,
                           np.zeros(sys.aset.max_dimension))
     assert rep["residual"] < 1.0
     mean, _ = angle_statistics(op, sys.aset, sub.snapshots, npoints=4)
     assert mean.shape == (3,)
+    mc = monte_carlo_statistics(op, nsamples=8, seed=3)
+    assert mc["eigenvalue_mean"] > 0.0
+    perm, _, _ = overlap_permutation(op, [-1.0], [1.0], which=(1, 2))
+    assert sorted(perm) == [0, 1]

@@ -1,46 +1,129 @@
 """Reference-solver checks: dense eigensolves, quadrature statistics.
 
-The block inverse iteration is itself an oracle for the chaos modules, so
-it gets cross-validated here against scipy's dense generalized eigensolver
-and against tensor-quadrature statistics on small meshes.
+The pointwise solvers are themselves oracles for the chaos modules, so
+they get cross-validated here: the batched eigensolver of `validation`
+against scipy's dense generalized eigensolver and the sparse-LU block
+inverse iteration of `oracles`, that one against the dense solver too,
+and Monte Carlo against tensor-quadrature statistics on small meshes.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chaoseig import validation
 from chaoseig.fem import build_mesh, build_parametric_operator
-from chaoseig.galerkin import MeanPreconditioner
 from chaoseig.multiindex import generate_index_set_by_size
 from chaoseig.validation import (
+    PointwiseStallError,
     angle_statistics,
     coefficient_decay,
     expansion_statistics,
     fix_signs,
     monte_carlo_statistics,
     overlap_permutation,
+    pointwise_eigenpairs,
     pointwise_error,
-    smallest_eigenpairs,
     subspace_angle,
 )
 from oracles import (
     assemble_mass,
     assemble_stiffness,
     dense_generalized_eigenpairs,
+    matrix_at,
+    smallest_eigenpairs,
 )
 
 
+@functools.lru_cache(maxsize=None)
 def operator(n, order, nterms=4):
     return build_parametric_operator(build_mesh(n, order), nterms=nterms)
+
+
+def assert_sign_convention(X):
+    """The first entry of (near-)largest magnitude of each column is
+    positive."""
+    for j in range(X.shape[1]):
+        mags = np.abs(X[:, j])
+        assert X[np.flatnonzero(mags >= (1 - 1e-8) * mags.max())[0], j] > 0.0
+
+
+class TestPointwiseEigenpairs:
+    @settings(max_examples=100, deadline=None)
+    @given(mesh=st.sampled_from([(3, 1), (4, 1), (2, 2), (3, 2), (4, 2)]),
+           count=st.integers(1, 3),
+           y=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    def test_matches_dense_oracle(self, mesh, count, y):
+        op = operator(*mesh)
+        vals, V = pointwise_eigenpairs(op, [y], count)
+        dvals, dvecs = dense_generalized_eigenpairs(matrix_at(op, y),
+                                                    op.mass, count + 1)
+        np.testing.assert_allclose(vals[0], dvals[:count], rtol=1e-12)
+        M = op.mass
+        np.testing.assert_allclose(V[0].T @ (M @ V[0]), np.eye(count),
+                                   atol=1e-12)
+        # the span is defined where the spectrum has a gap after `count`
+        if dvals[count] - dvals[count - 1] > 1e-3 * dvals[count]:
+            assert subspace_angle(V[0], dvecs[:, :count], M) \
+                >= 1.0 - 1e-12
+        assert_sign_convention(V[0])
+
+    def test_degenerate_cluster_at_origin(self):
+        # positions 1 and 2 are an exactly degenerate pair at y = 0: the
+        # vectors inside it are basis-dependent, the span is not
+        op = operator(8, 2)
+        K, M = matrix_at(op), op.mass
+        dvals, dvecs = dense_generalized_eigenpairs(K, M, 3)
+        for count in (2, 3):
+            vals, V = pointwise_eigenpairs(op, np.zeros((1, 4)), count)
+            np.testing.assert_allclose(vals[0], dvals[:count], rtol=1e-12)
+            X = V[0]
+            assert subspace_angle(X[:, :1], dvecs[:, :1], M) >= 1.0 - 1e-12
+            # each vector past the ground mode lies in the degenerate pair
+            inside = dvecs[:, 1:] @ (dvecs[:, 1:].T @ (M @ X[:, 1:]))
+            assert np.abs(inside - X[:, 1:]).max() <= 1e-9
+        assert subspace_angle(X[:, 1:], dvecs[:, 1:], M) >= 1.0 - 1e-12
+
+    def test_chunks_give_the_pointwise_values(self, monkeypatch):
+        # a budget of 3 points per chunk for one vector at N = 49
+        op = operator(4, 2)
+        monkeypatch.setattr(validation, "_CHUNK_ENTRIES", 3 * 3 * op.ndof)
+        assert len(validation._chunks(op, np.zeros((10, 4)), 1)) == 4
+        Y = np.random.default_rng(8).uniform(-1.0, 1.0, (10, 4))
+        vals, V = pointwise_eigenpairs(op, Y, 1)
+        for s, y in enumerate(Y):
+            one, W = pointwise_eigenpairs(op, y[None], 1)
+            np.testing.assert_allclose(vals[s], one[0], rtol=1e-13)
+            np.testing.assert_allclose(V[s], W[0], atol=1e-9)
+
+    def test_short_points_are_padded(self):
+        op = operator(4, 1)
+        a, _ = pointwise_eigenpairs(op, [[0.5, -0.25]], 2)
+        b, _ = pointwise_eigenpairs(op, [[0.5, -0.25, 0.0, 0.0]], 2)
+        np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError, match="points"):
+            pointwise_eigenpairs(op, np.zeros((1, 5)), 1)
+        with pytest.raises(ValueError, match="count"):
+            pointwise_eigenpairs(op, np.zeros((1, 4)), 0)
+
+    def test_stall_raises_named_error(self):
+        op = operator(8, 2)
+        Y = np.full((2, 4), 0.9)
+        with pytest.raises(PointwiseStallError, match="2 of 2 points"):
+            pointwise_eigenpairs(op, Y, 1, tol=1e-12, maxiter=1)
+        assert issubclass(PointwiseStallError, RuntimeError)
 
 
 class TestSmallestEigenpairs:
     def test_agrees_with_dense_eigh(self):
         op = operator(4, 2, nterms=0)  # N = 49
-        vals, vecs = smallest_eigenpairs(op.matrix_at([]), op.mass, 4,
+        vals, vecs = smallest_eigenpairs(matrix_at(op), op.mass, 4,
                                          tol=1e-12)
-        dvals, dvecs = dense_generalized_eigenpairs(op.matrix_at([]),
+        dvals, dvecs = dense_generalized_eigenpairs(matrix_at(op),
                                                     op.mass, 4)
         np.testing.assert_allclose(vals, dvals, rtol=1e-10)
         dvecs = fix_signs(dvecs)
@@ -59,7 +142,7 @@ class TestSmallestEigenpairs:
         M = op.mass
         for _ in range(40):
             y = rng.uniform(-1.0, 1.0, op.nterms)
-            K = op.matrix_at(y)
+            K = matrix_at(op, y)
             vals, X = smallest_eigenpairs(K, M, 3, tol=1e-10)
             np.testing.assert_allclose(X.T @ (M @ X), np.eye(3), atol=1e-9)
             assert np.all(np.diff(vals) >= 0.0)
@@ -68,23 +151,19 @@ class TestSmallestEigenpairs:
 
     def test_deterministic_given_seed(self):
         op = operator(4, 1, nterms=0)
-        v1 = smallest_eigenpairs(op.matrix_at([]), op.mass, 2)
-        v2 = smallest_eigenpairs(op.matrix_at([]), op.mass, 2)
+        v1 = smallest_eigenpairs(matrix_at(op), op.mass, 2)
+        v2 = smallest_eigenpairs(matrix_at(op), op.mass, 2)
         np.testing.assert_array_equal(v1[1], v2[1])
 
     def test_sign_convention(self):
         op = operator(4, 2, nterms=0)
-        _, X = smallest_eigenpairs(op.matrix_at([]), op.mass, 3)
-        for j in range(3):
-            # the first entry of (near-)largest magnitude is positive
-            mags = np.abs(X[:, j])
-            assert X[np.flatnonzero(mags >= (1 - 1e-8) * mags.max())[0],
-                     j] > 0.0
+        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 3)
+        assert_sign_convention(X)
 
     def test_count_validation(self):
         op = operator(2, 1, nterms=0)
         with pytest.raises(ValueError, match="count"):
-            smallest_eigenpairs(op.matrix_at([]), op.mass, 0)
+            smallest_eigenpairs(matrix_at(op), op.mass, 0)
 
 
 class TestExpansionStatistics:
@@ -111,12 +190,12 @@ class TestMonteCarlo:
         w = w / 2.0
         vals = []
         wts = []
-        from chaoseig.validation import _single_pair_warm
+        # quadrature nodes solved by the independent sparse-LU oracle
         for combo in itertools.product(range(5), repeat=4):
             y = np.array([x[c] for c in combo])
-            lam, _ = _single_pair_warm(op.matrix_at(y), op.mass,
-                                       np.ones(op.ndof))
-            vals.append(lam)
+            lam, _ = smallest_eigenpairs(matrix_at(op, y), op.mass, 1,
+                                         tol=1e-11)
+            vals.append(lam[0])
             wts.append(np.prod([w[c] for c in combo]))
         vals = np.array(vals)
         wts = np.array(wts)
@@ -139,7 +218,7 @@ class TestPointwiseError:
     def test_exact_pair_reports_zero(self):
         op = operator(4, 2, nterms=0)
         aset = generate_index_set_by_size(1)
-        lam, v = smallest_eigenpairs(op.matrix_at([]), op.mass, 1, tol=1e-13)
+        lam, v = smallest_eigenpairs(matrix_at(op), op.mass, 1, tol=1e-13)
         U = v.T.copy()
         mu = np.array([lam[0]])
         rep = pointwise_error(op, aset, U, mu, np.zeros(1))
@@ -152,7 +231,7 @@ class TestPointwiseError:
     def test_perturbed_pair_reports_the_perturbation(self):
         op = operator(4, 2, nterms=0)
         aset = generate_index_set_by_size(1)
-        lam, v = smallest_eigenpairs(op.matrix_at([]), op.mass, 1, tol=1e-13)
+        lam, v = smallest_eigenpairs(matrix_at(op), op.mass, 1, tol=1e-13)
         rep = pointwise_error(op, aset, v.T.copy(),
                               np.array([lam[0] + 1e-3]), np.zeros(1))
         np.testing.assert_allclose(rep["eigenvalue_error"], 1e-3, rtol=1e-6)
@@ -161,12 +240,12 @@ class TestPointwiseError:
 class TestSubspaceAngle:
     def test_self_alignment_is_one(self):
         op = operator(4, 2, nterms=0)
-        _, X = smallest_eigenpairs(op.matrix_at([]), op.mass, 3)
+        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 3)
         assert subspace_angle(X, X, op.mass) == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_remixing(self):
         op = operator(4, 2, nterms=0)
-        _, X = smallest_eigenpairs(op.matrix_at([]), op.mass, 3)
+        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 3)
         rng = np.random.default_rng(31)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         A = rng.standard_normal((op.ndof, 3))
@@ -176,17 +255,29 @@ class TestSubspaceAngle:
 
     def test_orthogonal_spans_score_zero(self):
         op = operator(4, 2, nterms=0)
-        _, X = smallest_eigenpairs(op.matrix_at([]), op.mass, 4)
+        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 4)
         assert subspace_angle(X[:, :2], X[:, 2:], op.mass) <= 1e-12
         # one shared direction is not enough: the determinant still vanishes
         assert subspace_angle(X[:, :2], X[:, 1:3], op.mass) <= 1e-10
+
+    def test_stacks_compare_pairwise(self):
+        op = operator(4, 2, nterms=0)
+        rng = np.random.default_rng(33)
+        B1 = rng.standard_normal((3, 2, op.ndof, 2))
+        B2 = rng.standard_normal((2, op.ndof, 2))
+        theta = subspace_angle(B1, B2, op.mass)
+        assert theta.shape == (3, 2)
+        for i, j in itertools.product(range(3), range(2)):
+            np.testing.assert_allclose(
+                theta[i, j], subspace_angle(B1[i, j], B2[j], op.mass),
+                rtol=1e-13)
 
     def test_statistics_rank_aligned_above_random(self):
         # the ground mode is isolated, so its parameter dependence is mild:
         # the unperturbed basis scores near one, a noisy copy scores lower
         op = operator(4, 1)
         aset = generate_index_set_by_size(5)
-        _, X = smallest_eigenpairs(op.matrix_at([]), op.mass, 1)
+        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 1)
         P, N = len(aset), op.ndof
         good = np.zeros((P, N, 1))
         good[0, :, 0] = X[:, 0]
@@ -205,7 +296,7 @@ class TestSubspaceAngle:
         # vectors inside the cluster rotate
         op = operator(4, 1)
         aset = generate_index_set_by_size(5)
-        _, X = smallest_eigenpairs(op.matrix_at([]), op.mass, 3)
+        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 3)
         good = np.zeros((len(aset), op.ndof, 3))
         good[0] = X
         mean, _ = angle_statistics(op, aset, [good], npoints=8, seed=9)
@@ -234,7 +325,7 @@ class TestEigenvalueRatio:
         # the unit-square Dirichlet values 2, 5, 5, 8 (times pi^2)
         mesh = build_mesh(16, 2)
         op = build_parametric_operator(mesh)
-        vals, _ = MeanPreconditioner(*op.factors[0]).eigenpairs(4)
+        vals, _ = op.mean_eigenpairs(4)
         dvals, _ = dense_generalized_eigenpairs(assemble_stiffness(mesh),
                                                 assemble_mass(mesh), 4)
         np.testing.assert_allclose(vals, dvals, rtol=1e-12)
