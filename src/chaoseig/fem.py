@@ -28,8 +28,7 @@ M_m, A_m weighted by the profile of a_m,
 
 where the left Kronecker factor acts on the x_2 (slow) dof index; the mass
 matrix is M (x) M.  With the tensor Gauss rule per cell these are exactly
-the matrices a 2D quadrature assembly would give.  The sparse M is formed
-from the factors on the Kronecker square of the 1D band.
+the matrices a 2D quadrature assembly would give.
 """
 
 from __future__ import annotations
@@ -181,8 +180,8 @@ class ParametricOperator:
 
         K(y) = M (x) R_A + A (x) R_M + L_M (x) A + L_A (x) M.
 
-    `mass` is the sparse M (x) M on the band of the 1D matrices (the node
-    pairs that share a cell).  `ellipticity` = (a_lo, a_hi) bounds the
+    `mass` is the sparse M (x) M, whose pattern is the Kronecker square of
+    the 1D band (the node pairs that share a cell).  `ellipticity` = (a_lo, a_hi) bounds the
     coefficient at the quadrature points for every y in the box, so that
     a_lo K_0 <= K(y) <= a_hi K_0.
     """
@@ -195,23 +194,8 @@ class ParametricOperator:
     mass: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        node = _cell_nodes_1d(self.mesh)
-        shares = np.zeros((node.max() + 1,) * 2, dtype=bool)
-        shares[node[:, :, None], node[:, None, :]] = True
-        rows, cols = np.nonzero(shares[1:-1, 1:-1])
-        # entry (p, r) of the outer product of two band vectors is the
-        # Kronecker entry at (rows[p], rows[r]), (cols[p], cols[r]); sort
-        # those into CSR order
-        side = self.factors.shape[-1]
-        row = (rows[:, None] * side + rows).ravel()
-        col = (cols[:, None] * side + cols).ravel()
-        order = np.lexsort((col, row))
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(row, minlength=self.ndof))])
-        M = self.factors[0, 0, rows, cols]
-        self.mass = sp.csr_matrix(
-            (np.outer(M, M).ravel()[order], col[order].astype(np.int32),
-             indptr.astype(np.int32)), shape=(self.ndof, self.ndof))
+        M = sp.csr_matrix(self.factors[0, 0])  # the band: no zero inside
+        self.mass = sp.kron(M, M, format="csr")
 
     @property
     def ndof(self):
