@@ -181,9 +181,9 @@ class ParametricOperator:
         K(y) = M (x) R_A + A (x) R_M + L_M (x) A + L_A (x) M.
 
     `mass` is the sparse M (x) M, whose pattern is the Kronecker square of
-    the 1D band (the node pairs that share a cell).  `ellipticity` = (a_lo, a_hi) bounds the
-    coefficient at the quadrature points for every y in the box, so that
-    a_lo K_0 <= K(y) <= a_hi K_0.
+    the 1D band (the node pairs that share a cell).  `ellipticity` =
+    (a_lo, a_hi) bounds the coefficient at the quadrature points for every
+    y in the box, so that a_lo K_0 <= K(y) <= a_hi K_0.
     """
 
     mesh: Mesh
