@@ -207,9 +207,9 @@ def _build(cfg, n=None, size=None):
                         varsigma=cfg.varsigma, max_terms=cfg.max_terms)
 
 
-def _aligned_field_error(U, U_ref, mass):
-    sign = 1.0 if tensor_dot(U, U_ref, mass) >= 0.0 else -1.0
-    return tensor_norm(sign * U - U_ref, mass)
+def _aligned_field_error(U, U_ref, fem_op):
+    sign = 1.0 if tensor_dot(U, U_ref, fem_op) >= 0.0 else -1.0
+    return tensor_norm(sign * U - U_ref, fem_op)
 
 
 def _run_spatial(cfg, outdir):
@@ -230,7 +230,7 @@ def _run_spatial(cfg, outdir):
                                     shift=cfg.shift)
         P = prolongation_matrix(sys_n.mesh, ref_sys.mesh)
         U_pro = (P @ res.U.T).T
-        ferr = _aligned_field_error(U_pro, ref.U, ref_sys.mass)
+        ferr = _aligned_field_error(U_pro, ref.U, ref_sys.fem_op)
         merr = float(np.linalg.norm(res.eigenvalue - ref.eigenvalue))
         rows.append([n, sys_n.mesh.h, sys_n.N, len(res.history),
                      res.eigenvalue_mean, ferr, merr,
@@ -255,7 +255,7 @@ def _run_spatial(cfg, outdir):
 
 
 def _decay_rows(cfg, aset, res):
-    frep = coefficient_decay(aset, res.U, M=res.system.mass)
+    frep = coefficient_decay(aset, res.U, res.system.fem_op)
     mrep = coefficient_decay(aset, res.eigenvalue)
     rows = []
     for i in range(len(aset)):
@@ -286,13 +286,13 @@ def _run_stochastic(cfg, outdir):
         if any(p is None for p in positions):
             raise RuntimeError("sweep set is not nested in the reference "
                                "set; refinement monotonicity is broken")
-        sign = 1.0 if float(np.sum(
-            res.U[0] * (ref_sys.mass @ ref.U[0]))) >= 0.0 else -1.0
+        sign = 1.0 if float(np.sum(res.U[0] * ref_sys.fem_op.mass_apply(
+            ref.U[0]))) >= 0.0 else -1.0
         U_embed = ref.U.copy()
         U_embed[positions] = sign * res.U
         mu_embed = ref.eigenvalue.copy()
         mu_embed[positions] = res.eigenvalue
-        ferr = tensor_norm(U_embed - ref.U, ref_sys.mass)
+        ferr = tensor_norm(U_embed - ref.U, ref_sys.fem_op)
         merr = float(np.linalg.norm(mu_embed - ref.eigenvalue))
         rows.append([size, sys_s.aset.eps, sys_s.aset.max_dimension,
                      len(res.history), res.eigenvalue_mean, ferr, merr,
@@ -307,7 +307,7 @@ def _run_stochastic(cfg, outdir):
                _decay_rows(cfg, ref_sys.aset, ref))
     eslope, ese = fit_slope(cards, field_errors)
     mags = coefficient_decay(ref_sys.aset, ref.U,
-                             M=ref_sys.mass)["magnitudes"]
+                             ref_sys.fem_op)["magnitudes"]
     skip = max(1, len(mags) // 4)
     tslope, tse = fit_slope(np.arange(1, len(mags) + 1), mags, skip=skip)
     summary = {
@@ -334,7 +334,7 @@ def _run_iteration(cfg, outdir):
             k + 1, h.increments[k], h.eigenvalue_means[k],
             h.eigenvalue_changes[k],
             abs(h.eigenvalue_means[k] - target.eigenvalue_mean),
-            _aligned_field_error(U_k, target.U, sys_.mass),
+            _aligned_field_error(U_k, target.U, sys_.fem_op),
             int(h.cg_iterations[k]), h.cg_tolerances[k],
             int(h.newton_iterations[k]), cfg.config_hash, __version__])
     _write_csv(outdir / "iteration.csv",
@@ -358,7 +358,7 @@ def _run_decay(cfg, outdir):
                                 shift=cfg.shift)
     _write_csv(outdir / "decay.csv", _DECAY_HEADER,
                _decay_rows(cfg, sys_.aset, res))
-    mags = coefficient_decay(sys_.aset, res.U, M=sys_.mass)["magnitudes"]
+    mags = coefficient_decay(sys_.aset, res.U, sys_.fem_op)["magnitudes"]
     skip = max(1, len(mags) // 4)
     tslope, tse = fit_slope(np.arange(1, len(mags) + 1), mags, skip=skip)
     summary = {"eigenvalue_mean": res.eigenvalue_mean,

@@ -28,7 +28,11 @@ M_m, A_m weighted by the profile of a_m,
 
 where the left Kronecker factor acts on the x_2 (slow) dof index; the mass
 matrix is M (x) M.  With the tensor Gauss rule per cell these are exactly
-the matrices a 2D quadrature assembly would give.
+the matrices a 2D quadrature assembly would give.  No N x N matrix is
+formed: a vector of length N is an (n, n) slice X, x_2 index first, on
+which B (x) C acts as B X C (every factor is symmetric), so the mass maps
+X to M X M and the mean term K_0 = M (x) A + A (x) M is inverted by fast
+diagonalization in the 1D mean eigenbasis.
 """
 
 from __future__ import annotations
@@ -180,8 +184,8 @@ class ParametricOperator:
 
         K(y) = M (x) R_A + A (x) R_M + L_M (x) A + L_A (x) M.
 
-    `mass` is the sparse M (x) M, whose pattern is the Kronecker square of
-    the 1D band (the node pairs that share a cell).  `ellipticity` =
+    `mass_apply` and `mean_solve` act with the mass M (x) M and the inverse
+    of K_0 on the last, length-N axis of an array.  `ellipticity` =
     (a_lo, a_hi) bounds the coefficient at the quadrature points for every
     y in the box, so that a_lo K_0 <= K(y) <= a_hi K_0.
     """
@@ -191,11 +195,6 @@ class ParametricOperator:
     factors: np.ndarray = field(repr=False)
     axes: np.ndarray = field(repr=False)
     ellipticity: tuple
-    mass: sp.csr_matrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        M = sp.csr_matrix(self.factors[0, 0])  # the band: no zero inside
-        self.mass = sp.kron(M, M, format="csr")
 
     @property
     def ndof(self):
@@ -215,6 +214,28 @@ class ParametricOperator:
         """
         M, A = self.factors[0]
         return scipy.linalg.eigh(A, M)
+
+    def mass_apply(self, V):
+        """M (x) M applied along the last axis of V: each (n, n) slice X
+        becomes M X M."""
+        M = self.factors[0, 0]
+        n = len(M)
+        Y = (np.reshape(V, (-1, n)) @ M).reshape(-1, n, n)
+        return np.matmul(M, Y).reshape(np.shape(V))
+
+    def mean_solve(self, R):
+        """K_0^-1 applied along the last axis of R, by fast diagonalization
+        (Lynch, Rice & Thomas 1964): with (lam, Q) = `mean_eigenbasis`,
+        K_0 = (Q (x) Q)^-T (I (x) lam + lam (x) I) (Q (x) Q)^-1, so each
+        (n, n) slice X becomes Q [(Q^T X Q) / (lam_i + lam_j)] Q^T.
+        """
+        lam, Q = self.mean_eigenbasis
+        n = len(Q)
+        Y = (np.reshape(R, (-1, n)) @ Q).reshape(-1, n, n)
+        Z = np.matmul(Q.T, Y)
+        Z /= lam[:, None] + lam[None, :]
+        np.matmul(Z.reshape(-1, n), Q.T, out=Y.reshape(-1, n))
+        return np.matmul(Q, Y, out=Z).reshape(np.shape(R))
 
     def mean_eigenpairs(self, count):
         """The `count` smallest eigenpairs of (K_0, M (x) M): values

@@ -7,12 +7,13 @@ the PN x PN system matrix; the stiffness operator
 
     sum_m  (raise matrix m)  (x)  (stiffness term m)
 
-is applied blockwise, and so is the mean-based preconditioner.  Both run on
-the 1D factors of the separable stiffness terms (see `fem`): each spatial
-block is an (n, n) array acted on by batched small matmuls, term m only
-touches the chaos rows its raise matrix couples, and the mean term is
-inverted by fast diagonalization in the operator's 1D mean eigenbasis.
-The tensor norm pairs the stochastic blocks with the spatial mass matrix:
+is applied blockwise on the 1D factors of the separable stiffness terms
+(see `fem`): each spatial block is an (n, n) array acted on by batched
+small matmuls, and term m only touches the chaos rows its raise matrix
+couples.  The mass and the mean-based preconditioner (the inverse of the
+mean term) are the `fem.ParametricOperator` kernels `mass_apply` and
+`mean_solve`, which act on every row of a block at once.  The tensor norm
+pairs the stochastic blocks with the spatial mass matrix:
 ||V||^2 = sum_a V[a] . M V[a].
 """
 
@@ -33,7 +34,6 @@ __all__ = [
     "NearSingularError",
     "SeparableTerms",
     "KroneckerOperator",
-    "MeanPreconditioner",
     "PcgInfo",
     "pcg_solve",
     "tensor_norm",
@@ -55,14 +55,14 @@ class NearSingularError(RuntimeError):
     normalization expansion is losing pointwise positivity."""
 
 
-def tensor_dot(V, W, M):
+def tensor_dot(V, W, fem_op):
     """Mass-weighted inner product of two (P, N) coefficient blocks."""
-    return float(np.sum(V * (M @ W.T).T))
+    return float(np.sum(V * fem_op.mass_apply(W)))
 
 
-def tensor_norm(V, M):
+def tensor_norm(V, fem_op):
     """Mass-weighted norm of a (P, N) coefficient block."""
-    return float(np.sqrt(max(np.sum(V * (M @ V.T).T), 0.0)))
+    return float(np.sqrt(max(np.sum(V * fem_op.mass_apply(V)), 0.0)))
 
 
 # KroneckerOperator.apply gathers at most this many bytes of (n, n) slices
@@ -189,30 +189,6 @@ class KroneckerOperator:
         return out.reshape(P, self.N)
 
 
-class MeanPreconditioner:
-    """Blockwise inverse of the mean term K_0 = M (x) A + A (x) M by fast
-    diagonalization (Lynch, Rice & Thomas 1964).
-
-    With A Q = M Q diag(lam) and Q^T M Q = I (the operator's
-    `mean_eigenbasis`), K_0 = (Q (x) Q)^-T (I (x) lam + lam (x) I)
-    (Q (x) Q)^-1, so each slice R of a block maps to
-    Q [(Q^T R Q) / (lam_i + lam_j)] Q^T.
-    """
-
-    def __init__(self, lam, Q):
-        self.Q = Q
-        self.denom = lam[:, None] + lam[None, :]
-
-    def apply(self, R):
-        Q = self.Q
-        n = Q.shape[0]
-        Y = (R.reshape(-1, n) @ Q).reshape(-1, n, n)
-        Z = np.matmul(Q.T, Y)
-        Z /= self.denom
-        np.matmul(Z.reshape(-1, n), Q.T, out=Y.reshape(-1, n))
-        return np.matmul(Q, Y, out=Z).reshape(R.shape)
-
-
 @dataclass
 class PcgInfo:
     converged: bool
@@ -225,18 +201,20 @@ def pcg_solve(op: KroneckerOperator, rhs, precond, tol=1e-10, maxiter=500,
               x0=None):
     """Preconditioned conjugate gradients on coefficient blocks.
 
-    Stops when the preconditioner-norm residual sqrt(r.Pr) drops below tol
-    times the same norm of the right-hand side (a fixed target, so warm
-    starts genuinely help).  Raises IndefiniteOperatorError on negative
-    curvature, which signals a bad spectral shift.
+    precond maps a block to its preconditioned block, as the mean solve
+    `system.fem_op.mean_solve` does.  Stops when the preconditioner-norm
+    residual sqrt(r.Pr) drops below tol times the same norm of the
+    right-hand side (a fixed target, so warm starts genuinely help).
+    Raises IndefiniteOperatorError on negative curvature, which signals a
+    bad spectral shift.
     """
     B = np.asarray(rhs, dtype=float)
-    target = np.sqrt(max(np.sum(B * precond.apply(B)), 0.0))
+    target = np.sqrt(max(np.sum(B * precond(B)), 0.0))
     if target == 0.0:
         return np.zeros_like(B), PcgInfo(True, 0, 0.0, np.zeros(1))
     X = np.zeros_like(B) if x0 is None else np.array(x0, dtype=float)
     R = B - op.apply(X) if x0 is not None else B.copy()
-    Z = precond.apply(R)
+    Z = precond(R)
     rz = float(np.sum(R * Z))
     Pdir = Z.copy()
     trace = [np.sqrt(max(rz, 0.0)) / target]
@@ -252,7 +230,7 @@ def pcg_solve(op: KroneckerOperator, rhs, precond, tol=1e-10, maxiter=500,
         alpha = rz / curv
         X += alpha * Pdir
         R -= alpha * Ap
-        Z = precond.apply(R)
+        Z = precond(R)
         rz_new = float(np.sum(R * Z))
         rel = np.sqrt(max(rz_new, 0.0)) / target
         trace.append(rel)
@@ -263,14 +241,14 @@ def pcg_solve(op: KroneckerOperator, rhs, precond, tol=1e-10, maxiter=500,
     return X, PcgInfo(False, maxiter, trace[-1], np.asarray(trace))
 
 
-def weighted_gram(tt: TripleProductTensor, V, W, M):
+def weighted_gram(tt: TripleProductTensor, V, W, fem_op):
     """Chaos coefficients of the mass-weighted product of two expansions.
 
     Component a equals sum_bc E[Lam_a Lam_b Lam_c] * (V[b] . M W[c]): the
     (P, P) spatial Gram matrix is formed once, then contracted against the
     triple tensor row by row.
     """
-    H = V @ (M @ W.T)
+    H = V @ fem_op.mass_apply(W).T
     return tt.contract_gram(H)
 
 
@@ -307,8 +285,8 @@ class DeltaFactor:
         return self.inverse @ np.asarray(rhs, dtype=float)
 
 
-def newton_normalize(tt: TripleProductTensor, V, M, tol=1e-12, maxiter=50,
-                     max_halvings=30):
+def newton_normalize(tt: TripleProductTensor, V, fem_op, tol=1e-12,
+                     maxiter=50, max_halvings=30):
     """Chaos coefficients s of the pointwise norm of an expansion block.
 
     Solves F(s) = 0 where F_a = (s G(a) s) - (V . (G(a) x M) V), starting
@@ -320,7 +298,7 @@ def newton_normalize(tt: TripleProductTensor, V, M, tol=1e-12, maxiter=50,
     Returns (s, residual_history); the history starts with the residual at
     the initial guess.
     """
-    b = weighted_gram(tt, V, V, M)
+    b = weighted_gram(tt, V, V, fem_op)
     scale = b[0]  # = ||V||^2 since the zero-index slice is the identity
     if scale <= 0.0:
         raise ValueError("cannot normalize a zero block")
@@ -362,8 +340,7 @@ class GalerkinSystem:
     """Everything one discretized problem needs: index set, mesh, matrices.
 
     Bundles the parametric FEM operator with the chaos moment structures
-    over one multi-index set, plus the cached separable terms and
-    mean-based preconditioner.
+    over one multi-index set, plus the cached separable terms.
     """
 
     aset: object
@@ -371,15 +348,10 @@ class GalerkinSystem:
     gmats: list
     tt: TripleProductTensor
     _terms: SeparableTerms = field(default=None, repr=False)
-    _mean_prec: MeanPreconditioner = field(default=None, repr=False)
 
     @property
     def mesh(self):
         return self.fem_op.mesh
-
-    @property
-    def mass(self):
-        return self.fem_op.mass
 
     @property
     def P(self):
@@ -398,17 +370,8 @@ class GalerkinSystem:
     def operator(self, shift=0.0):
         return KroneckerOperator(self.terms, shift=shift)
 
-    def mean_preconditioner(self):
-        if self._mean_prec is None:
-            self._mean_prec = MeanPreconditioner(
-                *self.fem_op.mean_eigenbasis)
-        return self._mean_prec
-
-    def mass_apply(self, V):
-        return (self.mass @ V.T).T
-
     def gram(self, V, W):
-        return weighted_gram(self.tt, V, W, self.mass)
+        return weighted_gram(self.tt, V, W, self.fem_op)
 
 
 def build_system(n, order=2, size=None, eps=None, varsigma=3.2, nquad=None,

@@ -113,7 +113,7 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
     at cg_tol_floor, and each solve warm-starts from the previous one.
     """
     U0 = initial_guess(system) if initial is None else \
-        np.array(initial, dtype=float) / tensor_norm(initial, system.mass)
+        np.array(initial, dtype=float) / tensor_norm(initial, system.fem_op)
     B, converged, iterates, (inc, cg_its, cg_tols, newton_its, _, _, mu) = \
         _iterate(system, U0[:, :, None], tol, kmax, store_iterates,
                  cg_tol_floor, cg_tol_factor, shift=shift,
@@ -124,7 +124,7 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
     # U to a positive multiple, so this only fires on pathological starts);
     # stored iterates keep their raw signs
     U = B[:, :, 0]
-    if float(np.sum(U[0] * (system.mass @ U0[0]))) < 0.0:
+    if float(np.sum(U[0] * system.fem_op.mass_apply(U0[0]))) < 0.0:
         U = -U
     history = IterationHistory(
         inc[:, 0], mu[:, 0], np.append(np.nan, np.abs(np.diff(mu[:, 0]))),

@@ -108,14 +108,15 @@ def _orthonormalize(system, columns, newton_tol, breakdown_tol, cond_limit):
     newton_steps = 0
     for W in columns:
         for U_i in done:
-            coeff = weighted_gram(system.tt, W, U_i, system.mass)
+            coeff = weighted_gram(system.tt, W, U_i, system.fem_op)
             W = W - system.tt.multiply_matrix(coeff) @ U_i
-        norm = tensor_norm(W, system.mass)
+        norm = tensor_norm(W, system.fem_op)
         if norm <= breakdown_tol:
             raise SubspaceBreakdownError(
                 f"basis vector collapsed to tensor norm {norm:.3e} during "
                 f"orthogonalization against {len(done)} previous vectors")
-        s, nhist = newton_normalize(system.tt, W, system.mass, tol=newton_tol)
+        s, nhist = newton_normalize(system.tt, W, system.fem_op,
+                                    tol=newton_tol)
         factor = DeltaFactor(system.tt, s, cond_limit=cond_limit)
         if not done:
             inv_s = factor.solve(np.eye(1, system.P)[0])
@@ -140,13 +141,14 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
     """
     q = B.shape[2]
     op = system.operator(shift)
-    prec = system.mean_preconditioner()
+    fem_op = system.fem_op
     solves = []
     cg_counts = []
     for L in range(q):
         x0 = None if warm_starts is None else warm_starts[L]
-        V, info = pcg_solve(op, system.mass_apply(B[:, :, L]), prec,
-                            tol=cg_tol, maxiter=cg_maxiter, x0=x0)
+        V, info = pcg_solve(op, fem_op.mass_apply(B[:, :, L]),
+                            fem_op.mean_solve, tol=cg_tol,
+                            maxiter=cg_maxiter, x0=x0)
         if not info.converged:
             where = f" on basis vector {L}" if q > 1 else ""
             after = "" if q > 1 else f" after {info.iterations} iterations"
@@ -204,7 +206,7 @@ def _iterate(system, B, tol, kmax, store, cg_tol_floor, cg_tol_factor,
             subspace_iterate_once(system, B, cg_tol=cg_tol, warm_starts=warm,
                                   **sweep_args)
         inc = np.array([tensor_norm(B_next[:, :, L] - B[:, :, L],
-                                    system.mass) for L in range(q)])
+                                    system.fem_op) for L in range(q)])
         rows.append((inc, counts, cg_tol, newton_steps, extra, defect,
                      inv_s))
         B = B_next

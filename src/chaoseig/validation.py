@@ -18,7 +18,6 @@ __all__ = [
     "PointwiseStallError",
     "pointwise_eigenpairs",
     "fix_signs",
-    "expansion_statistics",
     "monte_carlo_statistics",
     "pointwise_error",
     "subspace_angle",
@@ -62,13 +61,13 @@ def fix_signs(vecs):
 
 
 class _Pencils:
-    """The pencils (K(y), M) at a batch of points, on (n, n) slices.
+    """The stiffness K(y) at a batch of points, on (n, n) slices.
 
     A vector of length N = n^2 is the slice X with X[i, j] at dof i n + j
     (i along x_2).  With the per-point sums of `fem.ParametricOperator`,
-    K(y) maps X to M X R_A + A X R_M + L_M X A + L_A X M, the mass to
-    M X M, and the mean preconditioner (fast diagonalization) to
-    Q [(Q^T X Q) / (lam_i + lam_j)] Q^T.  Blocks are (points, k, N).
+    K(y) maps X to M X R_A + A X R_M + L_M X A + L_A X M.  Blocks are
+    (points, k, N); the mass and the mean preconditioner, the same at
+    every point, are the operator's `mass_apply` and `mean_solve`.
     """
 
     def __init__(self, op, Y):
@@ -85,8 +84,6 @@ class _Pencils:
         # per point (R_M, R_A, L_M, L_A), each (points, 1, n, n)
         self.sums = np.stack([(w * (op.axes == k)) @ flat for k in (0, 1)],
                              axis=1).reshape(len(Y), 4, 1, n, n)
-        lam, self.Q = op.mean_eigenbasis
-        self.denom = lam[:, None] + lam[None, :]
 
     def take(self, keep):
         """Keep only the points selected by the mask `keep`."""
@@ -101,15 +98,6 @@ class _Pencils:
         R_M, R_A, L_M, L_A = self.sums.transpose(1, 0, 2, 3, 4)
         return ((M @ S) @ R_A + (A @ S) @ R_M + L_M @ (S @ A)
                 + L_A @ (S @ M)).reshape(X.shape)
-
-    def mass(self, X):
-        return (self.M @ self._slices(X) @ self.M).reshape(X.shape)
-
-    def precondition(self, X):
-        Q = self.Q
-        Z = Q.T @ self._slices(X) @ Q
-        Z /= self.denom
-        return (Q @ Z @ Q.T).reshape(X.shape)
 
 
 def _t(X):
@@ -155,7 +143,7 @@ def _rayleigh_ritz(B, KB, MB, count):
     return theta[:, :count], _t(Linv) @ U[:, :, :count]
 
 
-def _lobpcg(pencils, X, count, tol, maxiter):
+def _lobpcg(op, pencils, X, count, tol, maxiter):
     """Batched LOBPCG (Knyazev 2001) from the M-orthonormal start rows X.
 
     Each point's search basis is [x, P r, p]: its Ritz vectors, their
@@ -170,12 +158,12 @@ def _lobpcg(pencils, X, count, tol, maxiter):
     values = np.empty((S, count))
     vectors = np.empty((S, count, X.shape[2]))
     active = np.arange(S)
-    KX, MX = pencils.stiffness(X), pencils.mass(X)
+    KX, MX = pencils.stiffness(X), op.mass_apply(X)
     lam, coef = _rayleigh_ritz(X, KX, MX, b)
     X = _t(coef) @ X
     P = None
     for it in range(maxiter + 1):
-        KX, MX = pencils.stiffness(X), pencils.mass(X)
+        KX, MX = pencils.stiffness(X), op.mass_apply(X)
         R = KX - lam[:, :, None] * MX
         done = np.all(np.linalg.norm(R, axis=2) <= tol * np.abs(lam)
                       * np.linalg.norm(MX, axis=2), axis=1)
@@ -193,7 +181,7 @@ def _lobpcg(pencils, X, count, tol, maxiter):
                 P = P[keep]
         if it == maxiter:
             break
-        W = pencils.precondition(R)
+        W = op.mean_solve(R)
         C = W if P is None else np.concatenate([W, P], axis=1)
         for _ in range(2):
             # the projection leaves an error of roundoff times the norm
@@ -202,7 +190,7 @@ def _lobpcg(pencils, X, count, tol, maxiter):
             before = np.linalg.norm(C, axis=2)
             C = C - (C @ _t(MX)) @ X
             C *= (np.linalg.norm(C, axis=2) > _KEPT * before)[:, :, None]
-            C, MC = _svqb(C, pencils.mass(C))
+            C, MC = _svqb(C, op.mass_apply(C))
         B = np.concatenate([X, C], axis=1)
         lam, coef = _rayleigh_ritz(
             B, np.concatenate([KX, pencils.stiffness(C)], axis=1),
@@ -256,22 +244,12 @@ def pointwise_eigenpairs(op, Y, count=1, tol=1e-10, maxiter=100):
     block = _block_size(op, count)
     start = op.mean_eigenpairs(block)[1].T
     for a, b in _chunks(op, Y, block):
-        vals, X = _lobpcg(_Pencils(op, Y[a:b]),
+        vals, X = _lobpcg(op, _Pencils(op, Y[a:b]),
                           np.repeat(start[None], b - a, axis=0), count, tol,
                           maxiter)
         values[a:b] = vals
         vectors[a:b] = fix_signs(_t(X))
     return values, vectors
-
-
-def expansion_statistics(coeffs):
-    """Mean and variance of an orthonormal-chaos expansion.
-
-    The zero-index coefficient is the mean; the variance is the sum of the
-    squared remaining coefficients (componentwise for (P, N) blocks).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    return coeffs[0].copy(), np.sum(coeffs[1:] ** 2, axis=0)
 
 
 def monte_carlo_statistics(op, nsamples=10000, seed=1234, tol=1e-11):
@@ -288,7 +266,7 @@ def monte_carlo_statistics(op, nsamples=10000, seed=1234, tol=1e-11):
     """
     Y = np.random.default_rng(seed).uniform(-1.0, 1.0,
                                              (nsamples, op.nterms))
-    ground = op.mass @ op.mean_eigenpairs(1)[1][:, 0]
+    ground = op.mass_apply(op.mean_eigenpairs(1)[1][:, 0])
     lams = np.empty(nsamples)
     vsum = np.zeros(op.ndof)
     vsq = np.zeros(op.ndof)
@@ -330,49 +308,42 @@ def pointwise_error(op, aset, U, mu, y, tol=1e-12):
     Y = y[None, :op.nterms]
     lam, V = pointwise_eigenpairs(op, Y, 1, tol=tol)
     lam, v = float(lam[0, 0]), V[0, :, 0]
-    pencils = _Pencils(op, Y)
-    Kuy = pencils.stiffness(uy[None, None])[0, 0]
-    Muy = pencils.mass(uy[None, None])[0, 0]
+    Kuy = _Pencils(op, Y).stiffness(uy[None, None])[0, 0]
+    Muy = op.mass_apply(uy)
     if v @ Muy < 0.0:
         v = -v
     d = uy - v
     return {
         "eigenvalue_ref": lam,
         "eigenvalue_error": abs(muy - lam),
-        "vector_error": float(np.sqrt(max(d @ (op.mass @ d), 0.0))),
+        "vector_error": float(np.sqrt(max(d @ op.mass_apply(d), 0.0))),
         "residual": float(np.linalg.norm(Kuy - muy * Muy)
                           / (abs(muy) * np.linalg.norm(Muy))),
         "normalization_error": abs(float(np.sqrt(uy @ Muy)) - 1.0),
     }
 
 
-def _mass_apply(M, B):
-    """M applied to every column of a stack B (..., N, q)."""
-    cols = np.moveaxis(B, -2, 0)
-    return np.moveaxis((M @ cols.reshape(len(cols), -1))
-                       .reshape(cols.shape), 0, -2)
-
-
-def subspace_angle(B1, B2, M):
+def subspace_angle(B1, B2, op):
     """Alignment |det(Q1' M Q2)| of two spans after M-orthonormalization.
 
     1 means identical subspaces, 0 means some direction of one span is
     M-orthogonal to all of the other.  Insensitive to basis choice and to
     signs.  B1 and B2 are (N, q) bases or stacks (..., N, q) of them,
     compared pairwise with broadcasting; values are clipped to [0, 1]
-    against roundoff.  With Gram matrices G_ab = B_a' M B_b and their
-    Cholesky factors L_a, the alignment is |det G_12| / (det L_1 det L_2).
+    against roundoff.  M is the mass of the FEM operator op.  With Gram
+    matrices G_ab = B_a' M B_b and their Cholesky factors L_a, the
+    alignment is |det G_12| / (det L_1 det L_2).
     """
     B1 = np.asarray(B1, dtype=float)
     B2 = np.asarray(B2, dtype=float)
-    MB2 = _mass_apply(M, B2)
+    MB2 = _t(op.mass_apply(_t(B2)))
 
     def root_det(B, MB):
         L = np.linalg.cholesky(_t(B) @ MB)
         return np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
 
     theta = np.abs(np.linalg.det(_t(B1) @ MB2)) / (
-        root_det(B1, _mass_apply(M, B1)) * root_det(B2, MB2))
+        root_det(B1, _t(op.mass_apply(_t(B1)))) * root_det(B2, MB2))
     return np.minimum(theta, 1.0)
 
 
@@ -397,7 +368,7 @@ def angle_statistics(op, aset, snapshots, npoints=256, seed=777, tol=1e-11):
     # snapshots at once would hold them all, several times over
     thetas = np.array([
         subspace_angle((Phi @ np.reshape(S, (P, N * q))).reshape(-1, N, q),
-                       V, op.mass) for S in snapshots])
+                       V, op) for S in snapshots])
     return thetas.mean(axis=1), thetas.var(axis=1)
 
 
@@ -414,26 +385,26 @@ def overlap_permutation(op, ya, yb, which=(1, 2), tol=1e-11):
     vals, V = pointwise_eigenpairs(op, np.array([ya, yb], dtype=float),
                                    max(which) + 1, tol=tol)
     Va, Vb = V[:, :, sel]
-    O = np.abs(Va.T @ (op.mass @ Vb))
+    O = np.abs(op.mass_apply(Va.T) @ Vb)
     return np.argmax(O, axis=1), vals[0, sel], vals[1, sel]
 
 
-def coefficient_decay(aset, coeffs, M=None):
+def coefficient_decay(aset, coeffs, op=None):
     """Coefficient magnitudes in stored order and sorted descending.
 
     For a (P, N) block the magnitude is the mass norm of each spatial row
-    (Euclidean if no mass matrix is given); for a (P,) vector the absolute
-    value.  Returns a dict with `magnitudes` (stored set order, i.e.
-    decreasing index weight) and `sorted` (descending).
+    under the FEM operator op (Euclidean if op is not given); for a (P,)
+    vector the absolute value.  Returns a dict with `magnitudes` (stored
+    set order, i.e. decreasing index weight) and `sorted` (descending).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 1:
         mags = np.abs(coeffs)
-    elif M is None:
+    elif op is None:
         mags = np.linalg.norm(coeffs, axis=1)
     else:
         mags = np.sqrt(np.maximum(
-            np.sum(coeffs * (M @ coeffs.T).T, axis=1), 0.0))
+            np.sum(coeffs * op.mass_apply(coeffs), axis=1), 0.0))
     if len(mags) != len(aset):
         raise ValueError("coefficient count does not match the index set")
     return {"magnitudes": mags, "sorted": np.sort(mags)[::-1]}

@@ -52,7 +52,7 @@ def test_01_moment_tensors_match_quadrature():
 def test_02_singleton_set_matches_classical_iteration():
     budget, t0 = 5.0, time.perf_counter()
     sys1 = build_system(n=8, order=1, size=1)
-    K0, M = matrix_at(sys1.fem_op), sys1.mass
+    K0, M = matrix_at(sys1.fem_op), oracles.assemble_mass(sys1.mesh)
     x = np.ones(sys1.N)
     x /= np.sqrt(x @ (M @ x))
     # independent route: classical inverse iteration with a direct solver
@@ -154,7 +154,7 @@ def test_07_moments_match_monte_carlo():
 def test_08_subspace_angles_variance_and_crossing():
     budget, t0 = 600.0, time.perf_counter()
     sys_ = build_system(n=8, order=1, size=52)
-    K0, M = matrix_at(sys_.fem_op), sys_.mass
+    K0, M = matrix_at(sys_.fem_op), oracles.assemble_mass(sys_.mesh)
     vals, vecs = smallest_eigenpairs(K0, M, 5, tol=1e-12)
     # start away from the limit (modes 4-5 mixed in, mode 4 dominant) so
     # several decades of geometric decay are visible above the floor set by
@@ -193,8 +193,8 @@ def test_09_operator_coercivity():
         V = rng.standard_normal((sys_.P, sys_.N))
         assert float(np.sum(V * op.apply(V))) > 0.0
     # an unshifted solve must never trip the negative-curvature guard
-    rhs = sys_.mass_apply(rng.standard_normal((sys_.P, sys_.N)))
-    _, info = pcg_solve(op, rhs, sys_.mean_preconditioner(), tol=1e-10)
+    rhs = sys_.fem_op.mass_apply(rng.standard_normal((sys_.P, sys_.N)))
+    _, info = pcg_solve(op, rhs, sys_.fem_op.mean_solve, tol=1e-10)
     assert info.converged
     assert time.perf_counter() - t0 <= budget
 
@@ -204,8 +204,8 @@ def test_10_newton_termination_quadratic_tail():
     sys_ = build_system(n=8, order=1, size=31)
     rng = np.random.default_rng(2468)
     V = rng.standard_normal((sys_.P, sys_.N)) * sys_.aset.weights[:, None]
-    s, hist = newton_normalize(sys_.tt, V, sys_.mass, tol=1e-12)
-    scale = tensor_norm(V, sys_.mass) ** 2
+    s, hist = newton_normalize(sys_.tt, V, sys_.fem_op, tol=1e-12)
+    scale = tensor_norm(V, sys_.fem_op) ** 2
     assert len(hist) - 1 <= 10
     assert hist[-1] <= 1e-12 * scale
     tail = [(hist[i + 1], hist[i]) for i in range(len(hist) - 1)

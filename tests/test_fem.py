@@ -29,9 +29,8 @@ def exact_ground_mode(x):
 
 
 def mean_pencil(mesh):
-    """K_0 and M of the package, formed from the 1D factors."""
-    op = build_parametric_operator(mesh)
-    return matrix_at(op), op.mass
+    """K_0 formed from the package's 1D factors, and the assembled M."""
+    return matrix_at(build_parametric_operator(mesh)), assemble_mass(mesh)
 
 
 def smallest_eig(K, M, k=1):
@@ -60,8 +59,8 @@ class TestMesh:
 class TestMass:
     def test_symmetric_positive_definite(self):
         for order in (1, 2):
-            M = build_parametric_operator(build_mesh(4, order)).mass
-            A = M.toarray()
+            op = build_parametric_operator(build_mesh(4, order))
+            A = op.mass_apply(np.eye(op.ndof))
             np.testing.assert_allclose(A, A.T, atol=1e-16)
             assert np.linalg.eigvalsh(A).min() > 0
 
@@ -71,8 +70,8 @@ class TestMass:
         # linearly in h
         deficits = []
         for n in (8, 16, 32):
-            M = build_parametric_operator(build_mesh(n, 1)).mass
-            deficits.append(1.0 - M.sum())
+            op = build_parametric_operator(build_mesh(n, 1))
+            deficits.append(1.0 - op.mass_apply(np.ones(op.ndof)).sum())
         assert np.all(np.array(deficits) > 0)
         ratios = np.array(deficits[:-1]) / np.array(deficits[1:])
         np.testing.assert_allclose(ratios, 2.0, rtol=0.15)
@@ -172,10 +171,15 @@ class TestParametricOperator:
             assert abs(sep - K).max() <= 1e-14 * scale
         mass = assemble_mass(mesh, nquad)
         assert abs(sp.kron(M, M) - mass).max() <= 1e-14 * abs(mass).max()
-        # the sparse matrices the package forms from the factors
-        assert op.mass.nnz == mass.nnz
-        assert abs(op.mass - mass).max() <= 1e-14 * abs(mass).max()
         rng = np.random.default_rng(n + order)
+        # the mass kernel on the last axis of a vector, a (P, N) block and
+        # an (S, k, N) stack
+        for shape in [(op.ndof,), (4, op.ndof), (3, 2, op.ndof)]:
+            V = rng.standard_normal(shape)
+            flat = V.reshape(-1, op.ndof).T
+            want = (mass @ flat).T.reshape(shape)
+            scale = (abs(mass) @ abs(flat)).max()
+            assert abs(op.mass_apply(V) - want).max() <= 1e-14 * scale
         points = [rng.uniform(-1, 1, 7) for _ in range(3)]
         points += [rng.uniform(-1, 1, 3), []]  # short y padded; [] gives K_0
         for y in points:
@@ -190,7 +194,7 @@ class TestParametricOperator:
         op = build_parametric_operator(mesh, nterms=6)
         want = assemble_mass(mesh)
         rng = np.random.default_rng(3)
-        for K in [op.mass, matrix_at(op)] + [
+        for K in [matrix_at(op)] + [
                 matrix_at(op, rng.uniform(-1, 1, 6)) for _ in range(3)]:
             assert np.array_equal(K.indptr, want.indptr)
             assert np.array_equal(K.indices, want.indices)
@@ -240,12 +244,10 @@ class TestProlongation:
         P = prolongation_matrix(coarse, fine)
         rng = np.random.default_rng(8)
         uc = rng.standard_normal(coarse.ndof)
-        Mf = build_parametric_operator(fine).mass
         # compare L2 norms: ||uc||_{L2} computed on either mesh must agree
-        Mc = build_parametric_operator(coarse).mass
-        nc = uc @ (Mc @ uc)
+        nc = uc @ build_parametric_operator(coarse).mass_apply(uc)
         uf = P @ uc
-        nf = uf @ (Mf @ uf)
+        nf = uf @ build_parametric_operator(fine).mass_apply(uf)
         assert nf == pytest.approx(nc, rel=1e-12)
 
     def test_rejects_non_nested(self):

@@ -17,7 +17,6 @@ from chaoseig.galerkin import (
     GalerkinSystem,
     IndefiniteOperatorError,
     KroneckerOperator,
-    MeanPreconditioner,
     NearSingularError,
     SeparableTerms,
     build_system,
@@ -29,6 +28,7 @@ from chaoseig.galerkin import (
 )
 from chaoseig.legendre import evaluate_expansion
 from oracles import (
+    assemble_mass,
     assemble_stiffness,
     assemble_terms,
     dense_generalized_eigenpairs,
@@ -61,18 +61,19 @@ class TestTensorNorm:
         sys = small_system()
         rng = np.random.default_rng(11)
         V = random_block(sys, rng)
-        Md = sys.mass.toarray()
+        Md = assemble_mass(sys.mesh).toarray()
         big = np.kron(np.eye(sys.P), Md)
         v = V.ravel()
-        np.testing.assert_allclose(tensor_norm(V, sys.mass),
+        np.testing.assert_allclose(tensor_norm(V, sys.fem_op),
                                    np.sqrt(v @ big @ v), rtol=1e-13)
 
     def test_dot_bilinearity(self):
         sys = small_system()
         rng = np.random.default_rng(12)
         V, W, U = (random_block(sys, rng) for _ in range(3))
-        lhs = tensor_dot(V, 2.0 * W + U, sys.mass)
-        rhs = 2.0 * tensor_dot(V, W, sys.mass) + tensor_dot(V, U, sys.mass)
+        lhs = tensor_dot(V, 2.0 * W + U, sys.fem_op)
+        rhs = (2.0 * tensor_dot(V, W, sys.fem_op)
+               + tensor_dot(V, U, sys.fem_op))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -92,7 +93,8 @@ class TestKroneckerOperator:
         sys = small_system()
         op = sys.operator(shift=7.5)
         dense = materialize_kronecker(sys.gmats, assembled_terms(sys),
-                                      shift=7.5, mass=sys.mass)
+                                      shift=7.5,
+                                      mass=assemble_mass(sys.mesh))
         rng = np.random.default_rng(22)
         V = random_block(sys, rng)
         np.testing.assert_allclose(op.apply(V).ravel(), dense @ V.ravel(),
@@ -123,7 +125,8 @@ class TestKroneckerOperator:
                                 rows_per_chunk * slice_bytes)
             assert sys.terms.step == rows_per_chunk
         dense = materialize_kronecker(sys.gmats, assembled_terms(sys, nquad),
-                                      shift=shift, mass=sys.mass)
+                                      shift=shift,
+                                      mass=assemble_mass(sys.mesh, nquad))
         V = random_block(sys, np.random.default_rng(26))
         got = sys.operator(shift).apply(V).ravel()
         want = dense @ V.ravel()
@@ -160,7 +163,8 @@ class TestKroneckerOperator:
         V = random_block(sys, np.random.default_rng(27))
         diff = (KroneckerOperator(sys.terms).apply(V)
                 - KroneckerOperator(sys.terms, shift=1.5).apply(V))
-        np.testing.assert_allclose(diff, 1.5 * sys.mass_apply(V),
+        np.testing.assert_allclose(diff,
+                                   1.5 * (assemble_mass(sys.mesh) @ V.T).T,
                                    rtol=1e-12, atol=1e-12)
 
     def test_rejects_length_mismatch(self):
@@ -177,29 +181,43 @@ class TestKroneckerOperator:
 class TestMeanPreconditioner:
     def test_inverts_mean_term_blockwise(self):
         for sys in (small_system(), build_system(n=4, order=1, size=6)):
-            prec = sys.mean_preconditioner()
             rng = np.random.default_rng(31)
-            R = random_block(sys, rng)
-            X = prec.apply(R)
             K0 = assemble_stiffness(sys.mesh).toarray()
-            for a in range(sys.P):
-                np.testing.assert_allclose(K0 @ X[a], R[a], rtol=1e-11,
+            # a (P, N) block and an (S, k, N) stack
+            for R in (random_block(sys, rng),
+                      rng.standard_normal((3, 2, sys.N))):
+                X = sys.fem_op.mean_solve(R)
+                assert X.shape == R.shape
+                np.testing.assert_allclose(X @ K0, R, rtol=1e-11,
                                            atol=1e-12)
 
     def test_symmetric_positive(self):
         sys = small_system()
-        prec = sys.mean_preconditioner()
+        solve = sys.fem_op.mean_solve
         rng = np.random.default_rng(32)
         R1 = random_block(sys, rng)
         R2 = random_block(sys, rng)
-        s12 = float(np.sum(R1 * prec.apply(R2)))
-        s21 = float(np.sum(R2 * prec.apply(R1)))
+        s12 = float(np.sum(R1 * solve(R2)))
+        s21 = float(np.sum(R2 * solve(R1)))
         np.testing.assert_allclose(s12, s21, rtol=1e-11)
-        assert float(np.sum(R1 * prec.apply(R1))) > 0.0
+        assert float(np.sum(R1 * solve(R1))) > 0.0
 
-    def test_cached_on_system(self):
+    def test_cached_on_system(self, monkeypatch):
+        # the 1D eigh behind the mean solve runs once per operator
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
         sys = small_system()
-        assert sys.mean_preconditioner() is sys.mean_preconditioner()
+        R = random_block(sys, np.random.default_rng(33))
+        for _ in range(2):
+            sys.fem_op.mean_solve(R)
+            sys.fem_op.mean_eigenpairs(2)
+        assert len(calls) == 1
 
 
 class TestPcgSolve:
@@ -209,7 +227,7 @@ class TestPcgSolve:
         dense = materialize_kronecker(sys.gmats, assembled_terms(sys))
         rng = np.random.default_rng(41)
         B = random_block(sys, rng)
-        X, info = pcg_solve(op, B, sys.mean_preconditioner(), tol=1e-13,
+        X, info = pcg_solve(op, B, sys.fem_op.mean_solve, tol=1e-13,
                             maxiter=400)
         assert info.converged
         want = np.linalg.solve(dense, B.ravel()).reshape(B.shape)
@@ -218,7 +236,7 @@ class TestPcgSolve:
     def test_zero_rhs_short_circuits(self):
         sys = small_system()
         X, info = pcg_solve(sys.operator(), np.zeros((sys.P, sys.N)),
-                            sys.mean_preconditioner())
+                            sys.fem_op.mean_solve)
         assert info.converged and info.iterations == 0
         assert not X.any()
 
@@ -227,9 +245,9 @@ class TestPcgSolve:
         op = sys.operator()
         rng = np.random.default_rng(42)
         B = random_block(sys, rng)
-        X, _ = pcg_solve(op, B, sys.mean_preconditioner(), tol=1e-13,
+        X, _ = pcg_solve(op, B, sys.fem_op.mean_solve, tol=1e-13,
                          maxiter=400)
-        _, info = pcg_solve(op, B, sys.mean_preconditioner(), tol=1e-10,
+        _, info = pcg_solve(op, B, sys.fem_op.mean_solve, tol=1e-10,
                             maxiter=400, x0=X)
         assert info.iterations == 0
 
@@ -237,7 +255,7 @@ class TestPcgSolve:
         sys = small_system()
         rng = np.random.default_rng(43)
         B = random_block(sys, rng)
-        _, info = pcg_solve(sys.operator(), B, sys.mean_preconditioner(),
+        _, info = pcg_solve(sys.operator(), B, sys.fem_op.mean_solve,
                             tol=1e-14, maxiter=1)
         assert not info.converged
         assert info.iterations == 1
@@ -249,20 +267,20 @@ class TestPcgSolve:
         rng = np.random.default_rng(44)
         B = random_block(sys, rng)
         with pytest.raises(IndefiniteOperatorError, match="curvature"):
-            pcg_solve(op, B, sys.mean_preconditioner())
+            pcg_solve(op, B, sys.fem_op.mean_solve)
 
     def test_iteration_budget_mean_preconditioned(self):
         # regression bound: the mean-based preconditioner keeps the count
         # small even with 113 active dimensions truncated to the set
         sys = build_system(n=8, order=2, size=31)
-        _, v = dense_generalized_eigenpairs(matrix_at(sys.fem_op),
-                                            sys.mass, 1)
+        M = assemble_mass(sys.mesh)
+        _, v = dense_generalized_eigenpairs(matrix_at(sys.fem_op), M, 1)
         v = v[:, 0]
-        v /= np.sqrt(v @ (sys.mass @ v))
+        v /= np.sqrt(v @ (M @ v))
         U = np.zeros((sys.P, sys.N))
         U[0] = v
-        B = sys.mass_apply(U)
-        _, info = pcg_solve(sys.operator(), B, sys.mean_preconditioner(),
+        B = sys.fem_op.mass_apply(U)
+        _, info = pcg_solve(sys.operator(), B, sys.fem_op.mean_solve,
                             tol=1e-10, maxiter=30)
         assert info.converged
         assert info.iterations <= 30
@@ -275,9 +293,9 @@ class TestWeightedGram:
         rng = np.random.default_rng(51)
         V = random_block(sys, rng)
         W = random_block(sys, rng)
-        H = V @ (sys.mass @ W.T)
+        H = V @ (assemble_mass(sys.mesh) @ W.T)
         want = np.einsum("abc,bc->a", tdense, H)
-        got = weighted_gram(sys.tt, V, W, sys.mass)
+        got = weighted_gram(sys.tt, V, W, sys.fem_op)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     def test_zero_component_is_tensor_dot(self):
@@ -285,8 +303,8 @@ class TestWeightedGram:
         rng = np.random.default_rng(52)
         V = random_block(sys, rng)
         W = random_block(sys, rng)
-        b = weighted_gram(sys.tt, V, W, sys.mass)
-        np.testing.assert_allclose(b[0], tensor_dot(V, W, sys.mass),
+        b = weighted_gram(sys.tt, V, W, sys.fem_op)
+        np.testing.assert_allclose(b[0], tensor_dot(V, W, sys.fem_op),
                                    rtol=1e-12)
 
     def test_symmetric_in_arguments(self):
@@ -294,8 +312,8 @@ class TestWeightedGram:
         rng = np.random.default_rng(53)
         V = random_block(sys, rng)
         W = random_block(sys, rng)
-        np.testing.assert_allclose(weighted_gram(sys.tt, V, W, sys.mass),
-                                   weighted_gram(sys.tt, W, V, sys.mass),
+        np.testing.assert_allclose(weighted_gram(sys.tt, V, W, sys.fem_op),
+                                   weighted_gram(sys.tt, W, V, sys.fem_op),
                                    rtol=1e-12, atol=1e-14)
 
 
@@ -382,20 +400,20 @@ class TestNewtonNormalize:
         rng = np.random.default_rng(71)
         V = np.zeros((sys.P, sys.N))
         V[0] = rng.standard_normal(sys.N)
-        s, hist = newton_normalize(sys.tt, V, sys.mass)
-        np.testing.assert_allclose(s[0], tensor_norm(V, sys.mass),
+        s, hist = newton_normalize(sys.tt, V, sys.fem_op)
+        np.testing.assert_allclose(s[0], tensor_norm(V, sys.fem_op),
                                    rtol=1e-13)
         np.testing.assert_allclose(s[1:], 0.0, atol=1e-13)
-        assert hist[-1] <= 1e-12 * tensor_norm(V, sys.mass) ** 2
+        assert hist[-1] <= 1e-12 * tensor_norm(V, sys.fem_op) ** 2
 
     def test_second_moment_identity(self):
         # component 0 of the defect forces sum(s^2) = ||V||^2 exactly
         sys = small_system()
         rng = np.random.default_rng(72)
         V = random_block(sys, rng, scale_by_weight=True)
-        s, _ = newton_normalize(sys.tt, V, sys.mass)
+        s, _ = newton_normalize(sys.tt, V, sys.fem_op)
         np.testing.assert_allclose(np.sum(s * s),
-                                   tensor_norm(V, sys.mass) ** 2,
+                                   tensor_norm(V, sys.fem_op) ** 2,
                                    rtol=1e-11)
 
     def test_pointwise_norm_sampling(self):
@@ -404,11 +422,11 @@ class TestNewtonNormalize:
         sys = build_system(n=2, order=2, size=12)
         rng = np.random.default_rng(73)
         V = random_block(sys, rng, scale_by_weight=True)
-        s, _ = newton_normalize(sys.tt, V, sys.mass)
+        s, _ = newton_normalize(sys.tt, V, sys.fem_op)
         Y = rng.uniform(-1.0, 1.0, (40, sys.aset.max_dimension))
         svals = evaluate_expansion(s, sys.aset, Y)
         vvals = evaluate_expansion(V, sys.aset, Y)
-        norms2 = np.einsum("pn,pn->p", vvals, (sys.mass @ vvals.T).T)
+        norms2 = np.einsum("pn,pn->p", vvals, sys.fem_op.mass_apply(vvals))
         rel = np.abs(svals ** 2 - norms2) / norms2
         assert np.median(rel) < 0.05
         assert rel.max() < 0.35
@@ -417,8 +435,8 @@ class TestNewtonNormalize:
         sys = small_system(size=12)
         rng = np.random.default_rng(74)
         V = random_block(sys, rng, scale_by_weight=True)
-        s, hist = newton_normalize(sys.tt, V, sys.mass, tol=1e-12)
-        scale = tensor_norm(V, sys.mass) ** 2
+        s, hist = newton_normalize(sys.tt, V, sys.fem_op, tol=1e-12)
+        scale = tensor_norm(V, sys.fem_op) ** 2
         assert len(hist) - 1 <= 10
         assert hist[-1] <= 1e-12 * scale
         # once inside the contraction region each step squares the residual
@@ -430,13 +448,13 @@ class TestNewtonNormalize:
         sys = small_system(size=12)
         rng = np.random.default_rng(75)
         V = random_block(sys, rng, scale_by_weight=True)
-        _, hist = newton_normalize(sys.tt, V, sys.mass)
+        _, hist = newton_normalize(sys.tt, V, sys.fem_op)
         assert np.all(np.diff(hist) < 0)
 
     def test_rejects_zero_block(self):
         sys = small_system()
         with pytest.raises(ValueError, match="zero block"):
-            newton_normalize(sys.tt, np.zeros((sys.P, sys.N)), sys.mass)
+            newton_normalize(sys.tt, np.zeros((sys.P, sys.N)), sys.fem_op)
 
     def test_stalls_without_halvings(self):
         sys = small_system(size=12)
@@ -444,7 +462,7 @@ class TestNewtonNormalize:
         with pytest.raises(NearSingularError,
                            match=r"Newton stalled: no decrease from residual "
                                  r"\d\.\d{3}e[+-]\d+ after 0 halvings"):
-            newton_normalize(sys.tt, V, sys.mass, max_halvings=0)
+            newton_normalize(sys.tt, V, sys.fem_op, max_halvings=0)
 
     def test_iteration_budget_exhausted(self):
         sys = small_system(size=12)
@@ -452,7 +470,7 @@ class TestNewtonNormalize:
         with pytest.raises(NearSingularError,
                            match=r"did not reach tolerance 0\.0e\+00 in 1 "
                                  r"iterations \(last residual \d\.\d{3}e"):
-            newton_normalize(sys.tt, V, sys.mass, maxiter=1, tol=0.0)
+            newton_normalize(sys.tt, V, sys.fem_op, maxiter=1, tol=0.0)
 
 
 class TestBuildSystem:

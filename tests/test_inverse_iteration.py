@@ -17,7 +17,7 @@ from chaoseig.inverse_iteration import (
     run_inverse_iteration,
 )
 from chaoseig.validation import pointwise_error
-from oracles import matrix_at, smallest_eigenpairs
+from oracles import assemble_mass, matrix_at, smallest_eigenpairs
 
 
 def classical_inverse_iteration(K, M, x0, steps):
@@ -37,15 +37,15 @@ class TestInitialGuess:
         sys = build_system(n=3, order=2, size=8)
         U = initial_guess(sys)
         assert U.shape == (sys.P, sys.N)
-        np.testing.assert_allclose(tensor_norm(U, sys.mass), 1.0,
+        np.testing.assert_allclose(tensor_norm(U, sys.fem_op), 1.0,
                                    rtol=1e-12)
         assert not U[1:].any()
 
     def test_matches_reference_ground_mode(self):
         sys = build_system(n=3, order=2, size=8)
         U = initial_guess(sys)
-        _, vecs = smallest_eigenpairs(matrix_at(sys.fem_op), sys.mass, 1,
-                                      tol=1e-12)
+        _, vecs = smallest_eigenpairs(matrix_at(sys.fem_op),
+                                      assemble_mass(sys.mesh), 1, tol=1e-12)
         np.testing.assert_allclose(U[0], vecs[:, 0], atol=1e-9)
 
 
@@ -57,7 +57,7 @@ class TestSingletonSetReduction:
                                     cg_tol_factor=0.0)
         x = initial_guess(sys)[0].copy()
         Kd = matrix_at(sys.fem_op).toarray()
-        Md = sys.mass.toarray()
+        Md = assemble_mass(sys.mesh).toarray()
         assert len(res.iterates) == 7
         for U in res.iterates[1:]:
             x = np.linalg.solve(Kd, Md @ x)
@@ -72,11 +72,11 @@ class TestSingletonSetReduction:
         res = run_inverse_iteration(sys, tol=1e-13, kmax=60)
         assert res.converged
         lam, x = classical_inverse_iteration(matrix_at(sys.fem_op),
-                                             sys.mass, initial_guess(sys)[0],
-                                             60)
+                                             assemble_mass(sys.mesh),
+                                             initial_guess(sys)[0], 60)
         np.testing.assert_allclose(res.eigenvalue_mean, lam, rtol=1e-10)
         d = res.U[0] - x
-        assert np.sqrt(d @ sys.mass.toarray() @ d) <= 1e-8
+        assert np.sqrt(d @ sys.fem_op.mass_apply(d)) <= 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ class TestConvergence:
         sys, res = solved
         assert res.converged
         assert res.history.increments[-1] < 1e-11
-        np.testing.assert_allclose(tensor_norm(res.U, sys.mass), 1.0,
+        np.testing.assert_allclose(tensor_norm(res.U, sys.fem_op), 1.0,
                                    atol=1e-8)
 
     def test_pointwise_accuracy(self, solved):
@@ -107,8 +107,8 @@ class TestConvergence:
     def test_increment_contraction_rate(self, solved):
         # the sweep contracts like the gap ratio of the mean problem
         sys, res = solved
-        vals, _ = smallest_eigenpairs(matrix_at(sys.fem_op), sys.mass, 2,
-                                      tol=1e-12)
+        vals, _ = smallest_eigenpairs(matrix_at(sys.fem_op),
+                                      assemble_mass(sys.mesh), 2, tol=1e-12)
         expected = vals[0] / vals[1]
         inc = res.history.increments
         ratios = inc[3:-3] / inc[2:-4]  # pre-floor window
@@ -144,7 +144,7 @@ class TestShiftedIteration:
         np.testing.assert_allclose(shifted.eigenvalue_mean,
                                    plain.eigenvalue_mean, rtol=1e-6)
         d = shifted.U - plain.U
-        assert tensor_norm(d, sys.mass) <= 1e-5
+        assert tensor_norm(d, sys.fem_op) <= 1e-5
 
 
 class TestDriverBookkeeping:

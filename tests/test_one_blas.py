@@ -5,8 +5,8 @@ thread pool; alternating between them inside a loop makes the two pools
 compete for the cores.  With the dense scipy.linalg routines made to
 raise, every per-sweep, per-point and per-iteration path must still run.
 Set-up that runs once per operator (the 1D mean eigenbasis behind the
-mean preconditioner and the pointwise eigensolver) is built before they
-are disabled.
+mean solve and the pointwise eigensolver) is built before they are
+disabled.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ DISABLED = ("lu_factor", "lu_solve", "solve", "cholesky", "solve_triangular",
 
 def test_loops_avoid_scipy_linalg(monkeypatch):
     sys = build_system(n=3, order=1, size=5)
-    sys.mean_preconditioner()
+    sys.fem_op.mean_eigenbasis
 
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.linalg called inside a loop")

@@ -9,7 +9,7 @@ and for alignment with directly solved invariant subspaces.
 import numpy as np
 import pytest
 
-from chaoseig.galerkin import build_system, tensor_norm
+from chaoseig.galerkin import build_system, tensor_dot, tensor_norm
 from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.subspace_iteration import (
     SubspaceBreakdownError,
@@ -33,7 +33,7 @@ class TestInitialBasis:
         B = initial_basis(sys, 3)
         assert B.shape == (sys.P, sys.N, 3)
         assert not B[1:].any()
-        G = B[0].T @ (sys.mass @ B[0])
+        G = B[0].T @ (assemble_mass(sys.mesh) @ B[0])
         np.testing.assert_allclose(G, np.eye(3), atol=1e-10)
         assert orthogonality_defect(sys, B) <= 1e-10
 
@@ -51,7 +51,8 @@ class TestInitialBasis:
             assert np.linalg.norm(r) <= 1e-12 * vals[j] * np.linalg.norm(
                 M @ X[:, j])
         np.testing.assert_allclose(X.T @ (M @ X), np.eye(3), atol=1e-12)
-        assert subspace_angle(X[:, 1:], vecs[:, 1:], M) >= 1.0 - 1e-12
+        assert subspace_angle(X[:, 1:], vecs[:, 1:], sys.fem_op) \
+            >= 1.0 - 1e-12
         np.testing.assert_array_equal(B, initial_basis(sys, 3))
         np.testing.assert_array_equal(
             B, initial_basis(build_system(n=16, order=1, size=1), 3))
@@ -77,15 +78,16 @@ class TestSingletonSetLimit:
         sys = build_system(n=4, order=2, size=1)
         res = run_subspace_iteration(sys, q=3, tol=1e-12, kmax=80)
         assert res.converged
-        vals, vecs = smallest_eigenpairs(matrix_at(sys.fem_op), sys.mass,
-                                         3, tol=1e-12)
-        assert subspace_angle(res.basis[0], vecs, sys.mass) >= 1.0 - 1e-9
+        M = assemble_mass(sys.mesh)
+        vals, vecs = smallest_eigenpairs(matrix_at(sys.fem_op), M, 3,
+                                         tol=1e-12)
+        assert subspace_angle(res.basis[0], vecs, sys.fem_op) >= 1.0 - 1e-9
         # the leading column resolves the isolated ground mode itself
         v0 = res.basis[0, :, 0]
-        if v0 @ (sys.mass @ vecs[:, 0]) < 0:
+        if v0 @ (M @ vecs[:, 0]) < 0:
             v0 = -v0
         d = v0 - vecs[:, 0]
-        assert np.sqrt(d @ (sys.mass @ d)) <= 1e-7
+        assert np.sqrt(d @ (M @ d)) <= 1e-7
 
 
 @pytest.fixture(scope="module")
@@ -102,15 +104,21 @@ class TestStochasticBlock:
         # so the vectors keep rotating within the cluster and per-vector
         # increments floor; the iterated SPAN is the converging object
         sys, res = block_solved
-        import scipy.sparse as sp
-        Mhat = sp.kron(sp.eye(sys.P), sys.mass).tocsr()
+
+        def gram(A, B):
+            # tensor-space Gram matrix of two (P, N, 2) bases
+            return np.array([[tensor_dot(A[:, :, i], B[:, :, j], sys.fem_op)
+                              for j in range(2)] for i in range(2)])
+
         late = res.snapshots[-4:]
         for A, B in zip(late[:-1], late[1:]):
-            theta = subspace_angle(A.reshape(-1, 2), B.reshape(-1, 2), Mhat)
+            # the alignment |det G_AB| / sqrt(det G_AA det G_BB)
+            theta = abs(np.linalg.det(gram(A, B))) / np.sqrt(
+                np.linalg.det(gram(A, A)) * np.linalg.det(gram(B, B)))
             assert theta >= 1.0 - 1e-5
         assert orthogonality_defect(sys, res.basis) <= 1e-8
         for L in range(2):
-            norm = tensor_norm(res.basis[:, :, L], sys.mass)
+            norm = tensor_norm(res.basis[:, :, L], sys.fem_op)
             assert abs(norm - 1.0) <= 1e-6
 
     def test_snapshot_bookkeeping(self, block_solved):
@@ -148,16 +156,17 @@ class TestStochasticBlock:
         # that pair: compare it with the span of the three smallest modes
         sys, res = block_solved
         y0 = np.zeros(sys.aset.max_dimension)
-        M = sys.mass
+        M = assemble_mass(sys.mesh)
         _, vecs = smallest_eigenpairs(
             matrix_at(sys.fem_op, np.zeros(sys.fem_op.nterms)), M, 3,
             tol=1e-12)
         from chaoseig.legendre import evaluate_expansion
         By = np.stack([evaluate_expansion(res.basis[:, :, L], sys.aset, y0)
                        for L in range(2)], axis=1)
-        assert subspace_angle(By[:, :1], vecs[:, :1], M) >= 1.0 - 1e-3
+        assert subspace_angle(By[:, :1], vecs[:, :1], sys.fem_op) \
+            >= 1.0 - 1e-3
         inside = vecs @ (vecs.T @ (M @ By))
-        assert subspace_angle(By, inside, M) >= 1.0 - 1e-3
+        assert subspace_angle(By, inside, sys.fem_op) >= 1.0 - 1e-3
 
     def test_sum_trick_reaches_the_same_span(self, block_solved):
         sys, res = block_solved
@@ -172,7 +181,7 @@ class TestStochasticBlock:
                             axis=1)
 
         theta = subspace_angle(span_at(res.basis), span_at(pooled.basis),
-                               sys.mass)
+                               sys.fem_op)
         assert theta >= 1.0 - 1e-4
 
 

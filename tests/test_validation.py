@@ -22,7 +22,6 @@ from chaoseig.validation import (
     PointwiseStallError,
     angle_statistics,
     coefficient_decay,
-    expansion_statistics,
     fix_signs,
     monte_carlo_statistics,
     overlap_permutation,
@@ -60,15 +59,15 @@ class TestPointwiseEigenpairs:
     def test_matches_dense_oracle(self, mesh, count, y):
         op = operator(*mesh)
         vals, V = pointwise_eigenpairs(op, [y], count)
-        dvals, dvecs = dense_generalized_eigenpairs(matrix_at(op, y),
-                                                    op.mass, count + 1)
+        M = assemble_mass(op.mesh)
+        dvals, dvecs = dense_generalized_eigenpairs(matrix_at(op, y), M,
+                                                    count + 1)
         np.testing.assert_allclose(vals[0], dvals[:count], rtol=1e-12)
-        M = op.mass
         np.testing.assert_allclose(V[0].T @ (M @ V[0]), np.eye(count),
                                    atol=1e-12)
         # the span is defined where the spectrum has a gap after `count`
         if dvals[count] - dvals[count - 1] > 1e-3 * dvals[count]:
-            assert subspace_angle(V[0], dvecs[:, :count], M) \
+            assert subspace_angle(V[0], dvecs[:, :count], op) \
                 >= 1.0 - 1e-12
         assert_sign_convention(V[0])
 
@@ -76,17 +75,17 @@ class TestPointwiseEigenpairs:
         # positions 1 and 2 are an exactly degenerate pair at y = 0: the
         # vectors inside it are basis-dependent, the span is not
         op = operator(8, 2)
-        K, M = matrix_at(op), op.mass
+        K, M = matrix_at(op), assemble_mass(op.mesh)
         dvals, dvecs = dense_generalized_eigenpairs(K, M, 3)
         for count in (2, 3):
             vals, V = pointwise_eigenpairs(op, np.zeros((1, 4)), count)
             np.testing.assert_allclose(vals[0], dvals[:count], rtol=1e-12)
             X = V[0]
-            assert subspace_angle(X[:, :1], dvecs[:, :1], M) >= 1.0 - 1e-12
+            assert subspace_angle(X[:, :1], dvecs[:, :1], op) >= 1.0 - 1e-12
             # each vector past the ground mode lies in the degenerate pair
             inside = dvecs[:, 1:] @ (dvecs[:, 1:].T @ (M @ X[:, 1:]))
             assert np.abs(inside - X[:, 1:]).max() <= 1e-9
-        assert subspace_angle(X[:, 1:], dvecs[:, 1:], M) >= 1.0 - 1e-12
+        assert subspace_angle(X[:, 1:], dvecs[:, 1:], op) >= 1.0 - 1e-12
 
     def test_chunks_give_the_pointwise_values(self, monkeypatch):
         # a budget of 3 points per chunk for one vector at N = 49
@@ -121,25 +120,24 @@ class TestPointwiseEigenpairs:
 class TestSmallestEigenpairs:
     def test_agrees_with_dense_eigh(self):
         op = operator(4, 2, nterms=0)  # N = 49
-        vals, vecs = smallest_eigenpairs(matrix_at(op), op.mass, 4,
-                                         tol=1e-12)
-        dvals, dvecs = dense_generalized_eigenpairs(matrix_at(op),
-                                                    op.mass, 4)
+        M = assemble_mass(op.mesh)
+        vals, vecs = smallest_eigenpairs(matrix_at(op), M, 4, tol=1e-12)
+        dvals, dvecs = dense_generalized_eigenpairs(matrix_at(op), M, 4)
         np.testing.assert_allclose(vals, dvals, rtol=1e-10)
         dvecs = fix_signs(dvecs)
-        M = op.mass
         # positions 1 and 2 are an exactly degenerate pair on the square:
         # individual columns are basis-dependent there, the span is not
         for j in (0, 3):
             d = vecs[:, j] - dvecs[:, j] / np.sqrt(
                 dvecs[:, j] @ (M @ dvecs[:, j]))
             assert np.sqrt(abs(d @ (M @ d))) <= 1e-8
-        assert subspace_angle(vecs[:, 1:3], dvecs[:, 1:3], M) >= 1.0 - 1e-10
+        assert subspace_angle(vecs[:, 1:3], dvecs[:, 1:3], op) \
+            >= 1.0 - 1e-10
 
     def test_orthonormal_and_resolved_at_random_points(self):
         op = operator(8, 1)
         rng = np.random.default_rng(5)
-        M = op.mass
+        M = assemble_mass(op.mesh)
         for _ in range(40):
             y = rng.uniform(-1.0, 1.0, op.nterms)
             K = matrix_at(op, y)
@@ -151,33 +149,19 @@ class TestSmallestEigenpairs:
 
     def test_deterministic_given_seed(self):
         op = operator(4, 1, nterms=0)
-        v1 = smallest_eigenpairs(matrix_at(op), op.mass, 2)
-        v2 = smallest_eigenpairs(matrix_at(op), op.mass, 2)
+        v1 = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh), 2)
+        v2 = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh), 2)
         np.testing.assert_array_equal(v1[1], v2[1])
 
     def test_sign_convention(self):
         op = operator(4, 2, nterms=0)
-        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 3)
+        _, X = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh), 3)
         assert_sign_convention(X)
 
     def test_count_validation(self):
         op = operator(2, 1, nterms=0)
         with pytest.raises(ValueError, match="count"):
-            smallest_eigenpairs(matrix_at(op), op.mass, 0)
-
-
-class TestExpansionStatistics:
-    def test_scalar_exact(self):
-        mean, var = expansion_statistics(np.array([2.0, 0.5, 0.25]))
-        assert mean == 2.0
-        assert var == 0.3125
-
-    def test_block_shapes(self):
-        rng = np.random.default_rng(9)
-        C = rng.standard_normal((5, 7))
-        mean, var = expansion_statistics(C)
-        np.testing.assert_array_equal(mean, C[0])
-        np.testing.assert_allclose(var, np.sum(C[1:] ** 2, axis=0))
+            smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh), 0)
 
 
 class TestMonteCarlo:
@@ -190,11 +174,11 @@ class TestMonteCarlo:
         w = w / 2.0
         vals = []
         wts = []
+        M = assemble_mass(op.mesh)
         # quadrature nodes solved by the independent sparse-LU oracle
         for combo in itertools.product(range(5), repeat=4):
             y = np.array([x[c] for c in combo])
-            lam, _ = smallest_eigenpairs(matrix_at(op, y), op.mass, 1,
-                                         tol=1e-11)
+            lam, _ = smallest_eigenpairs(matrix_at(op, y), M, 1, tol=1e-11)
             vals.append(lam[0])
             wts.append(np.prod([w[c] for c in combo]))
         vals = np.array(vals)
@@ -218,7 +202,8 @@ class TestPointwiseError:
     def test_exact_pair_reports_zero(self):
         op = operator(4, 2, nterms=0)
         aset = generate_index_set_by_size(1)
-        lam, v = smallest_eigenpairs(matrix_at(op), op.mass, 1, tol=1e-13)
+        lam, v = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh),
+                                     1, tol=1e-13)
         U = v.T.copy()
         mu = np.array([lam[0]])
         rep = pointwise_error(op, aset, U, mu, np.zeros(1))
@@ -231,7 +216,8 @@ class TestPointwiseError:
     def test_perturbed_pair_reports_the_perturbation(self):
         op = operator(4, 2, nterms=0)
         aset = generate_index_set_by_size(1)
-        lam, v = smallest_eigenpairs(matrix_at(op), op.mass, 1, tol=1e-13)
+        lam, v = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh),
+                                     1, tol=1e-13)
         rep = pointwise_error(op, aset, v.T.copy(),
                               np.array([lam[0] + 1e-3]), np.zeros(1))
         np.testing.assert_allclose(rep["eigenvalue_error"], 1e-3, rtol=1e-6)
@@ -240,36 +226,36 @@ class TestPointwiseError:
 class TestSubspaceAngle:
     def test_self_alignment_is_one(self):
         op = operator(4, 2, nterms=0)
-        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 3)
-        assert subspace_angle(X, X, op.mass) == pytest.approx(1.0, abs=1e-12)
+        _, X = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh), 3)
+        assert subspace_angle(X, X, op) == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_remixing(self):
         op = operator(4, 2, nterms=0)
-        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 3)
+        _, X = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh), 3)
         rng = np.random.default_rng(31)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         A = rng.standard_normal((op.ndof, 3))
-        t1 = subspace_angle(A, X, op.mass)
-        t2 = subspace_angle(A @ Q, X @ np.diag([1.0, -1.0, 1.0]), op.mass)
+        t1 = subspace_angle(A, X, op)
+        t2 = subspace_angle(A @ Q, X @ np.diag([1.0, -1.0, 1.0]), op)
         np.testing.assert_allclose(t1, t2, rtol=1e-10)
 
     def test_orthogonal_spans_score_zero(self):
         op = operator(4, 2, nterms=0)
-        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 4)
-        assert subspace_angle(X[:, :2], X[:, 2:], op.mass) <= 1e-12
+        _, X = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh), 4)
+        assert subspace_angle(X[:, :2], X[:, 2:], op) <= 1e-12
         # one shared direction is not enough: the determinant still vanishes
-        assert subspace_angle(X[:, :2], X[:, 1:3], op.mass) <= 1e-10
+        assert subspace_angle(X[:, :2], X[:, 1:3], op) <= 1e-10
 
     def test_stacks_compare_pairwise(self):
         op = operator(4, 2, nterms=0)
         rng = np.random.default_rng(33)
         B1 = rng.standard_normal((3, 2, op.ndof, 2))
         B2 = rng.standard_normal((2, op.ndof, 2))
-        theta = subspace_angle(B1, B2, op.mass)
+        theta = subspace_angle(B1, B2, op)
         assert theta.shape == (3, 2)
         for i, j in itertools.product(range(3), range(2)):
             np.testing.assert_allclose(
-                theta[i, j], subspace_angle(B1[i, j], B2[j], op.mass),
+                theta[i, j], subspace_angle(B1[i, j], B2[j], op),
                 rtol=1e-13)
 
     def test_statistics_rank_aligned_above_random(self):
@@ -277,7 +263,7 @@ class TestSubspaceAngle:
         # the unperturbed basis scores near one, a noisy copy scores lower
         op = operator(4, 1)
         aset = generate_index_set_by_size(5)
-        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 1)
+        _, X = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh), 1)
         P, N = len(aset), op.ndof
         good = np.zeros((P, N, 1))
         good[0, :, 0] = X[:, 0]
@@ -296,7 +282,7 @@ class TestSubspaceAngle:
         # vectors inside the cluster rotate
         op = operator(4, 1)
         aset = generate_index_set_by_size(5)
-        _, X = smallest_eigenpairs(matrix_at(op), op.mass, 3)
+        _, X = smallest_eigenpairs(matrix_at(op), assemble_mass(op.mesh), 3)
         good = np.zeros((len(aset), op.ndof, 3))
         good[0] = X
         mean, _ = angle_statistics(op, aset, [good], npoints=8, seed=9)
@@ -351,8 +337,8 @@ class TestCoefficientDecay:
         op = operator(2, 2, nterms=0)
         aset = generate_index_set_by_size(2)
         C = np.ones((2, op.ndof))
-        rep = coefficient_decay(aset, C, M=op.mass)
-        want = np.sqrt(C[0] @ (op.mass @ C[0]))
+        rep = coefficient_decay(aset, C, op)
+        want = np.sqrt(C[0] @ (assemble_mass(op.mesh) @ C[0]))
         np.testing.assert_allclose(rep["magnitudes"], [want, want])
 
     def test_count_mismatch(self):
