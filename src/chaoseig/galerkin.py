@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import ParametricOperator, build_mesh, build_parametric_operator
-from .legendre import TripleProductTensor, build_moment_matrices, \
-    build_triple_tensor
+from .legendre import TripleProductTensor, build_triple_tensor
 from .multiindex import generate_index_set, generate_index_set_by_size
 
 __all__ = [
@@ -75,24 +74,26 @@ class SeparableTerms:
     """The affine stiffness terms in separable form, with the chaos rows
     each one touches; built once per system and shared by its operators.
 
-    Term m >= 1 enters the operator as G_m (x) K_m.  G_m has nonzeros in
-    few rows, so only the blocks V[b] of the rows b it touches are
-    gathered, multiplied by the term's right factor [M_m | A_m] (see
-    `fem`), and added back through the nonzeros of G_m.  A term along x_2
-    acts on V[b]^T as a term along x_1 acts on V[b] (transpose the
-    separable form), so the terms are split into two passes by axis.  Each
-    pass is a list of chunks of at most `step` gathered rows:
-    (rows, runs, targets, scatter).  `runs` holds (start, end, right) for
-    the stretch of the chunk that belongs to one term, `right` being that
-    term's [M_m | A_m]: an (n, 2n) view of its stacked (M_m; A_m),
-    transposed, as the factors are symmetric.  `scatter` maps the chunk's
-    products onto the chaos rows `targets`.
+    Term m >= 1 enters the operator as G_m (x) K_m, G_m being a slice of
+    the triple tensor (`raise_entries`) with nonzeros in few rows, so only
+    the blocks V[b] of the rows b it touches are gathered, multiplied by
+    the term's right factor [M_m | A_m] (see `fem`), and added back
+    through the nonzeros of G_m.  A term along x_2 acts on V[b]^T as a
+    term along x_1 acts on V[b] (transpose the separable form), so the
+    terms are split into two passes by axis.  Each pass is a list of
+    chunks of at most `step` gathered rows: (rows, runs, targets,
+    scatter).  `runs` holds (start, end, right) for the stretch of the
+    chunk that belongs to one term, `right` being that term's [M_m | A_m]:
+    an (n, 2n) view of its stacked (M_m; A_m), transposed, as the factors
+    are symmetric.  `scatter` maps the chunk's products onto the chaos
+    rows `targets`.
     """
 
-    def __init__(self, gmats, fem_op):
-        if len(gmats) != fem_op.nterms + 1:
-            raise ValueError("need one spatial term per raise matrix")
-        self.P = P = gmats[0].shape[0]
+    def __init__(self, tt, fem_op):
+        if fem_op.nterms > tt.aset.max_dimension:
+            raise ValueError(f"{fem_op.nterms} stiffness terms, but the "
+                             f"set has {tt.aset.max_dimension} dimensions")
+        self.P = tt.size
         factors = fem_op.factors
         self.n = n = factors.shape[-1]
         self.M, self.A = factors[0]
@@ -101,11 +102,10 @@ class SeparableTerms:
         for axis, chunks in enumerate(self.passes):
             pieces, width = [], 0
             for m in np.flatnonzero(fem_op.axes[1:] == axis) + 1:
-                G = sp.coo_matrix(gmats[m])
-                touched = np.unique(G.col)
-                pieces.append((touched, np.full(touched.size, m), G.row,
-                               width + np.searchsorted(touched, G.col),
-                               G.data))
+                row, col, val = tt.raise_entries(m)
+                touched = np.unique(col)
+                pieces.append((touched, np.full(touched.size, m), row,
+                               width + np.searchsorted(touched, col), val))
                 width += touched.size
             if not width:
                 continue
@@ -252,6 +252,9 @@ def weighted_gram(tt: TripleProductTensor, V, W, fem_op):
     return tt.contract_gram(H)
 
 
+_RCOND_FLOOR = 1e-12
+
+
 class DeltaFactor:
     """Dense inverse of the Galerkin multiplication operator of s.
 
@@ -259,14 +262,15 @@ class DeltaFactor:
     and the inverse serves every spatial column as well as the eigenvalue
     extraction solve, each by one matmul.  The inverse also gives the exact
     1-norm reciprocal condition number, which guards against s(y) losing
-    positivity, as that shows up here as near-singularity.
+    positivity, as that shows up here as near-singularity: an rcond below
+    `_RCOND_FLOOR` raises NearSingularError.
 
     numpy.linalg runs on the same BLAS as the matmuls of the sweep; scipy's
     wheel bundles a second one, whose thread pool would compete with
     numpy's for the cores (see README).
     """
 
-    def __init__(self, tt: TripleProductTensor, s, cond_limit=1e12):
+    def __init__(self, tt: TripleProductTensor, s):
         self.matrix = tt.multiply_matrix(np.asarray(s, dtype=float))
         try:
             self.inverse = np.linalg.inv(self.matrix)
@@ -275,7 +279,7 @@ class DeltaFactor:
         else:
             self.rcond = float(1.0 / (np.linalg.norm(self.matrix, 1)
                                       * np.linalg.norm(self.inverse, 1)))
-        if not np.isfinite(self.rcond) or self.rcond < 1.0 / cond_limit:
+        if not np.isfinite(self.rcond) or self.rcond < _RCOND_FLOOR:
             raise NearSingularError(
                 f"Galerkin multiplication operator has rcond {self.rcond:.3e}"
                 "; the scalar expansion is near losing positivity")
@@ -345,7 +349,6 @@ class GalerkinSystem:
 
     aset: object
     fem_op: ParametricOperator
-    gmats: list
     tt: TripleProductTensor
     _terms: SeparableTerms = field(default=None, repr=False)
 
@@ -364,7 +367,7 @@ class GalerkinSystem:
     @property
     def terms(self):
         if self._terms is None:
-            self._terms = SeparableTerms(self.gmats, self.fem_op)
+            self._terms = SeparableTerms(self.tt, self.fem_op)
         return self._terms
 
     def operator(self, shift=0.0):
@@ -400,6 +403,4 @@ def build_system(n, order=2, size=None, eps=None, varsigma=3.2, nquad=None,
     mesh = build_mesh(n, order)
     fem_op = build_parametric_operator(mesh, varsigma=varsigma,
                                        nterms=nterms, nquad=nquad)
-    tt = build_triple_tensor(aset)
-    gmats = build_moment_matrices(tt)[:nterms + 1]
-    return GalerkinSystem(aset, fem_op, gmats, tt)
+    return GalerkinSystem(aset, fem_op, build_triple_tensor(aset))

@@ -101,23 +101,20 @@ def rayleigh_quotient(system: GalerkinSystem, U):
 
 
 def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
-                          shift=0.0, initial=None, store_iterates=False,
-                          cg_tol_floor=1e-12, cg_tol_factor=1e-2,
-                          cg_maxiter=500, newton_tol=1e-12):
+                          shift=0.0, initial=None, store_iterates=False):
     """Drive inverse iteration to a fixed point of the three-step sweep.
 
     Stops when the tensor norm of the iterate increment drops below tol
     (both iterates have unit pointwise norm up to truncation, so absolute
     and relative increments agree).  The CG tolerance follows the outer
-    progress: a fraction cg_tol_factor of the previous increment, floored
-    at cg_tol_floor, and each solve warm-starts from the previous one.
+    progress: a fraction `_CG_TOL_FACTOR` of the previous increment,
+    floored at `_CG_TOL_FLOOR` (constants of `subspace_iteration`), and
+    each solve warm-starts from the previous one.
     """
     U0 = initial_guess(system) if initial is None else \
         np.array(initial, dtype=float) / tensor_norm(initial, system.fem_op)
     B, converged, iterates, (inc, cg_its, cg_tols, newton_its, _, _, mu) = \
-        _iterate(system, U0[:, :, None], tol, kmax, store_iterates,
-                 cg_tol_floor, cg_tol_factor, shift=shift,
-                 cg_maxiter=cg_maxiter, newton_tol=newton_tol)
+        _iterate(system, U0[:, :, None], tol, kmax, store_iterates, shift)
     if shift:
         mu = mu + shift * np.eye(1, system.P)[0]
     # safety net: pin the overall sign to the starting mode (the sweep maps

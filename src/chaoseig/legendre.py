@@ -97,15 +97,10 @@ def build_moment_matrices(tt):
     at most two structural nonzeros per row (the one-step neighbors in
     coordinate m).
     """
-    aset = tt.aset
-    P = len(aset)
-    mats = [sp.identity(P, format="csr")]
-    for m in range(1, aset.max_dimension + 1):
-        a = aset.position(((m, 1),))
-        lo, hi = np.searchsorted(tt.ia, [a, a + 1])
-        mats.append(sp.csr_matrix(
-            (tt.values[lo:hi] / np.sqrt(3.0), (tt.ib[lo:hi], tt.ic[lo:hi])),
-            shape=(P, P)))
+    mats = [sp.identity(tt.size, format="csr")]
+    for m in range(1, tt.aset.max_dimension + 1):
+        rows, cols, vals = tt.raise_entries(m)
+        mats.append(sp.csr_matrix((vals, (rows, cols)), shape=mats[0].shape))
     return mats
 
 
@@ -138,6 +133,13 @@ class TripleProductTensor:
         """Vector {sum_bc c_abc s_b t_c}_a for coefficient vectors s, t."""
         return np.bincount(self.ia, weights=self.values * s[self.ib] * t[self.ic],
                            minlength=self.size)
+
+    def raise_entries(self, m):
+        """Row-sorted (rows, cols, values) of raise matrix m >= 1."""
+        a = self.aset.position(((m, 1),))
+        lo, hi = np.searchsorted(self.ia, [a, a + 1])
+        return (self.ib[lo:hi], self.ic[lo:hi],
+                self.values[lo:hi] / np.sqrt(3.0))
 
     def multiply_matrix(self, s):
         """Dense Galerkin multiplication operator sum_a s_a * slice(a)."""

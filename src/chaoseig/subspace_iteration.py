@@ -8,9 +8,9 @@ Gram-Schmidt pass in the Galerkin product sense: the projection of w onto
 u removes the chaos expansion of <w(y), u(y)> times u, and each vector is
 divided by the expansion of its pointwise norm.  Pointwise products of
 truncated expansions fall outside the chaos space, so one pass leaves an
-orthogonality defect at truncation level; the sweep refines with extra
-passes while the defect exceeds a threshold.  `inverse_iteration` runs
-this sweep and its loop at Q = 1.
+orthogonality defect at truncation level; the sweep refines with up to
+`_MAX_REORTH` extra passes while the defect exceeds `_REORTH_THRESHOLD`.
+`inverse_iteration` runs this sweep and its loop at Q = 1.
 
 Per-vector eigenvalue expansions are deliberately not produced here: when
 eigenvalues cross inside the tracked cluster, individual pairs are not
@@ -42,6 +42,14 @@ __all__ = [
     "subspace_iterate_once",
     "run_subspace_iteration",
 ]
+
+# fixed numerics of the sweep; the CG tolerance schedule is in `_iterate`
+_CG_TOL_FLOOR = 1e-12
+_CG_TOL_FACTOR = 1e-2
+_CG_MAXITER = 500
+_REORTH_THRESHOLD = 1e-8
+_MAX_REORTH = 3
+_BREAKDOWN_TOL = 1e-10
 
 
 class SubspaceBreakdownError(RuntimeError):
@@ -98,7 +106,7 @@ def orthogonality_defect(system: GalerkinSystem, B):
     return worst
 
 
-def _orthonormalize(system, columns, newton_tol, breakdown_tol, cond_limit):
+def _orthonormalize(system, columns):
     """One Galerkin Gram-Schmidt pass over columns, normalizing each.
 
     Returns the (P, N, Q) basis, the Newton iterations of the pass and the
@@ -111,13 +119,12 @@ def _orthonormalize(system, columns, newton_tol, breakdown_tol, cond_limit):
             coeff = weighted_gram(system.tt, W, U_i, system.fem_op)
             W = W - system.tt.multiply_matrix(coeff) @ U_i
         norm = tensor_norm(W, system.fem_op)
-        if norm <= breakdown_tol:
+        if norm <= _BREAKDOWN_TOL:
             raise SubspaceBreakdownError(
                 f"basis vector collapsed to tensor norm {norm:.3e} during "
                 f"orthogonalization against {len(done)} previous vectors")
-        s, nhist = newton_normalize(system.tt, W, system.fem_op,
-                                    tol=newton_tol)
-        factor = DeltaFactor(system.tt, s, cond_limit=cond_limit)
+        s, nhist = newton_normalize(system.tt, W, system.fem_op)
+        factor = DeltaFactor(system.tt, s)
         if not done:
             inv_s = factor.solve(np.eye(1, system.P)[0])
         done.append(factor.solve(W))
@@ -126,10 +133,7 @@ def _orthonormalize(system, columns, newton_tol, breakdown_tol, cond_limit):
 
 
 def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
-                          cg_maxiter=500, warm_starts=None, sum_trick=False,
-                          reorth_threshold=1e-8, max_reorth=3,
-                          newton_tol=1e-12, breakdown_tol=1e-10,
-                          cond_limit=1e12):
+                          warm_starts=None, sum_trick=False):
     """One block sweep: per-vector solves, then orthonormalization.
 
     Returns (B_next, solves, cg_iteration_counts, extra_passes,
@@ -148,7 +152,7 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
         x0 = None if warm_starts is None else warm_starts[L]
         V, info = pcg_solve(op, fem_op.mass_apply(B[:, :, L]),
                             fem_op.mean_solve, tol=cg_tol,
-                            maxiter=cg_maxiter, x0=x0)
+                            maxiter=_CG_MAXITER, x0=x0)
         if not info.converged:
             where = f" on basis vector {L}" if q > 1 else ""
             after = "" if q > 1 else f" after {info.iterations} iterations"
@@ -157,23 +161,17 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
                 f"{info.relative_residual:.3e}{after}")
         solves.append(V)
         cg_counts.append(info.iterations)
-    work = solves
-    if q > 1:
-        # a block normalizes C-ordered copies of the solves (the layout
-        # sets the rounding of the Gram products); pooling the solves makes
-        # the leading vector a cluster average, which varies smoothly
-        # across eigenvalue crossings
-        work = [V.copy() for V in solves]
-        if sum_trick:
-            work[0] = np.sum(solves, axis=0)
-    B_next, newton_steps, inv_s = _orthonormalize(
-        system, work, newton_tol, breakdown_tol, cond_limit)
+    work = list(solves)
+    if sum_trick:
+        # pooling the solves makes the leading vector a cluster average,
+        # which varies smoothly across eigenvalue crossings
+        work[0] = np.sum(solves, axis=0)
+    B_next, newton_steps, inv_s = _orthonormalize(system, work)
     extra = 0
     defect = orthogonality_defect(system, B_next)
-    while extra < max_reorth and defect > reorth_threshold:
+    while extra < _MAX_REORTH and defect > _REORTH_THRESHOLD:
         B_next, steps, inv_s = _orthonormalize(
-            system, [B_next[:, :, L] for L in range(q)], newton_tol,
-            breakdown_tol, cond_limit)
+            system, [B_next[:, :, L] for L in range(q)])
         newton_steps += steps
         extra += 1
         defect = orthogonality_defect(system, B_next)
@@ -181,16 +179,16 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
             newton_steps, inv_s, defect)
 
 
-def _iterate(system, B, tol, kmax, store, cg_tol_floor, cg_tol_factor,
-             **sweep_args):
+def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
     """Sweep the basis B until its largest vector increment is below tol.
 
-    The CG tolerance is a fraction cg_tol_factor of the previous sweep's
-    largest increment, floored at cg_tol_floor, and each solve warm-starts
-    from the previous sweep's.  Returns (B, converged, snapshots, records):
-    one array per record, one row per sweep, of the increments and CG
-    iterations per vector, the CG tolerance, the Newton iterations, the
-    extra passes, the orthogonality defect and the first vector's 1/s.
+    The CG tolerance is a fraction `_CG_TOL_FACTOR` of the previous sweep's
+    largest increment, floored at `_CG_TOL_FLOOR`, and each solve
+    warm-starts from the previous sweep's.  Returns (B, converged,
+    snapshots, records): one array per record, one row per sweep, of the
+    increments and CG iterations per vector, the CG tolerance, the Newton
+    iterations, the extra passes, the orthogonality defect and the first
+    vector's 1/s.
     """
     if kmax < 1:
         raise ValueError("kmax must be positive")
@@ -201,10 +199,9 @@ def _iterate(system, B, tol, kmax, store, cg_tol_floor, cg_tol_factor,
     prev_inc = 1.0
     converged = False
     for _ in range(kmax):
-        cg_tol = max(cg_tol_floor, cg_tol_factor * prev_inc)
+        cg_tol = max(_CG_TOL_FLOOR, _CG_TOL_FACTOR * prev_inc)
         B_next, warm, counts, extra, newton_steps, inv_s, defect = \
-            subspace_iterate_once(system, B, cg_tol=cg_tol, warm_starts=warm,
-                                  **sweep_args)
+            subspace_iterate_once(system, B, shift, cg_tol, warm, sum_trick)
         inc = np.array([tensor_norm(B_next[:, :, L] - B[:, :, L],
                                     system.fem_op) for L in range(q)])
         rows.append((inc, counts, cg_tol, newton_steps, extra, defect,
@@ -221,16 +218,13 @@ def _iterate(system, B, tol, kmax, store, cg_tol_floor, cg_tol_factor,
 
 def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
                            shift=0.0, sum_trick=False, initial=None,
-                           store_snapshots=False, cg_tol_floor=1e-12,
-                           cg_tol_factor=1e-2, cg_maxiter=500,
-                           reorth_threshold=1e-8, max_reorth=3,
-                           newton_tol=1e-12, breakdown_tol=1e-10):
+                           store_snapshots=False):
     """Iterate a Q-vector basis until the largest vector increment is small.
 
     Inverse iteration runs the same sweep and loop at Q = 1, so both share
-    the CG-tolerance schedule and the stop test.  Snapshots (when
-    requested) include the initial basis, so entry k is the basis after k
-    sweeps.
+    the CG-tolerance schedule (`_CG_TOL_FACTOR`, `_CG_TOL_FLOOR`) and the
+    stop test.  Snapshots (when requested) include the initial basis, so
+    entry k is the basis after k sweeps.
     """
     if q < 1:
         raise ValueError("need at least one basis vector")
@@ -240,10 +234,6 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
         raise ValueError(f"basis shape {B.shape}, expected "
                          f"{(system.P, system.N, q)}")
     B, converged, snapshots, (inc, cg_its, _, _, extras, defects, _) = \
-        _iterate(system, B, tol, kmax, store_snapshots, cg_tol_floor,
-                 cg_tol_factor, shift=shift, cg_maxiter=cg_maxiter,
-                 sum_trick=sum_trick, reorth_threshold=reorth_threshold,
-                 max_reorth=max_reorth, newton_tol=newton_tol,
-                 breakdown_tol=breakdown_tol)
+        _iterate(system, B, tol, kmax, store_snapshots, shift, sum_trick)
     history = SubspaceHistory(inc, inc.max(axis=1), defects, extras, cg_its)
     return SubspaceResult(system, B, converged, history, snapshots)

@@ -26,7 +26,7 @@ from chaoseig.galerkin import (
     tensor_norm,
     weighted_gram,
 )
-from chaoseig.legendre import evaluate_expansion
+from chaoseig.legendre import build_moment_matrices, evaluate_expansion
 from oracles import (
     assemble_mass,
     assemble_stiffness,
@@ -41,6 +41,11 @@ from oracles import (
 
 def small_system(n=2, size=6):
     return build_system(n=n, order=2, size=size)
+
+
+def raise_matrices(sys):
+    """The system's raise matrices G_0..G_M, one per stiffness term."""
+    return build_moment_matrices(sys.tt)[:sys.fem_op.nterms + 1]
 
 
 def assembled_terms(sys, nquad=None):
@@ -81,7 +86,8 @@ class TestKroneckerOperator:
     def test_matches_dense_kron(self):
         sys = small_system()
         op = sys.operator()
-        dense = materialize_kronecker(sys.gmats, assembled_terms(sys))
+        dense = materialize_kronecker(raise_matrices(sys),
+                                      assembled_terms(sys))
         rng = np.random.default_rng(21)
         for _ in range(4):
             V = random_block(sys, rng)
@@ -92,8 +98,8 @@ class TestKroneckerOperator:
     def test_shifted_matches_dense(self):
         sys = small_system()
         op = sys.operator(shift=7.5)
-        dense = materialize_kronecker(sys.gmats, assembled_terms(sys),
-                                      shift=7.5,
+        dense = materialize_kronecker(raise_matrices(sys),
+                                      assembled_terms(sys), shift=7.5,
                                       mass=assemble_mass(sys.mesh))
         rng = np.random.default_rng(22)
         V = random_block(sys, rng)
@@ -124,7 +130,8 @@ class TestKroneckerOperator:
             monkeypatch.setattr(galerkin, "_CHUNK_BYTES",
                                 rows_per_chunk * slice_bytes)
             assert sys.terms.step == rows_per_chunk
-        dense = materialize_kronecker(sys.gmats, assembled_terms(sys, nquad),
+        dense = materialize_kronecker(raise_matrices(sys),
+                                      assembled_terms(sys, nquad),
                                       shift=shift,
                                       mass=assemble_mass(sys.mesh, nquad))
         V = random_block(sys, np.random.default_rng(26))
@@ -169,8 +176,11 @@ class TestKroneckerOperator:
 
     def test_rejects_length_mismatch(self):
         sys = small_system()
-        with pytest.raises(ValueError, match="per raise matrix"):
-            SeparableTerms(sys.gmats[:-1], sys.fem_op)
+        singleton = build_system(n=2, order=2, size=1)
+        assert sys.fem_op.nterms > singleton.aset.max_dimension
+        with pytest.raises(ValueError, match=r"\d+ stiffness terms, but the "
+                                             r"set has 0 dimensions"):
+            SeparableTerms(singleton.tt, sys.fem_op)
 
     def test_operators_share_cached_terms(self):
         sys = small_system()
@@ -224,7 +234,8 @@ class TestPcgSolve:
     def test_matches_dense_solve(self):
         sys = small_system()
         op = sys.operator()
-        dense = materialize_kronecker(sys.gmats, assembled_terms(sys))
+        dense = materialize_kronecker(raise_matrices(sys),
+                                      assembled_terms(sys))
         rng = np.random.default_rng(41)
         B = random_block(sys, rng)
         X, info = pcg_solve(op, B, sys.fem_op.mean_solve, tol=1e-13,
@@ -478,8 +489,8 @@ class TestBuildSystem:
         sys = build_system(n=3, order=2, size=12)
         assert sys.P == len(sys.aset) == sys.tt.size == 12
         assert sys.N == sys.mesh.ndof == (3 * 2 - 1) ** 2
-        assert len(sys.gmats) == sys.aset.max_dimension + 1
-        assert len(sys.fem_op.factors) == len(sys.gmats)
+        assert sys.fem_op.nterms == sys.aset.max_dimension
+        assert len(sys.fem_op.factors) == sys.aset.max_dimension + 1
 
     def test_requires_exactly_one_cardinality_spec(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -497,7 +508,6 @@ class TestBuildSystem:
         capped = build_system(n=2, order=1, size=6, max_terms=2)
         assert full.fem_op.nterms == full.aset.max_dimension
         assert capped.fem_op.nterms == 2
-        assert len(capped.gmats) == 3
         assert len(capped.fem_op.factors) == 3
         # a cap at or above the active dimension count changes nothing
         loose = build_system(n=2, order=1, size=6, max_terms=50)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from chaoseig import subspace_iteration
 from chaoseig.galerkin import build_system, tensor_norm
 from chaoseig.inverse_iteration import (
     initial_guess,
@@ -50,11 +51,12 @@ class TestInitialGuess:
 
 
 class TestSingletonSetReduction:
-    def test_tracks_classical_iteration_stepwise(self):
+    def test_tracks_classical_iteration_stepwise(self, monkeypatch):
+        monkeypatch.setattr(subspace_iteration, "_CG_TOL_FLOOR", 1e-14)
+        monkeypatch.setattr(subspace_iteration, "_CG_TOL_FACTOR", 0.0)
         sys = build_system(n=4, order=2, size=1)
         res = run_inverse_iteration(sys, tol=0.0, kmax=6,
-                                    store_iterates=True, cg_tol_floor=1e-14,
-                                    cg_tol_factor=0.0)
+                                    store_iterates=True)
         x = initial_guess(sys)[0].copy()
         Kd = matrix_at(sys.fem_op).toarray()
         Md = assemble_mass(sys.mesh).toarray()
@@ -162,10 +164,11 @@ class TestDriverBookkeeping:
         assert len(res.iterates) == k + 1
         np.testing.assert_array_equal(res.iterates[0], initial_guess(sys))
 
-    def test_cg_tolerance_schedule(self):
+    def test_cg_tolerance_schedule(self, monkeypatch):
+        monkeypatch.setattr(subspace_iteration, "_CG_TOL_FLOOR", 1e-12)
+        monkeypatch.setattr(subspace_iteration, "_CG_TOL_FACTOR", 1e-2)
         sys = build_system(n=3, order=1, size=5)
-        res = run_inverse_iteration(sys, tol=1e-10, kmax=40,
-                                    cg_tol_floor=1e-12, cg_tol_factor=1e-2)
+        res = run_inverse_iteration(sys, tol=1e-10, kmax=40)
         h = res.history
         np.testing.assert_allclose(h.cg_tolerances[0], 1e-2)
         want = np.maximum(1e-12, 1e-2 * h.increments[:-1])
@@ -189,10 +192,12 @@ class TestDriverBookkeeping:
         with pytest.raises(ValueError, match="kmax"):
             run_inverse_iteration(sys, kmax=0)
 
-    def test_cg_stall_names_the_iteration_count(self):
+    def test_cg_stall_names_the_iteration_count(self, monkeypatch):
+        monkeypatch.setattr(subspace_iteration, "_CG_MAXITER", 1)
+        monkeypatch.setattr(subspace_iteration, "_CG_TOL_FACTOR", 0.0)
+        monkeypatch.setattr(subspace_iteration, "_CG_TOL_FLOOR", 1e-14)
         sys = build_system(n=3, order=1, size=5)
         with pytest.raises(RuntimeError,
                            match=r"inner CG stalled at relative residual "
                                  r"\d\.\d{3}e-\d+ after 1 iterations"):
-            run_inverse_iteration(sys, cg_maxiter=1, cg_tol_factor=0.0,
-                                  cg_tol_floor=1e-14)
+            run_inverse_iteration(sys)

@@ -9,6 +9,7 @@ and for alignment with directly solved invariant subspaces.
 import numpy as np
 import pytest
 
+from chaoseig import subspace_iteration
 from chaoseig.galerkin import build_system, tensor_dot, tensor_norm
 from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.subspace_iteration import (
@@ -135,14 +136,16 @@ class TestStochasticBlock:
     @pytest.mark.parametrize("max_reorth, threshold, capped", [
         (0, 0.0, True), (1, 0.0, True), (3, 1e-8, False)])
     def test_history_defects_are_those_of_the_snapshots(self, max_reorth,
-                                                        threshold, capped):
+                                                        threshold, capped,
+                                                        monkeypatch):
         # the sweep reports the defect of the basis it returns, both when
         # the refinement passes end below the threshold and when max_reorth
         # cuts them off above it
+        monkeypatch.setattr(subspace_iteration, "_REORTH_THRESHOLD",
+                            threshold)
+        monkeypatch.setattr(subspace_iteration, "_MAX_REORTH", max_reorth)
         sys = build_system(n=3, order=1, size=12)
         res = run_subspace_iteration(sys, q=2, tol=1e-9, kmax=6,
-                                     reorth_threshold=threshold,
-                                     max_reorth=max_reorth,
                                      store_snapshots=True)
         extras = res.history.extra_orthogonalizations
         assert np.all(extras == max_reorth) == capped
@@ -193,13 +196,15 @@ class TestFailureModes:
         with pytest.raises(SubspaceBreakdownError, match="collapsed"):
             run_subspace_iteration(sys, q=2, kmax=5, initial=B)
 
-    def test_cg_stall_names_the_basis_vector(self):
+    def test_cg_stall_names_the_basis_vector(self, monkeypatch):
+        monkeypatch.setattr(subspace_iteration, "_CG_MAXITER", 1)
+        monkeypatch.setattr(subspace_iteration, "_CG_TOL_FACTOR", 0.0)
+        monkeypatch.setattr(subspace_iteration, "_CG_TOL_FLOOR", 1e-14)
         sys = build_system(n=3, order=1, size=5)
         with pytest.raises(RuntimeError,
                            match=r"inner CG stalled on basis vector 0 at "
                                  r"relative residual \d\.\d{3}e-\d+$"):
-            run_subspace_iteration(sys, q=2, cg_maxiter=1, cg_tol_factor=0.0,
-                                   cg_tol_floor=1e-14)
+            run_subspace_iteration(sys, q=2)
 
     def test_shape_and_argument_validation(self):
         sys = build_system(n=3, order=1, size=5)
