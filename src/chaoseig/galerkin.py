@@ -7,14 +7,20 @@ the PN x PN system matrix; the stiffness operator
 
     sum_m  (raise matrix m)  (x)  (stiffness term m)
 
-is applied blockwise on the 1D factors of the separable stiffness terms
-(see `fem`): each spatial block is an (n, n) array acted on by batched
-small matmuls, and term m only touches the chaos rows its raise matrix
-couples.  The mass and the mean-based preconditioner (the inverse of the
-mean term) are the `fem.ParametricOperator` kernels `mass_apply` and
-`mean_solve`, which act on every row of a block at once.  The tensor norm
-pairs the stochastic blocks with the spatial mass matrix:
-||V||^2 = sum_a V[a] . M V[a].
+is applied blockwise on the separable stiffness terms (see `fem`): each
+spatial block is an (n, n) array acted on by batched small matmuls, and
+term m only touches the chaos rows its raise matrix couples.
+
+The operator and CG run in the mean eigenbasis Q (x) Q of
+`fem.ParametricOperator.mean_eigenbasis`: a block of coordinates Y has
+nodal values Q Y Q^T per slice (`to_spectral` and `to_nodal` convert).
+There the mass is the identity, the mean term K_0 is the elementwise
+scaling by lam_i + lam_j and its inverse, the preconditioner, a division;
+each fluctuation term keeps dense 1D factors Q^T M_m Q and Q^T A_m Q.  The
+helpers on nodal blocks (`tensor_norm`, `tensor_dot`, `weighted_gram`)
+pair the stochastic blocks with the spatial mass matrix:
+||V||^2 = sum_a V[a] . M V[a], which is the plain Frobenius norm of the
+coordinates.
 """
 
 from __future__ import annotations
@@ -65,28 +71,33 @@ def tensor_norm(V, fem_op):
 
 
 # KroneckerOperator.apply gathers at most this many bytes of (n, n) slices
-# at a time: its temporaries beside the output and one (P, n, 2n) buffer
-# stay a few times that size, and in cache.
+# at a time: its temporaries beside the output stay a few times that size,
+# and in cache.
 _CHUNK_BYTES = 2**16
 
 
 class SeparableTerms:
-    """The affine stiffness terms in separable form, with the chaos rows
-    each one touches; built once per system and shared by its operators.
+    """The affine stiffness terms in the mean eigenbasis, with the chaos
+    rows each one touches; built once per system and shared by its
+    operators.
 
-    Term m >= 1 enters the operator as G_m (x) K_m, G_m being a slice of
-    the triple tensor (`raise_entries`) with nonzeros in few rows, so only
-    the blocks V[b] of the rows b it touches are gathered, multiplied by
-    the term's right factor [M_m | A_m] (see `fem`), and added back
-    through the nonzeros of G_m.  A term along x_2 acts on V[b]^T as a
-    term along x_1 acts on V[b] (transpose the separable form), so the
-    terms are split into two passes by axis.  Each pass is a list of
-    chunks of at most `step` gathered rows: (rows, runs, targets,
-    scatter).  `runs` holds (start, end, right) for the stretch of the
-    chunk that belongs to one term, `right` being that term's [M_m | A_m]:
-    an (n, 2n) view of its stacked (M_m; A_m), transposed, as the factors
-    are symmetric.  `scatter` maps the chunk's products onto the chaos
-    rows `targets`.
+    In the coordinates Y = (MQ)^T X (MQ) of (lam, Q) = the operator's
+    `mean_eigenbasis` the mass M (x) M is the identity and K_0 is the
+    elementwise scaling by `mean` = lam_i + lam_j.  A term along x_1,
+    M (x) A_m + A (x) M_m, maps Y to Y A'_m + diag(lam) Y M'_m with the
+    dense 1D factors M'_m = Q^T M_m Q and A'_m = Q^T A_m Q, that is
+    [diag(lam) Y | Y] times the stacked (M'_m; A'_m).  Term m >= 1 enters
+    the operator as G_m (x) K_m, G_m being a slice of the triple tensor
+    (`raise_entries`) with nonzeros in few rows, so only the blocks Y[b]
+    of the rows b it touches are gathered, multiplied, and added back
+    through the nonzeros of G_m.  A term along x_2 acts on Y[b]^T as a term
+    along x_1 acts on Y[b] (transpose the separable form), so the terms are
+    split into two passes by axis.  Each pass is a list of chunks of at
+    most `step` gathered rows: (rows, runs, targets, scatter).  `runs`
+    holds (start, end, right) for the stretch of the chunk that belongs to
+    one term, `right` being that term's contiguous (2n, n) stack
+    (M'_m; A'_m).  `scatter` maps the chunk's products onto the chaos rows
+    `targets`.
     """
 
     def __init__(self, tt, fem_op):
@@ -94,9 +105,13 @@ class SeparableTerms:
             raise ValueError(f"{fem_op.nterms} stiffness terms, but the "
                              f"set has {tt.aset.max_dimension} dimensions")
         self.P = tt.size
-        factors = fem_op.factors
-        self.n = n = factors.shape[-1]
-        self.M, self.A = factors[0]
+        self.lam, Q = fem_op.mean_eigenbasis
+        self.n = n = len(Q)
+        self.mean = self.lam[:, None] + self.lam[None, :]
+        factors = np.matmul(Q.T, np.matmul(fem_op.factors, Q))
+        # symmetric as the 1D factors are, so the x_2 pass may use them
+        # for their transposes
+        factors = 0.5 * (factors + factors.swapaxes(-1, -2))
         self.step = max(1, _CHUNK_BYTES // (8 * n * n))
         self.passes = ([], [])
         for axis, chunks in enumerate(self.passes):
@@ -118,37 +133,35 @@ class SeparableTerms:
                                         shape=(targets.size, hi - lo))
                 cuts = [0, *(np.flatnonzero(np.diff(term[lo:hi])) + 1),
                         hi - lo]
-                runs = [(a, b, factors[term[lo + a]].reshape(2 * n, n).T)
+                runs = [(a, b, factors[term[lo + a]].reshape(2 * n, n))
                         for a, b in zip(cuts, cuts[1:])]
                 chunks.append((rows[lo:hi], runs, targets, scatter))
 
 
 class KroneckerOperator:
-    """Blockwise application of the affine Galerkin stiffness operator.
+    """Blockwise application of the affine Galerkin stiffness operator, in
+    the mean eigenbasis (see `SeparableTerms`).
 
     Parameters
     ----------
     terms : SeparableTerms of the system (raise-matrix rows, 1D factors).
     shift : optional spectral shift; the operator becomes
-        (stiffness part) - shift * (identity (x) mass), the mass being
-        M (x) M.  Shifted operators may be indefinite; pcg_solve reports
-        that instead of silently iterating.
+        (stiffness part) - shift * (identity (x) mass), the mass being the
+        identity in these coordinates.  Shifted operators may be
+        indefinite; pcg_solve reports that instead of silently iterating.
 
-    A block V is applied as P slices X = V[b] reshaped to (n, n), x_2
-    index first, on which B (x) C acts as B X C^T (= B X C: every factor
-    is symmetric).  A term along x_1 is M (x) A_m + A (x) M_m, so
-    X [M_m | A_m] is formed for every term and touched row, the chaos rows
-    are combined, and A and M are applied once per slice at the end; terms
-    along x_2 do the same on X^T.
+    A block Y is applied as P slices Y[b] reshaped to (n, n), x_2 index
+    first.  The mean term and the shift scale each slice elementwise by
+    lam_i + lam_j - shift; each fluctuation term adds one gathered product
+    [diag(lam) Y | Y] (M'_m; A'_m) per touched row, and the terms along x_2
+    do the same on Y^T and add their sum transposed.
     """
 
     def __init__(self, terms, shift=0.0):
         self.terms = terms
-        self.shift = float(shift)
         self.P = terms.P
         self.N = terms.n * terms.n
-        # mean term and shift: A X M + M X (A - shift M)
-        self.right0 = np.hstack([terms.M, terms.A - self.shift * terms.M])
+        self.diagonal = terms.mean - float(shift)
 
     def apply(self, V):
         """Matrix-free product with a (P, N) coefficient block."""
@@ -156,37 +169,31 @@ class KroneckerOperator:
         if V.shape != (self.P, self.N):
             raise ValueError(f"block shape {V.shape}, expected "
                              f"{(self.P, self.N)}")
-        t, P, n, step = self.terms, self.P, self.terms.n, self.terms.step
-        X = V.reshape(P, n, n)
-        out = np.empty_like(X)
-        E = np.empty((P, n, 2 * n))
+        t, P, n = self.terms, self.P, self.terms.n
+        Y = V.reshape(P, n, n)
+        out = Y * self.diagonal
         for axis, chunks in enumerate(t.passes):
-            if axis == 0:
-                np.matmul(X.reshape(-1, n), self.right0,
-                          out=E.reshape(-1, 2 * n))
-            elif chunks:
-                E.fill(0.0)
-            else:
-                break
+            if not chunks:
+                continue
+            acc = np.zeros_like(out) if axis else out
             for rows, runs, targets, scatter in chunks:
-                Xg = X[rows]
-                if axis:
-                    Xg = np.ascontiguousarray(Xg.transpose(0, 2, 1))
-                T = np.empty((rows.size, n, 2 * n))
+                G = np.empty((rows.size, n, 2 * n))
+                G[..., n:] = Y[rows].transpose(0, 2, 1) if axis else Y[rows]
+                np.multiply(t.lam[:, None], G[..., n:], out=G[..., :n])
+                T = np.empty((rows.size, n, n))
                 for start, end, right in runs:
-                    np.matmul(Xg[start:end].reshape(-1, n), right,
-                              out=T[start:end].reshape(-1, 2 * n))
-                E.reshape(P, -1)[targets] += scatter @ T.reshape(
+                    np.matmul(G[start:end].reshape(-1, 2 * n), right,
+                              out=T[start:end].reshape(-1, n))
+                acc.reshape(P, -1)[targets] += scatter @ T.reshape(
                     rows.size, -1)
-            for lo in range(0, P, step):
-                part = E[lo:lo + step]
-                L = np.matmul(t.A, part[..., :n])
-                L += np.matmul(t.M, part[..., n:])
-                if axis:
-                    out[lo:lo + step] += L.transpose(0, 2, 1)
-                else:
-                    out[lo:lo + step] = L
+            if axis:
+                out += acc.transpose(0, 2, 1)
         return out.reshape(P, self.N)
+
+    def mean_solve(self, R):
+        """The mean-based preconditioner: K_0^-1, a division by
+        lam_i + lam_j in these coordinates, on a (P, N) block."""
+        return R / self.terms.mean.ravel()
 
 
 @dataclass
@@ -201,10 +208,10 @@ def pcg_solve(op: KroneckerOperator, rhs, precond, tol=1e-10, maxiter=500,
               x0=None):
     """Preconditioned conjugate gradients on coefficient blocks.
 
-    precond maps a block to its preconditioned block, as the mean solve
-    `system.fem_op.mean_solve` does.  Stops when the preconditioner-norm
-    residual sqrt(r.Pr) drops below tol times the same norm of the
-    right-hand side (a fixed target, so warm starts genuinely help).
+    precond maps a block to its preconditioned block, as the operator's
+    `mean_solve` does.  Stops when the preconditioner-norm residual
+    sqrt(r.Pr) drops below tol times the same norm of the right-hand side
+    (a fixed target, so warm starts genuinely help).
     Raises IndefiniteOperatorError on negative curvature, which signals a
     bad spectral shift.
     """
@@ -289,12 +296,13 @@ class DeltaFactor:
         return self.inverse @ np.asarray(rhs, dtype=float)
 
 
-def newton_normalize(tt: TripleProductTensor, V, fem_op, tol=1e-12,
-                     maxiter=50, max_halvings=30):
-    """Chaos coefficients s of the pointwise norm of an expansion block.
+def newton_normalize(tt: TripleProductTensor, b, tol=1e-12, maxiter=50,
+                     max_halvings=30):
+    """Chaos coefficients s of the pointwise norm of an expansion block V,
+    given its Gram vector b = `weighted_gram`(V, V).
 
-    Solves F(s) = 0 where F_a = (s G(a) s) - (V . (G(a) x M) V), starting
-    from s = ||V|| e_0; the Jacobian is twice the Galerkin multiplication
+    Solves F(s) = 0 where F_a = (s G(a) s) - b_a, starting from
+    s = ||V|| e_0; the Jacobian is twice the Galerkin multiplication
     operator of s, which at the start is a positive multiple of the
     identity.  Damped Newton: the step is halved until the residual norm
     decreases.
@@ -302,7 +310,6 @@ def newton_normalize(tt: TripleProductTensor, V, fem_op, tol=1e-12,
     Returns (s, residual_history); the history starts with the residual at
     the initial guess.
     """
-    b = weighted_gram(tt, V, V, fem_op)
     scale = b[0]  # = ||V||^2 since the zero-index slice is the identity
     if scale <= 0.0:
         raise ValueError("cannot normalize a zero block")
@@ -372,9 +379,6 @@ class GalerkinSystem:
 
     def operator(self, shift=0.0):
         return KroneckerOperator(self.terms, shift=shift)
-
-    def gram(self, V, W):
-        return weighted_gram(self.tt, V, W, self.fem_op)
 
 
 def build_system(n, order=2, size=None, eps=None, varsigma=3.2, nquad=None,

@@ -12,6 +12,12 @@ orthogonality defect at truncation level; the sweep refines with up to
 `_MAX_REORTH` extra passes while the defect exceeds `_REORTH_THRESHOLD`.
 `inverse_iteration` runs this sweep and its loop at Q = 1.
 
+The sweep holds its blocks in the mean eigenbasis (see `galerkin`), where
+the mass is the identity: the right-hand side of a solve is the basis
+vector itself, tensor norms are Frobenius norms and Gram matrices plain
+products.  `run_subspace_iteration` and `run_inverse_iteration` take and
+return nodal blocks, converting at entry and exit.
+
 Per-vector eigenvalue expansions are deliberately not produced here: when
 eigenvalues cross inside the tracked cluster, individual pairs are not
 smooth functions of the parameter and only the subspace itself is a
@@ -29,8 +35,6 @@ from .galerkin import (
     GalerkinSystem,
     newton_normalize,
     pcg_solve,
-    tensor_norm,
-    weighted_gram,
 )
 
 __all__ = [
@@ -67,6 +71,8 @@ class SubspaceHistory:
     orthogonality_defects: np.ndarray
     extra_orthogonalizations: np.ndarray
     cg_iterations: np.ndarray
+    cg_tolerances: np.ndarray
+    newton_iterations: np.ndarray
 
     def __len__(self):
         return len(self.max_increments)
@@ -95,18 +101,31 @@ def initial_basis(system: GalerkinSystem, q):
     return B
 
 
-def orthogonality_defect(system: GalerkinSystem, B):
-    """Largest chaos-coefficient norm of <u_i(y), u_j(y)> over pairs i<j."""
+def _columns(transform, B):
+    """transform, which acts along the last axis, on each (P, N) column of
+    a (P, N, Q) stack; `to_spectral` or `to_nodal` of the operator."""
+    return np.moveaxis(transform(np.moveaxis(B, 2, 1)), 1, 2)
+
+
+def _defect(tt, B):
+    """Largest chaos-coefficient norm of <u_i(y), u_j(y)> over pairs i<j of
+    a (P, N, Q) stack in the mean eigenbasis."""
     q = B.shape[2]
     worst = 0.0
     for i in range(q):
         for j in range(i + 1, q):
-            f = system.gram(B[:, :, i], B[:, :, j])
+            f = tt.contract_gram(B[:, :, i] @ B[:, :, j].T)
             worst = max(worst, float(np.linalg.norm(f)))
     return worst
 
 
-def _orthonormalize(system, columns):
+def orthogonality_defect(system: GalerkinSystem, B):
+    """Largest chaos-coefficient norm of <u_i(y), u_j(y)> over pairs i<j of
+    a nodal (P, N, Q) stack."""
+    return _defect(system.tt, _columns(system.fem_op.to_spectral, B))
+
+
+def _orthonormalize(tt, columns):
     """One Galerkin Gram-Schmidt pass over columns, normalizing each.
 
     Returns the (P, N, Q) basis, the Newton iterations of the pass and the
@@ -116,17 +135,17 @@ def _orthonormalize(system, columns):
     newton_steps = 0
     for W in columns:
         for U_i in done:
-            coeff = weighted_gram(system.tt, W, U_i, system.fem_op)
-            W = W - system.tt.multiply_matrix(coeff) @ U_i
-        norm = tensor_norm(W, system.fem_op)
+            coeff = tt.contract_gram(W @ U_i.T)
+            W = W - tt.multiply_matrix(coeff) @ U_i
+        norm = np.linalg.norm(W)
         if norm <= _BREAKDOWN_TOL:
             raise SubspaceBreakdownError(
                 f"basis vector collapsed to tensor norm {norm:.3e} during "
                 f"orthogonalization against {len(done)} previous vectors")
-        s, nhist = newton_normalize(system.tt, W, system.fem_op)
-        factor = DeltaFactor(system.tt, s)
+        s, nhist = newton_normalize(tt, tt.contract_gram(W @ W.T))
+        factor = DeltaFactor(tt, s)
         if not done:
-            inv_s = factor.solve(np.eye(1, system.P)[0])
+            inv_s = factor.solve(np.eye(1, tt.size)[0])
         done.append(factor.solve(W))
         newton_steps += len(nhist) - 1
     return np.stack(done, axis=2), newton_steps, inv_s
@@ -136,22 +155,23 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
                           warm_starts=None, sum_trick=False):
     """One block sweep: per-vector solves, then orthonormalization.
 
-    Returns (B_next, solves, cg_iteration_counts, extra_passes,
-    newton_iterations, inv_s, defect); `solves` holds the raw CG solutions
-    for warm-starting the next sweep, `inv_s` is the Galerkin division of
-    the constant one by the first column's norm expansion s in the last
-    pass (at Q = 1, mu = shift + 1/s is the eigenvalue expansion), and
-    `defect` is the orthogonality defect of B_next.
+    B is a (P, N, Q) stack in the mean eigenbasis, and so are B_next, the
+    solves and the warm starts.  Returns (B_next, solves,
+    cg_iteration_counts, extra_passes, newton_iterations, inv_s, defect);
+    `solves` holds the raw CG solutions for warm-starting the next sweep,
+    `inv_s` is the Galerkin division of the constant one by the first
+    column's norm expansion s in the last pass (at Q = 1, mu = shift + 1/s
+    is the eigenvalue expansion), and `defect` is the orthogonality defect
+    of B_next.
     """
     q = B.shape[2]
     op = system.operator(shift)
-    fem_op = system.fem_op
+    tt = system.tt
     solves = []
     cg_counts = []
     for L in range(q):
         x0 = None if warm_starts is None else warm_starts[L]
-        V, info = pcg_solve(op, fem_op.mass_apply(B[:, :, L]),
-                            fem_op.mean_solve, tol=cg_tol,
+        V, info = pcg_solve(op, B[:, :, L], op.mean_solve, tol=cg_tol,
                             maxiter=_CG_MAXITER, x0=x0)
         if not info.converged:
             where = f" on basis vector {L}" if q > 1 else ""
@@ -166,34 +186,37 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
         # pooling the solves makes the leading vector a cluster average,
         # which varies smoothly across eigenvalue crossings
         work[0] = np.sum(solves, axis=0)
-    B_next, newton_steps, inv_s = _orthonormalize(system, work)
+    B_next, newton_steps, inv_s = _orthonormalize(tt, work)
     extra = 0
-    defect = orthogonality_defect(system, B_next)
+    defect = _defect(tt, B_next)
     while extra < _MAX_REORTH and defect > _REORTH_THRESHOLD:
         B_next, steps, inv_s = _orthonormalize(
-            system, [B_next[:, :, L] for L in range(q)])
+            tt, [B_next[:, :, L] for L in range(q)])
         newton_steps += steps
         extra += 1
-        defect = orthogonality_defect(system, B_next)
+        defect = _defect(tt, B_next)
     return (B_next, solves, np.asarray(cg_counts, dtype=int), extra,
             newton_steps, inv_s, defect)
 
 
 def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
-    """Sweep the basis B until its largest vector increment is below tol.
+    """Sweep the nodal start basis B until its largest vector increment is
+    below tol.
 
     The CG tolerance is a fraction `_CG_TOL_FACTOR` of the previous sweep's
     largest increment, floored at `_CG_TOL_FLOOR`, and each solve
     warm-starts from the previous sweep's.  Returns (B, converged,
-    snapshots, records): one array per record, one row per sweep, of the
-    increments and CG iterations per vector, the CG tolerance, the Newton
-    iterations, the extra passes, the orthogonality defect and the first
-    vector's 1/s.
+    snapshots, records): B in the mean eigenbasis; the nodal snapshots, the
+    first being the start as given; and one array per record, one row per
+    sweep, of the increments and CG iterations per vector, the CG
+    tolerance, the Newton iterations, the extra passes, the orthogonality
+    defect and the first vector's 1/s.
     """
     if kmax < 1:
         raise ValueError("kmax must be positive")
-    q = B.shape[2]
+    fem_op = system.fem_op
     snapshots = [B.copy()] if store else None
+    B = _columns(fem_op.to_spectral, B)
     rows = []
     warm = None
     prev_inc = 1.0
@@ -202,13 +225,12 @@ def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
         cg_tol = max(_CG_TOL_FLOOR, _CG_TOL_FACTOR * prev_inc)
         B_next, warm, counts, extra, newton_steps, inv_s, defect = \
             subspace_iterate_once(system, B, shift, cg_tol, warm, sum_trick)
-        inc = np.array([tensor_norm(B_next[:, :, L] - B[:, :, L],
-                                    system.fem_op) for L in range(q)])
+        inc = np.linalg.norm(B_next - B, axis=(0, 1))
         rows.append((inc, counts, cg_tol, newton_steps, extra, defect,
                      inv_s))
         B = B_next
         if store:
-            snapshots.append(B.copy())
+            snapshots.append(_columns(fem_op.to_nodal, B))
         prev_inc = float(inc.max())
         if prev_inc < tol:
             converged = True
@@ -233,7 +255,10 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
     if B.shape != (system.P, system.N, q):
         raise ValueError(f"basis shape {B.shape}, expected "
                          f"{(system.P, system.N, q)}")
-    B, converged, snapshots, (inc, cg_its, _, _, extras, defects, _) = \
+    B, converged, snapshots, (inc, cg_its, cg_tols, newton_its, extras,
+                              defects, _) = \
         _iterate(system, B, tol, kmax, store_snapshots, shift, sum_trick)
-    history = SubspaceHistory(inc, inc.max(axis=1), defects, extras, cg_its)
-    return SubspaceResult(system, B, converged, history, snapshots)
+    history = SubspaceHistory(inc, inc.max(axis=1), defects, extras, cg_its,
+                              cg_tols, newton_its)
+    return SubspaceResult(system, _columns(system.fem_op.to_nodal, B),
+                          converged, history, snapshots)

@@ -19,6 +19,7 @@ from chaoseig.galerkin import (
     newton_normalize,
     pcg_solve,
     tensor_norm,
+    weighted_gram,
 )
 from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.legendre import build_moment_matrices, build_triple_tensor
@@ -192,9 +193,10 @@ def test_09_operator_coercivity():
     for _ in range(100):
         V = rng.standard_normal((sys_.P, sys_.N))
         assert float(np.sum(V * op.apply(V))) > 0.0
-    # an unshifted solve must never trip the negative-curvature guard
-    rhs = sys_.fem_op.mass_apply(rng.standard_normal((sys_.P, sys_.N)))
-    _, info = pcg_solve(op, rhs, sys_.fem_op.mean_solve, tol=1e-10)
+    # an unshifted solve must never trip the negative-curvature guard; the
+    # right-hand side M U is U's own coordinates in the eigenbasis
+    rhs = sys_.fem_op.to_spectral(rng.standard_normal((sys_.P, sys_.N)))
+    _, info = pcg_solve(op, rhs, op.mean_solve, tol=1e-10)
     assert info.converged
     assert time.perf_counter() - t0 <= budget
 
@@ -204,7 +206,9 @@ def test_10_newton_termination_quadratic_tail():
     sys_ = build_system(n=8, order=1, size=31)
     rng = np.random.default_rng(2468)
     V = rng.standard_normal((sys_.P, sys_.N)) * sys_.aset.weights[:, None]
-    s, hist = newton_normalize(sys_.tt, V, sys_.fem_op, tol=1e-12)
+    s, hist = newton_normalize(sys_.tt, weighted_gram(sys_.tt, V, V,
+                                                      sys_.fem_op),
+                               tol=1e-12)
     scale = tensor_norm(V, sys_.fem_op) ** 2
     assert len(hist) - 1 <= 10
     assert hist[-1] <= 1e-12 * scale

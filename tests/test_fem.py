@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -198,6 +199,58 @@ class TestParametricOperator:
                 matrix_at(op, rng.uniform(-1, 1, 6)) for _ in range(3)]:
             assert np.array_equal(K.indptr, want.indptr)
             assert np.array_equal(K.indices, want.indices)
+
+
+class TestMeanEigenbasis:
+    MESHES = [(2, 1), (4, 1), (4, 2), (16, 1), (16, 2), (48, 2)]
+
+    @pytest.mark.parametrize("n, order", MESHES)
+    def test_generalized_eigenpairs(self, n, order):
+        # A Q = M Q diag(lam) and Q^T M Q = I, lam ascending and equal to
+        # scipy's generalized eigh (largest 1D size here: 95)
+        op = build_parametric_operator(build_mesh(n, order))
+        M, A = op.factors[0]
+        lam, Q = op.mean_eigenbasis
+        assert np.abs(A @ Q - (M @ Q) * lam).max() <= 1e-13 * np.abs(A).max()
+        np.testing.assert_allclose(Q.T @ M @ Q, np.eye(len(Q)), rtol=0.0,
+                                   atol=1e-14)
+        assert np.all(np.diff(lam) > 0.0)
+        np.testing.assert_allclose(lam, scipy.linalg.eigh(A, M)[0],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("n, order", [(48, 2), (96, 1)])
+    def test_smallest_modes_to_roundoff(self, n, order):
+        # the sweep's mean term and eigenvalue rest on the smallest modes:
+        # their residuals, taken in long double, sit at the floor that
+        # rounding Q to double leaves (4e-13 here), where a plain eigh
+        # leaves 4e-12, and lam matches their Rayleigh quotients
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double here")
+        op = build_parametric_operator(build_mesh(n, order))
+        M, A = op.factors[0].astype(np.longdouble)
+        lam, Q = op.mean_eigenbasis
+        Q = Q[:, :3].astype(np.longdouble)
+        AQ, MQ = A @ Q, M @ Q
+        R = AQ - MQ * lam[:3]
+        assert np.all(np.linalg.norm(R.astype(float), axis=0)
+                      <= 1e-12 * lam[:3]
+                      * np.linalg.norm(MQ.astype(float), axis=0))
+        rq = (np.sum(Q * AQ, axis=0) / np.sum(Q * MQ, axis=0)).astype(float)
+        np.testing.assert_allclose(lam[:3], rq, rtol=1e-13)
+
+    @pytest.mark.parametrize("n, order", MESHES)
+    def test_coordinates_round_trip(self, n, order):
+        # to_spectral and to_nodal are inverse to each other, on blocks and
+        # on stacks, along the last axis
+        op = build_parametric_operator(build_mesh(n, order))
+        rng = np.random.default_rng(5)
+        for V in (rng.standard_normal((3, op.ndof)),
+                  rng.standard_normal((2, 3, op.ndof))):
+            for there, back in ((op.to_spectral, op.to_nodal),
+                                (op.to_nodal, op.to_spectral)):
+                W = back(there(V))
+                assert W.shape == V.shape
+                assert np.abs(W - V).max() <= 1e-14 * np.abs(V).max()
 
 
 class TestSpatialConvergence:

@@ -3,7 +3,10 @@
 Every structured operation (blockwise operator apply, preconditioned CG,
 weighted Gram contraction, Galerkin multiplication factor, Newton
 normalization) is checked against a dense oracle built with np.kron or
-einsum over the full triple-product tensor.
+einsum over the full triple-product tensor.  The operator and CG act in
+the mean eigenbasis; the nodal checks reach them through the operator's
+`to_spectral` and `to_nodal`, and the spectral checks move the dense
+oracle into the same coordinates.
 """
 
 import numpy as np
@@ -54,6 +57,19 @@ def assembled_terms(sys, nquad=None):
                           nquad)
 
 
+def nodal_apply(sys, op, V):
+    """The nodal product K V of a spectral operator: K = T^-T K' T^-1 for
+    the nodal values X = T Y, and T^-T Y = M (Q Y Q^T) M per slice."""
+    f = sys.fem_op
+    return f.mass_apply(f.to_nodal(op.apply(f.to_spectral(V))))
+
+
+def gram_vector(sys, V):
+    """What `newton_normalize` normalizes: the Gram vector of V with
+    itself."""
+    return weighted_gram(sys.tt, V, V, sys.fem_op)
+
+
 def random_block(sys, rng, scale_by_weight=False):
     V = rng.standard_normal((sys.P, sys.N))
     if scale_by_weight:
@@ -71,6 +87,14 @@ class TestTensorNorm:
         v = V.ravel()
         np.testing.assert_allclose(tensor_norm(V, sys.fem_op),
                                    np.sqrt(v @ big @ v), rtol=1e-13)
+
+    def test_is_frobenius_norm_of_coordinates(self):
+        # the mass is the identity in the mean eigenbasis
+        for sys in (small_system(), build_system(n=4, order=1, size=6)):
+            V = random_block(sys, np.random.default_rng(13))
+            np.testing.assert_allclose(
+                np.linalg.norm(sys.fem_op.to_spectral(V)),
+                tensor_norm(V, sys.fem_op), rtol=1e-13)
 
     def test_dot_bilinearity(self):
         sys = small_system()
@@ -91,7 +115,7 @@ class TestKroneckerOperator:
         rng = np.random.default_rng(21)
         for _ in range(4):
             V = random_block(sys, rng)
-            got = op.apply(V).ravel()
+            got = nodal_apply(sys, op, V).ravel()
             want = dense @ V.ravel()
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
@@ -103,8 +127,8 @@ class TestKroneckerOperator:
                                       mass=assemble_mass(sys.mesh))
         rng = np.random.default_rng(22)
         V = random_block(sys, rng)
-        np.testing.assert_allclose(op.apply(V).ravel(), dense @ V.ravel(),
-                                   rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(nodal_apply(sys, op, V).ravel(),
+                                   dense @ V.ravel(), rtol=1e-12, atol=1e-13)
 
     def test_apply_is_symmetric(self):
         sys = build_system(n=3, order=2, size=12)
@@ -135,8 +159,31 @@ class TestKroneckerOperator:
                                       shift=shift,
                                       mass=assemble_mass(sys.mesh, nquad))
         V = random_block(sys, np.random.default_rng(26))
-        got = sys.operator(shift).apply(V).ravel()
+        got = nodal_apply(sys, sys.operator(shift), V).ravel()
         want = dense @ V.ravel()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("order, nquad", [(1, None), (2, None), (1, 4),
+                                              (2, 5)])
+    @pytest.mark.parametrize("shift", [0.0, 7.5])
+    @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
+    def test_spectral_apply_matches_assembled(self, order, nquad, shift,
+                                              rows_per_chunk, monkeypatch):
+        # the dense oracle in Q (x) Q coordinates: (I (x) T)^T K (I (x) T)
+        sys = build_system(n=3, order=order, size=12, nquad=nquad)
+        if rows_per_chunk is not None:
+            monkeypatch.setattr(galerkin, "_CHUNK_BYTES",
+                                rows_per_chunk * sys.N * 8)
+            assert sys.terms.step == rows_per_chunk
+        dense = materialize_kronecker(raise_matrices(sys),
+                                      assembled_terms(sys, nquad),
+                                      shift=shift,
+                                      mass=assemble_mass(sys.mesh, nquad))
+        Q = sys.fem_op.mean_eigenbasis[1]
+        T = np.kron(np.eye(sys.P), np.kron(Q, Q))
+        Y = random_block(sys, np.random.default_rng(28))
+        got = sys.operator(shift).apply(Y).ravel()
+        want = T.T @ (dense @ (T @ Y.ravel()))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_positive_definite_without_shift(self):
@@ -155,7 +202,10 @@ class TestKroneckerOperator:
         rng = np.random.default_rng(25)
         V = random_block(sys, rng)
         want = (matrix_at(sys.fem_op) @ V.T).T
-        np.testing.assert_allclose(op.apply(V), want, rtol=1e-14)
+        np.testing.assert_allclose(nodal_apply(sys, op, V), want, rtol=1e-14)
+        # the mean term is diagonal, and the preconditioner inverts it
+        np.testing.assert_allclose(op.mean_solve(op.apply(V)), V,
+                                   rtol=1e-14)
 
     def test_rejects_wrong_shape(self):
         sys = small_system()
@@ -168,8 +218,9 @@ class TestKroneckerOperator:
         # shift * (identity (x) assembled mass)
         sys = small_system()
         V = random_block(sys, np.random.default_rng(27))
-        diff = (KroneckerOperator(sys.terms).apply(V)
-                - KroneckerOperator(sys.terms, shift=1.5).apply(V))
+        diff = (nodal_apply(sys, KroneckerOperator(sys.terms), V)
+                - nodal_apply(sys, KroneckerOperator(sys.terms, shift=1.5),
+                              V))
         np.testing.assert_allclose(diff,
                                    1.5 * (assemble_mass(sys.mesh) @ V.T).T,
                                    rtol=1e-12, atol=1e-12)
@@ -213,41 +264,48 @@ class TestMeanPreconditioner:
         assert float(np.sum(R1 * solve(R1))) > 0.0
 
     def test_cached_on_system(self, monkeypatch):
-        # the 1D eigh behind the mean solve runs once per operator
+        # the 1D eigh behind the mean solve and the sweep's coordinates
+        # runs once per operator
         calls = []
-        eigh = scipy.linalg.eigh
+        eigh = np.linalg.eigh
 
         def counted(*args, **kwargs):
             calls.append(1)
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         sys = small_system()
         R = random_block(sys, np.random.default_rng(33))
         for _ in range(2):
             sys.fem_op.mean_solve(R)
             sys.fem_op.mean_eigenpairs(2)
+            sys.fem_op.to_nodal(sys.fem_op.to_spectral(R))
+            sys.operator().apply(R)
         assert len(calls) == 1
 
 
 class TestPcgSolve:
     def test_matches_dense_solve(self):
+        # K V = M U, solved in the eigenbasis, where the right-hand side is
+        # U's own coordinates
         sys = small_system()
         op = sys.operator()
         dense = materialize_kronecker(raise_matrices(sys),
                                       assembled_terms(sys))
         rng = np.random.default_rng(41)
-        B = random_block(sys, rng)
-        X, info = pcg_solve(op, B, sys.fem_op.mean_solve, tol=1e-13,
-                            maxiter=400)
+        U = random_block(sys, rng)
+        Y, info = pcg_solve(op, sys.fem_op.to_spectral(U), op.mean_solve,
+                            tol=1e-13, maxiter=400)
         assert info.converged
+        B = sys.fem_op.mass_apply(U)
         want = np.linalg.solve(dense, B.ravel()).reshape(B.shape)
-        np.testing.assert_allclose(X, want, rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(sys.fem_op.to_nodal(Y), want, rtol=1e-9,
+                                   atol=1e-11)
 
     def test_zero_rhs_short_circuits(self):
         sys = small_system()
-        X, info = pcg_solve(sys.operator(), np.zeros((sys.P, sys.N)),
-                            sys.fem_op.mean_solve)
+        op = sys.operator()
+        X, info = pcg_solve(op, np.zeros((sys.P, sys.N)), op.mean_solve)
         assert info.converged and info.iterations == 0
         assert not X.any()
 
@@ -256,18 +314,17 @@ class TestPcgSolve:
         op = sys.operator()
         rng = np.random.default_rng(42)
         B = random_block(sys, rng)
-        X, _ = pcg_solve(op, B, sys.fem_op.mean_solve, tol=1e-13,
-                         maxiter=400)
-        _, info = pcg_solve(op, B, sys.fem_op.mean_solve, tol=1e-10,
-                            maxiter=400, x0=X)
+        X, _ = pcg_solve(op, B, op.mean_solve, tol=1e-13, maxiter=400)
+        _, info = pcg_solve(op, B, op.mean_solve, tol=1e-10, maxiter=400,
+                            x0=X)
         assert info.iterations == 0
 
     def test_reports_nonconvergence(self):
         sys = small_system()
+        op = sys.operator()
         rng = np.random.default_rng(43)
         B = random_block(sys, rng)
-        _, info = pcg_solve(sys.operator(), B, sys.fem_op.mean_solve,
-                            tol=1e-14, maxiter=1)
+        _, info = pcg_solve(op, B, op.mean_solve, tol=1e-14, maxiter=1)
         assert not info.converged
         assert info.iterations == 1
         assert info.trace.shape == (2,)
@@ -278,7 +335,7 @@ class TestPcgSolve:
         rng = np.random.default_rng(44)
         B = random_block(sys, rng)
         with pytest.raises(IndefiniteOperatorError, match="curvature"):
-            pcg_solve(op, B, sys.fem_op.mean_solve)
+            pcg_solve(op, B, op.mean_solve)
 
     def test_iteration_budget_mean_preconditioned(self):
         # regression bound: the mean-based preconditioner keeps the count
@@ -290,8 +347,8 @@ class TestPcgSolve:
         v /= np.sqrt(v @ (M @ v))
         U = np.zeros((sys.P, sys.N))
         U[0] = v
-        B = sys.fem_op.mass_apply(U)
-        _, info = pcg_solve(sys.operator(), B, sys.fem_op.mean_solve,
+        op = sys.operator()
+        _, info = pcg_solve(op, sys.fem_op.to_spectral(U), op.mean_solve,
                             tol=1e-10, maxiter=30)
         assert info.converged
         assert info.iterations <= 30
@@ -411,7 +468,7 @@ class TestNewtonNormalize:
         rng = np.random.default_rng(71)
         V = np.zeros((sys.P, sys.N))
         V[0] = rng.standard_normal(sys.N)
-        s, hist = newton_normalize(sys.tt, V, sys.fem_op)
+        s, hist = newton_normalize(sys.tt, gram_vector(sys, V))
         np.testing.assert_allclose(s[0], tensor_norm(V, sys.fem_op),
                                    rtol=1e-13)
         np.testing.assert_allclose(s[1:], 0.0, atol=1e-13)
@@ -422,7 +479,7 @@ class TestNewtonNormalize:
         sys = small_system()
         rng = np.random.default_rng(72)
         V = random_block(sys, rng, scale_by_weight=True)
-        s, _ = newton_normalize(sys.tt, V, sys.fem_op)
+        s, _ = newton_normalize(sys.tt, gram_vector(sys, V))
         np.testing.assert_allclose(np.sum(s * s),
                                    tensor_norm(V, sys.fem_op) ** 2,
                                    rtol=1e-11)
@@ -433,7 +490,7 @@ class TestNewtonNormalize:
         sys = build_system(n=2, order=2, size=12)
         rng = np.random.default_rng(73)
         V = random_block(sys, rng, scale_by_weight=True)
-        s, _ = newton_normalize(sys.tt, V, sys.fem_op)
+        s, _ = newton_normalize(sys.tt, gram_vector(sys, V))
         Y = rng.uniform(-1.0, 1.0, (40, sys.aset.max_dimension))
         svals = evaluate_expansion(s, sys.aset, Y)
         vvals = evaluate_expansion(V, sys.aset, Y)
@@ -446,7 +503,7 @@ class TestNewtonNormalize:
         sys = small_system(size=12)
         rng = np.random.default_rng(74)
         V = random_block(sys, rng, scale_by_weight=True)
-        s, hist = newton_normalize(sys.tt, V, sys.fem_op, tol=1e-12)
+        s, hist = newton_normalize(sys.tt, gram_vector(sys, V), tol=1e-12)
         scale = tensor_norm(V, sys.fem_op) ** 2
         assert len(hist) - 1 <= 10
         assert hist[-1] <= 1e-12 * scale
@@ -459,13 +516,13 @@ class TestNewtonNormalize:
         sys = small_system(size=12)
         rng = np.random.default_rng(75)
         V = random_block(sys, rng, scale_by_weight=True)
-        _, hist = newton_normalize(sys.tt, V, sys.fem_op)
+        _, hist = newton_normalize(sys.tt, gram_vector(sys, V))
         assert np.all(np.diff(hist) < 0)
 
     def test_rejects_zero_block(self):
         sys = small_system()
         with pytest.raises(ValueError, match="zero block"):
-            newton_normalize(sys.tt, np.zeros((sys.P, sys.N)), sys.fem_op)
+            newton_normalize(sys.tt, np.zeros(sys.P))
 
     def test_stalls_without_halvings(self):
         sys = small_system(size=12)
@@ -473,7 +530,7 @@ class TestNewtonNormalize:
         with pytest.raises(NearSingularError,
                            match=r"Newton stalled: no decrease from residual "
                                  r"\d\.\d{3}e[+-]\d+ after 0 halvings"):
-            newton_normalize(sys.tt, V, sys.fem_op, max_halvings=0)
+            newton_normalize(sys.tt, gram_vector(sys, V), max_halvings=0)
 
     def test_iteration_budget_exhausted(self):
         sys = small_system(size=12)
@@ -481,7 +538,8 @@ class TestNewtonNormalize:
         with pytest.raises(NearSingularError,
                            match=r"did not reach tolerance 0\.0e\+00 in 1 "
                                  r"iterations \(last residual \d\.\d{3}e"):
-            newton_normalize(sys.tt, V, sys.fem_op, maxiter=1, tol=0.0)
+            newton_normalize(sys.tt, gram_vector(sys, V), maxiter=1,
+                             tol=0.0)
 
 
 class TestBuildSystem:

@@ -68,6 +68,12 @@ class TestSingleVectorLimit:
         assert len(block.history) == len(single.history)
         np.testing.assert_array_equal(block.history.max_increments,
                                       single.history.increments)
+        np.testing.assert_array_equal(block.history.cg_iterations[:, 0],
+                                      single.history.cg_iterations)
+        np.testing.assert_array_equal(block.history.cg_tolerances,
+                                      single.history.cg_tolerances)
+        np.testing.assert_array_equal(block.history.newton_iterations,
+                                      single.history.newton_iterations)
         np.testing.assert_array_equal(block.basis[:, :, 0], single.U)
 
 
@@ -140,18 +146,22 @@ class TestStochasticBlock:
                                                         monkeypatch):
         # the sweep reports the defect of the basis it returns, both when
         # the refinement passes end below the threshold and when max_reorth
-        # cuts them off above it
+        # cuts them off above it.  The sweep measures it in the eigenbasis
+        # and the snapshots are nodal, so the two agree to roundoff.  With
+        # the pooled q = 3 basis the defects stay far above roundoff (4e-12
+        # to 3e-6; they agree to 2.7e-8 relative), and one more pass would
+        # change each by 99.89% or more, far outside the tolerance
         monkeypatch.setattr(subspace_iteration, "_REORTH_THRESHOLD",
                             threshold)
         monkeypatch.setattr(subspace_iteration, "_MAX_REORTH", max_reorth)
-        sys = build_system(n=3, order=1, size=12)
-        res = run_subspace_iteration(sys, q=2, tol=1e-9, kmax=6,
-                                     store_snapshots=True)
+        sys = build_system(n=3, order=1, size=31)
+        res = run_subspace_iteration(sys, q=3, tol=1e-9, kmax=6,
+                                     sum_trick=True, store_snapshots=True)
         extras = res.history.extra_orthogonalizations
         assert np.all(extras == max_reorth) == capped
         want = [orthogonality_defect(sys, S) for S in res.snapshots[1:]]
-        np.testing.assert_array_equal(res.history.orthogonality_defects,
-                                      want)
+        np.testing.assert_allclose(res.history.orthogonality_defects, want,
+                                   rtol=1e-6, atol=0.0)
 
     def test_aligned_with_direct_solve_at_origin(self, block_solved):
         # at the origin the 2nd and 3rd modes are exactly degenerate, so a
