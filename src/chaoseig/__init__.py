@@ -30,7 +30,6 @@ _LAZY = {
     "run_inverse_iteration": "inverse_iteration",
     "run_subspace_iteration": "subspace_iteration",
     "ExperimentConfig": "experiments",
-    "make_reference": "experiments",
     "run_experiment": "experiments",
 }
 
@@ -49,7 +48,6 @@ __all__ = [
     "ExperimentConfig",
     "GalerkinSystem",
     "build_system",
-    "make_reference",
     "run_experiment",
     "run_inverse_iteration",
     "run_subspace_iteration",

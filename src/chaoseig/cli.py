@@ -1,8 +1,7 @@
-"""Command-line front end: run studies, build references, print reports.
+"""Command-line front end: run studies, print reports.
 
 Verbs:
   run CONFIG [--output DIR]    execute the study described by a JSON config
-  reference [options]          compute or reuse an overkill reference
   report DIR                   summarize a finished study directory
 """
 
@@ -12,13 +11,7 @@ import argparse
 import json
 import sys
 
-from .experiments import (
-    ExperimentConfig,
-    make_reference,
-    reference_config,
-    report,
-    run_experiment,
-)
+from .experiments import ExperimentConfig, report, run_experiment
 
 
 def _build_parser():
@@ -33,21 +26,6 @@ def _build_parser():
     p_run.add_argument("--output", default=None,
                        help="override the config's output directory")
 
-    p_ref = sub.add_parser("reference",
-                           help="compute or reuse an overkill reference")
-    p_ref.add_argument("--output", default="reference")
-    p_ref.add_argument("--n", type=int, default=32,
-                       help="mesh subdivisions per side")
-    p_ref.add_argument("--order", type=int, default=2,
-                       help="finite element order (1 or 2)")
-    p_ref.add_argument("--set-size", type=int, default=120,
-                       help="chaos basis cardinality")
-    p_ref.add_argument("--kmax", type=int, default=16,
-                       help="iteration sweep budget")
-    p_ref.add_argument("--tol", type=float, default=1e-12)
-    p_ref.add_argument("--force", action="store_true",
-                       help="recompute even when a matching artifact exists")
-
     p_rep = sub.add_parser("report", help="summarize a study directory")
     p_rep.add_argument("directory")
     return parser
@@ -61,15 +39,6 @@ def main(argv=None):
             outdir = run_experiment(config, outdir=args.output)
             print(f"wrote {outdir}")
             print(report(outdir))
-        elif args.verb == "reference":
-            cfg = reference_config(n=args.n, order=args.order,
-                                   set_size=args.set_size, kmax=args.kmax,
-                                   tol=args.tol, output=args.output)
-            manifest = make_reference(cfg, force=args.force)
-            state = "reused" if manifest.get("reused") else "computed"
-            print(f"{state} reference {manifest['config_hash']} in "
-                  f"{args.output}")
-            print(json.dumps(manifest["summary"], sort_keys=True, indent=2))
         elif args.verb == "report":
             print(report(args.directory))
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fem import prolongation_matrix
+from .fem import prolongation_1d
 from .galerkin import build_system, tensor_dot, tensor_norm
 from .inverse_iteration import run_inverse_iteration
 from .subspace_iteration import run_subspace_iteration
@@ -39,15 +39,8 @@ __all__ = [
     "ExperimentConfig",
     "fit_slope",
     "run_experiment",
-    "make_reference",
-    "reference_config",
-    "load_reference",
     "report",
 ]
-
-KINDS = ("spatial", "stochastic", "iteration", "decay", "subspace",
-         "reference")
-
 
 @dataclass
 class ExperimentConfig:
@@ -197,7 +190,6 @@ def _write_manifest(outdir, cfg, filenames, summary):
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return manifest
 
 
 def _build(cfg, n=None, size=None):
@@ -228,8 +220,10 @@ def _run_spatial(cfg, outdir):
         sys_n = _build(cfg, n=n)
         res = run_inverse_iteration(sys_n, tol=cfg.tol, kmax=cfg.kmax,
                                     shift=cfg.shift)
-        P = prolongation_matrix(sys_n.mesh, ref_sys.mesh)
-        U_pro = (P @ res.U.T).T
+        P1 = prolongation_1d(sys_n.mesh, ref_sys.mesh)
+        nc = P1.shape[1]
+        U_pro = (P1 @ res.U.reshape(-1, nc, nc) @ P1.T).reshape(
+            len(res.U), -1)
         ferr = _aligned_field_error(U_pro, ref.U, ref_sys.fem_op)
         merr = float(np.linalg.norm(res.eigenvalue - ref.eigenvalue))
         rows.append([n, sys_n.mesh.h, sys_n.N, len(res.history),
@@ -412,6 +406,8 @@ _RUNNERS = {
     "subspace": _run_subspace,
 }
 
+KINDS = tuple(_RUNNERS)
+
 
 def run_experiment(config: ExperimentConfig, outdir=None):
     """Execute one study and write its CSVs plus manifest.
@@ -421,85 +417,12 @@ def run_experiment(config: ExperimentConfig, outdir=None):
     study-specific summary (fitted slopes with standard errors, detected
     crossings, and similar headline numbers).
     """
-    if config.kind not in _RUNNERS:
-        raise ValueError(f"kind {config.kind!r} is not runnable; use "
-                         f"make_reference for reference artifacts")
     outdir = Path(config.output if outdir is None else outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     filenames, summary = _RUNNERS[config.kind](config, outdir)
     config.save(outdir / "config.json")
     _write_manifest(outdir, config, filenames + ["config.json"], summary)
     return outdir
-
-
-def reference_config(n=32, order=2, set_size=120, kmax=16, tol=1e-12,
-                     varsigma=3.2, shift=0.0, output="reference"):
-    """Desk-scale overkill-reference defaults as a config."""
-    return ExperimentConfig(kind="reference", n=n, order=order,
-                            set_size=set_size, kmax=kmax, tol=tol,
-                            varsigma=varsigma, shift=shift, output=output)
-
-
-_REFERENCE_ARRAYS = ("field", "eigenvalue", "rayleigh")
-
-
-def make_reference(config: ExperimentConfig = None, outdir=None, force=False):
-    """Compute (or reuse) a stored overkill eigenpair expansion.
-
-    Writes the coefficient arrays as plain .npy files (a timestamp-free
-    format, so regeneration reproduces the exact bytes), the index set as
-    text, config.json and manifest.json.  When the directory already holds
-    a manifest with the same config hash and intact file digests, the
-    stored artifact is reused untouched (pass force=True to recompute).
-    """
-    cfg = reference_config() if config is None else config
-    if cfg.kind != "reference":
-        raise ValueError("make_reference needs a config with "
-                         "kind='reference'")
-    outdir = Path(cfg.output if outdir is None else outdir)
-    manifest_path = outdir / "manifest.json"
-    if manifest_path.exists() and not force:
-        stored = json.loads(manifest_path.read_text())
-        if stored.get("config_hash") == cfg.config_hash and all(
-                (outdir / name).exists() and _sha256(outdir / name) == digest
-                for name, digest in stored["outputs"].items()):
-            stored["reused"] = True
-            return stored
-    outdir.mkdir(parents=True, exist_ok=True)
-    sys_ = _build(cfg)
-    res = run_inverse_iteration(sys_, tol=cfg.tol, kmax=cfg.kmax,
-                                shift=cfg.shift)
-    arrays = {"field": res.U, "eigenvalue": res.eigenvalue,
-              "rayleigh": res.rayleigh}
-    for name in _REFERENCE_ARRAYS:
-        np.save(outdir / f"{name}.npy", arrays[name])
-    sys_.aset.save(outdir / "index_set.txt")
-    cfg.save(outdir / "config.json")
-    manifest = _write_manifest(
-        outdir, cfg,
-        [f"{name}.npy" for name in _REFERENCE_ARRAYS]
-        + ["index_set.txt", "config.json"],
-        {"eigenvalue_mean": res.eigenvalue_mean,
-         "eigenvalue_variance": res.eigenvalue_variance,
-         "set_size": len(sys_.aset),
-         "steps": len(res.history),
-         "converged": bool(res.converged)})
-    manifest["reused"] = False
-    return manifest
-
-
-def load_reference(outdir):
-    """Load a stored reference after verifying its manifest digests."""
-    outdir = Path(outdir)
-    manifest = json.loads((outdir / "manifest.json").read_text())
-    for name, digest in manifest["outputs"].items():
-        actual = _sha256(outdir / name)
-        if actual != digest:
-            raise ValueError(f"reference file {name} does not match its "
-                             f"manifest digest")
-    arrays = {name: np.load(outdir / f"{name}.npy")
-              for name in _REFERENCE_ARRAYS}
-    return manifest, arrays
 
 
 def _read_csv(path):

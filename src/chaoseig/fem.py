@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -53,7 +52,7 @@ __all__ = [
     "coefficient_amplitude",
     "ParametricOperator",
     "build_parametric_operator",
-    "prolongation_matrix",
+    "prolongation_1d",
 ]
 
 
@@ -85,7 +84,7 @@ def _cell_rule_1d(order, nquad):
 
 @dataclass
 class Mesh:
-    """Uniform quadrilateral grid with interior-dof numbering.
+    """Uniform quadrilateral grid; interior dofs x_1 fastest.
 
     Attributes
     ----------
@@ -96,37 +95,14 @@ class Mesh:
 
     n: int
     order: int
-    nodes_per_side: int = field(init=False)
     ndof: int = field(init=False)
-    interior_of_node: np.ndarray = field(init=False, repr=False)
-    cell_nodes: np.ndarray = field(init=False, repr=False)
-    dof_coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ValueError("element order must be 1 or 2")
         if self.n < 2:
             raise ValueError("need at least 2 cells per side")
-        nps = self.n * self.order + 1
-        self.nodes_per_side = nps
-        ix, iy = np.meshgrid(np.arange(nps), np.arange(nps), indexing="xy")
-        interior = ((ix > 0) & (ix < nps - 1) & (iy > 0) & (iy < nps - 1))
-        flat = interior.ravel()  # node id = iy*nps + ix
-        self.interior_of_node = np.where(flat, np.cumsum(flat) - 1, -1)
-        self.ndof = int(flat.sum())
-        # cell -> global node ids, local numbering x-fastest then y
-        o = self.order
-        cx, cy = np.meshgrid(np.arange(self.n), np.arange(self.n),
-                             indexing="xy")
-        cx = cx.ravel()
-        cy = cy.ravel()
-        local = [(jy, jx) for jy in range(o + 1) for jx in range(o + 1)]
-        cols = [(cy * o + jy) * nps + (cx * o + jx) for jy, jx in local]
-        self.cell_nodes = np.stack(cols, axis=1)
-        hn = 1.0 / (self.n * self.order)
-        xs = np.arange(nps) * hn
-        coords = np.stack([np.tile(xs, nps), np.repeat(xs, nps)], axis=1)
-        self.dof_coords = coords[flat]
+        self.ndof = (self.n * self.order - 1) ** 2
 
     @property
     def h(self):
@@ -324,34 +300,20 @@ def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
                                float(values[0].max() + spread)))
 
 
-def prolongation_matrix(coarse: Mesh, fine: Mesh):
-    """Interior-dof interpolation matrix from a nested coarse mesh.
+def prolongation_1d(coarse: Mesh, fine: Mesh):
+    """Interior-node interpolation P1 from a nested coarse 1D grid.
 
-    Requires fine.n to be a multiple of coarse.n and equal element orders;
-    evaluates the coarse basis at fine dof locations (exact FE embedding
-    for nested uniform grids).
+    Requires fine.n to be a multiple of coarse.n and equal element orders.
+    Row i holds the coarse basis functions at fine node i, so P1 is the
+    exact FE embedding on one axis; on the square the prolongation is
+    P1 (x) P1, which maps a coarse (n, n) slice X to P1 X P1^T.
     """
     if fine.n % coarse.n != 0 or fine.order != coarse.order:
         raise ValueError("meshes are not nested")
     o = coarse.order
-    pts = fine.dof_coords
-    hc = coarse.h
-    cell = np.minimum((pts / hc).astype(int), coarse.n - 1)
-    local = 2.0 * (pts / hc - cell) - 1.0
-    vx, _ = _lagrange_1d(o, local[:, 0])
-    vy, _ = _lagrange_1d(o, local[:, 1])
-    cell_ids = cell[:, 1] * coarse.n + cell[:, 0]
-    nodes = coarse.cell_nodes[cell_ids]  # (nf, nb)
-    rows, cols, vals = [], [], []
-    for jy in range(o + 1):
-        for jx in range(o + 1):
-            a = jy * (o + 1) + jx
-            dof = coarse.interior_of_node[nodes[:, a]]
-            keep = dof >= 0
-            rows.append(np.nonzero(keep)[0])
-            cols.append(dof[keep])
-            vals.append((vx[:, jx] * vy[:, jy])[keep])
-    P = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fine.ndof, coarse.ndof))
-    return P.tocsr()
+    t = np.arange(1, fine.n * o) * (1.0 / (fine.n * o)) / coarse.h
+    cell = np.minimum(t.astype(int), coarse.n - 1)
+    vals, _ = _lagrange_1d(o, 2.0 * (t - cell) - 1.0)
+    P1 = np.zeros((t.size, coarse.n * o + 1))
+    np.put_along_axis(P1, cell[:, None] * o + np.arange(o + 1), vals, axis=1)
+    return P1[:, 1:-1]  # the two Dirichlet end nodes drop out

@@ -17,8 +17,8 @@ nodal values Q Y Q^T per slice (`to_spectral` and `to_nodal` convert).
 There the mass is the identity, the mean term K_0 is the elementwise
 scaling by lam_i + lam_j and its inverse, the preconditioner, a division;
 each fluctuation term keeps dense 1D factors Q^T M_m Q and Q^T A_m Q.  The
-helpers on nodal blocks (`tensor_norm`, `tensor_dot`, `weighted_gram`)
-pair the stochastic blocks with the spatial mass matrix:
+helpers on nodal blocks (`tensor_norm`, `tensor_dot`) pair the stochastic
+blocks with the spatial mass matrix:
 ||V||^2 = sum_a V[a] . M V[a], which is the plain Frobenius norm of the
 coordinates.
 """
@@ -43,7 +43,6 @@ __all__ = [
     "pcg_solve",
     "tensor_norm",
     "tensor_dot",
-    "weighted_gram",
     "DeltaFactor",
     "newton_normalize",
     "GalerkinSystem",
@@ -248,17 +247,6 @@ def pcg_solve(op: KroneckerOperator, rhs, precond, tol=1e-10, maxiter=500,
     return X, PcgInfo(False, maxiter, trace[-1], np.asarray(trace))
 
 
-def weighted_gram(tt: TripleProductTensor, V, W, fem_op):
-    """Chaos coefficients of the mass-weighted product of two expansions.
-
-    Component a equals sum_bc E[Lam_a Lam_b Lam_c] * (V[b] . M W[c]): the
-    (P, P) spatial Gram matrix is formed once, then contracted against the
-    triple tensor row by row.
-    """
-    H = V @ fem_op.mass_apply(W).T
-    return tt.contract_gram(H)
-
-
 _RCOND_FLOOR = 1e-12
 
 
@@ -299,7 +287,8 @@ class DeltaFactor:
 def newton_normalize(tt: TripleProductTensor, b, tol=1e-12, maxiter=50,
                      max_halvings=30):
     """Chaos coefficients s of the pointwise norm of an expansion block V,
-    given its Gram vector b = `weighted_gram`(V, V).
+    given its Gram vector b = `tt.contract_gram`(V V^T) for V in the mean
+    eigenbasis, where V V^T is the mass Gram matrix of its chaos rows.
 
     Solves F(s) = 0 where F_a = (s G(a) s) - b_a, starting from
     s = ||V|| e_0; the Jacobian is twice the Galerkin multiplication

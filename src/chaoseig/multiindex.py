@@ -27,7 +27,6 @@ larger set.
 from __future__ import annotations
 
 import heapq
-import io
 import math
 
 import numpy as np
@@ -200,64 +199,6 @@ class MultiIndexSet:
                 if b not in self._pos:
                     return False
         return True
-
-    # -- plain-text serialization ------------------------------------------
-    # header line "# eps=<val> varsigma=<val> count=<n>", then one line per
-    # index: space-separated dim:exp pairs, "-" for the zero index.
-
-    def to_text(self):
-        """Serialize to the plain-text exchange format, returning a string."""
-        vs = "none" if self.varsigma is None else repr(self.varsigma)
-        lines = [f"# eps={self.eps!r} varsigma={vs} count={len(self)}"]
-        for a in self.indices:
-            lines.append(" ".join(f"{d}:{e}" for d, e in a) if a else "-")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def from_text(cls, text):
-        """Parse the plain-text format; weights are recomputed from the rule."""
-        fh = io.StringIO(text)
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing header line")
-        fields = dict(tok.split("=", 1) for tok in header[1:].split())
-        eps = float(fields["eps"])
-        vs = fields["varsigma"]
-        if vs == "none":
-            raise ValueError("text format only stores rule-based sets")
-        varsigma = float(vs)
-        indices = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line == "-":
-                indices.append(())
-                continue
-            pairs = []
-            for tok in line.split():
-                d, e = tok.split(":")
-                pairs.append((int(d), int(e)))
-            indices.append(tuple(pairs))
-        mdim = max((a[-1][0] for a in indices if a), default=0)
-        eta = dimension_weights(varsigma, mdim) if mdim else np.empty(0)
-        logeta = np.log(eta)
-        weights = np.array([
-            math.exp(sum(e * logeta[d - 1] for d, e in a)) if a else 1.0
-            for a in indices
-        ])
-        if np.any(np.diff(weights) > 1e-12 * weights[:-1]):
-            raise ValueError("stored indices are not in decreasing-weight order")
-        return cls(indices, weights, eps, varsigma)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_text(fh.read())
 
 
 def _explicit_weights(weights):

@@ -42,7 +42,6 @@ __all__ = [
     "SubspaceHistory",
     "SubspaceResult",
     "initial_basis",
-    "orthogonality_defect",
     "subspace_iterate_once",
     "run_subspace_iteration",
 ]
@@ -117,12 +116,6 @@ def _defect(tt, B):
             f = tt.contract_gram(B[:, :, i] @ B[:, :, j].T)
             worst = max(worst, float(np.linalg.norm(f)))
     return worst
-
-
-def orthogonality_defect(system: GalerkinSystem, B):
-    """Largest chaos-coefficient norm of <u_i(y), u_j(y)> over pairs i<j of
-    a nodal (P, N, Q) stack."""
-    return _defect(system.tt, _columns(system.fem_op.to_spectral, B))
 
 
 def _orthonormalize(tt, columns):

@@ -5,7 +5,9 @@ values come from numpy.polynomial.legendre.legval, eigenpairs from dense
 scipy eigensolvers or from block inverse iteration on a sparse LU,
 Kronecker applications from explicit materialization, and the FEM
 matrices from a 2D quadrature assembly per term, or from explicit sparse
-Kronecker products of the 1D factors the package keeps.
+Kronecker products of the 1D factors the package keeps.  The 2D node
+tables of a mesh and the sparse prolongation between nested meshes are
+built here, on the grid, for the same reason.
 The two construction oracles at the end are slow reference algorithms
 instead: an index set found by squaring eps until it overshoots, and a
 triple tensor found by scanning every index pair.
@@ -19,7 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chaoseig.fem import _cell_rule_1d
+from chaoseig.fem import _cell_rule_1d, _lagrange_1d
 from chaoseig.legendre import univariate_triple
 from chaoseig.multiindex import dense_exponents, generate_index_set
 from chaoseig.validation import fix_signs
@@ -220,10 +222,67 @@ def coefficient_term(m, varsigma=3.2):
     return lambda x: amp * np.sin(m * np.pi * np.asarray(x)[..., axis])
 
 
+def _node_tables(mesh):
+    """2D grid tables of a mesh: node id iy*nps + ix -> interior dof (-1 on
+    the boundary), cell -> node ids (local numbering x-fastest, then y),
+    and the node coordinates, for nps nodes per side."""
+    o = mesh.order
+    nps = mesh.n * o + 1
+    ix, iy = np.meshgrid(np.arange(nps), np.arange(nps), indexing="xy")
+    flat = ((ix > 0) & (ix < nps - 1) & (iy > 0) & (iy < nps - 1)).ravel()
+    interior_of_node = np.where(flat, np.cumsum(flat) - 1, -1)
+    cx, cy = np.meshgrid(np.arange(mesh.n), np.arange(mesh.n), indexing="xy")
+    cx = cx.ravel()
+    cy = cy.ravel()
+    local = [(jy, jx) for jy in range(o + 1) for jx in range(o + 1)]
+    cell_nodes = np.stack([(cy * o + jy) * nps + (cx * o + jx)
+                           for jy, jx in local], axis=1)
+    xs = np.arange(nps) * (1.0 / (mesh.n * o))
+    coords = np.stack([np.tile(xs, nps), np.repeat(xs, nps)], axis=1)
+    return interior_of_node, cell_nodes, coords[flat]
+
+
+def cell_dofs(mesh):
+    """(ncells, nb) interior dof of each cell's local nodes, -1 on the
+    boundary."""
+    interior_of_node, cell_nodes, _ = _node_tables(mesh)
+    return interior_of_node[cell_nodes]
+
+
+def dof_coords(mesh):
+    """(ndof, 2) physical coordinates of the interior dofs."""
+    return _node_tables(mesh)[2]
+
+
+def prolongation_matrix(coarse, fine):
+    """Sparse interior-dof interpolation from a nested coarse mesh, on the
+    2D grid: the coarse basis evaluated at the fine dof locations."""
+    o = coarse.order
+    pts = dof_coords(fine)
+    hc = coarse.h
+    cell = np.minimum((pts / hc).astype(int), coarse.n - 1)
+    local = 2.0 * (pts / hc - cell) - 1.0
+    vx, _ = _lagrange_1d(o, local[:, 0])
+    vy, _ = _lagrange_1d(o, local[:, 1])
+    dofs = cell_dofs(coarse)[cell[:, 1] * coarse.n + cell[:, 0]]
+    rows, cols, vals = [], [], []
+    for jy in range(o + 1):
+        for jx in range(o + 1):
+            dof = dofs[:, jy * (o + 1) + jx]
+            keep = dof >= 0
+            rows.append(np.nonzero(keep)[0])
+            cols.append(dof[keep])
+            vals.append((vx[:, jx] * vy[:, jy])[keep])
+    P = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(fine.ndof, coarse.ndof))
+    return P.tocsr()
+
+
 def _assemble(mesh, local_matrices):
     """Scatter per-cell local matrices into an interior-dof CSR matrix."""
-    nb = mesh.cell_nodes.shape[1]
-    dofs = mesh.interior_of_node[mesh.cell_nodes]  # (ncells, nb), -1 boundary
+    dofs = cell_dofs(mesh)  # (ncells, nb), -1 boundary
+    nb = dofs.shape[1]
     rows = np.repeat(dofs, nb, axis=1).ravel()
     cols = np.tile(dofs, (1, nb)).ravel()
     data = local_matrices.reshape(-1)
@@ -238,8 +297,8 @@ def assemble_mass(mesh, nquad=None):
     _, w2, vals, _ = quadrature(mesh, nquad)
     jac = (mesh.h / 2.0) ** 2
     local = jac * np.einsum("q,qa,qb->ab", w2, vals, vals)
-    ncells = mesh.cell_nodes.shape[0]
-    return _assemble(mesh, np.broadcast_to(local, (ncells,) + local.shape))
+    return _assemble(mesh,
+                     np.broadcast_to(local, (mesh.n ** 2,) + local.shape))
 
 
 def assemble_stiffness(mesh, coef=None, nquad=None):
@@ -263,11 +322,26 @@ def l2_error_against_function(mesh, dof_values, fn, nquad=None):
     """L2(D) distance between an interior-dof FE function and a callable."""
     pts, w2, vals, _ = quadrature(mesh, nquad)
     jac = (mesh.h / 2.0) ** 2
-    dofs = mesh.interior_of_node[mesh.cell_nodes]
+    dofs = cell_dofs(mesh)
     u_cell = np.where(dofs >= 0, np.asarray(dof_values)[dofs], 0.0)
     fe = np.einsum("cb,qb->cq", u_cell, vals)
     diff = fe - fn(pts)
     return float(np.sqrt(jac * np.sum(w2[None, :] * diff * diff)))
+
+
+def weighted_gram(tt, V, W, fem_op):
+    """Chaos coefficients of <V(y), W(y)> for nodal blocks V, W: the mass
+    Gram V M W^T of their chaos rows, contracted with the triple tensor."""
+    return tt.contract_gram(V @ fem_op.mass_apply(W).T)
+
+
+def orthogonality_defect(system, B):
+    """Largest chaos-coefficient norm of <u_i(y), u_j(y)> over pairs i<j of
+    a nodal (P, N, Q) stack, through `weighted_gram`."""
+    q = B.shape[2]
+    return max((float(np.linalg.norm(weighted_gram(
+        system.tt, B[:, :, i], B[:, :, j], system.fem_op)))
+        for i in range(q) for j in range(i + 1, q)), default=0.0)
 
 
 def box_indices(aset):

@@ -19,7 +19,6 @@ from chaoseig.galerkin import (
     newton_normalize,
     pcg_solve,
     tensor_norm,
-    weighted_gram,
 )
 from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.legendre import build_moment_matrices, build_triple_tensor
@@ -31,7 +30,7 @@ from chaoseig.validation import (
     overlap_permutation,
     pointwise_error,
 )
-from oracles import matrix_at, smallest_eigenpairs
+from oracles import matrix_at, smallest_eigenpairs, weighted_gram
 
 
 def test_01_moment_tensors_match_quadrature():

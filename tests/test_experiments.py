@@ -16,9 +16,6 @@ from chaoseig.cli import main
 from chaoseig.experiments import (
     ExperimentConfig,
     fit_slope,
-    load_reference,
-    make_reference,
-    reference_config,
     report,
     run_experiment,
 )
@@ -66,6 +63,13 @@ class TestConfig:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be one of"):
             ExperimentConfig(kind="frobnicate")
+
+    def test_reference_is_not_a_kind(self):
+        with pytest.raises(ValueError, match="kind must be one of") as err:
+            ExperimentConfig(kind="reference")
+        for kind in ("spatial", "stochastic", "iteration", "decay",
+                     "subspace"):
+            assert repr(kind) in str(err.value)
 
     def test_set_size_and_eps_exclusive(self):
         with pytest.raises(ValueError, match="at most one"):
@@ -215,53 +219,6 @@ class TestSubspaceStudy:
         assert summary["crossing_detected"] is True
 
 
-class TestMakeReference:
-    def small_reference(self, output):
-        return reference_config(n=4, order=1, set_size=6, kmax=5, tol=1e-10,
-                                output=str(output))
-
-    def test_compute_then_reuse(self, tmp_path):
-        cfg = self.small_reference(tmp_path / "ref")
-        first = make_reference(cfg)
-        assert first["reused"] is False
-        again = make_reference(cfg)
-        assert again["reused"] is True
-        assert again["outputs"] == first["outputs"]
-
-    def test_forced_regeneration_reproduces_digests(self, tmp_path):
-        cfg = self.small_reference(tmp_path / "ref")
-        first = make_reference(cfg)
-        redo = make_reference(cfg, force=True)
-        assert redo["reused"] is False
-        assert redo["outputs"] == first["outputs"]
-
-    def test_load_checks_digests(self, tmp_path):
-        cfg = self.small_reference(tmp_path / "ref")
-        make_reference(cfg)
-        manifest, arrays = load_reference(tmp_path / "ref")
-        assert arrays["field"].shape == (6, 9)
-        assert arrays["eigenvalue"].shape == (6,)
-        assert manifest["summary"]["set_size"] == 6
-        (tmp_path / "ref" / "field.npy").write_bytes(b"corrupt")
-        with pytest.raises(ValueError, match="does not match"):
-            load_reference(tmp_path / "ref")
-
-    def test_config_change_triggers_recompute(self, tmp_path):
-        cfg = self.small_reference(tmp_path / "ref")
-        make_reference(cfg)
-        bigger = reference_config(n=4, order=1, set_size=8, kmax=5,
-                                  tol=1e-10, output=str(tmp_path / "ref"))
-        redo = make_reference(bigger)
-        assert redo["reused"] is False
-        assert redo["summary"]["set_size"] == 8
-
-    def test_kind_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="kind='reference'"):
-            make_reference(tiny_config("iteration", tmp_path / "x"))
-        with pytest.raises(ValueError, match="not runnable"):
-            run_experiment(self.small_reference(tmp_path / "x"))
-
-
 class TestReport:
     def test_iteration_report_text(self, tmp_path):
         cfg = tiny_config("iteration", tmp_path / "it")
@@ -320,13 +277,13 @@ class TestCli:
         assert main(["report", str(tmp_path / "it")]) == 0
         assert "config hash" in capsys.readouterr().out
 
-    def test_reference_verb_reuses(self, tmp_path, capsys):
-        argv = ["reference", "--output", str(tmp_path / "ref"), "--n", "4",
-                "--order", "1", "--set-size", "6", "--kmax", "5"]
-        assert main(argv) == 0
-        assert "computed reference" in capsys.readouterr().out
-        assert main(argv) == 0
-        assert "reused reference" in capsys.readouterr().out
+    def test_reference_verb_is_gone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["reference"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'reference'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_bad_config_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

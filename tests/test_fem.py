@@ -10,15 +10,17 @@ from chaoseig.fem import (
     build_mesh,
     build_parametric_operator,
     coefficient_amplitude,
-    prolongation_matrix,
+    prolongation_1d,
 )
 from oracles import (
     assemble_mass,
     assemble_stiffness,
     assemble_terms,
     coefficient_term,
+    dof_coords,
     matrix_at,
     l2_error_against_function,
+    prolongation_matrix,
 )
 
 PI2_2 = 19.739208802178717  # 2*pi^2, smallest Dirichlet Laplace eigenvalue
@@ -52,9 +54,9 @@ class TestMesh:
             build_mesh(4, 3)
 
     def test_dof_coords_interior(self):
-        mesh = build_mesh(3, 2)
-        assert np.all(mesh.dof_coords > 0) and np.all(mesh.dof_coords < 1)
-        assert mesh.dof_coords.shape == (25, 2)
+        coords = dof_coords(build_mesh(3, 2))
+        assert np.all(coords > 0) and np.all(coords < 1)
+        assert coords.shape == (25, 2)
 
 
 class TestMass:
@@ -82,7 +84,7 @@ class TestMass:
         mesh = build_mesh(5, 2)
         f = lambda x: (x[..., 0] * (1 - x[..., 0])
                        * x[..., 1] * (1 - x[..., 1]))
-        dofs = f(mesh.dof_coords)
+        dofs = f(dof_coords(mesh))
         assert l2_error_against_function(mesh, dofs, f) < 1e-14
 
 
@@ -289,30 +291,59 @@ class TestSpatialConvergence:
         assert np.all(rates > 1.7)  # h^2 for bilinear elements
 
 
+def prolong(coarse, fine, V):
+    """The spatial study's prolongation: each coarse (n, n) slice X along
+    the last axis of V becomes P1 X P1^T."""
+    P1 = prolongation_1d(coarse, fine)
+    nc = P1.shape[1]
+    return (P1 @ V.reshape(-1, nc, nc) @ P1.T).reshape(len(V), -1)
+
+
+NESTED = [(order, nc, nf) for order in (1, 2)
+          for nc, nf in ((2, 4), (3, 9), (4, 16), (4, 4))]
+
+
 class TestProlongation:
     def test_exact_embedding(self):
         # a coarse FE function is reproduced exactly on a nested fine mesh
         coarse = build_mesh(4, 2)
         fine = build_mesh(8, 2)
-        P = prolongation_matrix(coarse, fine)
         rng = np.random.default_rng(8)
-        uc = rng.standard_normal(coarse.ndof)
+        uc = rng.standard_normal((1, coarse.ndof))
         # compare L2 norms: ||uc||_{L2} computed on either mesh must agree
-        nc = uc @ build_parametric_operator(coarse).mass_apply(uc)
-        uf = P @ uc
-        nf = uf @ build_parametric_operator(fine).mass_apply(uf)
+        nc = np.sum(uc * build_parametric_operator(coarse).mass_apply(uc))
+        uf = prolong(coarse, fine, uc)
+        nf = np.sum(uf * build_parametric_operator(fine).mass_apply(uf))
         assert nf == pytest.approx(nc, rel=1e-12)
+
+    @pytest.mark.parametrize("order,nc,nf", NESTED)
+    def test_blocks_match_sparse_oracle(self, order, nc, nf):
+        coarse, fine = build_mesh(nc, order), build_mesh(nf, order)
+        V = np.random.default_rng(nc * nf + order).standard_normal(
+            (5, coarse.ndof))
+        want = (prolongation_matrix(coarse, fine) @ V.T).T
+        got = prolong(coarse, fine, V)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("order,nc,nf", NESTED)
+    def test_kron_of_factor_is_oracle_matrix(self, order, nc, nf):
+        coarse, fine = build_mesh(nc, order), build_mesh(nf, order)
+        P1 = prolongation_1d(coarse, fine)
+        want = prolongation_matrix(coarse, fine).toarray()
+        np.testing.assert_allclose(sp.kron(P1, P1).toarray(), want,
+                                   rtol=0, atol=1e-14)
 
     def test_rejects_non_nested(self):
         with pytest.raises(ValueError):
-            prolongation_matrix(build_mesh(3, 2), build_mesh(8, 2))
+            prolongation_1d(build_mesh(3, 2), build_mesh(8, 2))
         with pytest.raises(ValueError):
-            prolongation_matrix(build_mesh(4, 1), build_mesh(8, 2))
+            prolongation_1d(build_mesh(4, 1), build_mesh(8, 2))
 
     def test_identity_on_same_mesh(self):
         mesh = build_mesh(4, 2)
-        P = prolongation_matrix(mesh, mesh)
-        np.testing.assert_allclose(P.toarray(), np.eye(mesh.ndof), atol=1e-13)
+        np.testing.assert_allclose(prolongation_1d(mesh, mesh),
+                                   np.eye(mesh.n * mesh.order - 1),
+                                   atol=1e-13)
 
 
 def test_quadrature_knob_changes_high_frequency_terms_little():

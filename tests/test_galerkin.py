@@ -27,7 +27,6 @@ from chaoseig.galerkin import (
     pcg_solve,
     tensor_dot,
     tensor_norm,
-    weighted_gram,
 )
 from chaoseig.legendre import build_moment_matrices, evaluate_expansion
 from oracles import (
@@ -39,6 +38,7 @@ from oracles import (
     matrix_at,
     tensor_grid,
     triple_tensor_dense,
+    weighted_gram,
 )
 
 

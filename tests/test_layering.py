@@ -1,8 +1,9 @@
 """The solver modules and the reference solvers leave each other unloaded.
 
 `validation` checks the spectral iteration from outside, so the two sides
-must not use each other: a fault they shared would pass unseen.  The
-imports run in child processes, where no other test has loaded a module.
+must not use each other: a fault they shared would pass unseen.  `fem`,
+held in 1D factors, needs no sparse matrices.  The imports run in child
+processes, where no other test has loaded a module.
 """
 
 import os
@@ -40,6 +41,13 @@ for name in ("galerkin", "inverse_iteration", "subspace_iteration"):
 """
 
 
+FEM = """
+import sys
+import chaoseig.fem
+assert "scipy.sparse" not in sys.modules, sorted(sys.modules)
+"""
+
+
 def run_child(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, "-c", code], env=env,
@@ -53,4 +61,9 @@ def test_solvers_do_not_import_validation():
 
 def test_validation_does_not_import_solvers():
     proc = run_child(REFERENCE)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fem_does_not_import_scipy_sparse():
+    proc = run_child(FEM)
     assert proc.returncode == 0, proc.stderr

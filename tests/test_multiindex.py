@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import oracles
 from chaoseig.multiindex import (
-    MultiIndexSet,
     dense_exponents,
     dimension_weights,
     generate_index_set,
@@ -233,24 +232,3 @@ class TestBySize:
         assert aset.weights.tobytes() == ref.weights.tobytes()
         assert aset.eps == ref.eps
         assert aset.is_downward_closed()
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        aset = generate_index_set_by_size(52, varsigma=3.2)
-        path = tmp_path / "indexset.txt"
-        aset.save(path)
-        loaded = MultiIndexSet.load(path)
-        assert loaded.indices == aset.indices
-        assert loaded.eps == aset.eps
-        assert loaded.varsigma == aset.varsigma
-        np.testing.assert_allclose(loaded.weights, aset.weights, rtol=1e-12)
-
-    def test_format_shape(self):
-        aset = generate_index_set(0.05, varsigma=3.2)
-        text = aset.to_text()
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("# eps=")
-        assert "varsigma=" in lines[0]
-        assert lines[1] == "-"
-        assert len(lines) == len(aset) + 1

@@ -15,7 +15,6 @@ from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.subspace_iteration import (
     SubspaceBreakdownError,
     initial_basis,
-    orthogonality_defect,
     run_subspace_iteration,
 )
 from chaoseig.validation import subspace_angle
@@ -24,6 +23,7 @@ from oracles import (
     assemble_stiffness,
     dense_generalized_eigenpairs,
     matrix_at,
+    orthogonality_defect,
     smallest_eigenpairs,
 )
 
@@ -146,10 +146,11 @@ class TestStochasticBlock:
                                                         monkeypatch):
         # the sweep reports the defect of the basis it returns, both when
         # the refinement passes end below the threshold and when max_reorth
-        # cuts them off above it.  The sweep measures it in the eigenbasis
-        # and the snapshots are nodal, so the two agree to roundoff.  With
-        # the pooled q = 3 basis the defects stay far above roundoff (4e-12
-        # to 3e-6; they agree to 2.7e-8 relative), and one more pass would
+        # cuts them off above it.  The sweep measures it in the eigenbasis,
+        # the oracle on the nodal snapshots through the mass, so the two
+        # agree to roundoff.  With the pooled q = 3 basis the defects stay
+        # far above roundoff (4e-12 to 3e-6; they agree to 2.6e-8
+        # relative), and one more pass would
         # change each by 99.89% or more, far outside the tolerance
         monkeypatch.setattr(subspace_iteration, "_REORTH_THRESHOLD",
                             threshold)
