@@ -35,8 +35,10 @@ X to M X M.  The 1D mean eigenbasis (lam, Q), A Q = M Q diag(lam) with
 Q^T M Q = I, diagonalizes the mean problem: in the coordinates
 Y = (MQ)^T X (MQ), X = Q Y Q^T, the mass is the identity and the mean
 term K_0 = M (x) A + A (x) M is the division by lam_i + lam_j.  The
-Galerkin sweep runs in these coordinates (`to_spectral`, `to_nodal`); the
-nodal kernels `mass_apply` and `mean_solve` serve everything else.
+Galerkin sweep and the pointwise eigensolver both run in these
+coordinates (`to_spectral`, `to_nodal`), on the 1D factors moved there
+once (`spectral_factors`); the nodal kernel `mass_apply` serves
+everything else.
 """
 
 from __future__ import annotations
@@ -172,9 +174,10 @@ class ParametricOperator:
 
         K(y) = M (x) R_A + A (x) R_M + L_M (x) A + L_A (x) M.
 
-    `mass_apply` and `mean_solve` act with the mass M (x) M and the inverse
-    of K_0 on the last, length-N axis of an array, and `to_spectral` and
-    `to_nodal` move it into and out of the mean eigenbasis.  `ellipticity` =
+    `mass_apply` acts with the mass M (x) M on the last, length-N axis of
+    an array, and `to_spectral` and `to_nodal` move it into and out of the
+    mean eigenbasis, where K_0 is the elementwise scaling by `mean_values`
+    and the 1D factors are `spectral_factors`.  `ellipticity` =
     (a_lo, a_hi) bounds the coefficient at the quadrature points for every
     y in the box, so that a_lo K_0 <= K(y) <= a_hi K_0.
     """
@@ -226,16 +229,23 @@ class ParametricOperator:
         M = self.factors[0, 0]
         return _each_slice(V, M, M)
 
-    def mean_solve(self, R):
-        """K_0^-1 applied along the last axis of R, by fast diagonalization
-        (Lynch, Rice & Thomas 1964): with (lam, Q) = `mean_eigenbasis`,
-        K_0 = (Q (x) Q)^-T (I (x) lam + lam (x) I) (Q (x) Q)^-1, so each
-        (n, n) slice X becomes Q [(Q^T X Q) / (lam_i + lam_j)] Q^T.
-        """
-        lam, Q = self.mean_eigenbasis
-        Z = _each_slice(R, Q.T, Q)
-        Z /= (lam[:, None] + lam[None, :]).ravel()
-        return _each_slice(Z, Q, Q.T)
+    @cached_property
+    def mean_values(self):
+        """The (n, n) table lam_i + lam_j of the mean eigenvalues, with
+        (lam, Q) = `mean_eigenbasis`: K_0 in the coordinates of
+        `to_spectral`, flattened the same way."""
+        lam = self.mean_eigenbasis[0]
+        return lam[:, None] + lam[None, :]
+
+    @cached_property
+    def spectral_factors(self):
+        """The 1D factors in the mean eigenbasis, Q^T (M_m, A_m) Q for every
+        term, (terms, 2, n, n); term 0 is (I, diag(lam)) up to roundoff.
+        Symmetrized, as the nodal factors are symmetric, so that a product
+        along x_2 may use a factor for its transpose."""
+        Q = self.mean_eigenbasis[1]
+        F = np.matmul(Q.T, np.matmul(self.factors, Q))
+        return 0.5 * (F + F.swapaxes(-1, -2))
 
     def to_spectral(self, V):
         """Mean-eigenbasis coordinates along the last axis of V: each
@@ -259,10 +269,10 @@ class ParametricOperator:
         column Q_i is signed so that its first entry is positive, which
         makes the basis of a degenerate eigenspace part of the contract.
         """
-        lam, Q = self.mean_eigenbasis
-        values = lam[:, None] + lam[None, :]
+        values = self.mean_values
         pick = np.argsort(values, axis=None, kind="stable")[:count]
         i, j = np.unravel_index(pick, values.shape)
+        Q = self.mean_eigenbasis[1]
         Q = np.where(Q[:1] < 0.0, -Q, Q)
         vecs = Q[:, None, i] * Q[None, :, j]
         return values[i, j], vecs.reshape(-1, pick.size)

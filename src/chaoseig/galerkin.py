@@ -82,9 +82,10 @@ class SeparableTerms:
 
     In the coordinates Y = (MQ)^T X (MQ) of (lam, Q) = the operator's
     `mean_eigenbasis` the mass M (x) M is the identity and K_0 is the
-    elementwise scaling by `mean` = lam_i + lam_j.  A term along x_1,
-    M (x) A_m + A (x) M_m, maps Y to Y A'_m + diag(lam) Y M'_m with the
-    dense 1D factors M'_m = Q^T M_m Q and A'_m = Q^T A_m Q, that is
+    elementwise scaling by `mean` = lam_i + lam_j (the operator's
+    `mean_values`).  A term along x_1, M (x) A_m + A (x) M_m, maps Y to
+    Y A'_m + diag(lam) Y M'_m with the dense 1D factors M'_m = Q^T M_m Q
+    and A'_m = Q^T A_m Q (the operator's `spectral_factors`), that is
     [diag(lam) Y | Y] times the stacked (M'_m; A'_m).  Term m >= 1 enters
     the operator as G_m (x) K_m, G_m being a slice of the triple tensor
     (`raise_entries`) with nonzeros in few rows, so only the blocks Y[b]
@@ -104,13 +105,10 @@ class SeparableTerms:
             raise ValueError(f"{fem_op.nterms} stiffness terms, but the "
                              f"set has {tt.aset.max_dimension} dimensions")
         self.P = tt.size
-        self.lam, Q = fem_op.mean_eigenbasis
-        self.n = n = len(Q)
-        self.mean = self.lam[:, None] + self.lam[None, :]
-        factors = np.matmul(Q.T, np.matmul(fem_op.factors, Q))
-        # symmetric as the 1D factors are, so the x_2 pass may use them
-        # for their transposes
-        factors = 0.5 * (factors + factors.swapaxes(-1, -2))
+        self.lam = fem_op.mean_eigenbasis[0]
+        self.n = n = len(self.lam)
+        self.mean = fem_op.mean_values
+        factors = fem_op.spectral_factors
         self.step = max(1, _CHUNK_BYTES // (8 * n * n))
         self.passes = ([], [])
         for axis, chunks in enumerate(self.passes):
@@ -203,24 +201,22 @@ class PcgInfo:
     trace: np.ndarray
 
 
-def pcg_solve(op: KroneckerOperator, rhs, precond, tol=1e-10, maxiter=500,
-              x0=None):
-    """Preconditioned conjugate gradients on coefficient blocks.
+def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500, x0=None):
+    """Conjugate gradients on coefficient blocks, preconditioned by the
+    operator's `mean_solve`.
 
-    precond maps a block to its preconditioned block, as the operator's
-    `mean_solve` does.  Stops when the preconditioner-norm residual
-    sqrt(r.Pr) drops below tol times the same norm of the right-hand side
-    (a fixed target, so warm starts genuinely help).
-    Raises IndefiniteOperatorError on negative curvature, which signals a
-    bad spectral shift.
+    Stops when the preconditioner-norm residual sqrt(r.Pr) drops below tol
+    times the same norm of the right-hand side (a fixed target, so warm
+    starts genuinely help).  Raises IndefiniteOperatorError on negative
+    curvature, which signals a bad spectral shift.
     """
     B = np.asarray(rhs, dtype=float)
-    target = np.sqrt(max(np.sum(B * precond(B)), 0.0))
+    target = np.sqrt(max(np.sum(B * op.mean_solve(B)), 0.0))
     if target == 0.0:
         return np.zeros_like(B), PcgInfo(True, 0, 0.0, np.zeros(1))
     X = np.zeros_like(B) if x0 is None else np.array(x0, dtype=float)
     R = B - op.apply(X) if x0 is not None else B.copy()
-    Z = precond(R)
+    Z = op.mean_solve(R)
     rz = float(np.sum(R * Z))
     Pdir = Z.copy()
     trace = [np.sqrt(max(rz, 0.0)) / target]
@@ -236,7 +232,7 @@ def pcg_solve(op: KroneckerOperator, rhs, precond, tol=1e-10, maxiter=500,
         alpha = rz / curv
         X += alpha * Pdir
         R -= alpha * Ap
-        Z = precond(R)
+        Z = op.mean_solve(R)
         rz_new = float(np.sum(R * Z))
         rel = np.sqrt(max(rz_new, 0.0)) / target
         trace.append(rel)

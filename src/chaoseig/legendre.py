@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .multiindex import MultiIndexSet
 
@@ -35,7 +34,6 @@ __all__ = [
     "eval_univariate_all",
     "gauss_rule",
     "univariate_triple",
-    "build_moment_matrices",
     "build_triple_tensor",
     "TripleProductTensor",
     "basis_matrix",
@@ -86,22 +84,6 @@ def univariate_triple(a, b, c):
         vals = eval_univariate_all(c, x)
         _triple_cache[key] = float(np.sum(w * vals[a] * vals[b] * vals[c]))
     return _triple_cache[key]
-
-
-def build_moment_matrices(tt):
-    """Sparse raise matrices for m = 0..max_dimension of the tensor's set.
-
-    Entry (a, b) of matrix m >= 1 is E[y_m Lam_a Lam_b]; matrix 0 is the
-    identity.  As Lam_{e_m} = sqrt(3) y_m, matrix m is the triple tensor's
-    slice at the first-order index e_m divided by sqrt(3): symmetric, with
-    at most two structural nonzeros per row (the one-step neighbors in
-    coordinate m).
-    """
-    mats = [sp.identity(tt.size, format="csr")]
-    for m in range(1, tt.aset.max_dimension + 1):
-        rows, cols, vals = tt.raise_entries(m)
-        mats.append(sp.csr_matrix((vals, (rows, cols)), shape=mats[0].shape))
-    return mats
 
 
 @dataclass

@@ -164,8 +164,8 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
     cg_counts = []
     for L in range(q):
         x0 = None if warm_starts is None else warm_starts[L]
-        V, info = pcg_solve(op, B[:, :, L], op.mean_solve, tol=cg_tol,
-                            maxiter=_CG_MAXITER, x0=x0)
+        V, info = pcg_solve(op, B[:, :, L], tol=cg_tol, maxiter=_CG_MAXITER,
+                            x0=x0)
         if not info.converged:
             where = f" on basis vector {L}" if q > 1 else ""
             after = "" if q > 1 else f" after {info.iterations} iterations"

@@ -2,11 +2,11 @@
 
 Everything here goes around the chaos machinery on purpose: pointwise
 eigenpairs come from a batched block eigensolver on the pencils
-(K(y), M), applied through the 1D factors of the FEM operator and
-preconditioned by the mean problem's fast diagonalization; statistics come
-from plain Monte Carlo, subspace angles from dense linear algebra on
-evaluated bases.  The spectral iteration modules are validated against
-these routines, never the other way around.
+(K(y), M), run in the FEM operator's mean eigenbasis, where the mass is
+the identity and the mean problem, the preconditioner, is a division;
+statistics come from plain Monte Carlo, subspace angles from dense linear
+algebra on evaluated bases.  The spectral iteration modules are validated
+against these routines, never the other way around.
 """
 
 from __future__ import annotations
@@ -61,13 +61,16 @@ def fix_signs(vecs):
 
 
 class _Pencils:
-    """The stiffness K(y) at a batch of points, on (n, n) slices.
+    """The stiffness K(y) at a batch of points, in the mean eigenbasis.
 
-    A vector of length N = n^2 is the slice X with X[i, j] at dof i n + j
-    (i along x_2).  With the per-point sums of `fem.ParametricOperator`,
-    K(y) maps X to M X R_A + A X R_M + L_M X A + L_A X M.  Blocks are
-    (points, k, N); the mass and the mean preconditioner, the same at
-    every point, are the operator's `mass_apply` and `mean_solve`.
+    A vector of length N = n^2 is held by its coordinates, the (n, n)
+    slice Y = (MQ)^T X (MQ) of `fem.ParametricOperator.to_spectral`, in
+    which the mass is the identity.  With the per-point sums (R_M, R_A)
+    along x_1 and (L_M, L_A) along x_2 of the operator's
+    `spectral_factors`, as in `fem.ParametricOperator`, K(y) maps Y to
+    Y R_A + lam Y R_M + L_M Y lam + L_A Y, lam the diagonal of the 1D mean
+    eigenvalues.  Blocks are (points, k, N); `mean` holds the eigenvalues
+    lam_i + lam_j of K_0, the same at every point.
     """
 
     def __init__(self, op, Y):
@@ -78,9 +81,10 @@ class _Pencils:
         w = np.zeros((len(Y), op.nterms + 1))
         w[:, 0] = 1.0
         w[:, 1:Y.shape[1] + 1] = Y
-        self.n = n = op.factors.shape[-1]
-        self.M, self.A = op.factors[0]
-        flat = op.factors.reshape(len(op.factors), -1)
+        self.lam = op.mean_eigenbasis[0]
+        self.n = n = len(self.lam)
+        self.mean = op.mean_values.ravel()
+        flat = op.spectral_factors.reshape(len(op.factors), -1)
         # per point (R_M, R_A, L_M, L_A), each (points, 1, n, n)
         self.sums = np.stack([(w * (op.axes == k)) @ flat for k in (0, 1)],
                              axis=1).reshape(len(Y), 4, 1, n, n)
@@ -89,46 +93,42 @@ class _Pencils:
         """Keep only the points selected by the mask `keep`."""
         self.sums = self.sums[keep]
 
-    def _slices(self, X):
-        return X.reshape(X.shape[0], -1, self.n, self.n)
-
     def stiffness(self, X):
-        S = self._slices(X)
-        M, A = self.M, self.A
+        S = X.reshape(X.shape[0], -1, self.n, self.n)
+        lam = self.lam
         R_M, R_A, L_M, L_A = self.sums.transpose(1, 0, 2, 3, 4)
-        return ((M @ S) @ R_A + (A @ S) @ R_M + L_M @ (S @ A)
-                + L_A @ (S @ M)).reshape(X.shape)
+        return (S @ R_A + (lam[:, None] * S) @ R_M + L_M @ (S * lam)
+                + L_A @ S).reshape(X.shape)
 
 
 def _t(X):
     return np.swapaxes(X, -1, -2)
 
 
-def _svqb(C, MC):
-    """M-orthonormalize the rows of each C[s] (Stathopoulos & Wu 2002).
+def _svqb(C):
+    """Orthonormalize the rows of each C[s] (Stathopoulos & Wu 2002).
 
     The scaled Gram D G D = U diag(theta) U^T gives C <- (D U theta^-1/2)^T
     C; directions with theta below _KEPT^2 of the largest are set to zero
-    instead.  MC = M C on entry; returns the new (C, MC).
+    instead.
     """
-    G = C @ _t(MC)
+    G = C @ _t(C)
     d = np.diagonal(G, axis1=1, axis2=2)
     scale = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
     theta, U = np.linalg.eigh(scale[:, :, None] * G * scale[:, None, :])
     keep = theta > _KEPT ** 2 * theta[:, -1:]
     inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, theta, 1.0)), 0.0)
-    T = _t(scale[:, :, None] * U * inv[:, None, :])
-    return T @ C, T @ MC
+    return _t(scale[:, :, None] * U * inv[:, None, :]) @ C
 
 
-def _rayleigh_ritz(B, KB, MB, count):
+def _rayleigh_ritz(B, KB, count):
     """The `count` smallest Ritz pairs of each point's basis rows B[s].
 
     Returns (values, coefficients): the Ritz vectors are coefficients^T B.
     Rows that SVQB zeroed are decoupled with a value above every kept one.
     """
     GK = B @ _t(KB)
-    GM = B @ _t(MB)
+    GM = B @ _t(B)
     GK = 0.5 * (GK + _t(GK))
     GM = 0.5 * (GM + _t(GM))
     dk = np.diagonal(GK, axis1=1, axis2=2)
@@ -143,30 +143,29 @@ def _rayleigh_ritz(B, KB, MB, count):
     return theta[:, :count], _t(Linv) @ U[:, :, :count]
 
 
-def _lobpcg(op, pencils, X, count, tol, maxiter):
-    """Batched LOBPCG (Knyazev 2001) from the M-orthonormal start rows X.
+def _lobpcg(pencils, X, count, tol, maxiter):
+    """Batched LOBPCG (Knyazev 2001) from the orthonormal start rows X.
 
     Each point's search basis is [x, P r, p]: its Ritz vectors, their
-    preconditioned residuals and the previous step's search directions,
-    P r and p projected M-orthogonal to x and orthonormalized by SVQB,
-    twice over.  A point stops when each of its b = X.shape[1] >= count
-    Ritz pairs meets ||K x - lam M x|| <= tol |lam| ||M x||, and leaves
-    the active set; the first count pairs are returned, as (values
-    (S, count), vectors (S, count, N)).
+    preconditioned residuals (divided by `pencils.mean`) and the previous
+    step's search directions, P r and p projected orthogonal to x and
+    orthonormalized by SVQB, twice over.  A point stops when each of its
+    b = X.shape[1] >= count Ritz pairs meets ||K x - lam x|| <= tol |lam|
+    ||x||, and leaves the active set; the first count pairs are returned,
+    as (values (S, count), vectors (S, count, N)).
     """
     S, b = X.shape[:2]
     values = np.empty((S, count))
     vectors = np.empty((S, count, X.shape[2]))
     active = np.arange(S)
-    KX, MX = pencils.stiffness(X), op.mass_apply(X)
-    lam, coef = _rayleigh_ritz(X, KX, MX, b)
+    lam, coef = _rayleigh_ritz(X, pencils.stiffness(X), b)
     X = _t(coef) @ X
     P = None
     for it in range(maxiter + 1):
-        KX, MX = pencils.stiffness(X), op.mass_apply(X)
-        R = KX - lam[:, :, None] * MX
+        KX = pencils.stiffness(X)
+        R = KX - lam[:, :, None] * X
         done = np.all(np.linalg.norm(R, axis=2) <= tol * np.abs(lam)
-                      * np.linalg.norm(MX, axis=2), axis=1)
+                      * np.linalg.norm(X, axis=2), axis=1)
         if done.any():
             values[active[done]] = lam[done, :count]
             vectors[active[done]] = X[done, :count]
@@ -175,26 +174,24 @@ def _lobpcg(op, pencils, X, count, tol, maxiter):
             if not active.size:
                 return values, vectors
             pencils.take(keep)
-            X, KX, MX, R, lam = X[keep], KX[keep], MX[keep], R[keep], \
-                lam[keep]
+            X, KX, R, lam = X[keep], KX[keep], R[keep], lam[keep]
             if P is not None:
                 P = P[keep]
         if it == maxiter:
             break
-        W = op.mean_solve(R)
+        W = R / pencils.mean
         C = W if P is None else np.concatenate([W, P], axis=1)
         for _ in range(2):
             # the projection leaves an error of roundoff times the norm
             # before it, which SVQB scales up with the rest: the second
             # pass removes what the first one magnified
             before = np.linalg.norm(C, axis=2)
-            C = C - (C @ _t(MX)) @ X
+            C = C - (C @ _t(X)) @ X
             C *= (np.linalg.norm(C, axis=2) > _KEPT * before)[:, :, None]
-            C, MC = _svqb(C, op.mass_apply(C))
+            C = _svqb(C)
         B = np.concatenate([X, C], axis=1)
         lam, coef = _rayleigh_ritz(
-            B, np.concatenate([KX, pencils.stiffness(C)], axis=1),
-            np.concatenate([MX, MC], axis=1), b)
+            B, np.concatenate([KX, pencils.stiffness(C)], axis=1), b)
         X = _t(coef) @ B
         P = _t(coef[:, b:]) @ C
     raise PointwiseStallError(
@@ -213,8 +210,7 @@ def _block_size(op, count):
     indices of a mean mode) is not missed.
     """
     lo, hi = op.ellipticity
-    lam = op.mean_eigenbasis[0]
-    mean = np.sort(lam[:, None] + lam[None, :], axis=None)
+    mean = np.sort(op.mean_values, axis=None)
     return int(np.searchsorted(mean, mean[count - 1] * hi / lo, "right"))
 
 
@@ -228,13 +224,16 @@ def pointwise_eigenpairs(op, Y, count=1, tol=1e-10, maxiter=100):
     """The `count` smallest eigenpairs of (K(y), M) at every row y of Y.
 
     Y is (S, d) with d <= op.nterms (short rows padded with zeros).  The
-    points are solved in chunks by batched LOBPCG on the 1D factors,
-    started from the exact mean eigenvectors and preconditioned by the
-    mean problem's fast diagonalization; each point stops on its own
-    residual test ||K x - lam M x|| <= tol |lam| ||M x||.  Returns
-    (values (S, count) ascending, vectors (S, N, count)) with M-orthonormal
-    columns, signed by `fix_signs`.  Raises PointwiseStallError if a point
-    misses the tolerance within maxiter iterations.
+    points are solved in chunks by batched LOBPCG in the mean eigenbasis
+    (`fem.ParametricOperator.to_spectral`), started from the exact mean
+    eigenvectors, there unit vectors, and preconditioned by the division
+    by the mean eigenvalues.  Each point stops on its own residual test
+    ||K' y - lam y|| <= tol |lam| ||y|| on the coordinates y, K' being
+    K(y) in them: the test ||K x - lam M x|| <= tol |lam| ||M x|| on the
+    nodal values x, in the M^-1 norm.  Returns (values (S, count)
+    ascending, vectors (S, N, count)) with nodal, M-orthonormal columns,
+    signed by `fix_signs`.  Raises PointwiseStallError if a point misses
+    the tolerance within maxiter iterations.
     """
     if not 1 <= count <= op.ndof:
         raise ValueError("count out of range")
@@ -242,13 +241,15 @@ def pointwise_eigenpairs(op, Y, count=1, tol=1e-10, maxiter=100):
     values = np.empty((len(Y), count))
     vectors = np.empty((len(Y), op.ndof, count))
     block = _block_size(op, count)
-    start = op.mean_eigenpairs(block)[1].T
+    pick = np.argsort(op.mean_values, axis=None, kind="stable")[:block]
+    start = np.zeros((block, op.ndof))
+    start[np.arange(block), pick] = 1.0
     for a, b in _chunks(op, Y, block):
-        vals, X = _lobpcg(op, _Pencils(op, Y[a:b]),
+        vals, X = _lobpcg(_Pencils(op, Y[a:b]),
                           np.repeat(start[None], b - a, axis=0), count, tol,
                           maxiter)
         values[a:b] = vals
-        vectors[a:b] = fix_signs(_t(X))
+        vectors[a:b] = fix_signs(_t(op.to_nodal(X)))
     return values, vectors
 
 
@@ -308,7 +309,9 @@ def pointwise_error(op, aset, U, mu, y, tol=1e-12):
     Y = y[None, :op.nterms]
     lam, V = pointwise_eigenpairs(op, Y, 1, tol=tol)
     lam, v = float(lam[0, 0]), V[0, :, 0]
-    Kuy = _Pencils(op, Y).stiffness(uy[None, None])[0, 0]
+    # the nodal K from K' in the coordinates: K = (MQ (x) MQ) K' (MQ (x) MQ)^T
+    Kuy = op.mass_apply(op.to_nodal(
+        _Pencils(op, Y).stiffness(op.to_spectral(uy)[None, None])[0, 0]))
     Muy = op.mass_apply(uy)
     if v @ Muy < 0.0:
         v = -v

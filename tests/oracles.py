@@ -85,6 +85,24 @@ def raise_matrices_dense(aset):
     return out
 
 
+def build_moment_matrices(tt):
+    """Sparse raise matrices for m = 0..max_dimension of the tensor's set,
+    read off the triple tensor by `raise_entries`.
+
+    Entry (a, b) of matrix m >= 1 is E[y_m Lam_a Lam_b]; matrix 0 is the
+    identity.  As Lam_{e_m} = sqrt(3) y_m, matrix m is the triple tensor's
+    slice at the first-order index e_m divided by sqrt(3): symmetric, with
+    at most two structural nonzeros per row (the one-step neighbors in
+    coordinate m).
+    """
+    mats = [sp.identity(tt.size, format="csr")]
+    for m in range(1, tt.aset.max_dimension + 1):
+        rows, cols, vals = tt.raise_entries(m)
+        mats.append(sp.csr_matrix((vals, (rows, cols)),
+                                  shape=mats[0].shape))
+    return mats
+
+
 def materialize_kronecker(gmats, kmats, shift=0.0, mass=None):
     """Dense PN x PN matrix sum_m kron(G_m, K_m) (- shift * kron(I, M))."""
     P = gmats[0].shape[0]

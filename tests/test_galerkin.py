@@ -28,11 +28,12 @@ from chaoseig.galerkin import (
     tensor_dot,
     tensor_norm,
 )
-from chaoseig.legendre import build_moment_matrices, evaluate_expansion
+from chaoseig.legendre import evaluate_expansion
 from oracles import (
     assemble_mass,
     assemble_stiffness,
     assemble_terms,
+    build_moment_matrices,
     dense_generalized_eigenpairs,
     materialize_kronecker,
     matrix_at,
@@ -240,32 +241,42 @@ class TestKroneckerOperator:
 
 
 class TestMeanPreconditioner:
+    """The division by the mean eigenvalues in the eigenbasis is K_0^-1:
+    K_0 X = M U has the solution X = Q [Y / (lam_i + lam_j)] Q^T per
+    slice, Y being the coordinates of U."""
+
+    @staticmethod
+    def solve(fem_op, U):
+        return fem_op.to_nodal(fem_op.to_spectral(U)
+                               / fem_op.mean_values.ravel())
+
     def test_inverts_mean_term_blockwise(self):
         for sys in (small_system(), build_system(n=4, order=1, size=6)):
             rng = np.random.default_rng(31)
             K0 = assemble_stiffness(sys.mesh).toarray()
             # a (P, N) block and an (S, k, N) stack
-            for R in (random_block(sys, rng),
+            for U in (random_block(sys, rng),
                       rng.standard_normal((3, 2, sys.N))):
-                X = sys.fem_op.mean_solve(R)
-                assert X.shape == R.shape
-                np.testing.assert_allclose(X @ K0, R, rtol=1e-11,
-                                           atol=1e-12)
+                X = self.solve(sys.fem_op, U)
+                assert X.shape == U.shape
+                np.testing.assert_allclose(X @ K0, sys.fem_op.mass_apply(U),
+                                           rtol=1e-11, atol=1e-12)
 
     def test_symmetric_positive(self):
+        # K_0^-1 M is self-adjoint and positive in the mass inner product
         sys = small_system()
-        solve = sys.fem_op.mean_solve
+        f = sys.fem_op
         rng = np.random.default_rng(32)
-        R1 = random_block(sys, rng)
-        R2 = random_block(sys, rng)
-        s12 = float(np.sum(R1 * solve(R2)))
-        s21 = float(np.sum(R2 * solve(R1)))
+        U1 = random_block(sys, rng)
+        U2 = random_block(sys, rng)
+        s12 = float(np.sum(f.mass_apply(U1) * self.solve(f, U2)))
+        s21 = float(np.sum(f.mass_apply(U2) * self.solve(f, U1)))
         np.testing.assert_allclose(s12, s21, rtol=1e-11)
-        assert float(np.sum(R1 * solve(R1))) > 0.0
+        assert float(np.sum(f.mass_apply(U1) * self.solve(f, U1))) > 0.0
 
     def test_cached_on_system(self, monkeypatch):
-        # the 1D eigh behind the mean solve and the sweep's coordinates
-        # runs once per operator
+        # the 1D eigh behind the spectral factors, the mean values and the
+        # sweep's coordinates runs once per operator
         calls = []
         eigh = np.linalg.eigh
 
@@ -277,9 +288,10 @@ class TestMeanPreconditioner:
         sys = small_system()
         R = random_block(sys, np.random.default_rng(33))
         for _ in range(2):
-            sys.fem_op.mean_solve(R)
+            self.solve(sys.fem_op, R)
+            assert sys.fem_op.spectral_factors.shape[:2] == \
+                (sys.fem_op.nterms + 1, 2)
             sys.fem_op.mean_eigenpairs(2)
-            sys.fem_op.to_nodal(sys.fem_op.to_spectral(R))
             sys.operator().apply(R)
         assert len(calls) == 1
 
@@ -294,8 +306,8 @@ class TestPcgSolve:
                                       assembled_terms(sys))
         rng = np.random.default_rng(41)
         U = random_block(sys, rng)
-        Y, info = pcg_solve(op, sys.fem_op.to_spectral(U), op.mean_solve,
-                            tol=1e-13, maxiter=400)
+        Y, info = pcg_solve(op, sys.fem_op.to_spectral(U), tol=1e-13,
+                            maxiter=400)
         assert info.converged
         B = sys.fem_op.mass_apply(U)
         want = np.linalg.solve(dense, B.ravel()).reshape(B.shape)
@@ -305,7 +317,7 @@ class TestPcgSolve:
     def test_zero_rhs_short_circuits(self):
         sys = small_system()
         op = sys.operator()
-        X, info = pcg_solve(op, np.zeros((sys.P, sys.N)), op.mean_solve)
+        X, info = pcg_solve(op, np.zeros((sys.P, sys.N)))
         assert info.converged and info.iterations == 0
         assert not X.any()
 
@@ -314,9 +326,8 @@ class TestPcgSolve:
         op = sys.operator()
         rng = np.random.default_rng(42)
         B = random_block(sys, rng)
-        X, _ = pcg_solve(op, B, op.mean_solve, tol=1e-13, maxiter=400)
-        _, info = pcg_solve(op, B, op.mean_solve, tol=1e-10, maxiter=400,
-                            x0=X)
+        X, _ = pcg_solve(op, B, tol=1e-13, maxiter=400)
+        _, info = pcg_solve(op, B, tol=1e-10, maxiter=400, x0=X)
         assert info.iterations == 0
 
     def test_reports_nonconvergence(self):
@@ -324,7 +335,7 @@ class TestPcgSolve:
         op = sys.operator()
         rng = np.random.default_rng(43)
         B = random_block(sys, rng)
-        _, info = pcg_solve(op, B, op.mean_solve, tol=1e-14, maxiter=1)
+        _, info = pcg_solve(op, B, tol=1e-14, maxiter=1)
         assert not info.converged
         assert info.iterations == 1
         assert info.trace.shape == (2,)
@@ -335,7 +346,7 @@ class TestPcgSolve:
         rng = np.random.default_rng(44)
         B = random_block(sys, rng)
         with pytest.raises(IndefiniteOperatorError, match="curvature"):
-            pcg_solve(op, B, op.mean_solve)
+            pcg_solve(op, B)
 
     def test_iteration_budget_mean_preconditioned(self):
         # regression bound: the mean-based preconditioner keeps the count
@@ -348,8 +359,8 @@ class TestPcgSolve:
         U = np.zeros((sys.P, sys.N))
         U[0] = v
         op = sys.operator()
-        _, info = pcg_solve(op, sys.fem_op.to_spectral(U), op.mean_solve,
-                            tol=1e-10, maxiter=30)
+        _, info = pcg_solve(op, sys.fem_op.to_spectral(U), tol=1e-10,
+                            maxiter=30)
         assert info.converged
         assert info.iterations <= 30
 

@@ -2,7 +2,8 @@
 
 `validation` checks the spectral iteration from outside, so the two sides
 must not use each other: a fault they shared would pass unseen.  `fem`,
-held in 1D factors, needs no sparse matrices.  The imports run in child
+held in 1D factors, needs no sparse matrices, nor does `legendre`, which
+reads the raise matrices off the triple tensor.  The imports run in child
 processes, where no other test has loaded a module.
 """
 
@@ -44,6 +45,7 @@ for name in ("galerkin", "inverse_iteration", "subspace_iteration"):
 FEM = """
 import sys
 import chaoseig.fem
+import chaoseig.legendre
 assert "scipy.sparse" not in sys.modules, sorted(sys.modules)
 """
 

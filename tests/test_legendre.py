@@ -9,7 +9,6 @@ import oracles
 from chaoseig import legendre
 from chaoseig.legendre import (
     basis_matrix,
-    build_moment_matrices,
     build_triple_tensor,
     eval_univariate_all,
     evaluate_expansion,
@@ -17,6 +16,7 @@ from chaoseig.legendre import (
     univariate_triple,
 )
 from chaoseig.multiindex import generate_index_set, generate_index_set_by_size
+from oracles import build_moment_matrices
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """No N x N sparse matrix is formed in the package.
 
-The spatial operator is held only as 1D factors: the mass and the mean
-solve act on (n, n) slices, and the pointwise solves run on the factors.
+The spatial operator is held only as 1D factors: the mass and the moves
+into and out of the mean eigenbasis act on (n, n) slices, and the sweep
+and the pointwise solves run on the factors in that eigenbasis.
 With scipy.sparse.kron made to raise, building a system, both iteration
 drivers and every validation route must still run.
 """

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from chaoseig import validation
 from chaoseig.fem import build_mesh, build_parametric_operator
+from chaoseig.legendre import evaluate_expansion
 from chaoseig.multiindex import generate_index_set_by_size
 from chaoseig.validation import (
     PointwiseStallError,
@@ -221,6 +222,32 @@ class TestPointwiseError:
         rep = pointwise_error(op, aset, v.T.copy(),
                               np.array([lam[0] + 1e-3]), np.zeros(1))
         np.testing.assert_allclose(rep["eigenvalue_error"], 1e-3, rtol=1e-6)
+
+    def test_random_point_with_active_terms(self):
+        # away from y = 0 every term enters K(y): the reference eigenvalue
+        # and the nodal residual against the assembled pencil
+        op = operator(4, 2)
+        aset = generate_index_set_by_size(8)
+        assert aset.max_dimension >= op.nterms
+        rng = np.random.default_rng(9)
+        M = assemble_mass(op.mesh)
+        lam, v = dense_generalized_eigenpairs(matrix_at(op), M, 1)
+        U = 1e-3 * rng.standard_normal((len(aset), op.ndof))
+        U[0] += v[:, 0] / np.sqrt(v[:, 0] @ (M @ v[:, 0]))
+        mu = 1e-3 * rng.standard_normal(len(aset))
+        mu[0] += lam[0]
+        y = rng.uniform(-1.0, 1.0, aset.max_dimension)
+        rep = pointwise_error(op, aset, U, mu, y)
+        K = matrix_at(op, y[:op.nterms])
+        dvals, _ = dense_generalized_eigenpairs(K, M, 1)
+        np.testing.assert_allclose(rep["eigenvalue_ref"], dvals[0],
+                                   rtol=1e-12)
+        uy = evaluate_expansion(U, aset, y)
+        muy = float(evaluate_expansion(mu, aset, y))
+        Muy = M @ uy
+        want = np.linalg.norm(K @ uy - muy * Muy) / (abs(muy)
+                                                     * np.linalg.norm(Muy))
+        np.testing.assert_allclose(rep["residual"], want, rtol=1e-10)
 
 
 class TestSubspaceAngle:
