@@ -206,6 +206,10 @@ def _aligned_field_error(U, U_ref, fem_op):
 
 def _run_spatial(cfg, outdir):
     sizes = cfg.mesh_sizes or (4, 8, 16)
+    for n in sizes:
+        if n >= cfg.reference_n or cfg.reference_n % n != 0:
+            raise ValueError(f"mesh size {n} is not nested strictly inside "
+                             f"the reference mesh {cfg.reference_n}")
     ref_sys = _build(cfg, n=cfg.reference_n)
     ref = run_inverse_iteration(ref_sys, tol=cfg.tol, kmax=cfg.kmax,
                                 shift=cfg.shift)
@@ -214,9 +218,6 @@ def _run_spatial(cfg, outdir):
     field_errors = []
     mu_errors = []
     for n in sizes:
-        if cfg.reference_n % n != 0:
-            raise ValueError(f"mesh size {n} is not nested in the reference "
-                             f"mesh {cfg.reference_n}")
         sys_n = _build(cfg, n=n)
         res = run_inverse_iteration(sys_n, tol=cfg.tol, kmax=cfg.kmax,
                                     shift=cfg.shift)
@@ -266,6 +267,10 @@ _DECAY_HEADER = ["rank", "weight", "field_coefficient", "mu_coefficient",
 
 def _run_stochastic(cfg, outdir):
     sizes = cfg.set_sizes or (8, 15, 31, 60, 120)
+    for size in sizes:
+        if size >= cfg.reference_size:
+            raise ValueError(f"set size {size} is not below the reference "
+                             f"size {cfg.reference_size}")
     ref_sys = _build(cfg, size=cfg.reference_size)
     ref = run_inverse_iteration(ref_sys, tol=cfg.tol, kmax=cfg.kmax,
                                 shift=cfg.shift)

@@ -244,6 +244,9 @@ def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500, x0=None):
 
 
 _RCOND_FLOOR = 1e-12
+_NEWTON_TOL = 1e-12
+_NEWTON_MAXITER = 50
+_NEWTON_MAX_HALVINGS = 30
 
 
 class DeltaFactor:
@@ -280,8 +283,7 @@ class DeltaFactor:
         return self.inverse @ np.asarray(rhs, dtype=float)
 
 
-def newton_normalize(tt: TripleProductTensor, b, tol=1e-12, maxiter=50,
-                     max_halvings=30):
+def newton_normalize(tt: TripleProductTensor, b):
     """Chaos coefficients s of the pointwise norm of an expansion block V,
     given its Gram vector b = `tt.contract_gram`(V V^T) for V in the mean
     eigenbasis, where V V^T is the mass Gram matrix of its chaos rows.
@@ -290,7 +292,8 @@ def newton_normalize(tt: TripleProductTensor, b, tol=1e-12, maxiter=50,
     s = ||V|| e_0; the Jacobian is twice the Galerkin multiplication
     operator of s, which at the start is a positive multiple of the
     identity.  Damped Newton: the step is halved until the residual norm
-    decreases.
+    decreases (at most `_NEWTON_MAX_HALVINGS` times), and the iteration
+    stops at residual `_NEWTON_TOL` ||V||^2 within `_NEWTON_MAXITER` steps.
 
     Returns (s, residual_history); the history starts with the residual at
     the initial guess.
@@ -303,8 +306,8 @@ def newton_normalize(tt: TripleProductTensor, b, tol=1e-12, maxiter=50,
     F = tt.congruence(s, s) - b
     res = float(np.linalg.norm(F))
     history = [res]
-    for _ in range(maxiter):
-        if res <= tol * scale:
+    for _ in range(_NEWTON_MAXITER):
+        if res <= _NEWTON_TOL * scale:
             return s, np.asarray(history)
         J = 2.0 * tt.multiply_matrix(s)
         try:
@@ -313,7 +316,7 @@ def newton_normalize(tt: TripleProductTensor, b, tol=1e-12, maxiter=50,
             raise NearSingularError(
                 f"singular Newton Jacobian at residual {res:.3e}") from exc
         t = 1.0
-        for _ in range(max_halvings):
+        for _ in range(_NEWTON_MAX_HALVINGS):
             s_new = s + t * step
             F_new = tt.congruence(s_new, s_new) - b
             res_new = float(np.linalg.norm(F_new))
@@ -323,11 +326,12 @@ def newton_normalize(tt: TripleProductTensor, b, tol=1e-12, maxiter=50,
         else:
             raise NearSingularError(
                 f"Newton stalled: no decrease from residual {res:.3e} "
-                f"after {max_halvings} halvings")
+                f"after {_NEWTON_MAX_HALVINGS} halvings")
         s, F, res = s_new, F_new, res_new
         history.append(res)
     raise NearSingularError(
-        f"Newton did not reach tolerance {tol:.1e} in {maxiter} iterations "
+        f"Newton did not reach tolerance {_NEWTON_TOL:.1e} in "
+        f"{_NEWTON_MAXITER} iterations "
         f"(last residual {res:.3e}, scale {scale:.3e})")
 
 

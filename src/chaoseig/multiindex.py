@@ -19,9 +19,9 @@ match a diffusion coefficient whose m-th fluctuation has amplitude
 
 Members are kept in decreasing weight order; exact weight ties are broken by
 total degree (ascending), then lexicographically on dense exponent tuples.
-A set of a requested size is cut from that order: a best-first walk over
-the margin of the growing set finds the threshold without enumerating any
-larger set.
+Both constructors build their set by one best-first walk over the margin of
+the growing set: down to eps, or to a requested size, whose threshold it
+finds without enumerating any larger set.
 """
 
 from __future__ import annotations
@@ -89,33 +89,6 @@ def _weight_cutoff(varsigma, eps):
     return 0 if active.size == 0 else int(active[-1]) + 1
 
 
-def _enumerate(eta, eps):
-    """All sparse indices with product weight > eps for finite weights eta.
-
-    Walks the canonical tree in which each index's children append to or
-    extend its last active dimension, so every index is visited exactly once.
-    """
-    ncap = len(eta)
-    out = [((), 1.0)]
-    # stack entries: (sparse index, weight, 0-based position of last active dim)
-    stack = [((), 1.0, 0)]
-    while stack:
-        alpha, w, jlast = stack.pop()
-        for j in range(jlast, ncap):
-            wc = w * eta[j]
-            if wc <= eps:
-                if j > jlast or not alpha:
-                    break  # eta decreasing: no later dimension can pass
-                continue  # deepening dim jlast failed, a fresh dim may still pass
-            if alpha and alpha[-1][0] == j + 1:
-                child = alpha[:-1] + ((j + 1, alpha[-1][1] + 1),)
-            else:
-                child = alpha + ((j + 1, 1),)
-            out.append((child, wc))
-            stack.append((child, wc, j))
-    return out
-
-
 def _sort_key(entry):
     alpha, w = entry
     return (-w, total_degree(alpha), dense_exponents(alpha))
@@ -130,16 +103,12 @@ class MultiIndexSet:
         first; decreasing weight, ties by degree then lexicographic order).
     weights : ndarray of matching product weights, non-increasing.
     eps : float threshold; every member has weight > eps.
-    varsigma : float or None, the decay exponent of the built-in weight rule
-        (None when the set was built from explicit per-dimension weights).
-    eta : ndarray of the per-dimension weights eta_1..eta_{max_dimension}.
     """
 
-    def __init__(self, indices, weights, eps, varsigma=None, eta=None):
+    def __init__(self, indices, weights, eps):
         self.indices = list(indices)
         self.weights = np.asarray(weights, dtype=float)
         self.eps = float(eps)
-        self.varsigma = varsigma
         if not self.indices or self.indices[0] != ():
             raise ValueError("index set must contain the zero index first")
         if len(self.indices) != len(self.weights):
@@ -147,11 +116,6 @@ class MultiIndexSet:
         self._pos = {a: i for i, a in enumerate(self.indices)}
         if len(self._pos) != len(self.indices):
             raise ValueError("duplicate multi-indices")
-        mdim = self.max_dimension
-        if eta is None and varsigma is not None:
-            eta = dimension_weights(varsigma, mdim)
-        self.eta = (np.empty(0) if eta is None
-                    else np.asarray(eta, dtype=float)[:mdim])
 
     def __len__(self):
         return len(self.indices)
@@ -211,6 +175,57 @@ def _explicit_weights(weights):
     return eta
 
 
+# Weights at or below this floor are not resolved: no size whose cut needs
+# one is reachable.
+_WEIGHT_FLOOR = 1e-300
+
+
+def _best_first(eta, eps, size=None):
+    """Index set of the weights eta, built best first down to eps or size.
+
+    Walks the canonical tree, in which each index's children append to or
+    extend its last active dimension, so every index is visited exactly
+    once.  A heap keyed on weight holds only the margin of the growing set,
+    and each pop pushes the node's first child and its next sibling
+    (Chkifa, Cohen & Schwab 2014), so members come out in non-increasing
+    weight.  Without size, the walk takes every weight > eps.  With size,
+    it takes size + 1 members plus the tie group of the last one and keeps
+    the first size, with eps at the log-space midpoint of the size-th and
+    (size+1)-th weights.
+    """
+    eta = eta.tolist()
+    idx, ws = [()], [1.0]
+    # heap entries: (-weight, 0-based last active dim j, parent position);
+    # the first child multiplies by eta[j], the next sibling is
+    # parent * eta[j+1]; entries at or below eps are never pushed
+    heap = [(-eta[0], 0, 0)] if eta and eta[0] > eps else []
+    while heap and (size is None or len(ws) <= size
+                    or -heap[0][0] == ws[size]):
+        negw, j, parent = heapq.heappop(heap)
+        alpha, w = idx[parent], -negw
+        if alpha and alpha[-1][0] == j + 1:
+            idx.append(alpha[:-1] + ((j + 1, alpha[-1][1] + 1),))
+        else:
+            idx.append(alpha + ((j + 1, 1),))
+        ws.append(w)
+        if w * eta[j] > eps:
+            heapq.heappush(heap, (-(w * eta[j]), j, len(ws) - 1))
+        if j + 1 < len(eta) and ws[parent] * eta[j + 1] > eps:
+            heapq.heappush(heap, (-(ws[parent] * eta[j + 1]), j + 1, parent))
+    if size is not None:
+        if len(ws) <= size:
+            raise ValueError(f"weight rule cannot reach size {size}")
+        w_in, w_out = ws[size - 1], ws[size]
+        if not w_in > w_out:
+            raise ValueError(f"size {size} splits a weight tie; nearest "
+                             f"achievable: {ws.index(w_in)}, {len(ws)}")
+        eps = math.exp(0.5 * (math.log(w_in) + math.log(w_out)))
+        idx, ws = idx[:size], ws[:size]
+    entries = sorted(zip(idx, ws), key=_sort_key)
+    return MultiIndexSet([a for a, _ in entries], [w for _, w in entries],
+                         eps)
+
+
 def generate_index_set(eps, varsigma=None, weights=None):
     """All multi-indices with product weight > eps, canonically ordered.
 
@@ -236,33 +251,18 @@ def generate_index_set(eps, varsigma=None, weights=None):
     if (varsigma is None) == (weights is None):
         raise ValueError("give exactly one of varsigma or weights")
     if varsigma is not None:
-        ncap = _weight_cutoff(varsigma, eps)
-        eta = dimension_weights(varsigma, ncap)
+        eta = dimension_weights(varsigma, _weight_cutoff(varsigma, eps))
     else:
         eta = _explicit_weights(weights)
-        eta = eta[eta > eps]
-    entries = _enumerate(list(eta), eps)
-    entries.sort(key=_sort_key)
-    idx = [a for a, _ in entries]
-    ws = [w for _, w in entries]
-    return MultiIndexSet(idx, ws, eps, varsigma, eta=eta)
-
-
-# Weights at or below this floor are not resolved: no size whose cut needs
-# one is reachable.
-_WEIGHT_FLOOR = 1e-300
+    return _best_first(eta, eps)
 
 
 def generate_index_set_by_size(size, varsigma=3.2, weights=None):
     """Index set of a requested cardinality for a given weight rule.
 
-    Walks the canonical tree of `_enumerate` best first (a heap keyed on
-    weight; each pop pushes the node's first child and its next sibling),
-    so the weights come out in non-increasing order and only the margin of
-    the growing set is ever held (Chkifa, Cohen & Schwab 2014).  The weights
-    are the tree's own left-to-right products, so the set is the one
-    `generate_index_set` returns at the threshold eps placed at the
-    log-space midpoint of the size-th and (size+1)-th weights.  Raises
+    The set is the one `generate_index_set` returns at the threshold eps
+    placed at the log-space midpoint of the size-th and (size+1)-th
+    weights; the best-first walk finds it without a second pass.  Raises
     ValueError if an exact weight tie straddles the cut, in which case no
     threshold realizes the requested size, or if the rule runs out of
     weights above 1e-300 before reaching size + 1 members.  The built-in
@@ -273,28 +273,6 @@ def generate_index_set_by_size(size, varsigma=3.2, weights=None):
         raise ValueError("size must be at least 1")
     if weights is None:
         eta = dimension_weights(varsigma, size + 1)
-        kw = {"varsigma": varsigma}
     else:
         eta = _explicit_weights(weights)
-        kw = {"weights": weights}
-    ws = [1.0]
-    # heap entries: (-weight, 0-based last active dim j, parent weight); the
-    # first child multiplies by eta[j], the next sibling is parent * eta[j+1]
-    heap = [(-float(eta[0]), 0, 1.0)] if eta.size else []
-    while heap and (len(ws) <= size or -heap[0][0] == ws[size]):
-        negw, j, parent = heapq.heappop(heap)
-        w = -negw
-        if w <= _WEIGHT_FLOOR:
-            break
-        ws.append(w)
-        heapq.heappush(heap, (-(w * eta[j]), j, w))
-        if j + 1 < eta.size:
-            heapq.heappush(heap, (-(parent * eta[j + 1]), j + 1, parent))
-    if len(ws) <= size:
-        raise ValueError(f"weight rule cannot reach size {size}")
-    w_in, w_out = ws[size - 1], ws[size]
-    if not w_in > w_out:
-        raise ValueError(f"size {size} splits a weight tie; nearest "
-                         f"achievable: {ws.index(w_in)}, {len(ws)}")
-    cut = math.exp(0.5 * (math.log(w_in) + math.log(w_out)))
-    return generate_index_set(cut, **kw)
+    return _best_first(eta, _WEIGHT_FLOOR, size)

@@ -211,8 +211,7 @@ def test_10_newton_termination_quadratic_tail():
     rng = np.random.default_rng(2468)
     V = rng.standard_normal((sys_.P, sys_.N)) * sys_.aset.weights[:, None]
     s, hist = newton_normalize(sys_.tt, weighted_gram(sys_.tt, V, V,
-                                                      sys_.fem_op),
-                               tol=1e-12)
+                                                      sys_.fem_op))
     scale = tensor_norm(V, sys_.fem_op) ** 2
     assert len(hist) - 1 <= 10
     assert hist[-1] <= 1e-12 * scale

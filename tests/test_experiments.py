@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chaoseig
-from chaoseig import __version__
+from chaoseig import __version__, experiments
 from chaoseig.cli import main
 from chaoseig.experiments import (
     ExperimentConfig,
@@ -172,6 +172,14 @@ class TestSpatialStudy:
         with pytest.raises(ValueError, match="not nested"):
             run_experiment(cfg)
 
+    def test_reference_mesh_in_sweep_rejected(self, tmp_path, monkeypatch):
+        # a member equal to the reference has zero error and no slope
+        monkeypatch.setattr(experiments, "run_inverse_iteration", None)
+        cfg = tiny_config("spatial", tmp_path / "sp", mesh_sizes=(2, 4),
+                          reference_n=4)
+        with pytest.raises(ValueError, match="mesh size 4 is not nested"):
+            run_experiment(cfg)
+
 
 class TestStochasticStudy:
     def test_errors_shrink_with_set_size(self, tmp_path):
@@ -187,6 +195,15 @@ class TestStochasticStudy:
         summary = json.loads((outdir / "manifest.json").read_text())["summary"]
         assert summary["error_slope"] < 0.0
         assert summary["tail_slope"] < 0.0
+
+    def test_reference_size_in_sweep_rejected(self, tmp_path, monkeypatch):
+        # rejected before the reference solve, which would give error 0
+        monkeypatch.setattr(experiments, "run_inverse_iteration", None)
+        cfg = tiny_config("stochastic", tmp_path / "st", set_sizes=(5, 8),
+                          reference_size=8)
+        with pytest.raises(ValueError, match="set size 8 is not below the "
+                                             "reference size 8"):
+            run_experiment(cfg)
 
 
 class TestDecayStudy:
@@ -290,6 +307,14 @@ class TestCli:
         bad.write_text(json.dumps({"kind": "iteration", "bogus": 1}))
         assert main(["run", str(bad)]) == 2
         assert "unknown config fields" in capsys.readouterr().err
+
+    def test_oversized_set_is_a_clean_error(self, tmp_path, capsys):
+        cfg = tiny_config("stochastic", tmp_path / "st", set_sizes=(20,),
+                          reference_size=15)
+        cfg.save(tmp_path / "config.json")
+        assert main(["run", str(tmp_path / "config.json")]) == 2
+        assert ("set size 20 is not below the reference size 15"
+                in capsys.readouterr().err)
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

@@ -514,7 +514,7 @@ class TestNewtonNormalize:
         sys = small_system(size=12)
         rng = np.random.default_rng(74)
         V = random_block(sys, rng, scale_by_weight=True)
-        s, hist = newton_normalize(sys.tt, gram_vector(sys, V), tol=1e-12)
+        s, hist = newton_normalize(sys.tt, gram_vector(sys, V))
         scale = tensor_norm(V, sys.fem_op) ** 2
         assert len(hist) - 1 <= 10
         assert hist[-1] <= 1e-12 * scale
@@ -535,22 +535,24 @@ class TestNewtonNormalize:
         with pytest.raises(ValueError, match="zero block"):
             newton_normalize(sys.tt, np.zeros(sys.P))
 
-    def test_stalls_without_halvings(self):
+    def test_stalls_without_halvings(self, monkeypatch):
+        monkeypatch.setattr(galerkin, "_NEWTON_MAX_HALVINGS", 0)
         sys = small_system(size=12)
         V = random_block(sys, np.random.default_rng(76), scale_by_weight=True)
         with pytest.raises(NearSingularError,
                            match=r"Newton stalled: no decrease from residual "
                                  r"\d\.\d{3}e[+-]\d+ after 0 halvings"):
-            newton_normalize(sys.tt, gram_vector(sys, V), max_halvings=0)
+            newton_normalize(sys.tt, gram_vector(sys, V))
 
-    def test_iteration_budget_exhausted(self):
+    def test_iteration_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(galerkin, "_NEWTON_MAXITER", 1)
+        monkeypatch.setattr(galerkin, "_NEWTON_TOL", 0.0)
         sys = small_system(size=12)
         V = random_block(sys, np.random.default_rng(77), scale_by_weight=True)
         with pytest.raises(NearSingularError,
                            match=r"did not reach tolerance 0\.0e\+00 in 1 "
                                  r"iterations \(last residual \d\.\d{3}e"):
-            newton_normalize(sys.tt, gram_vector(sys, V), maxiter=1,
-                             tol=0.0)
+            newton_normalize(sys.tt, gram_vector(sys, V))
 
 
 class TestBuildSystem:

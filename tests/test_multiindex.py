@@ -112,6 +112,12 @@ class TestGeneration:
         assert aset.indices == [()]
         assert aset.max_dimension == 0
 
+    def test_weight_at_eps_is_excluded(self):
+        # 0.5**2 and eta_2 equal eps, and eta_3 lies below it: the walk
+        # stops at both, and dimensions 2 and 3 never activate
+        aset = generate_index_set(0.25, weights=[0.5, 0.25, 0.1])
+        assert aset.indices == [(), ((1, 1),)]
+
     def test_zero_index_first_with_unit_weight(self):
         aset = generate_index_set(0.01, varsigma=3.2)
         assert aset[0] == ()
@@ -208,7 +214,6 @@ class TestBySize:
         assert aset.indices == ref.indices
         assert aset.weights.tobytes() == ref.weights.tobytes()
         assert aset.eps == ref.eps
-        assert aset.eta.tobytes() == ref.eta.tobytes()
 
     # weights from a few powers of two make exact ties common; at least
     # 0.05 and size <= 40 keep every needed weight above the oracle's
