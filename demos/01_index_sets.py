@@ -10,7 +10,6 @@ degree only in the first few dimensions.
 import numpy as np
 
 from chaoseig.multiindex import (
-    dense_exponents,
     dimension_weights,
     generate_index_set,
     generate_index_set_by_size,
@@ -33,6 +32,8 @@ print(f"requested 12 indices -> eps = {aset.eps:.6g}")
 print("canonical order (weight desc, total degree asc, lexicographic):")
 width = aset.max_dimension
 for alpha, w in zip(aset.indices, aset.weights):
-    print(f"  weight {w:8.5f}   exponents {dense_exponents(alpha, width)}")
+    # stored sparsely as (dimension, exponent) pairs; shown densely
+    dense = tuple(dict(alpha).get(d, 0) for d in range(1, width + 1))
+    print(f"  weight {w:8.5f}   exponents {dense}")
 print()
 print("downward closed:", aset.is_downward_closed())

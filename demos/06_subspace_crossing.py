@@ -41,7 +41,7 @@ sweep, _ = pointwise_eigenpairs(sys_.fem_op, grid[:, None], 3, tol=1e-11)
 for y1, vals in zip(grid, sweep):
     print(f"  y1 = {y1:5.2f}   {vals[1]:.5f}   {vals[2]:.5f}   "
           f"gap {vals[2] - vals[1]:.5f}")
-perm, _, _ = overlap_permutation(sys_.fem_op, [-1.0], [1.0], which=(1, 2))
+perm, _, _ = overlap_permutation(sys_.fem_op, [-1.0], [1.0])
 print()
 print(f"endpoint eigenvector pairing across the sweep: "
       f"{[int(p) for p in perm]}")

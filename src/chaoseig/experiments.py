@@ -42,6 +42,11 @@ __all__ = [
     "report",
 ]
 
+# the JSON values each field annotation of ExperimentConfig admits
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
+                "tuple": (list, tuple)}
+
+
 @dataclass
 class ExperimentConfig:
     """One study, fully described: problem, basis, iteration, outputs.
@@ -75,6 +80,20 @@ class ExperimentConfig:
     output: str = "results"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if isinstance(value, bool) != (f.type == "bool") or \
+                    not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"field {f.name} must be of type {f.type}, "
+                                 f"got {value!r}")
+            # counts and sizes: every int but the seed, every list entry
+            counts = value if f.type == "tuple" else \
+                [value] if f.type == "int" and f.name != "seed" else []
+            if not all(type(v) is int and v >= 1 for v in counts):
+                raise ValueError(f"field {f.name} must be positive: integers "
+                                 f">= 1, got {value!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got "
                              f"{self.kind!r}")
@@ -82,15 +101,8 @@ class ExperimentConfig:
             raise ValueError("give at most one of set_size and eps")
         if self.set_size is None and self.eps is None:
             self.set_size = 31
-        if self.max_terms is not None and self.max_terms < 1:
-            raise ValueError("field max_terms must be positive")
-        self.mesh_sizes = tuple(int(v) for v in self.mesh_sizes)
-        self.set_sizes = tuple(int(v) for v in self.set_sizes)
-        for fname in ("n", "order", "kmax", "q", "reference_n",
-                      "reference_size", "kmax_reference", "angle_points",
-                      "crossing_points"):
-            if getattr(self, fname) < 1:
-                raise ValueError(f"field {fname} must be positive")
+        self.mesh_sizes = tuple(self.mesh_sizes)
+        self.set_sizes = tuple(self.set_sizes)
 
     def to_dict(self):
         d = dataclasses.asdict(self)
@@ -103,6 +115,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got "
+                             f"{type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -249,20 +264,24 @@ def _run_spatial(cfg, outdir):
     return ["spatial.csv"], summary
 
 
-def _decay_rows(cfg, aset, res):
+def _write_decay(cfg, outdir, res):
+    """Write decay.csv for a converged pair; returns the summary entries
+    of the log-log slope over the tail of its field magnitudes."""
+    aset = res.system.aset
     frep = coefficient_decay(aset, res.U, res.system.fem_op)
     mrep = coefficient_decay(aset, res.eigenvalue)
-    rows = []
-    for i in range(len(aset)):
-        rows.append([i + 1, aset.weights[i], frep["magnitudes"][i],
-                     mrep["magnitudes"][i], frep["sorted"][i],
-                     mrep["sorted"][i], cfg.config_hash, __version__])
-    return rows
-
-
-_DECAY_HEADER = ["rank", "weight", "field_coefficient", "mu_coefficient",
-                 "field_coefficient_sorted", "mu_coefficient_sorted",
-                 "config_hash", "version"]
+    rows = [[i + 1, aset.weights[i], frep["magnitudes"][i],
+             mrep["magnitudes"][i], frep["sorted"][i], mrep["sorted"][i],
+             cfg.config_hash, __version__] for i in range(len(aset))]
+    _write_csv(outdir / "decay.csv",
+               ["rank", "weight", "field_coefficient", "mu_coefficient",
+                "field_coefficient_sorted", "mu_coefficient_sorted",
+                "config_hash", "version"], rows)
+    mags = frep["magnitudes"]
+    skip = max(1, len(mags) // 4)
+    tslope, tse = fit_slope(np.arange(1, len(mags) + 1), mags, skip=skip)
+    return {"tail_slope": tslope, "tail_slope_stderr": tse,
+            "tail_skip": skip}
 
 
 def _run_stochastic(cfg, outdir):
@@ -302,19 +321,12 @@ def _run_stochastic(cfg, outdir):
                ["set_size", "eps", "max_dimension", "steps",
                 "eigenvalue_mean", "field_error", "eigenvalue_error",
                 "config_hash", "version"], rows)
-    _write_csv(outdir / "decay.csv", _DECAY_HEADER,
-               _decay_rows(cfg, ref_sys.aset, ref))
     eslope, ese = fit_slope(cards, field_errors)
-    mags = coefficient_decay(ref_sys.aset, ref.U,
-                             ref_sys.fem_op)["magnitudes"]
-    skip = max(1, len(mags) // 4)
-    tslope, tse = fit_slope(np.arange(1, len(mags) + 1), mags, skip=skip)
     summary = {
         "reference_size": cfg.reference_size,
         "reference_eigenvalue_mean": ref.eigenvalue_mean,
         "error_slope": eslope, "error_slope_stderr": ese,
-        "tail_slope": tslope, "tail_slope_stderr": tse,
-        "tail_skip": skip,
+        **_write_decay(cfg, outdir, ref),
     }
     return ["stochastic.csv", "decay.csv"], summary
 
@@ -355,14 +367,8 @@ def _run_decay(cfg, outdir):
     sys_ = _build(cfg)
     res = run_inverse_iteration(sys_, tol=cfg.tol, kmax=cfg.kmax,
                                 shift=cfg.shift)
-    _write_csv(outdir / "decay.csv", _DECAY_HEADER,
-               _decay_rows(cfg, sys_.aset, res))
-    mags = coefficient_decay(sys_.aset, res.U, sys_.fem_op)["magnitudes"]
-    skip = max(1, len(mags) // 4)
-    tslope, tse = fit_slope(np.arange(1, len(mags) + 1), mags, skip=skip)
     summary = {"eigenvalue_mean": res.eigenvalue_mean,
-               "tail_slope": tslope, "tail_slope_stderr": tse,
-               "tail_skip": skip}
+               **_write_decay(cfg, outdir, res)}
     return ["decay.csv"], summary
 
 
@@ -392,7 +398,7 @@ def _run_subspace(cfg, outdir):
                 "config_hash", "version"], crows)
     perm, _, _ = overlap_permutation(
         sys_.fem_op, [-1.0] + [0.0] * (sys_.fem_op.nterms - 1),
-        [1.0] + [0.0] * (sys_.fem_op.nterms - 1), which=(1, 2))
+        [1.0] + [0.0] * (sys_.fem_op.nterms - 1))
     qvals, _ = sys_.fem_op.mean_eigenpairs(cfg.q + 1)
     summary = {
         "sweep_endpoint_pairing": [int(p) for p in perm],

@@ -27,7 +27,8 @@ M_m, A_m weighted by the profile of a_m,
     K_m = M_m (x) A + A_m (x) M     (a_m varies along x_2),
 
 where the left Kronecker factor acts on the x_2 (slow) dof index; the mass
-matrix is M (x) M.  With the tensor Gauss rule per cell these are exactly
+matrix is M (x) M.  Every integral uses one rule, the tensor Gauss rule
+of order + 2 points per axis in each cell, and with it these are exactly
 the matrices a 2D quadrature assembly would give.  No N x N matrix is
 formed: a vector of length N is an (n, n) slice X, x_2 index first, on
 which B (x) C acts as B X C (every factor is symmetric), so the mass maps
@@ -76,11 +77,10 @@ def _lagrange_1d(order, x):
     return powers @ C, dpowers @ C
 
 
-def _cell_rule_1d(order, nquad):
-    """1D Gauss rule per cell (order + 2 points by default): reference
-    points, weights, and the Lagrange basis values and derivatives there."""
-    gx, gw = np.polynomial.legendre.leggauss((order + 2) if nquad is None
-                                             else int(nquad))
+def _cell_rule_1d(order):
+    """1D Gauss rule per cell, order + 2 points: reference points, weights,
+    and the Lagrange basis values and derivatives there."""
+    gx, gw = np.polynomial.legendre.leggauss(order + 2)
     return (gx, gw) + _lagrange_1d(order, gx)
 
 
@@ -210,8 +210,8 @@ class ParametricOperator:
         3e-13 in the smallest modes at n = 95, and lam_0 one of 6e-13: the
         sweep treats Q^T A Q as diagonal, so these would be its error.  One
         first-order correction of Q against A and M themselves, a
-        first-order M-renormalization and the Rayleigh quotients bring
-        both to roundoff.
+        first-order M-renormalization and the recomputed lam_k =
+        Q_k^T A Q_k bring both to roundoff.
         """
         M, A = self.factors[0]
         L_inv = np.linalg.inv(np.linalg.cholesky(M))
@@ -278,17 +278,17 @@ class ParametricOperator:
         return values[i, j], vecs.reshape(-1, pick.size)
 
 
-def build_parametric_operator(mesh, varsigma=3.2, nterms=0, nquad=None):
+def build_parametric_operator(mesh, varsigma=3.2, nterms=0):
     """The 1D factors of M and K_0..K_nterms for the built-in coefficient
-    family, each integrated with the per-cell Gauss rule (order + 2 points
-    by default, or nquad).
+    family, each integrated with the per-cell Gauss rule of order + 2
+    points.
 
     Raises ValueError if the coefficient is not uniformly positive over the
     active terms, that is if a_0 - sum_m |a_m| <= 0 at a quadrature point.
     """
     profiles = [_coefficient_profile(m, varsigma) for m in range(nterms + 1)]
     axes = np.array([axis for axis, _ in profiles])
-    rule_1d = _cell_rule_1d(mesh.order, nquad)
+    rule_1d = _cell_rule_1d(mesh.order)
     h = mesh.h
     t = np.arange(mesh.n)[:, None] * h + (rule_1d[0] + 1.0) * (h / 2.0)
     values = np.stack([f(t) for _, f in profiles])  # (terms, cells, points)

@@ -370,7 +370,7 @@ class GalerkinSystem:
         return KroneckerOperator(self.terms, shift=shift)
 
 
-def build_system(n, order=2, size=None, eps=None, varsigma=3.2, nquad=None,
+def build_system(n, order=2, size=None, eps=None, varsigma=3.2,
                  max_terms=None):
     """Assemble a GalerkinSystem for the built-in coefficient family.
 
@@ -395,5 +395,5 @@ def build_system(n, order=2, size=None, eps=None, varsigma=3.2, nquad=None,
         nterms = min(nterms, int(max_terms))
     mesh = build_mesh(n, order)
     fem_op = build_parametric_operator(mesh, varsigma=varsigma,
-                                       nterms=nterms, nquad=nquad)
+                                       nterms=nterms)
     return GalerkinSystem(aset, fem_op, build_triple_tensor(aset))

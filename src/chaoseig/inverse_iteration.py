@@ -10,10 +10,9 @@ all blockwise on (P, N) coefficient arrays.  This is the block sweep of
 `subspace_iteration` at Q = 1, run by the same loop on U[:, :, None].  The
 reciprocal of s also carries the eigenvalue: with a shift below the target
 eigenvalue, mu(y) = shift + 1/s(y), so one Galerkin division of the
-constant one by s yields the eigenvalue expansion of the step.  A separate
-Rayleigh-quotient extraction is available as a cross-check on the
-converged pair.  The sweep runs in the mean eigenbasis (see `galerkin`);
-`run_inverse_iteration` takes and returns nodal blocks.
+constant one by s yields the eigenvalue expansion of the step, the only
+one a run computes.  The sweep runs in the mean eigenbasis (see
+`galerkin`); `run_inverse_iteration` takes and returns nodal blocks.
 """
 
 from __future__ import annotations
@@ -22,14 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galerkin import DeltaFactor, GalerkinSystem, tensor_norm
+from .galerkin import GalerkinSystem, tensor_norm
 from .subspace_iteration import _columns, _iterate, initial_basis
 
 __all__ = [
     "IterationHistory",
     "EigenpairResult",
     "initial_guess",
-    "rayleigh_quotient",
     "run_inverse_iteration",
 ]
 
@@ -60,7 +58,6 @@ class EigenpairResult:
     system: GalerkinSystem
     U: np.ndarray
     eigenvalue: np.ndarray
-    rayleigh: np.ndarray
     converged: bool
     history: IterationHistory
     iterates: list = field(default=None, repr=False)
@@ -88,20 +85,6 @@ def initial_guess(system: GalerkinSystem):
     return initial_basis(system, 1)[:, :, 0]
 
 
-def rayleigh_quotient(system: GalerkinSystem, Y):
-    """Chaos coefficients of the Rayleigh quotient of an expansion, given
-    as a (P, N) block Y in the mean eigenbasis (`to_spectral`).
-
-    Galerkin division of the energy u(y)' K(y) u(y) by the squared mass
-    norm of u(y), which is the plain squared norm of the coordinates; for
-    a normalized converged iterate the denominator is close to one, so the
-    division is well conditioned.
-    """
-    tt = system.tt
-    num = tt.contract_gram(Y @ system.operator().apply(Y).T)
-    return DeltaFactor(tt, tt.contract_gram(Y @ Y.T)).solve(num)
-
-
 def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
                           shift=0.0, initial=None, store_iterates=False):
     """Drive inverse iteration to a fixed point of the three-step sweep.
@@ -122,14 +105,12 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
     # safety net: pin the overall sign to the starting mode (the sweep maps
     # U to a positive multiple, so this only fires on pathological starts);
     # stored iterates keep their raw signs
-    Y = B[:, :, 0]
     U = _columns(system.fem_op.to_nodal, B)[:, :, 0]
     if float(np.sum(U[0] * system.fem_op.mass_apply(U0[0]))) < 0.0:
-        U, Y = -U, -Y
+        U = -U
     history = IterationHistory(
         inc[:, 0], mu[:, 0], np.append(np.nan, np.abs(np.diff(mu[:, 0]))),
         cg_its[:, 0], cg_tols, newton_its)
     if store_iterates:
         iterates = [S[:, :, 0] for S in iterates]
-    return EigenpairResult(system, U, mu[-1], rayleigh_quotient(system, Y),
-                           converged, history, iterates)
+    return EigenpairResult(system, U, mu[-1], converged, history, iterates)

@@ -18,7 +18,8 @@ match a diffusion coefficient whose m-th fluctuation has amplitude
     eta_m = 1 / (tau_m + sqrt(1 + tau_m**2)),   tau_m = (m+1)**(varsigma-1).
 
 Members are kept in decreasing weight order; exact weight ties are broken by
-total degree (ascending), then lexicographically on dense exponent tuples.
+total degree (ascending), then lexicographically on dense exponent tuples,
+which the sort compares through the sparse pairs without forming them.
 Both constructors build their set by one best-first walk over the margin of
 the growing set: down to eps, or to a requested size, whose threshold it
 finds without enumerating any larger set.
@@ -37,23 +38,12 @@ __all__ = [
     "generate_index_set",
     "generate_index_set_by_size",
     "total_degree",
-    "dense_exponents",
 ]
 
 
 def total_degree(alpha):
     """Sum of all exponents of a sparse multi-index."""
     return sum(e for _, e in alpha)
-
-
-def dense_exponents(alpha, ndim=None):
-    """Dense exponent tuple of a sparse multi-index, padded to ``ndim``."""
-    if ndim is None:
-        ndim = alpha[-1][0] if alpha else 0
-    out = [0] * ndim
-    for d, e in alpha:
-        out[d - 1] = e
-    return tuple(out)
 
 
 def dimension_weights(varsigma, count):
@@ -90,8 +80,10 @@ def _weight_cutoff(varsigma, eps):
 
 
 def _sort_key(entry):
+    # (-d, e) pairs compare like dense exponent tuples: at the first
+    # dimension where two indices differ, the smaller exponent comes first
     alpha, w = entry
-    return (-w, total_degree(alpha), dense_exponents(alpha))
+    return (-w, total_degree(alpha), tuple((-d, e) for d, e in alpha))
 
 
 class MultiIndexSet:

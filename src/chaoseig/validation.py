@@ -6,7 +6,9 @@ eigenpairs come from a batched block eigensolver on the pencils
 the identity and the mean problem, the preconditioner, is a division;
 statistics come from plain Monte Carlo, subspace angles from dense linear
 algebra on evaluated bases.  The spectral iteration modules are validated
-against these routines, never the other way around.
+against these routines, never the other way around.  Pointwise
+eigenvectors keep the solver's signs: whatever reads them aligns the sign
+by mass overlap or measures something the sign does not change.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from scipy.stats import qmc
 __all__ = [
     "PointwiseStallError",
     "pointwise_eigenpairs",
-    "fix_signs",
     "monte_carlo_statistics",
     "pointwise_error",
     "subspace_angle",
@@ -39,25 +40,16 @@ _CHUNK_ENTRIES = 1 << 16
 # the largest.
 _KEPT = 1e-7
 
+# Iteration cap of the pointwise eigensolver, and the relative residuals
+# to which the statistics and the pairing (_TOL) and `pointwise_error`
+# (_ERROR_TOL) solve their points.
+_MAXITER = 100
+_TOL = 1e-11
+_ERROR_TOL = 1e-12
+
 
 class PointwiseStallError(RuntimeError):
-    """The pointwise eigensolver missed its tolerance within maxiter."""
-
-
-def fix_signs(vecs):
-    """Flip columns so the largest-magnitude entry of each is positive.
-
-    Entries within 1e-8 relative of the largest magnitude count as tied
-    (a symmetric mode has several, equal up to roundoff), and the first of
-    them is made positive.  Works on one (N, k) array of columns or on a
-    stack (..., N, k).
-    """
-    vecs = np.array(vecs, dtype=float)
-    mags = np.abs(vecs)
-    lead = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=-2, keepdims=True),
-                     axis=-2)[..., None, :]
-    return np.where(np.take_along_axis(vecs, lead, axis=-2) < 0.0, -vecs,
-                    vecs)
+    """The pointwise eigensolver missed its tolerance within _MAXITER."""
 
 
 class _Pencils:
@@ -121,7 +113,7 @@ def _svqb(C):
     return _t(scale[:, :, None] * U * inv[:, None, :]) @ C
 
 
-def _rayleigh_ritz(B, KB, count):
+def _ritz_pairs(B, KB, count):
     """The `count` smallest Ritz pairs of each point's basis rows B[s].
 
     Returns (values, coefficients): the Ritz vectors are coefficients^T B.
@@ -143,7 +135,7 @@ def _rayleigh_ritz(B, KB, count):
     return theta[:, :count], _t(Linv) @ U[:, :, :count]
 
 
-def _lobpcg(pencils, X, count, tol, maxiter):
+def _lobpcg(pencils, X, count, tol):
     """Batched LOBPCG (Knyazev 2001) from the orthonormal start rows X.
 
     Each point's search basis is [x, P r, p]: its Ritz vectors, their
@@ -158,10 +150,10 @@ def _lobpcg(pencils, X, count, tol, maxiter):
     values = np.empty((S, count))
     vectors = np.empty((S, count, X.shape[2]))
     active = np.arange(S)
-    lam, coef = _rayleigh_ritz(X, pencils.stiffness(X), b)
+    lam, coef = _ritz_pairs(X, pencils.stiffness(X), b)
     X = _t(coef) @ X
     P = None
-    for it in range(maxiter + 1):
+    for it in range(_MAXITER + 1):
         KX = pencils.stiffness(X)
         R = KX - lam[:, :, None] * X
         done = np.all(np.linalg.norm(R, axis=2) <= tol * np.abs(lam)
@@ -177,7 +169,7 @@ def _lobpcg(pencils, X, count, tol, maxiter):
             X, KX, R, lam = X[keep], KX[keep], R[keep], lam[keep]
             if P is not None:
                 P = P[keep]
-        if it == maxiter:
+        if it == _MAXITER:
             break
         W = R / pencils.mean
         C = W if P is None else np.concatenate([W, P], axis=1)
@@ -190,13 +182,13 @@ def _lobpcg(pencils, X, count, tol, maxiter):
             C *= (np.linalg.norm(C, axis=2) > _KEPT * before)[:, :, None]
             C = _svqb(C)
         B = np.concatenate([X, C], axis=1)
-        lam, coef = _rayleigh_ritz(
+        lam, coef = _ritz_pairs(
             B, np.concatenate([KX, pencils.stiffness(C)], axis=1), b)
         X = _t(coef) @ B
         P = _t(coef[:, b:]) @ C
     raise PointwiseStallError(
         f"pointwise eigensolver: {active.size} of {S} points missed the "
-        f"relative residual {tol:.1e} after {maxiter} iterations")
+        f"relative residual {tol:.1e} after {_MAXITER} iterations")
 
 
 def _block_size(op, count):
@@ -220,7 +212,7 @@ def _chunks(op, Y, block):
     return [(a, min(a + size, len(Y))) for a in range(0, len(Y), size)]
 
 
-def pointwise_eigenpairs(op, Y, count=1, tol=1e-10, maxiter=100):
+def pointwise_eigenpairs(op, Y, count=1, tol=1e-10):
     """The `count` smallest eigenpairs of (K(y), M) at every row y of Y.
 
     Y is (S, d) with d <= op.nterms (short rows padded with zeros).  The
@@ -231,9 +223,10 @@ def pointwise_eigenpairs(op, Y, count=1, tol=1e-10, maxiter=100):
     ||K' y - lam y|| <= tol |lam| ||y|| on the coordinates y, K' being
     K(y) in them: the test ||K x - lam M x|| <= tol |lam| ||M x|| on the
     nodal values x, in the M^-1 norm.  Returns (values (S, count)
-    ascending, vectors (S, N, count)) with nodal, M-orthonormal columns,
-    signed by `fix_signs`.  Raises PointwiseStallError if a point misses
-    the tolerance within maxiter iterations.
+    ascending, vectors (S, N, count)) with nodal, M-orthonormal columns
+    in the signs the solver leaves: callers align them by mass overlap.
+    Raises PointwiseStallError if a point misses the tolerance within
+    `_MAXITER` iterations.
     """
     if not 1 <= count <= op.ndof:
         raise ValueError("count out of range")
@@ -246,14 +239,13 @@ def pointwise_eigenpairs(op, Y, count=1, tol=1e-10, maxiter=100):
     start[np.arange(block), pick] = 1.0
     for a, b in _chunks(op, Y, block):
         vals, X = _lobpcg(_Pencils(op, Y[a:b]),
-                          np.repeat(start[None], b - a, axis=0), count, tol,
-                          maxiter)
+                          np.repeat(start[None], b - a, axis=0), count, tol)
         values[a:b] = vals
-        vectors[a:b] = fix_signs(_t(op.to_nodal(X)))
+        vectors[a:b] = _t(op.to_nodal(X))
     return values, vectors
 
 
-def monte_carlo_statistics(op, nsamples=10000, seed=1234, tol=1e-11):
+def monte_carlo_statistics(op, nsamples=10000, seed=1234):
     """Monte Carlo statistics of the smallest eigenpair over the box.
 
     Samples the parameter uniformly, solves the pointwise eigenproblems in
@@ -263,8 +255,11 @@ def monte_carlo_statistics(op, nsamples=10000, seed=1234, tol=1e-11):
     plus the mean and variance fields of the eigenvector.
 
     Returns a dict with keys eigenvalue_mean, eigenvalue_var, se_mean,
-    se_var, vector_mean, vector_var, nsamples.
+    se_var, vector_mean, vector_var, nsamples.  The sample variance needs
+    nsamples >= 2.
     """
+    if nsamples < 2:
+        raise ValueError(f"need at least 2 samples, got {nsamples}")
     Y = np.random.default_rng(seed).uniform(-1.0, 1.0,
                                              (nsamples, op.nterms))
     ground = op.mass_apply(op.mean_eigenpairs(1)[1][:, 0])
@@ -272,7 +267,7 @@ def monte_carlo_statistics(op, nsamples=10000, seed=1234, tol=1e-11):
     vsum = np.zeros(op.ndof)
     vsq = np.zeros(op.ndof)
     for a, b in _chunks(op, Y, _block_size(op, 1)):
-        vals, vecs = pointwise_eigenpairs(op, Y[a:b], 1, tol)
+        vals, vecs = pointwise_eigenpairs(op, Y[a:b], 1, _TOL)
         V = vecs[:, :, 0]
         V *= np.where(V @ ground < 0.0, -1.0, 1.0)[:, None]
         lams[a:b] = vals[:, 0]
@@ -293,7 +288,7 @@ def monte_carlo_statistics(op, nsamples=10000, seed=1234, tol=1e-11):
     }
 
 
-def pointwise_error(op, aset, U, mu, y, tol=1e-12):
+def pointwise_error(op, aset, U, mu, y):
     """Compare an evaluated chaos eigenpair with the direct solve at y.
 
     Returns a dict with the reference eigenvalue, the absolute eigenvalue
@@ -307,7 +302,7 @@ def pointwise_error(op, aset, U, mu, y, tol=1e-12):
     uy = evaluate_expansion(U, aset, y)
     muy = float(evaluate_expansion(np.asarray(mu), aset, y))
     Y = y[None, :op.nterms]
-    lam, V = pointwise_eigenpairs(op, Y, 1, tol=tol)
+    lam, V = pointwise_eigenpairs(op, Y, 1, _ERROR_TOL)
     lam, v = float(lam[0, 0]), V[0, :, 0]
     # the nodal K from K' in the coordinates: K = (MQ (x) MQ) K' (MQ (x) MQ)^T
     Kuy = op.mass_apply(op.to_nodal(
@@ -350,7 +345,7 @@ def subspace_angle(B1, B2, op):
     return np.minimum(theta, 1.0)
 
 
-def angle_statistics(op, aset, snapshots, npoints=256, seed=777, tol=1e-11):
+def angle_statistics(op, aset, snapshots, npoints=256, seed=777):
     """Alignment statistics of iterated chaos bases against direct solves.
 
     snapshots is a sequence of (P, N, Q)-shaped coefficient stacks (one per
@@ -365,7 +360,7 @@ def angle_statistics(op, aset, snapshots, npoints=256, seed=777, tol=1e-11):
     mdim = max(aset.max_dimension, 1)
     sampler = qmc.Sobol(d=mdim, scramble=True, seed=seed)
     Y = 2.0 * sampler.random(npoints) - 1.0
-    _, V = pointwise_eigenpairs(op, Y[:, :op.nterms], q, tol=tol)
+    _, V = pointwise_eigenpairs(op, Y[:, :op.nterms], q, _TOL)
     Phi = basis_matrix(aset, Y)
     # one snapshot's basis at every point at a time, (npoints, N, q): all
     # snapshots at once would hold them all, several times over
@@ -375,36 +370,35 @@ def angle_statistics(op, aset, snapshots, npoints=256, seed=777, tol=1e-11):
     return thetas.mean(axis=1), thetas.var(axis=1)
 
 
-def overlap_permutation(op, ya, yb, which=(1, 2), tol=1e-11):
+def overlap_permutation(op, ya, yb):
     """Pairing of eigenvectors between two parameter points by mass overlap.
 
-    Solves for eigenpairs at both points, restricts to the given eigenvalue
-    positions, and matches each vector at ya with its largest-overlap
-    partner at yb.  A reversed pairing across a parameter sweep is how an
-    eigenvalue crossing shows up.  Returns (permutation, values_a,
-    values_b).
+    Solves for eigenpairs at both points, keeps the second and third, and
+    matches each vector at ya with its largest-overlap partner at yb.  A
+    reversed pairing across a parameter sweep is how an eigenvalue crossing
+    shows up.  Returns (permutation, values_a, values_b).
     """
-    sel = list(which)
-    vals, V = pointwise_eigenpairs(op, np.array([ya, yb], dtype=float),
-                                   max(which) + 1, tol=tol)
-    Va, Vb = V[:, :, sel]
+    vals, V = pointwise_eigenpairs(op, np.array([ya, yb], dtype=float), 3,
+                                   _TOL)
+    Va, Vb = V[:, :, 1:]
     O = np.abs(op.mass_apply(Va.T) @ Vb)
-    return np.argmax(O, axis=1), vals[0, sel], vals[1, sel]
+    return np.argmax(O, axis=1), vals[0, 1:], vals[1, 1:]
 
 
 def coefficient_decay(aset, coeffs, op=None):
     """Coefficient magnitudes in stored order and sorted descending.
 
     For a (P, N) block the magnitude is the mass norm of each spatial row
-    under the FEM operator op (Euclidean if op is not given); for a (P,)
-    vector the absolute value.  Returns a dict with `magnitudes` (stored
-    set order, i.e. decreasing index weight) and `sorted` (descending).
+    under the FEM operator op, which a block requires; for a (P,) vector
+    the absolute value.  Returns a dict with `magnitudes` (stored set
+    order, i.e. decreasing index weight) and `sorted` (descending).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 1:
         mags = np.abs(coeffs)
     elif op is None:
-        mags = np.linalg.norm(coeffs, axis=1)
+        raise ValueError("a (P, N) block needs the FEM operator op for its "
+                         "mass norm")
     else:
         mags = np.sqrt(np.maximum(
             np.sum(coeffs * op.mass_apply(coeffs), axis=1), 0.0))

@@ -10,7 +10,10 @@ tables of a mesh and the sparse prolongation between nested meshes are
 built here, on the grid, for the same reason.
 The two construction oracles at the end are slow reference algorithms
 instead: an index set found by squaring eps until it overshoots, and a
-triple tensor found by scanning every index pair.
+triple tensor found by scanning every index pair.  The package keeps one
+route per quantity; the second routes tests compare against live here
+too: the Rayleigh-quotient eigenvalue expansion, a sign convention for
+eigenvectors, and Gauss rules of any size for the FEM factors.
 """
 
 import itertools
@@ -21,10 +24,11 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chaoseig.fem import _cell_rule_1d, _lagrange_1d
+from chaoseig import fem
+from chaoseig.fem import _lagrange_1d
+from chaoseig.galerkin import DeltaFactor
 from chaoseig.legendre import univariate_triple
-from chaoseig.multiindex import dense_exponents, generate_index_set
-from chaoseig.validation import fix_signs
+from chaoseig.multiindex import generate_index_set
 
 
 def legval_normalized(p, x):
@@ -124,6 +128,34 @@ def dense_generalized_eigenpairs(K, M, Q):
     return vals[:Q], vecs[:, :Q]
 
 
+def fix_signs(vecs):
+    """Flip columns so the largest-magnitude entry of each is positive.
+
+    Entries within 1e-8 relative of the largest magnitude count as tied
+    (a symmetric mode has several, equal up to roundoff), and the first of
+    them is made positive.  Works on one (N, k) array of columns or on a
+    stack (..., N, k).
+    """
+    vecs = np.array(vecs, dtype=float)
+    mags = np.abs(vecs)
+    lead = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=-2, keepdims=True),
+                     axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(vecs, lead, axis=-2) < 0.0, -vecs,
+                    vecs)
+
+
+def rayleigh_quotient(system, U):
+    """Chaos coefficients of the Rayleigh quotient of a nodal (P, N)
+    expansion U: the Galerkin division of the energy u(y)' K(y) u(y) by
+    the squared mass norm of u(y), formed on the coordinates Y =
+    `to_spectral`(U), in which the mass norm is the plain norm.  An
+    eigenvalue route independent of the sweep's mu = shift + 1/s."""
+    Y = system.fem_op.to_spectral(U)
+    tt = system.tt
+    num = tt.contract_gram(Y @ system.operator().apply(Y).T)
+    return DeltaFactor(tt, tt.contract_gram(Y @ Y.T)).solve(num)
+
+
 def _orthonormalize(X, M):
     """M-orthonormalize columns via Cholesky of the Gram matrix."""
     G = X.T @ (M @ X)
@@ -196,11 +228,30 @@ def matrix_at(op, y=()):
                ((M, R_A), (A, R_M), (L_M, A), (L_A, M)))
 
 
+def cell_rule_1d(order, nquad=None):
+    """1D Gauss rule per cell with nquad points (order + 2, the package's
+    rule, by default): reference points, weights, and the Lagrange basis
+    values and derivatives there.  A stand-in for `fem._cell_rule_1d`
+    when a test integrates the factors with another rule."""
+    gx, gw = np.polynomial.legendre.leggauss(order + 2 if nquad is None
+                                             else nquad)
+    return (gx, gw) + _lagrange_1d(order, gx)
+
+
+def use_cell_rule(monkeypatch, nquad):
+    """Make the package integrate its 1D factors with the nquad-point rule
+    of `cell_rule_1d` for the rest of a test (None keeps its own rule)."""
+    if nquad is not None:
+        monkeypatch.setattr(fem, "_cell_rule_1d",
+                            lambda order: cell_rule_1d(order, nquad))
+
+
 def quadrature(mesh, nquad=None):
-    """Tensor Gauss rule per cell: points (ncells, nq, 2), weights (nq,),
-    reference basis values (nq, nb) and gradients (nq, nb, 2)."""
+    """Tensor Gauss rule per cell (`cell_rule_1d`): points (ncells, nq, 2),
+    weights (nq,), reference basis values (nq, nb) and gradients
+    (nq, nb, 2)."""
     o = mesh.order
-    gx, gw, v1, d1 = _cell_rule_1d(o, nquad)
+    gx, gw, v1, d1 = cell_rule_1d(o, nquad)
     n1 = gx.size
     # 2D tensor products, q = qy*n1 + qx, local node a = jy*(o+1) + jx
     vals = np.empty((n1 * n1, (o + 1) ** 2))
@@ -360,6 +411,16 @@ def orthogonality_defect(system, B):
     return max((float(np.linalg.norm(weighted_gram(
         system.tt, B[:, :, i], B[:, :, j], system.fem_op)))
         for i in range(q) for j in range(i + 1, q)), default=0.0)
+
+
+def dense_exponents(alpha, ndim=None):
+    """Dense exponent tuple of a sparse multi-index, padded to ``ndim``."""
+    if ndim is None:
+        ndim = alpha[-1][0] if alpha else 0
+    out = [0] * ndim
+    for d, e in alpha:
+        out[d - 1] = e
+    return tuple(out)
 
 
 def box_indices(aset):

@@ -182,8 +182,7 @@ def test_08_subspace_angles_variance_and_crossing():
     rho = vals[2] / vals[3]
     assert abs(fitted - rho) <= 0.1
     assert var[-1] <= var[1] / 100.0
-    perm, lam_lo, lam_hi = overlap_permutation(sys_.fem_op, [-1.0], [1.0],
-                                               which=(1, 2))
+    perm, lam_lo, lam_hi = overlap_permutation(sys_.fem_op, [-1.0], [1.0])
     assert list(perm) == [1, 0]
     assert np.all(lam_lo > 0) and np.all(lam_hi > 0)
     assert time.perf_counter() - t0 <= budget

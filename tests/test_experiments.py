@@ -308,6 +308,32 @@ class TestCli:
         assert main(["run", str(bad)]) == 2
         assert "unknown config fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, message", [
+        ([1], "config must be a JSON object, got list"),
+        (1, "config must be a JSON object, got int"),
+        ({"kind": "iteration", "n": "8"}, "field n must be of type int"),
+        ({"kind": "iteration", "mesh_sizes": 4},
+         "field mesh_sizes must be of type tuple"),
+        ({"kind": "iteration", "sum_trick": 1},
+         "field sum_trick must be of type bool"),
+        ({"kind": "iteration", "kmax": True},
+         "field kmax must be of type int"),
+        ({"kind": "spatial", "mesh_sizes": [None]},
+         "field mesh_sizes must be positive"),
+        ({"kind": "spatial", "mesh_sizes": [0]},
+         "field mesh_sizes must be positive"),
+    ], ids=["list", "number", "string-n", "scalar-mesh-sizes", "int-flag",
+            "bool-count", "null-mesh-size", "zero-mesh-size"])
+    def test_malformed_config_is_a_clean_error(self, tmp_path, monkeypatch,
+                                               capsys, data, message):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
     def test_oversized_set_is_a_clean_error(self, tmp_path, capsys):
         cfg = tiny_config("stochastic", tmp_path / "st", set_sizes=(20,),
                           reference_size=15)

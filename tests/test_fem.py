@@ -21,6 +21,7 @@ from oracles import (
     matrix_at,
     l2_error_against_function,
     prolongation_matrix,
+    use_cell_rule,
 )
 
 PI2_2 = 19.739208802178717  # 2*pi^2, smallest Dirichlet Laplace eigenvalue
@@ -155,9 +156,13 @@ class TestParametricOperator:
 
     @pytest.mark.parametrize("n, order, nquad", [(4, 1, None), (4, 2, None),
                                                  (5, 2, 3), (3, 1, 4)])
-    def test_separable_factors_reproduce_terms(self, n, order, nquad):
+    def test_separable_factors_reproduce_terms(self, n, order, nquad,
+                                               monkeypatch):
+        # the separable form is exact for any tensor Gauss rule, not only
+        # the package's own
+        use_cell_rule(monkeypatch, nquad)
         mesh = build_mesh(n, order)
-        op = build_parametric_operator(mesh, nterms=7, nquad=nquad)
+        op = build_parametric_operator(mesh, nterms=7)
         terms = assemble_terms(mesh, 7, nquad=nquad)
         M, A = op.factors[0]
         assert set(op.axes[1:]) == {0, 1}
@@ -346,12 +351,13 @@ class TestProlongation:
                                    atol=1e-13)
 
 
-def test_quadrature_knob_changes_high_frequency_terms_little():
+def test_quadrature_knob_changes_high_frequency_terms_little(monkeypatch):
     # raising the rule refines oscillatory-term integrals; the change is
     # bounded by the tiny term amplitude
     mesh = build_mesh(8, 2)
     default = build_parametric_operator(mesh, nterms=30)
-    fine = build_parametric_operator(mesh, nterms=30, nquad=10)
+    use_cell_rule(monkeypatch, 10)
+    fine = build_parametric_operator(mesh, nterms=30)
     for m in (15, 30):
         y = np.eye(1, 30, m - 1)[0]
         K_default, K_fine = matrix_at(default, y), matrix_at(fine, y)

@@ -39,6 +39,7 @@ from oracles import (
     matrix_at,
     tensor_grid,
     triple_tensor_dense,
+    use_cell_rule,
     weighted_gram,
 )
 
@@ -147,7 +148,8 @@ class TestKroneckerOperator:
     @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
     def test_separable_apply_matches_assembled(self, order, nquad, shift,
                                                rows_per_chunk, monkeypatch):
-        sys = build_system(n=3, order=order, size=12, nquad=nquad)
+        use_cell_rule(monkeypatch, nquad)
+        sys = build_system(n=3, order=order, size=12)
         assert sys.fem_op.nterms >= 2  # terms along both axes
         if rows_per_chunk is not None:
             # split terms across chunks and chunks across terms
@@ -171,7 +173,8 @@ class TestKroneckerOperator:
     def test_spectral_apply_matches_assembled(self, order, nquad, shift,
                                               rows_per_chunk, monkeypatch):
         # the dense oracle in Q (x) Q coordinates: (I (x) T)^T K (I (x) T)
-        sys = build_system(n=3, order=order, size=12, nquad=nquad)
+        use_cell_rule(monkeypatch, nquad)
+        sys = build_system(n=3, order=order, size=12)
         if rows_per_chunk is not None:
             monkeypatch.setattr(galerkin, "_CHUNK_BYTES",
                                 rows_per_chunk * sys.N * 8)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chaoseig.multiindex import (
-    dense_exponents,
+    _sort_key,
     dimension_weights,
     generate_index_set,
     generate_index_set_by_size,
@@ -38,7 +38,8 @@ def brute_force_box(eta, eps, max_exp=64):
         if w > eps:
             sparse = tuple((j + 1, e) for j, e in enumerate(exps) if e)
             found.append((sparse, w))
-    found.sort(key=lambda t: (-t[1], total_degree(t[0]), dense_exponents(t[0])))
+    found.sort(key=lambda t: (-t[1], total_degree(t[0]),
+                              oracles.dense_exponents(t[0])))
     return found
 
 
@@ -125,6 +126,24 @@ class TestGeneration:
         assert np.all(np.diff(aset.weights) <= 0)
         assert np.all(aset.weights > aset.eps)
 
+    @pytest.mark.parametrize("eps, kw", [
+        (0.005, {"varsigma": 3.2}),
+        (1e-3, {"varsigma": 2.0}),
+        # equal weights and degrees: (1, 2) ties (2, 1), (1, 1, 0) ties
+        # (0, 1, 1) and so on, with supports of different lengths
+        (0.01, {"weights": [0.5, 0.5, 0.5, 0.25]}),
+        (0.02, {"weights": [0.5, 0.25, 0.25, 0.125, 0.125]})])
+    def test_sort_key_orders_like_dense_tuples(self, eps, kw):
+        aset = generate_index_set(eps, **kw)
+        entries = list(zip(aset.indices, aset.weights))
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            shuffled = [entries[i] for i in rng.permutation(len(entries))]
+            dense = sorted(shuffled, key=lambda t: (
+                -t[1], total_degree(t[0]), oracles.dense_exponents(t[0])))
+            assert sorted(shuffled, key=_sort_key) == dense
+        assert [a for a, _ in dense] == aset.indices
+
     def test_downward_closed(self):
         for eps in (0.3, 0.05, 0.005, 0.0005):
             aset = generate_index_set(eps, varsigma=3.2)
@@ -136,7 +155,7 @@ class TestGeneration:
         for a, w in zip(aset.indices, aset.weights):
             for j in range(len(eta)):
                 if w * eta[j] > aset.eps:
-                    d = dense_exponents(a, len(eta))
+                    d = oracles.dense_exponents(a, len(eta))
                     ext = tuple((i + 1, e + (i == j)) for i, e in
                                 enumerate(d) if e + (i == j))
                     assert ext in aset

@@ -49,5 +49,5 @@ def test_loops_avoid_scipy_linalg(monkeypatch):
     assert mean.shape == (3,)
     mc = monte_carlo_statistics(op, nsamples=8, seed=3)
     assert mc["eigenvalue_mean"] > 0.0
-    perm, _, _ = overlap_permutation(op, [-1.0], [1.0], which=(1, 2))
+    perm, _, _ = overlap_permutation(op, [-1.0], [1.0])
     assert sorted(perm) == [0, 1]
