@@ -33,6 +33,9 @@ print()
 
 print(f"eigenvalue mean     = {res.eigenvalue_mean:.10f}")
 print(f"eigenvalue variance = {res.eigenvalue_variance:.3e}")
+# res.U holds mean-eigenbasis coordinates; to_nodal gives the FE values
+mean_mode = sys_.fem_op.to_nodal(res.U[0])
+print(f"mean eigenfunction: largest nodal value {mean_mode.max():.6f}")
 print()
 
 rng = np.random.default_rng(11)

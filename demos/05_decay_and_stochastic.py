@@ -19,7 +19,9 @@ from chaoseig.validation import coefficient_decay
 
 sys_ = build_system(n=8, order=2, size=64)
 res = run_inverse_iteration(sys_, tol=1e-10, kmax=30)
-rep = coefficient_decay(sys_.aset, res.U, sys_.fem_op)
+# res.U holds mean-eigenbasis coordinates, where each row's mass norm is
+# its plain norm
+rep = coefficient_decay(sys_.aset, res.U)
 print("eigenvector coefficient magnitudes (canonical order, first 16):")
 for i, mag in enumerate(rep["magnitudes"][:16]):
     print(f"  rank {i + 1:3d}   {mag:.4e}")

@@ -7,8 +7,11 @@ Outputs are CSV files plus a JSON manifest with per-file content hashes.
 Runs are deterministic per machine and BLAS thread count: on one machine,
 with the same thread setting, a config (with its seed) maps to identical
 output bytes.  Another thread count may round BLAS kernels differently and
-change the last bits.  Every CSV row carries the config hash and package
-version, and sweep members execute in a fixed order.
+change the last bits.  Every CSV row carries the config hash, a digest of
+every field but `output`, and the package version, and sweep members
+execute in a fixed order.  Field errors and magnitudes are taken on the
+solvers' mean-eigenbasis coordinates, where the tensor norm is the
+Frobenius norm.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .fem import prolongation_1d
-from .galerkin import build_system, tensor_dot, tensor_norm
+from .galerkin import build_system
 from .inverse_iteration import run_inverse_iteration
 from .subspace_iteration import run_subspace_iteration
 from .validation import (
@@ -139,7 +142,11 @@ class ExperimentConfig:
 
     @property
     def config_hash(self):
-        payload = json.dumps(self.to_dict(), sort_keys=True)
+        """Short digest of the computation the config describes: every
+        field but `output`, which only says where the files go."""
+        fields = self.to_dict()
+        del fields["output"]
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -214,9 +221,9 @@ def _build(cfg, n=None, size=None):
                         varsigma=cfg.varsigma, max_terms=cfg.max_terms)
 
 
-def _aligned_field_error(U, U_ref, fem_op):
-    sign = 1.0 if tensor_dot(U, U_ref, fem_op) >= 0.0 else -1.0
-    return tensor_norm(sign * U - U_ref, fem_op)
+def _aligned_field_error(U, U_ref):
+    sign = 1.0 if np.sum(U * U_ref) >= 0.0 else -1.0
+    return float(np.linalg.norm(sign * U - U_ref))
 
 
 def _run_spatial(cfg, outdir):
@@ -236,11 +243,14 @@ def _run_spatial(cfg, outdir):
         sys_n = _build(cfg, n=n)
         res = run_inverse_iteration(sys_n, tol=cfg.tol, kmax=cfg.kmax,
                                     shift=cfg.shift)
+        # coarse coordinates -> nodal values X -> P1 X P1^T on the
+        # reference mesh -> its coordinates
         P1 = prolongation_1d(sys_n.mesh, ref_sys.mesh)
         nc = P1.shape[1]
-        U_pro = (P1 @ res.U.reshape(-1, nc, nc) @ P1.T).reshape(
-            len(res.U), -1)
-        ferr = _aligned_field_error(U_pro, ref.U, ref_sys.fem_op)
+        X = sys_n.fem_op.to_nodal(res.U).reshape(-1, nc, nc)
+        U_pro = ref_sys.fem_op.to_spectral(
+            (P1 @ X @ P1.T).reshape(len(res.U), -1))
+        ferr = _aligned_field_error(U_pro, ref.U)
         merr = float(np.linalg.norm(res.eigenvalue - ref.eigenvalue))
         rows.append([n, sys_n.mesh.h, sys_n.N, len(res.history),
                      res.eigenvalue_mean, ferr, merr,
@@ -268,7 +278,7 @@ def _write_decay(cfg, outdir, res):
     """Write decay.csv for a converged pair; returns the summary entries
     of the log-log slope over the tail of its field magnitudes."""
     aset = res.system.aset
-    frep = coefficient_decay(aset, res.U, res.system.fem_op)
+    frep = coefficient_decay(aset, res.U)
     mrep = coefficient_decay(aset, res.eigenvalue)
     rows = [[i + 1, aset.weights[i], frep["magnitudes"][i],
              mrep["magnitudes"][i], frep["sorted"][i], mrep["sorted"][i],
@@ -304,13 +314,12 @@ def _run_stochastic(cfg, outdir):
         if any(p is None for p in positions):
             raise RuntimeError("sweep set is not nested in the reference "
                                "set; refinement monotonicity is broken")
-        sign = 1.0 if float(np.sum(res.U[0] * ref_sys.fem_op.mass_apply(
-            ref.U[0]))) >= 0.0 else -1.0
+        sign = 1.0 if float(res.U[0] @ ref.U[0]) >= 0.0 else -1.0
         U_embed = ref.U.copy()
         U_embed[positions] = sign * res.U
         mu_embed = ref.eigenvalue.copy()
         mu_embed[positions] = res.eigenvalue
-        ferr = tensor_norm(U_embed - ref.U, ref_sys.fem_op)
+        ferr = float(np.linalg.norm(U_embed - ref.U))
         merr = float(np.linalg.norm(mu_embed - ref.eigenvalue))
         rows.append([size, sys_s.aset.eps, sys_s.aset.max_dimension,
                      len(res.history), res.eigenvalue_mean, ferr, merr,
@@ -345,7 +354,7 @@ def _run_iteration(cfg, outdir):
             k + 1, h.increments[k], h.eigenvalue_means[k],
             h.eigenvalue_changes[k],
             abs(h.eigenvalue_means[k] - target.eigenvalue_mean),
-            _aligned_field_error(U_k, target.U, sys_.fem_op),
+            _aligned_field_error(U_k, target.U),
             int(h.cg_iterations[k]), h.cg_tolerances[k],
             int(h.newton_iterations[k]), cfg.config_hash, __version__])
     _write_csv(outdir / "iteration.csv",

@@ -35,11 +35,12 @@ which B (x) C acts as B X C (every factor is symmetric), so the mass maps
 X to M X M.  The 1D mean eigenbasis (lam, Q), A Q = M Q diag(lam) with
 Q^T M Q = I, diagonalizes the mean problem: in the coordinates
 Y = (MQ)^T X (MQ), X = Q Y Q^T, the mass is the identity and the mean
-term K_0 = M (x) A + A (x) M is the division by lam_i + lam_j.  The
-Galerkin sweep and the pointwise eigensolver both run in these
-coordinates (`to_spectral`, `to_nodal`), on the 1D factors moved there
-once (`spectral_factors`); the nodal kernel `mass_apply` serves
-everything else.
+term K_0 = M (x) A + A (x) M is the division by lam_i + lam_j.  Every
+vector the package takes or returns is held in these coordinates, where
+the mass inner product is the plain dot product; the Galerkin sweep and
+the pointwise eigensolver act on them with the 1D factors moved there
+once (`spectral_factors`).  `to_nodal` and `to_spectral` convert at the
+edge, and `mass_apply` gives the nodal mass products.
 """
 
 from __future__ import annotations
@@ -211,7 +212,10 @@ class ParametricOperator:
         sweep treats Q^T A Q as diagonal, so these would be its error.  One
         first-order correction of Q against A and M themselves, a
         first-order M-renormalization and the recomputed lam_k =
-        Q_k^T A Q_k bring both to roundoff.
+        Q_k^T A Q_k bring both to roundoff.  Each column is signed so that
+        its first entry is positive, which makes the basis of a degenerate
+        mean eigenspace, and so the mean modes of `mean_eigenpairs`, part
+        of the contract.
         """
         M, A = self.factors[0]
         L_inv = np.linalg.inv(np.linalg.cholesky(M))
@@ -221,6 +225,7 @@ class ParametricOperator:
         np.fill_diagonal(gap, np.inf)
         Q = Q + Q @ ((lam * (Q.T @ M @ Q) - Q.T @ A @ Q) / gap)
         Q = Q @ (1.5 * np.eye(len(Q)) - 0.5 * (Q.T @ M @ Q))
+        Q = np.where(Q[:1] < 0.0, -Q, Q)
         return np.sum(Q * (A @ Q), axis=0), Q
 
     def mass_apply(self, V):
@@ -264,18 +269,15 @@ class ParametricOperator:
 
     def mean_eigenpairs(self, count):
         """The `count` smallest eigenpairs of (K_0, M (x) M): values
-        lam_i + lam_j ascending, ties in row-major (i, j) order, and
-        M-orthonormal vectors Q_i (x) Q_j as (N, count) columns.  Each 1D
-        column Q_i is signed so that its first entry is positive, which
-        makes the basis of a degenerate eigenspace part of the contract.
+        lam_i + lam_j ascending, ties in row-major (i, j) order, and the
+        modes Q_i (x) Q_j as (N, count) columns of coordinates (see
+        `to_spectral`), each the unit vector at its flat position (i, j).
         """
         values = self.mean_values
         pick = np.argsort(values, axis=None, kind="stable")[:count]
-        i, j = np.unravel_index(pick, values.shape)
-        Q = self.mean_eigenbasis[1]
-        Q = np.where(Q[:1] < 0.0, -Q, Q)
-        vecs = Q[:, None, i] * Q[None, :, j]
-        return values[i, j], vecs.reshape(-1, pick.size)
+        vecs = np.zeros((values.size, pick.size))
+        vecs[pick, np.arange(pick.size)] = 1.0
+        return values.flat[pick], vecs
 
 
 def build_parametric_operator(mesh, varsigma=3.2, nterms=0):

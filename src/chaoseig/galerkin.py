@@ -11,16 +11,13 @@ is applied blockwise on the separable stiffness terms (see `fem`): each
 spatial block is an (n, n) array acted on by batched small matmuls, and
 term m only touches the chaos rows its raise matrix couples.
 
-The operator and CG run in the mean eigenbasis Q (x) Q of
+Blocks are held in the mean eigenbasis Q (x) Q of
 `fem.ParametricOperator.mean_eigenbasis`: a block of coordinates Y has
-nodal values Q Y Q^T per slice (`to_spectral` and `to_nodal` convert).
-There the mass is the identity, the mean term K_0 is the elementwise
+nodal values Q Y Q^T per slice.  There the mass is the identity, so the
+tensor norm sum_a V[a] . M V[a] of the nodal values is the plain
+Frobenius norm of the coordinates; the mean term K_0 is the elementwise
 scaling by lam_i + lam_j and its inverse, the preconditioner, a division;
-each fluctuation term keeps dense 1D factors Q^T M_m Q and Q^T A_m Q.  The
-helpers on nodal blocks (`tensor_norm`, `tensor_dot`) pair the stochastic
-blocks with the spatial mass matrix:
-||V||^2 = sum_a V[a] . M V[a], which is the plain Frobenius norm of the
-coordinates.
+each fluctuation term keeps dense 1D factors Q^T M_m Q and Q^T A_m Q.
 """
 
 from __future__ import annotations
@@ -41,8 +38,6 @@ __all__ = [
     "KroneckerOperator",
     "PcgInfo",
     "pcg_solve",
-    "tensor_norm",
-    "tensor_dot",
     "DeltaFactor",
     "newton_normalize",
     "GalerkinSystem",
@@ -57,16 +52,6 @@ class IndefiniteOperatorError(RuntimeError):
 class NearSingularError(RuntimeError):
     """Galerkin multiplication operator numerically singular: the scalar
     normalization expansion is losing pointwise positivity."""
-
-
-def tensor_dot(V, W, fem_op):
-    """Mass-weighted inner product of two (P, N) coefficient blocks."""
-    return float(np.sum(V * fem_op.mass_apply(W)))
-
-
-def tensor_norm(V, fem_op):
-    """Mass-weighted norm of a (P, N) coefficient block."""
-    return float(np.sqrt(max(np.sum(V * fem_op.mass_apply(V)), 0.0)))
 
 
 # KroneckerOperator.apply gathers at most this many bytes of (n, n) slices

@@ -11,8 +11,9 @@ all blockwise on (P, N) coefficient arrays.  This is the block sweep of
 reciprocal of s also carries the eigenvalue: with a shift below the target
 eigenvalue, mu(y) = shift + 1/s(y), so one Galerkin division of the
 constant one by s yields the eigenvalue expansion of the step, the only
-one a run computes.  The sweep runs in the mean eigenbasis (see
-`galerkin`); `run_inverse_iteration` takes and returns nodal blocks.
+one a run computes.  Blocks are held in the mean eigenbasis (see
+`galerkin`), where the mass is the identity: the right-hand side mass U of
+step (1) is U itself.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galerkin import GalerkinSystem, tensor_norm
-from .subspace_iteration import _columns, _iterate, initial_basis
+from .galerkin import GalerkinSystem
+from .subspace_iteration import _iterate, initial_basis
 
 __all__ = [
     "IterationHistory",
@@ -53,7 +54,11 @@ class IterationHistory:
 
 @dataclass
 class EigenpairResult:
-    """Converged (or truncated) chaos expansion of the smallest eigenpair."""
+    """Converged (or truncated) chaos expansion of the smallest eigenpair.
+
+    U and the stored iterates are (P, N) blocks in the mean eigenbasis;
+    `system.fem_op.to_nodal(U)` gives their nodal values.
+    """
 
     system: GalerkinSystem
     U: np.ndarray
@@ -70,14 +75,6 @@ class EigenpairResult:
     def eigenvalue_variance(self):
         return float(np.sum(self.eigenvalue[1:] ** 2))
 
-    @property
-    def mean_field(self):
-        return self.U[0]
-
-    @property
-    def variance_field(self):
-        return np.sum(self.U[1:] ** 2, axis=0)
-
 
 def initial_guess(system: GalerkinSystem):
     """Deterministic start: the mean-problem ground mode in the zero block,
@@ -91,13 +88,15 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
 
     Stops when the tensor norm of the iterate increment drops below tol
     (both iterates have unit pointwise norm up to truncation, so absolute
-    and relative increments agree).  The CG tolerance follows the outer
-    progress: a fraction `_CG_TOL_FACTOR` of the previous increment,
-    floored at `_CG_TOL_FLOOR` (constants of `subspace_iteration`), and
-    each solve warm-starts from the previous one.
+    and relative increments agree).  `initial` is a (P, N) block in the
+    mean eigenbasis, scaled to unit tensor norm; by default
+    `initial_guess`.  The CG tolerance follows the outer progress: a
+    fraction `_CG_TOL_FACTOR` of the previous increment, floored at
+    `_CG_TOL_FLOOR` (constants of `subspace_iteration`), and each solve
+    warm-starts from the previous one.
     """
     U0 = initial_guess(system) if initial is None else \
-        np.array(initial, dtype=float) / tensor_norm(initial, system.fem_op)
+        np.array(initial, dtype=float) / np.linalg.norm(initial)
     B, converged, iterates, (inc, cg_its, cg_tols, newton_its, _, _, mu) = \
         _iterate(system, U0[:, :, None], tol, kmax, store_iterates, shift)
     if shift:
@@ -105,8 +104,8 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
     # safety net: pin the overall sign to the starting mode (the sweep maps
     # U to a positive multiple, so this only fires on pathological starts);
     # stored iterates keep their raw signs
-    U = _columns(system.fem_op.to_nodal, B)[:, :, 0]
-    if float(np.sum(U[0] * system.fem_op.mass_apply(U0[0]))) < 0.0:
+    U = B[:, :, 0]
+    if float(U[0] @ U0[0]) < 0.0:
         U = -U
     history = IterationHistory(
         inc[:, 0], mu[:, 0], np.append(np.nan, np.abs(np.diff(mu[:, 0]))),

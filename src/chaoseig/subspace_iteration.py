@@ -12,11 +12,10 @@ orthogonality defect at truncation level; the sweep refines with up to
 `_MAX_REORTH` extra passes while the defect exceeds `_REORTH_THRESHOLD`.
 `inverse_iteration` runs this sweep and its loop at Q = 1.
 
-The sweep holds its blocks in the mean eigenbasis (see `galerkin`), where
-the mass is the identity: the right-hand side of a solve is the basis
-vector itself, tensor norms are Frobenius norms and Gram matrices plain
-products.  `run_subspace_iteration` and `run_inverse_iteration` take and
-return nodal blocks, converting at entry and exit.
+Blocks are held in the mean eigenbasis (see `galerkin`), where the mass
+is the identity: the right-hand side of a solve is the basis vector
+itself, tensor norms are Frobenius norms and Gram matrices plain
+products.
 
 Per-vector eigenvalue expansions are deliberately not produced here: when
 eigenvalues cross inside the tracked cluster, individual pairs are not
@@ -79,6 +78,9 @@ class SubspaceHistory:
 
 @dataclass
 class SubspaceResult:
+    """Iterated basis of an invariant subspace: `basis` and the snapshots
+    are (P, N, Q) stacks in the mean eigenbasis."""
+
     system: GalerkinSystem
     basis: np.ndarray
     converged: bool
@@ -90,20 +92,13 @@ def initial_basis(system: GalerkinSystem, q):
     """Mean-problem eigenvectors in the zero block, one per basis column.
 
     The q smallest, exact from the operator's 1D mean eigenbasis (see
-    `ParametricOperator.mean_eigenpairs`, which fixes ties and signs).  They
-    are mass-normalized, so every column has unit tensor norm; all
+    `ParametricOperator.mean_eigenpairs`, which fixes ties and signs): unit
+    coordinate vectors, so every column has unit tensor norm; all
     fluctuation blocks start at zero.
     """
-    _, vecs = system.fem_op.mean_eigenpairs(q)
     B = np.zeros((system.P, system.N, q))
-    B[0] = vecs
+    B[0] = system.fem_op.mean_eigenpairs(q)[1]
     return B
-
-
-def _columns(transform, B):
-    """transform, which acts along the last axis, on each (P, N) column of
-    a (P, N, Q) stack; `to_spectral` or `to_nodal` of the operator."""
-    return np.moveaxis(transform(np.moveaxis(B, 2, 1)), 1, 2)
 
 
 def _defect(tt, B):
@@ -193,23 +188,21 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
 
 
 def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
-    """Sweep the nodal start basis B until its largest vector increment is
-    below tol.
+    """Sweep the start basis B until its largest vector increment is below
+    tol.
 
     The CG tolerance is a fraction `_CG_TOL_FACTOR` of the previous sweep's
     largest increment, floored at `_CG_TOL_FLOOR`, and each solve
     warm-starts from the previous sweep's.  Returns (B, converged,
-    snapshots, records): B in the mean eigenbasis; the nodal snapshots, the
-    first being the start as given; and one array per record, one row per
-    sweep, of the increments and CG iterations per vector, the CG
-    tolerance, the Newton iterations, the extra passes, the orthogonality
-    defect and the first vector's 1/s.
+    snapshots, records): the last basis; the snapshots, the first being
+    the start as given; and one array per record, one row per sweep, of
+    the increments and CG iterations per vector, the CG tolerance, the
+    Newton iterations, the extra passes, the orthogonality defect and the
+    first vector's 1/s.
     """
     if kmax < 1:
         raise ValueError("kmax must be positive")
-    fem_op = system.fem_op
     snapshots = [B.copy()] if store else None
-    B = _columns(fem_op.to_spectral, B)
     rows = []
     warm = None
     prev_inc = 1.0
@@ -223,7 +216,7 @@ def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
                      inv_s))
         B = B_next
         if store:
-            snapshots.append(_columns(fem_op.to_nodal, B))
+            snapshots.append(B)
         prev_inc = float(inc.max())
         if prev_inc < tol:
             converged = True
@@ -238,8 +231,10 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
 
     Inverse iteration runs the same sweep and loop at Q = 1, so both share
     the CG-tolerance schedule (`_CG_TOL_FACTOR`, `_CG_TOL_FLOOR`) and the
-    stop test.  Snapshots (when requested) include the initial basis, so
-    entry k is the basis after k sweeps.
+    stop test.  The start (`initial`, by default `initial_basis`), the
+    basis and the snapshots are (P, N, Q) stacks in the mean eigenbasis.
+    Snapshots (when requested) include the initial basis, so entry k is
+    the basis after k sweeps.
     """
     if q < 1:
         raise ValueError("need at least one basis vector")
@@ -253,5 +248,4 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
         _iterate(system, B, tol, kmax, store_snapshots, shift, sum_trick)
     history = SubspaceHistory(inc, inc.max(axis=1), defects, extras, cg_its,
                               cg_tols, newton_its)
-    return SubspaceResult(system, _columns(system.fem_op.to_nodal, B),
-                          converged, history, snapshots)
+    return SubspaceResult(system, B, converged, history, snapshots)

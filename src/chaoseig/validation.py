@@ -6,9 +6,12 @@ eigenpairs come from a batched block eigensolver on the pencils
 the identity and the mean problem, the preconditioner, is a division;
 statistics come from plain Monte Carlo, subspace angles from dense linear
 algebra on evaluated bases.  The spectral iteration modules are validated
-against these routines, never the other way around.  Pointwise
-eigenvectors keep the solver's signs: whatever reads them aligns the sign
-by mass overlap or measures something the sign does not change.
+against these routines, never the other way around.  Every vector taken
+or returned here is held in those mean-eigenbasis coordinates
+(`fem.ParametricOperator.to_spectral`), so every mass inner product is a
+plain dot product.  Pointwise eigenvectors keep the solver's signs:
+whatever reads them aligns the sign by overlap or measures something the
+sign does not change.
 """
 
 from __future__ import annotations
@@ -223,10 +226,10 @@ def pointwise_eigenpairs(op, Y, count=1, tol=1e-10):
     ||K' y - lam y|| <= tol |lam| ||y|| on the coordinates y, K' being
     K(y) in them: the test ||K x - lam M x|| <= tol |lam| ||M x|| on the
     nodal values x, in the M^-1 norm.  Returns (values (S, count)
-    ascending, vectors (S, N, count)) with nodal, M-orthonormal columns
-    in the signs the solver leaves: callers align them by mass overlap.
-    Raises PointwiseStallError if a point misses the tolerance within
-    `_MAXITER` iterations.
+    ascending, vectors (S, N, count)) with orthonormal columns of
+    coordinates in the signs the solver leaves: callers align them by
+    overlap.  Raises PointwiseStallError if a point misses the tolerance
+    within `_MAXITER` iterations.
     """
     if not 1 <= count <= op.ndof:
         raise ValueError("count out of range")
@@ -234,14 +237,12 @@ def pointwise_eigenpairs(op, Y, count=1, tol=1e-10):
     values = np.empty((len(Y), count))
     vectors = np.empty((len(Y), op.ndof, count))
     block = _block_size(op, count)
-    pick = np.argsort(op.mean_values, axis=None, kind="stable")[:block]
-    start = np.zeros((block, op.ndof))
-    start[np.arange(block), pick] = 1.0
+    start = _t(op.mean_eigenpairs(block)[1])
     for a, b in _chunks(op, Y, block):
         vals, X = _lobpcg(_Pencils(op, Y[a:b]),
                           np.repeat(start[None], b - a, axis=0), count, tol)
         values[a:b] = vals
-        vectors[a:b] = _t(op.to_nodal(X))
+        vectors[a:b] = _t(X)
     return values, vectors
 
 
@@ -250,29 +251,27 @@ def monte_carlo_statistics(op, nsamples=10000, seed=1234):
 
     Samples the parameter uniformly, solves the pointwise eigenproblems in
     chunks with `pointwise_eigenpairs`, aligns each eigenvector's sign with
-    the mean problem's ground mode by mass overlap, and accumulates mean
-    and variance of the eigenvalue together with their standard errors,
-    plus the mean and variance fields of the eigenvector.
+    the mean problem's ground mode by overlap, and accumulates mean and
+    variance of the eigenvalue together with their standard errors, plus
+    the mean of the eigenvector, in coordinates.
 
     Returns a dict with keys eigenvalue_mean, eigenvalue_var, se_mean,
-    se_var, vector_mean, vector_var, nsamples.  The sample variance needs
+    se_var, vector_mean, nsamples.  The sample variance needs
     nsamples >= 2.
     """
     if nsamples < 2:
         raise ValueError(f"need at least 2 samples, got {nsamples}")
     Y = np.random.default_rng(seed).uniform(-1.0, 1.0,
                                              (nsamples, op.nterms))
-    ground = op.mass_apply(op.mean_eigenpairs(1)[1][:, 0])
+    ground = op.mean_eigenpairs(1)[1][:, 0]
     lams = np.empty(nsamples)
     vsum = np.zeros(op.ndof)
-    vsq = np.zeros(op.ndof)
     for a, b in _chunks(op, Y, _block_size(op, 1)):
         vals, vecs = pointwise_eigenpairs(op, Y[a:b], 1, _TOL)
         V = vecs[:, :, 0]
         V *= np.where(V @ ground < 0.0, -1.0, 1.0)[:, None]
         lams[a:b] = vals[:, 0]
         vsum += V.sum(axis=0)
-        vsq += (V * V).sum(axis=0)
     mean = float(lams.mean())
     var = float(lams.var(ddof=1))
     centred = lams - mean
@@ -283,7 +282,6 @@ def monte_carlo_statistics(op, nsamples=10000, seed=1234):
         "se_mean": float(np.sqrt(var / nsamples)),
         "se_var": float(np.sqrt(max(m4 - var * var, 0.0) / nsamples)),
         "vector_mean": vsum / nsamples,
-        "vector_var": vsq / nsamples - (vsum / nsamples) ** 2,
         "nsamples": nsamples,
     }
 
@@ -291,65 +289,65 @@ def monte_carlo_statistics(op, nsamples=10000, seed=1234):
 def pointwise_error(op, aset, U, mu, y):
     """Compare an evaluated chaos eigenpair with the direct solve at y.
 
-    Returns a dict with the reference eigenvalue, the absolute eigenvalue
-    error, the mass-norm eigenvector error after sign alignment, the
-    residual norm of the evaluated pair in the pointwise problem, and the
+    U is a (P, N) block of coordinates and mu the (P,) eigenvalue
+    expansion.  Returns a dict with the reference eigenvalue, the absolute
+    eigenvalue error, the mass-norm eigenvector error after sign
+    alignment, the residual ||K x - mu M x|| / (|mu| ||M x||) of the
+    evaluated pair on its nodal values x in the pointwise problem, and the
     deviation of the evaluated vector from unit mass-norm.
     """
     from .legendre import evaluate_expansion
 
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    uy = evaluate_expansion(U, aset, y)
+    u = evaluate_expansion(U, aset, y)
     muy = float(evaluate_expansion(np.asarray(mu), aset, y))
     Y = y[None, :op.nterms]
     lam, V = pointwise_eigenpairs(op, Y, 1, _ERROR_TOL)
     lam, v = float(lam[0, 0]), V[0, :, 0]
-    # the nodal K from K' in the coordinates: K = (MQ (x) MQ) K' (MQ (x) MQ)^T
-    Kuy = op.mass_apply(op.to_nodal(
-        _Pencils(op, Y).stiffness(op.to_spectral(uy)[None, None])[0, 0]))
-    Muy = op.mass_apply(uy)
-    if v @ Muy < 0.0:
+    if v @ u < 0.0:
         v = -v
-    d = uy - v
+    # with x = Q u Q^T per slice and K' the stiffness in the coordinates,
+    # K x = M Q (K' u) Q^T M and M x = M Q u Q^T M
+    Ku = _Pencils(op, Y).stiffness(u[None, None])[0, 0]
+    R, Mx = op.mass_apply(op.to_nodal(np.stack([Ku - muy * u, u])))
     return {
         "eigenvalue_ref": lam,
         "eigenvalue_error": abs(muy - lam),
-        "vector_error": float(np.sqrt(max(d @ op.mass_apply(d), 0.0))),
-        "residual": float(np.linalg.norm(Kuy - muy * Muy)
-                          / (abs(muy) * np.linalg.norm(Muy))),
-        "normalization_error": abs(float(np.sqrt(uy @ Muy)) - 1.0),
+        "vector_error": float(np.linalg.norm(u - v)),
+        "residual": float(np.linalg.norm(R)
+                          / (abs(muy) * np.linalg.norm(Mx))),
+        "normalization_error": abs(float(np.linalg.norm(u)) - 1.0),
     }
 
 
-def subspace_angle(B1, B2, op):
-    """Alignment |det(Q1' M Q2)| of two spans after M-orthonormalization.
+def subspace_angle(B1, B2):
+    """Alignment |det(Q1' Q2)| of two spans after orthonormalization.
 
     1 means identical subspaces, 0 means some direction of one span is
-    M-orthogonal to all of the other.  Insensitive to basis choice and to
-    signs.  B1 and B2 are (N, q) bases or stacks (..., N, q) of them,
+    orthogonal to all of the other.  Insensitive to basis choice and to
+    signs.  B1 and B2 are (N, q) bases of coordinates, in which the mass
+    inner product is the plain one, or stacks (..., N, q) of them,
     compared pairwise with broadcasting; values are clipped to [0, 1]
-    against roundoff.  M is the mass of the FEM operator op.  With Gram
-    matrices G_ab = B_a' M B_b and their Cholesky factors L_a, the
-    alignment is |det G_12| / (det L_1 det L_2).
+    against roundoff.  With Gram matrices G_ab = B_a' B_b and their
+    Cholesky factors L_a, the alignment is |det G_12| / (det L_1 det L_2).
     """
     B1 = np.asarray(B1, dtype=float)
     B2 = np.asarray(B2, dtype=float)
-    MB2 = _t(op.mass_apply(_t(B2)))
 
-    def root_det(B, MB):
-        L = np.linalg.cholesky(_t(B) @ MB)
+    def root_det(B):
+        L = np.linalg.cholesky(_t(B) @ B)
         return np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
 
-    theta = np.abs(np.linalg.det(_t(B1) @ MB2)) / (
-        root_det(B1, _t(op.mass_apply(_t(B1)))) * root_det(B2, MB2))
+    theta = np.abs(np.linalg.det(_t(B1) @ B2)) / (root_det(B1)
+                                                   * root_det(B2))
     return np.minimum(theta, 1.0)
 
 
 def angle_statistics(op, aset, snapshots, npoints=256, seed=777):
     """Alignment statistics of iterated chaos bases against direct solves.
 
-    snapshots is a sequence of (P, N, Q)-shaped coefficient stacks (one per
-    iteration step, Q basis vectors each).  At npoints scrambled-Sobol
+    snapshots is a sequence of (P, N, Q)-shaped stacks of coordinates (one
+    per iteration step, Q basis vectors each).  At npoints scrambled-Sobol
     parameter points the reference invariant subspace is computed once and
     every snapshot's evaluated basis is compared to it.  Returns
     (mean, var): arrays of E[theta] and Var[theta] per snapshot.
@@ -366,12 +364,12 @@ def angle_statistics(op, aset, snapshots, npoints=256, seed=777):
     # snapshots at once would hold them all, several times over
     thetas = np.array([
         subspace_angle((Phi @ np.reshape(S, (P, N * q))).reshape(-1, N, q),
-                       V, op) for S in snapshots])
+                       V) for S in snapshots])
     return thetas.mean(axis=1), thetas.var(axis=1)
 
 
 def overlap_permutation(op, ya, yb):
-    """Pairing of eigenvectors between two parameter points by mass overlap.
+    """Pairing of eigenvectors between two parameter points by overlap.
 
     Solves for eigenpairs at both points, keeps the second and third, and
     matches each vector at ya with its largest-overlap partner at yb.  A
@@ -381,27 +379,21 @@ def overlap_permutation(op, ya, yb):
     vals, V = pointwise_eigenpairs(op, np.array([ya, yb], dtype=float), 3,
                                    _TOL)
     Va, Vb = V[:, :, 1:]
-    O = np.abs(op.mass_apply(Va.T) @ Vb)
+    O = np.abs(Va.T @ Vb)
     return np.argmax(O, axis=1), vals[0, 1:], vals[1, 1:]
 
 
-def coefficient_decay(aset, coeffs, op=None):
+def coefficient_decay(aset, coeffs):
     """Coefficient magnitudes in stored order and sorted descending.
 
-    For a (P, N) block the magnitude is the mass norm of each spatial row
-    under the FEM operator op, which a block requires; for a (P,) vector
-    the absolute value.  Returns a dict with `magnitudes` (stored set
-    order, i.e. decreasing index weight) and `sorted` (descending).
+    For a (P, N) block of coordinates the magnitude is the mass norm of
+    each spatial row, its plain norm; for a (P,) vector the absolute
+    value.  Returns a dict with `magnitudes` (stored set order, i.e.
+    decreasing index weight) and `sorted` (descending).
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 1:
-        mags = np.abs(coeffs)
-    elif op is None:
-        raise ValueError("a (P, N) block needs the FEM operator op for its "
-                         "mass norm")
-    else:
-        mags = np.sqrt(np.maximum(
-            np.sum(coeffs * op.mass_apply(coeffs), axis=1), 0.0))
+    mags = np.abs(coeffs) if coeffs.ndim == 1 else \
+        np.linalg.norm(coeffs, axis=1)
     if len(mags) != len(aset):
         raise ValueError("coefficient count does not match the index set")
     return {"magnitudes": mags, "sorted": np.sort(mags)[::-1]}

@@ -13,7 +13,10 @@ instead: an index set found by squaring eps until it overshoots, and a
 triple tensor found by scanning every index pair.  The package keeps one
 route per quantity; the second routes tests compare against live here
 too: the Rayleigh-quotient eigenvalue expansion, a sign convention for
-eigenvectors, and Gauss rules of any size for the FEM factors.
+eigenvectors, and Gauss rules of any size for the FEM factors.  The
+package holds every vector in mean-eigenbasis coordinates; the oracles
+take nodal values, and the tensor norm and inner product here apply the
+mass to them.
 """
 
 import itertools
@@ -142,6 +145,26 @@ def fix_signs(vecs):
                      axis=-2)[..., None, :]
     return np.where(np.take_along_axis(vecs, lead, axis=-2) < 0.0, -vecs,
                     vecs)
+
+
+def tensor_dot(V, W, fem_op):
+    """Mass-weighted inner product of two nodal (P, N) blocks."""
+    return float(np.sum(V * fem_op.mass_apply(W)))
+
+
+def tensor_norm(V, fem_op):
+    """Mass-weighted norm of a nodal (P, N) block."""
+    return float(np.sqrt(max(np.sum(V * fem_op.mass_apply(V)), 0.0)))
+
+
+def nodal_columns(fem_op, B):
+    """Nodal values of the columns of a (..., N, k) stack of coordinates."""
+    return np.swapaxes(fem_op.to_nodal(np.swapaxes(B, -1, -2)), -1, -2)
+
+
+def spectral_columns(fem_op, X):
+    """Coordinates of the columns of a (..., N, k) stack of nodal values."""
+    return np.swapaxes(fem_op.to_spectral(np.swapaxes(X, -1, -2)), -1, -2)
 
 
 def rayleigh_quotient(system, U):

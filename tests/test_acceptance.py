@@ -18,7 +18,6 @@ from chaoseig.galerkin import (
     build_system,
     newton_normalize,
     pcg_solve,
-    tensor_norm,
 )
 from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.legendre import build_triple_tensor
@@ -34,6 +33,8 @@ from oracles import (
     build_moment_matrices,
     matrix_at,
     smallest_eigenpairs,
+    spectral_columns,
+    tensor_norm,
     weighted_gram,
 )
 
@@ -67,10 +68,12 @@ def test_02_singleton_set_matches_classical_iteration():
         xc = lu.solve(M @ xc)
         xc /= np.sqrt(xc @ (M @ xc))
     mu_classical = xc @ (K0 @ xc)
-    res = run_inverse_iteration(sys1, tol=0.0, kmax=20, initial=x[None, :])
+    res = run_inverse_iteration(sys1, tol=0.0, kmax=20,
+                                initial=sys1.fem_op.to_spectral(x[None, :]))
     assert len(res.history) == 20
     assert abs(res.eigenvalue[0] - mu_classical) <= 1e-10
-    d = res.U[0] - np.sign(res.U[0] @ (M @ xc)) * xc
+    u = sys1.fem_op.to_nodal(res.U[0])
+    d = u - np.sign(u @ (M @ xc)) * xc
     assert np.sqrt(d @ (M @ d)) <= 1e-8
     assert time.perf_counter() - t0 <= budget
 
@@ -167,7 +170,7 @@ def test_08_subspace_angles_variance_and_crossing():
     mix = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                     [0.2, 0.15, 0.2], [0.0, 0.05, 0.0]])
     B0 = np.zeros((sys_.P, sys_.N, 3))
-    B0[0] = vecs @ mix
+    B0[0] = spectral_columns(sys_.fem_op, vecs @ mix)
     res = run_subspace_iteration(sys_, q=3, sum_trick=True, tol=1e-9,
                                  kmax=14, store_snapshots=True, initial=B0)
     mean, var = angle_statistics(sys_.fem_op, sys_.aset, res.snapshots,

@@ -151,6 +151,16 @@ class TestIterationStudy:
         for name in ("iteration.csv", "config.json", "manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_output_field_does_not_enter_the_hash(self, tmp_path):
+        # the hash describes the computation, not where its files go, so
+        # the CSV rows that carry it match byte for byte
+        cfg_a = tiny_config("iteration", tmp_path / "a")
+        cfg_b = tiny_config("iteration", tmp_path / "b")
+        assert cfg_a.config_hash == cfg_b.config_hash
+        out_a, out_b = run_experiment(cfg_a), run_experiment(cfg_b)
+        assert (out_a / "iteration.csv").read_bytes() == \
+            (out_b / "iteration.csv").read_bytes()
+
 
 class TestSpatialStudy:
     def test_errors_shrink_under_refinement(self, tmp_path):

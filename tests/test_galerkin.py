@@ -25,8 +25,6 @@ from chaoseig.galerkin import (
     build_system,
     newton_normalize,
     pcg_solve,
-    tensor_dot,
-    tensor_norm,
 )
 from chaoseig.legendre import evaluate_expansion
 from oracles import (
@@ -37,7 +35,9 @@ from oracles import (
     dense_generalized_eigenpairs,
     materialize_kronecker,
     matrix_at,
+    tensor_dot,
     tensor_grid,
+    tensor_norm,
     triple_tensor_dense,
     use_cell_rule,
     weighted_gram,

@@ -11,14 +11,17 @@ import pytest
 import scipy.linalg
 
 from chaoseig import subspace_iteration
-from chaoseig.galerkin import build_system, tensor_norm
+from chaoseig.galerkin import build_system
 from chaoseig.inverse_iteration import initial_guess, run_inverse_iteration
 from chaoseig.validation import pointwise_error
 from oracles import (
     assemble_mass,
+    assemble_stiffness,
+    dense_generalized_eigenpairs,
     matrix_at,
     rayleigh_quotient,
     smallest_eigenpairs,
+    tensor_norm,
 )
 
 
@@ -39,8 +42,8 @@ class TestInitialGuess:
         sys = build_system(n=3, order=2, size=8)
         U = initial_guess(sys)
         assert U.shape == (sys.P, sys.N)
-        np.testing.assert_allclose(tensor_norm(U, sys.fem_op), 1.0,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            tensor_norm(sys.fem_op.to_nodal(U), sys.fem_op), 1.0, rtol=1e-12)
         assert not U[1:].any()
 
     def test_matches_reference_ground_mode(self):
@@ -48,7 +51,32 @@ class TestInitialGuess:
         U = initial_guess(sys)
         _, vecs = smallest_eigenpairs(matrix_at(sys.fem_op),
                                       assemble_mass(sys.mesh), 1, tol=1e-12)
-        np.testing.assert_allclose(U[0], vecs[:, 0], atol=1e-9)
+        np.testing.assert_allclose(sys.fem_op.to_nodal(U[0]), vecs[:, 0],
+                                   atol=1e-9)
+
+
+class TestCoordinates:
+    """Results are held in mean-eigenbasis coordinates, where the tensor
+    norm is the Frobenius norm; `to_nodal` gives the nodal values."""
+
+    @pytest.fixture(scope="class")
+    def mean_only(self):
+        sys = build_system(n=4, order=2, size=1)
+        assert sys.fem_op.nterms == 0
+        return sys, run_inverse_iteration(sys)
+
+    def test_result_has_unit_frobenius_norm(self, mean_only):
+        _, res = mean_only
+        np.testing.assert_allclose(np.linalg.norm(res.U), 1.0, atol=1e-12)
+
+    def test_nodal_values_are_the_ground_mode(self, mean_only):
+        sys, res = mean_only
+        M = assemble_mass(sys.mesh)
+        _, vecs = dense_generalized_eigenpairs(assemble_stiffness(sys.mesh),
+                                               M, 1)
+        v = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (M @ vecs[:, 0]))
+        u = sys.fem_op.to_nodal(res.U[0])
+        np.testing.assert_allclose(u, np.sign(u @ (M @ v)) * v, atol=1e-8)
 
 
 class TestSingletonSetReduction:
@@ -58,14 +86,15 @@ class TestSingletonSetReduction:
         sys = build_system(n=4, order=2, size=1)
         res = run_inverse_iteration(sys, tol=0.0, kmax=6,
                                     store_iterates=True)
-        x = initial_guess(sys)[0].copy()
+        x = sys.fem_op.to_nodal(initial_guess(sys)[0])
         Kd = matrix_at(sys.fem_op).toarray()
         Md = assemble_mass(sys.mesh).toarray()
         assert len(res.iterates) == 7
         for U in res.iterates[1:]:
             x = np.linalg.solve(Kd, Md @ x)
             x /= np.sqrt(x @ Md @ x)
-            np.testing.assert_allclose(U[0], x, atol=1e-9)
+            np.testing.assert_allclose(sys.fem_op.to_nodal(U[0]), x,
+                                       atol=1e-9)
         lam = (x @ Kd @ x) / (x @ Md @ x)
         np.testing.assert_allclose(1.0 / res.eigenvalue[0], 1.0 / lam,
                                    rtol=1e-6)
@@ -74,11 +103,11 @@ class TestSingletonSetReduction:
         sys = build_system(n=4, order=1, size=1)
         res = run_inverse_iteration(sys, tol=1e-13, kmax=60)
         assert res.converged
-        lam, x = classical_inverse_iteration(matrix_at(sys.fem_op),
-                                             assemble_mass(sys.mesh),
-                                             initial_guess(sys)[0], 60)
+        lam, x = classical_inverse_iteration(
+            matrix_at(sys.fem_op), assemble_mass(sys.mesh),
+            sys.fem_op.to_nodal(initial_guess(sys)[0]), 60)
         np.testing.assert_allclose(res.eigenvalue_mean, lam, rtol=1e-10)
-        d = res.U[0] - x
+        d = sys.fem_op.to_nodal(res.U[0]) - x
         assert np.sqrt(d @ sys.fem_op.mass_apply(d)) <= 1e-8
 
 
@@ -93,8 +122,9 @@ class TestConvergence:
         sys, res = solved
         assert res.converged
         assert res.history.increments[-1] < 1e-11
-        np.testing.assert_allclose(tensor_norm(res.U, sys.fem_op), 1.0,
-                                   atol=1e-8)
+        np.testing.assert_allclose(
+            tensor_norm(sys.fem_op.to_nodal(res.U), sys.fem_op), 1.0,
+            atol=1e-8)
 
     def test_pointwise_accuracy(self, solved):
         sys, res = solved
@@ -119,7 +149,7 @@ class TestConvergence:
 
     def test_rayleigh_agrees_with_reciprocal_extraction(self, solved):
         sys, res = solved
-        rayleigh = rayleigh_quotient(sys, res.U)
+        rayleigh = rayleigh_quotient(sys, sys.fem_op.to_nodal(res.U))
         np.testing.assert_allclose(rayleigh[0], res.eigenvalue[0], rtol=1e-7)
         np.testing.assert_allclose(
             float(np.sum(rayleigh[1:] ** 2)), res.eigenvalue_variance,
@@ -130,9 +160,6 @@ class TestConvergence:
         assert res.eigenvalue_mean == res.eigenvalue[0]
         assert res.eigenvalue_variance == pytest.approx(
             float(np.sum(res.eigenvalue[1:] ** 2)))
-        np.testing.assert_array_equal(res.mean_field, res.U[0])
-        np.testing.assert_allclose(res.variance_field,
-                                   np.sum(res.U[1:] ** 2, axis=0))
 
 
 class TestShiftedIteration:
@@ -146,7 +173,7 @@ class TestShiftedIteration:
         # maps, so their fixed points agree only to truncation level
         np.testing.assert_allclose(shifted.eigenvalue_mean,
                                    plain.eigenvalue_mean, rtol=1e-6)
-        d = shifted.U - plain.U
+        d = sys.fem_op.to_nodal(shifted.U - plain.U)
         assert tensor_norm(d, sys.fem_op) <= 1e-5
 
 

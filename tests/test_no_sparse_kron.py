@@ -40,5 +40,5 @@ def test_package_forms_no_sparse_kron(monkeypatch):
     assert mean.shape == (3,)
     mc = monte_carlo_statistics(op, nsamples=8, seed=3)
     assert mc["eigenvalue_mean"] > 0.0
-    decay = coefficient_decay(sys.aset, inv.U, op)
+    decay = coefficient_decay(sys.aset, inv.U)
     assert decay["magnitudes"][0] > 0.0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chaoseig import subspace_iteration
-from chaoseig.galerkin import build_system, tensor_dot, tensor_norm
+from chaoseig.galerkin import build_system
 from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.subspace_iteration import (
     SubspaceBreakdownError,
@@ -23,8 +23,12 @@ from oracles import (
     assemble_stiffness,
     dense_generalized_eigenpairs,
     matrix_at,
+    nodal_columns,
     orthogonality_defect,
     smallest_eigenpairs,
+    spectral_columns,
+    tensor_dot,
+    tensor_norm,
 )
 
 
@@ -34,16 +38,30 @@ class TestInitialBasis:
         B = initial_basis(sys, 3)
         assert B.shape == (sys.P, sys.N, 3)
         assert not B[1:].any()
-        G = B[0].T @ (assemble_mass(sys.mesh) @ B[0])
+        X = nodal_columns(sys.fem_op, B)
+        G = X[0].T @ (assemble_mass(sys.mesh) @ X[0])
         np.testing.assert_allclose(G, np.eye(3), atol=1e-10)
-        assert orthogonality_defect(sys, B) <= 1e-10
+        assert orthogonality_defect(sys, X) <= 1e-10
+
+    def test_unit_columns_at_the_mean_positions(self):
+        # in the mean eigenbasis each mean mode is a unit vector, at the
+        # flat position of its eigenvalue in `mean_values`
+        sys = build_system(n=4, order=1, size=5)
+        B = initial_basis(sys, 3)
+        pick = np.argsort(sys.fem_op.mean_values, axis=None,
+                          kind="stable")[:3]
+        want = np.zeros((sys.N, 3))
+        want[pick, np.arange(3)] = 1.0
+        np.testing.assert_array_equal(B[0], want)
+        np.testing.assert_array_equal(B[0],
+                                      sys.fem_op.mean_eigenpairs(3)[1])
 
     def test_exact_mean_eigenpairs(self):
         # the subspace-validation mesh: the 2nd and 3rd mean eigenvalues
         # are exactly degenerate on the square
         sys = build_system(n=16, order=1, size=1)
         B = initial_basis(sys, 3)
-        X = B[0]
+        X = nodal_columns(sys.fem_op, B[0])
         K0, M = assemble_stiffness(sys.mesh), assemble_mass(sys.mesh)
         vals, vecs = dense_generalized_eigenpairs(K0, M, 3)
         np.testing.assert_allclose(vals[1:], 49.8897, rtol=1e-6)
@@ -52,7 +70,8 @@ class TestInitialBasis:
             assert np.linalg.norm(r) <= 1e-12 * vals[j] * np.linalg.norm(
                 M @ X[:, j])
         np.testing.assert_allclose(X.T @ (M @ X), np.eye(3), atol=1e-12)
-        assert subspace_angle(X[:, 1:], vecs[:, 1:], sys.fem_op) \
+        assert subspace_angle(B[0][:, 1:],
+                              spectral_columns(sys.fem_op, vecs[:, 1:])) \
             >= 1.0 - 1e-12
         np.testing.assert_array_equal(B, initial_basis(sys, 3))
         np.testing.assert_array_equal(
@@ -88,9 +107,11 @@ class TestSingletonSetLimit:
         M = assemble_mass(sys.mesh)
         vals, vecs = smallest_eigenpairs(matrix_at(sys.fem_op), M, 3,
                                          tol=1e-12)
-        assert subspace_angle(res.basis[0], vecs, sys.fem_op) >= 1.0 - 1e-9
+        assert subspace_angle(res.basis[0],
+                              spectral_columns(sys.fem_op, vecs)) \
+            >= 1.0 - 1e-9
         # the leading column resolves the isolated ground mode itself
-        v0 = res.basis[0, :, 0]
+        v0 = sys.fem_op.to_nodal(res.basis[0, :, 0])
         if v0 @ (M @ vecs[:, 0]) < 0:
             v0 = -v0
         d = v0 - vecs[:, 0]
@@ -117,15 +138,16 @@ class TestStochasticBlock:
             return np.array([[tensor_dot(A[:, :, i], B[:, :, j], sys.fem_op)
                               for j in range(2)] for i in range(2)])
 
-        late = res.snapshots[-4:]
+        late = [nodal_columns(sys.fem_op, S) for S in res.snapshots[-4:]]
         for A, B in zip(late[:-1], late[1:]):
             # the alignment |det G_AB| / sqrt(det G_AA det G_BB)
             theta = abs(np.linalg.det(gram(A, B))) / np.sqrt(
                 np.linalg.det(gram(A, A)) * np.linalg.det(gram(B, B)))
             assert theta >= 1.0 - 1e-5
-        assert orthogonality_defect(sys, res.basis) <= 1e-8
+        basis = nodal_columns(sys.fem_op, res.basis)
+        assert orthogonality_defect(sys, basis) <= 1e-8
         for L in range(2):
-            norm = tensor_norm(res.basis[:, :, L], sys.fem_op)
+            norm = tensor_norm(basis[:, :, L], sys.fem_op)
             assert abs(norm - 1.0) <= 1e-6
 
     def test_snapshot_bookkeeping(self, block_solved):
@@ -147,11 +169,11 @@ class TestStochasticBlock:
         # the sweep reports the defect of the basis it returns, both when
         # the refinement passes end below the threshold and when max_reorth
         # cuts them off above it.  The sweep measures it in the eigenbasis,
-        # the oracle on the nodal snapshots through the mass, so the two
-        # agree to roundoff.  With the pooled q = 3 basis the defects stay
-        # far above roundoff (4e-12 to 3e-6; they agree to 2.6e-8
-        # relative), and one more pass would
-        # change each by 99.89% or more, far outside the tolerance
+        # the oracle on the snapshots' nodal values through the mass, so the
+        # two agree to roundoff.  With the pooled q = 3 basis the defects
+        # stay far above roundoff (4e-12 to 3e-6; they agree to 2.6e-8
+        # relative), and one more pass would change each by 99.89% or more,
+        # far outside the tolerance
         monkeypatch.setattr(subspace_iteration, "_REORTH_THRESHOLD",
                             threshold)
         monkeypatch.setattr(subspace_iteration, "_MAX_REORTH", max_reorth)
@@ -160,7 +182,8 @@ class TestStochasticBlock:
                                      sum_trick=True, store_snapshots=True)
         extras = res.history.extra_orthogonalizations
         assert np.all(extras == max_reorth) == capped
-        want = [orthogonality_defect(sys, S) for S in res.snapshots[1:]]
+        want = [orthogonality_defect(sys, nodal_columns(sys.fem_op, S))
+                for S in res.snapshots[1:]]
         np.testing.assert_allclose(res.history.orthogonality_defects, want,
                                    rtol=1e-6, atol=0.0)
 
@@ -177,10 +200,10 @@ class TestStochasticBlock:
         from chaoseig.legendre import evaluate_expansion
         By = np.stack([evaluate_expansion(res.basis[:, :, L], sys.aset, y0)
                        for L in range(2)], axis=1)
-        assert subspace_angle(By[:, :1], vecs[:, :1], sys.fem_op) \
-            >= 1.0 - 1e-3
-        inside = vecs @ (vecs.T @ (M @ By))
-        assert subspace_angle(By, inside, sys.fem_op) >= 1.0 - 1e-3
+        vecs = spectral_columns(sys.fem_op, vecs)
+        assert subspace_angle(By[:, :1], vecs[:, :1]) >= 1.0 - 1e-3
+        inside = vecs @ (vecs.T @ By)
+        assert subspace_angle(By, inside) >= 1.0 - 1e-3
 
     def test_sum_trick_reaches_the_same_span(self, block_solved):
         sys, res = block_solved
@@ -194,8 +217,7 @@ class TestStochasticBlock:
                                                 y0) for L in range(2)],
                             axis=1)
 
-        theta = subspace_angle(span_at(res.basis), span_at(pooled.basis),
-                               sys.fem_op)
+        theta = subspace_angle(span_at(res.basis), span_at(pooled.basis))
         assert theta >= 1.0 - 1e-4
 
 
