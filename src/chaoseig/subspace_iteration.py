@@ -216,7 +216,7 @@ def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
                      inv_s))
         B = B_next
         if store:
-            snapshots.append(B)
+            snapshots.append(B.copy())
         prev_inc = float(inc.max())
         if prev_inc < tol:
             converged = True

@@ -143,23 +143,22 @@ class TestIterationStudy:
             assert actual == digest
 
     def test_identical_config_gives_identical_bytes(self, tmp_path):
-        # same configured output field, two physical directories
-        cfg_a = tiny_config("iteration", "results")
-        cfg_b = tiny_config("iteration", "results")
-        out_a = run_experiment(cfg_a, outdir=tmp_path / "a")
-        out_b = run_experiment(cfg_b, outdir=tmp_path / "b")
-        for name in ("iteration.csv", "config.json", "manifest.json"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-    def test_output_field_does_not_enter_the_hash(self, tmp_path):
+        # each config runs into two physical directories, once with the
+        # same configured output field and once with two different ones:
         # the hash describes the computation, not where its files go, so
         # the CSV rows that carry it match byte for byte
-        cfg_a = tiny_config("iteration", tmp_path / "a")
-        cfg_b = tiny_config("iteration", tmp_path / "b")
-        assert cfg_a.config_hash == cfg_b.config_hash
-        out_a, out_b = run_experiment(cfg_a), run_experiment(cfg_b)
-        assert (out_a / "iteration.csv").read_bytes() == \
-            (out_b / "iteration.csv").read_bytes()
+        cases = [("results", "results",
+                  ("iteration.csv", "config.json", "manifest.json")),
+                 ("a", "b", ("iteration.csv",))]
+        for k, (output_a, output_b, names) in enumerate(cases):
+            cfg_a = tiny_config("iteration", output_a)
+            cfg_b = tiny_config("iteration", output_b)
+            assert cfg_a.config_hash == cfg_b.config_hash
+            out_a = run_experiment(cfg_a, outdir=tmp_path / f"{k}a")
+            out_b = run_experiment(cfg_b, outdir=tmp_path / f"{k}b")
+            for name in names:
+                assert (out_a / name).read_bytes() == \
+                    (out_b / name).read_bytes()
 
 
 class TestSpatialStudy:

@@ -191,6 +191,8 @@ class TestDriverBookkeeping:
         assert np.isnan(h.eigenvalue_changes[0])
         assert len(res.iterates) == k + 1
         np.testing.assert_array_equal(res.iterates[0], initial_guess(sys))
+        np.testing.assert_array_equal(res.iterates[-1], res.U)
+        assert not np.shares_memory(res.iterates[-1], res.U)
 
     def test_cg_tolerance_schedule(self, monkeypatch):
         monkeypatch.setattr(subspace_iteration, "_CG_TOL_FLOOR", 1e-12)
