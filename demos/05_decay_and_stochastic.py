@@ -4,8 +4,9 @@ The coefficient blocks of the eigenpair expansion decay algebraically when
 listed in the canonical (weight-ordered) enumeration, which is what makes
 the truncated basis efficient.  Nested index sets then give a convergent
 family: the error against a larger reference set falls algebraically in
-the basis cardinality.  Uses the library's study runner, so the artifacts
-land in a results directory with CSVs and a hash-carrying manifest.
+the basis cardinality.  Uses the library's study runner, which writes CSVs
+and a hash-carrying manifest into a temporary directory that the demo
+reads before removing it.
 """
 
 import json
@@ -30,14 +31,14 @@ slope, se = fit_slope(range(1, len(rep["magnitudes"]) + 1),
 print(f"algebraic tail rate: rank^{slope:+.2f} (stderr {se:.2f})")
 print()
 
-outdir = Path(tempfile.mkdtemp()) / "stochastic"
 cfg = ExperimentConfig(kind="stochastic", n=8, order=2, kmax=12, tol=1e-10,
-                       set_sizes=(8, 15, 31), reference_size=64,
-                       output=str(outdir))
-run_experiment(cfg)
-manifest = json.loads((outdir / "manifest.json").read_text())
+                       set_sizes=(8, 15, 31), reference_size=64)
+with tempfile.TemporaryDirectory() as tmp:
+    outdir = run_experiment(cfg, outdir=Path(tmp) / "stochastic")
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    table = (outdir / "stochastic.csv").read_text()
 print("basis-size sweep against a 64-term reference:")
-print((outdir / "stochastic.csv").read_text())
+print(table)
 print(f"fitted error slope: {manifest['summary']['error_slope']:.2f}")
-print(f"study artifacts in {outdir} (config hash "
-      f"{manifest['config_hash']})")
+print(f"config hash {manifest['config_hash']}; every row of the table "
+      f"carries it")

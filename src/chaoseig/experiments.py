@@ -20,7 +20,7 @@ import csv
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +108,7 @@ class ExperimentConfig:
         self.set_sizes = tuple(self.set_sizes)
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["mesh_sizes"] = list(self.mesh_sizes)
-        d["set_sizes"] = list(self.set_sizes)
-        return d
+        return dataclasses.asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -180,16 +177,15 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, fieldnames, rows):
+def _write_csv(path, cfg, rows):
+    """Write row dicts as CSV, one column per key in insertion order, and
+    stamp every row with the config hash and the package version."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
+        writer.writerow([*rows[0], "config_hash", "version"])
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            writer.writerow([*map(_fmt, row.values()), cfg.config_hash,
+                             __version__])
 
 
 def _json_safe(value):
@@ -202,18 +198,6 @@ def _json_safe(value):
     return value
 
 
-def _write_manifest(outdir, cfg, filenames, summary):
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash,
-        "version": __version__,
-        "outputs": {name: _sha256(outdir / name) for name in filenames},
-        "summary": _json_safe(summary),
-    }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
 def _build(cfg, n=None, size=None):
     return build_system(n=cfg.n if n is None else n, order=cfg.order,
                         size=cfg.set_size if size is None else size,
@@ -221,28 +205,35 @@ def _build(cfg, n=None, size=None):
                         varsigma=cfg.varsigma, max_terms=cfg.max_terms)
 
 
+def _solve(cfg, system, **kw):
+    """Inverse iteration at the config's tol, kmax and shift, unless kw
+    sets them."""
+    return run_inverse_iteration(
+        system, **{"tol": cfg.tol, "kmax": cfg.kmax, "shift": cfg.shift,
+                   **kw})
+
+
 def _aligned_field_error(U, U_ref):
     sign = 1.0 if np.sum(U * U_ref) >= 0.0 else -1.0
     return float(np.linalg.norm(sign * U - U_ref))
 
 
-def _run_spatial(cfg, outdir):
+def _slope(rows, x, y, skip=0):
+    return fit_slope([r[x] for r in rows], [r[y] for r in rows], skip=skip)
+
+
+def _run_spatial(cfg):
     sizes = cfg.mesh_sizes or (4, 8, 16)
     for n in sizes:
         if n >= cfg.reference_n or cfg.reference_n % n != 0:
             raise ValueError(f"mesh size {n} is not nested strictly inside "
                              f"the reference mesh {cfg.reference_n}")
     ref_sys = _build(cfg, n=cfg.reference_n)
-    ref = run_inverse_iteration(ref_sys, tol=cfg.tol, kmax=cfg.kmax,
-                                shift=cfg.shift)
+    ref = _solve(cfg, ref_sys)
     rows = []
-    hs = []
-    field_errors = []
-    mu_errors = []
     for n in sizes:
         sys_n = _build(cfg, n=n)
-        res = run_inverse_iteration(sys_n, tol=cfg.tol, kmax=cfg.kmax,
-                                    shift=cfg.shift)
+        res = _solve(cfg, sys_n)
         # coarse coordinates -> nodal values X -> P1 X P1^T on the
         # reference mesh -> its coordinates
         P1 = prolongation_1d(sys_n.mesh, ref_sys.mesh)
@@ -250,118 +241,97 @@ def _run_spatial(cfg, outdir):
         X = sys_n.fem_op.to_nodal(res.U).reshape(-1, nc, nc)
         U_pro = ref_sys.fem_op.to_spectral(
             (P1 @ X @ P1.T).reshape(len(res.U), -1))
-        ferr = _aligned_field_error(U_pro, ref.U)
-        merr = float(np.linalg.norm(res.eigenvalue - ref.eigenvalue))
-        rows.append([n, sys_n.mesh.h, sys_n.N, len(res.history),
-                     res.eigenvalue_mean, ferr, merr,
-                     abs(res.eigenvalue_mean - ref.eigenvalue_mean),
-                     cfg.config_hash, __version__])
-        hs.append(sys_n.mesh.h)
-        field_errors.append(ferr)
-        mu_errors.append(merr)
-    _write_csv(outdir / "spatial.csv",
-               ["n", "h", "ndof", "steps", "eigenvalue_mean", "field_error",
-                "eigenvalue_error", "eigenvalue_mean_error", "config_hash",
-                "version"], rows)
-    fslope, fse = fit_slope(hs, field_errors)
-    mslope, mse = fit_slope(hs, mu_errors)
+        rows.append({
+            "n": n, "h": sys_n.mesh.h, "ndof": sys_n.N,
+            "steps": len(res.history), "eigenvalue_mean": res.eigenvalue_mean,
+            "field_error": _aligned_field_error(U_pro, ref.U),
+            "eigenvalue_error": float(np.linalg.norm(res.eigenvalue
+                                                     - ref.eigenvalue)),
+            "eigenvalue_mean_error": abs(res.eigenvalue_mean
+                                         - ref.eigenvalue_mean)})
+    fslope, fse = _slope(rows, "h", "field_error")
+    mslope, mse = _slope(rows, "h", "eigenvalue_error")
     summary = {
         "reference_n": cfg.reference_n,
         "reference_eigenvalue_mean": ref.eigenvalue_mean,
         "field_slope": fslope, "field_slope_stderr": fse,
         "eigenvalue_slope": mslope, "eigenvalue_slope_stderr": mse,
     }
-    return ["spatial.csv"], summary
+    return {"spatial.csv": rows}, summary
 
 
-def _write_decay(cfg, outdir, res):
-    """Write decay.csv for a converged pair; returns the summary entries
-    of the log-log slope over the tail of its field magnitudes."""
+def _decay(res):
+    """decay.csv rows of a converged pair, and the summary entries of the
+    log-log slope over the tail of its field magnitudes."""
     aset = res.system.aset
     frep = coefficient_decay(aset, res.U)
     mrep = coefficient_decay(aset, res.eigenvalue)
-    rows = [[i + 1, aset.weights[i], frep["magnitudes"][i],
-             mrep["magnitudes"][i], frep["sorted"][i], mrep["sorted"][i],
-             cfg.config_hash, __version__] for i in range(len(aset))]
-    _write_csv(outdir / "decay.csv",
-               ["rank", "weight", "field_coefficient", "mu_coefficient",
-                "field_coefficient_sorted", "mu_coefficient_sorted",
-                "config_hash", "version"], rows)
-    mags = frep["magnitudes"]
-    skip = max(1, len(mags) // 4)
-    tslope, tse = fit_slope(np.arange(1, len(mags) + 1), mags, skip=skip)
-    return {"tail_slope": tslope, "tail_slope_stderr": tse,
-            "tail_skip": skip}
+    rows = [{"rank": i + 1, "weight": aset.weights[i],
+             "field_coefficient": frep["magnitudes"][i],
+             "mu_coefficient": mrep["magnitudes"][i],
+             "field_coefficient_sorted": frep["sorted"][i],
+             "mu_coefficient_sorted": mrep["sorted"][i]}
+            for i in range(len(aset))]
+    skip = max(1, len(rows) // 4)
+    tslope, tse = _slope(rows, "rank", "field_coefficient", skip=skip)
+    return rows, {"tail_slope": tslope, "tail_slope_stderr": tse,
+                  "tail_skip": skip}
 
 
-def _run_stochastic(cfg, outdir):
+def _run_stochastic(cfg):
     sizes = cfg.set_sizes or (8, 15, 31, 60, 120)
     for size in sizes:
         if size >= cfg.reference_size:
             raise ValueError(f"set size {size} is not below the reference "
                              f"size {cfg.reference_size}")
     ref_sys = _build(cfg, size=cfg.reference_size)
-    ref = run_inverse_iteration(ref_sys, tol=cfg.tol, kmax=cfg.kmax,
-                                shift=cfg.shift)
+    ref = _solve(cfg, ref_sys)
     rows = []
-    cards = []
-    field_errors = []
     for size in sizes:
         sys_s = _build(cfg, size=size)
-        res = run_inverse_iteration(sys_s, tol=cfg.tol, kmax=cfg.kmax,
-                                    shift=cfg.shift)
-        positions = [ref_sys.aset.position(a) for a in sys_s.aset.indices]
-        if any(p is None for p in positions):
+        res = _solve(cfg, sys_s)
+        # each member is a prefix of the reference's canonical order
+        if sys_s.aset.indices != ref_sys.aset.indices[:size]:
             raise RuntimeError("sweep set is not nested in the reference "
                                "set; refinement monotonicity is broken")
         sign = 1.0 if float(res.U[0] @ ref.U[0]) >= 0.0 else -1.0
         U_embed = ref.U.copy()
-        U_embed[positions] = sign * res.U
+        U_embed[:size] = sign * res.U
         mu_embed = ref.eigenvalue.copy()
-        mu_embed[positions] = res.eigenvalue
-        ferr = float(np.linalg.norm(U_embed - ref.U))
-        merr = float(np.linalg.norm(mu_embed - ref.eigenvalue))
-        rows.append([size, sys_s.aset.eps, sys_s.aset.max_dimension,
-                     len(res.history), res.eigenvalue_mean, ferr, merr,
-                     cfg.config_hash, __version__])
-        cards.append(size)
-        field_errors.append(ferr)
-    _write_csv(outdir / "stochastic.csv",
-               ["set_size", "eps", "max_dimension", "steps",
-                "eigenvalue_mean", "field_error", "eigenvalue_error",
-                "config_hash", "version"], rows)
-    eslope, ese = fit_slope(cards, field_errors)
+        mu_embed[:size] = res.eigenvalue
+        rows.append({
+            "set_size": size, "eps": sys_s.aset.eps,
+            "max_dimension": sys_s.aset.max_dimension,
+            "steps": len(res.history), "eigenvalue_mean": res.eigenvalue_mean,
+            "field_error": float(np.linalg.norm(U_embed - ref.U)),
+            "eigenvalue_error": float(np.linalg.norm(mu_embed
+                                                     - ref.eigenvalue))})
+    eslope, ese = _slope(rows, "set_size", "field_error")
+    decay_rows, decay_summary = _decay(ref)
     summary = {
         "reference_size": cfg.reference_size,
         "reference_eigenvalue_mean": ref.eigenvalue_mean,
-        "error_slope": eslope, "error_slope_stderr": ese,
-        **_write_decay(cfg, outdir, ref),
+        "error_slope": eslope, "error_slope_stderr": ese, **decay_summary,
     }
-    return ["stochastic.csv", "decay.csv"], summary
+    return {"stochastic.csv": rows, "decay.csv": decay_rows}, summary
 
 
-def _run_iteration(cfg, outdir):
+def _run_iteration(cfg):
     sys_ = _build(cfg)
-    target = run_inverse_iteration(sys_, tol=1e-13, kmax=cfg.kmax_reference,
-                                   shift=cfg.shift)
-    res = run_inverse_iteration(sys_, tol=cfg.tol, kmax=cfg.kmax,
-                                shift=cfg.shift, store_iterates=True)
+    target = _solve(cfg, sys_, tol=1e-13, kmax=cfg.kmax_reference)
+    res = _solve(cfg, sys_, store_iterates=True)
     h = res.history
-    rows = []
-    for k in range(len(h)):
-        U_k = res.iterates[k + 1]
-        rows.append([
-            k + 1, h.increments[k], h.eigenvalue_means[k],
-            h.eigenvalue_changes[k],
-            abs(h.eigenvalue_means[k] - target.eigenvalue_mean),
-            _aligned_field_error(U_k, target.U),
-            int(h.cg_iterations[k]), h.cg_tolerances[k],
-            int(h.newton_iterations[k]), cfg.config_hash, __version__])
-    _write_csv(outdir / "iteration.csv",
-               ["k", "increment", "eigenvalue_mean", "eigenvalue_change",
-                "eigenvalue_error", "field_error", "cg_iterations",
-                "cg_tolerance", "newton_iterations", "config_hash",
-                "version"], rows)
+    rows = [{
+        "k": k + 1, "increment": h.increments[k],
+        "eigenvalue_mean": h.eigenvalue_means[k],
+        "eigenvalue_change": h.eigenvalue_changes[k],
+        "eigenvalue_error": abs(h.eigenvalue_means[k]
+                                - target.eigenvalue_mean),
+        "field_error": _aligned_field_error(res.iterates[k + 1], target.U),
+        "cg_iterations": int(h.cg_iterations[k]),
+        "cg_tolerance": h.cg_tolerances[k],
+        "newton_iterations": int(h.newton_iterations[k])}
+        for k in range(len(h))]
     vals, _ = sys_.fem_op.mean_eigenpairs(2)
     summary = {
         "target_eigenvalue_mean": target.eigenvalue_mean,
@@ -369,42 +339,33 @@ def _run_iteration(cfg, outdir):
         "study_converged": bool(res.converged),
         "mean_gap_ratio": float(vals[0] / vals[1]),
     }
-    return ["iteration.csv"], summary
+    return {"iteration.csv": rows}, summary
 
 
-def _run_decay(cfg, outdir):
-    sys_ = _build(cfg)
-    res = run_inverse_iteration(sys_, tol=cfg.tol, kmax=cfg.kmax,
-                                shift=cfg.shift)
-    summary = {"eigenvalue_mean": res.eigenvalue_mean,
-               **_write_decay(cfg, outdir, res)}
-    return ["decay.csv"], summary
+def _run_decay(cfg):
+    res = _solve(cfg, _build(cfg))
+    rows, summary = _decay(res)
+    return {"decay.csv": rows}, {"eigenvalue_mean": res.eigenvalue_mean,
+                                 **summary}
 
 
-def _run_subspace(cfg, outdir):
+def _run_subspace(cfg):
     sys_ = _build(cfg)
     res = run_subspace_iteration(sys_, q=cfg.q, tol=cfg.tol, kmax=cfg.kmax,
                                  shift=cfg.shift, sum_trick=cfg.sum_trick,
                                  store_snapshots=True)
     mean, var = angle_statistics(sys_.fem_op, sys_.aset, res.snapshots,
                                  npoints=cfg.angle_points, seed=cfg.seed)
-    rows = []
-    for k in range(len(res.snapshots)):
-        inc = float("nan") if k == 0 else \
-            float(res.history.max_increments[k - 1])
-        rows.append([k, mean[k], var[k], inc, cfg.config_hash, __version__])
-    _write_csv(outdir / "angles.csv",
-               ["k", "theta_mean", "theta_var", "max_increment",
-                "config_hash", "version"], rows)
+    increments = [float("nan"), *map(float, res.history.max_increments)]
+    angles = [{"k": k, "theta_mean": mean[k], "theta_var": var[k],
+               "max_increment": increments[k]}
+              for k in range(len(res.snapshots))]
     grid = np.linspace(-1.0, 1.0, cfg.crossing_points)
-    count = max(cfg.q, 3)
-    vals, _ = pointwise_eigenpairs(sys_.fem_op, grid[:, None], count,
-                                   tol=1e-11)
-    crows = [[y1, *v, cfg.config_hash, __version__]
-             for y1, v in zip(grid, vals)]
-    _write_csv(outdir / "crossing.csv",
-               ["y1", *[f"lambda{i + 1}" for i in range(count)],
-                "config_hash", "version"], crows)
+    vals, _ = pointwise_eigenpairs(sys_.fem_op, grid[:, None],
+                                   max(cfg.q, 3), tol=1e-11)
+    crossing = [{"y1": y1, **{f"lambda{i + 1}": v_i
+                              for i, v_i in enumerate(v)}}
+                for y1, v in zip(grid, vals)]
     perm, _, _ = overlap_permutation(
         sys_.fem_op, [-1.0] + [0.0] * (sys_.fem_op.nterms - 1),
         [1.0] + [0.0] * (sys_.fem_op.nterms - 1))
@@ -415,7 +376,7 @@ def _run_subspace(cfg, outdir):
         "cluster_gap_ratio": float(qvals[cfg.q - 1] / qvals[cfg.q]),
         "converged": bool(res.converged),
     }
-    return ["angles.csv", "crossing.csv"], summary
+    return {"angles.csv": angles, "crossing.csv": crossing}, summary
 
 
 _RUNNERS = {
@@ -437,56 +398,45 @@ def run_experiment(config: ExperimentConfig, outdir=None):
     study-specific summary (fitted slopes with standard errors, detected
     crossings, and similar headline numbers).
     """
+    tables, summary = _RUNNERS[config.kind](config)
     outdir = Path(config.output if outdir is None else outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    filenames, summary = _RUNNERS[config.kind](config, outdir)
+    for name, rows in tables.items():
+        _write_csv(outdir / name, config, rows)
     config.save(outdir / "config.json")
-    _write_manifest(outdir, config, filenames + ["config.json"], summary)
+    manifest = {
+        "config": config.to_dict(),
+        "config_hash": config.config_hash,
+        "version": __version__,
+        "outputs": {name: hashlib.sha256((outdir / name).read_bytes())
+                    .hexdigest() for name in [*tables, "config.json"]},
+        "summary": _json_safe(summary),
+    }
+    (outdir / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return outdir
 
 
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return list(reader)
-
-
 def report(outdir):
-    """Readable summary of a study directory; returns the text."""
+    """Readable summary of a study directory; returns the text.
+
+    After the header and the summary comes each CSV the manifest lists:
+    its row count, then the first and last value of every column but the
+    config hash and version stamps.
+    """
     outdir = Path(outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
-    kind = manifest["config"]["kind"]
-    lines = [f"study: {kind}", f"config hash: {manifest['config_hash']}",
-             f"version: {manifest['version']}"]
     summary = manifest.get("summary", {})
-    for key in sorted(summary):
-        lines.append(f"{key}: {summary[key]}")
-    if kind == "spatial":
-        for row in _read_csv(outdir / "spatial.csv"):
-            lines.append(f"n={row['n']}: field error {row['field_error']}, "
-                         f"eigenvalue error {row['eigenvalue_error']}")
-    elif kind == "stochastic":
-        for row in _read_csv(outdir / "stochastic.csv"):
-            lines.append(f"#A={row['set_size']}: field error "
-                         f"{row['field_error']}, eigenvalue error "
-                         f"{row['eigenvalue_error']}")
-    elif kind == "iteration":
-        rows = _read_csv(outdir / "iteration.csv")
-        first, last = rows[0], rows[-1]
-        lines.append(f"steps: {len(rows)}")
-        lines.append(f"increment: {first['increment']} -> "
-                     f"{last['increment']}")
-        lines.append(f"eigenvalue error: {first['eigenvalue_error']} -> "
-                     f"{last['eigenvalue_error']}")
-    elif kind == "subspace":
-        rows = _read_csv(outdir / "angles.csv")
-        lines.append(f"sweeps: {len(rows) - 1}")
-        lines.append(f"theta mean: {rows[0]['theta_mean']} -> "
-                     f"{rows[-1]['theta_mean']}")
-        lines.append(f"theta var: {rows[1]['theta_var']} -> "
-                     f"{rows[-1]['theta_var']}")
-    elif kind == "decay":
-        rows = _read_csv(outdir / "decay.csv")
-        lines.append(f"coefficients: {len(rows)}")
-        lines.append(f"leading magnitude: {rows[0]['field_coefficient']}")
+    lines = [f"study: {manifest['config']['kind']}",
+             f"config hash: {manifest['config_hash']}",
+             f"version: {manifest['version']}",
+             *(f"{key}: {summary[key]}" for key in sorted(summary))]
+    for name in manifest["outputs"]:
+        if name.endswith(".csv"):
+            with open(outdir / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            lines.append(f"{name}: {len(rows)} rows")
+            lines += [f"  {col}: {rows[0][col]} -> {rows[-1][col]}"
+                      for col in rows[0] if col not in ("config_hash",
+                                                        "version")]
     return "\n".join(lines)

@@ -60,23 +60,40 @@ def dimension_weights(varsigma, count):
     -------
     ndarray of shape (count,), strictly decreasing values in (0, 1).
     """
+    return _weights_at(varsigma, np.arange(1, count + 1, dtype=float))
+
+
+def _weights_at(varsigma, m):
+    # eta_m of the decay rule at an array of 1-based dimensions m
     if varsigma <= 1:
         raise ValueError("varsigma must exceed 1 for summable weights")
-    m = np.arange(1, count + 1, dtype=float)
     tau = (m + 1.0) ** (varsigma - 1.0)
     return 1.0 / (tau + np.sqrt(1.0 + tau * tau))
 
 
+# The most dimensions the built-in rule may activate: each active dimension
+# is a member of the set, so a larger cutoff asks for a set that cannot be
+# built in memory.
+_MAX_DIMENSIONS = 100_000
+
+
 def _weight_cutoff(varsigma, eps):
     # largest m with eta_m > eps; eta is invertible:
-    # eta > eps  <=>  tau < (1/eps - eps)/2  <=>  m+1 < ((1/eps-eps)/2)**(1/(vs-1))
-    bound = ((1.0 / eps) - eps) / 2.0
-    if bound <= 0:
-        return 0
-    m = int(bound ** (1.0 / (varsigma - 1.0))) + 2
-    eta = dimension_weights(varsigma, m + 2)
-    active = np.nonzero(eta > eps)[0]
-    return 0 if active.size == 0 else int(active[-1]) + 1
+    # eta > eps  <=>  tau < (1/eps - eps)/2  <=>  m+1 < x, where
+    # log x = log((1/eps - eps)/2) / (vs-1) is taken in log space so that
+    # varsigma near 1 cannot overflow; only the weights next to x are
+    # evaluated
+    if varsigma <= 1:
+        raise ValueError("varsigma must exceed 1 for summable weights")
+    log_x = math.log((1.0 / eps - eps) / 2.0) / (varsigma - 1.0)
+    if log_x > math.log(_MAX_DIMENSIONS + 2):
+        raise ValueError(f"eps {eps:g} with varsigma {varsigma:g} activates "
+                         f"about 10^{log_x / math.log(10):.1f} dimensions, "
+                         f"more than the limit of {_MAX_DIMENSIONS}")
+    top = int(math.exp(log_x)) + 2
+    m = np.arange(max(1, top - 5), top + 1, dtype=float)
+    active = m[_weights_at(varsigma, m) > eps]
+    return int(active[-1]) if active.size else 0
 
 
 def _sort_key(entry):
@@ -223,7 +240,8 @@ def generate_index_set(eps, varsigma=None, weights=None):
 
     Exactly one of ``varsigma`` (built-in decay rule) or ``weights`` (explicit
     per-dimension weight sequence; dimensions beyond its end never activate)
-    must be given.
+    must be given.  A built-in rule that would activate more than
+    `_MAX_DIMENSIONS` dimensions raises ValueError before any allocation.
 
     Parameters
     ----------

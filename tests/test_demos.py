@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script runs to completion against the current package and
+leaves nothing behind in the temporary directory."""
 
 import os
 import subprocess
@@ -13,7 +14,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmpdir.iterdir())

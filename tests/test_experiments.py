@@ -28,6 +28,21 @@ def tiny_config(kind, output, **kw):
     return ExperimentConfig(**base)
 
 
+# the tiny study of each kind that the tests below run
+TINY_STUDIES = {
+    "iteration": {},
+    "spatial": dict(kmax=8, mesh_sizes=(2, 4), reference_n=8),
+    "stochastic": dict(kmax=8, set_sizes=(4, 8), reference_size=16),
+    "decay": {},
+    "subspace": dict(q=2, kmax=3, angle_points=8, crossing_points=5),
+}
+
+
+def run_tiny(kind, tmp_path):
+    cfg = tiny_config(kind, tmp_path / kind, **TINY_STUDIES[kind])
+    return cfg, run_experiment(cfg)
+
+
 def read_rows(path):
     import csv
     with open(path, newline="") as fh:
@@ -246,13 +261,51 @@ class TestSubspaceStudy:
 
 
 class TestReport:
-    def test_iteration_report_text(self, tmp_path):
-        cfg = tiny_config("iteration", tmp_path / "it")
-        outdir = run_experiment(cfg)
+    @pytest.mark.parametrize("kind", TINY_STUDIES)
+    def test_report_text(self, tmp_path, kind):
+        cfg, outdir = run_tiny(kind, tmp_path)
         text = report(outdir)
-        assert "study: iteration" in text
+        assert f"study: {kind}" in text
         assert f"config hash: {cfg.config_hash}" in text
-        assert "increment:" in text
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        tables = [name for name in manifest["outputs"]
+                  if name.endswith(".csv")]
+        assert tables
+        for name in tables:
+            assert f"{name}: {len(read_rows(outdir / name))} rows" in text
+        if kind == "iteration":
+            assert "increment:" in text
+
+
+class TestCsvColumns:
+    """The exact header row of every CSV a study writes."""
+
+    HEADERS = {
+        "iteration.csv": "k,increment,eigenvalue_mean,eigenvalue_change,"
+                         "eigenvalue_error,field_error,cg_iterations,"
+                         "cg_tolerance,newton_iterations",
+        "spatial.csv": "n,h,ndof,steps,eigenvalue_mean,field_error,"
+                       "eigenvalue_error,eigenvalue_mean_error",
+        "stochastic.csv": "set_size,eps,max_dimension,steps,eigenvalue_mean,"
+                          "field_error,eigenvalue_error",
+        "decay.csv": "rank,weight,field_coefficient,mu_coefficient,"
+                     "field_coefficient_sorted,mu_coefficient_sorted",
+        "angles.csv": "k,theta_mean,theta_var,max_increment",
+        "crossing.csv": "y1,lambda1,lambda2,lambda3",
+    }
+    TABLES = {"iteration": ["iteration.csv"], "spatial": ["spatial.csv"],
+              "stochastic": ["decay.csv", "stochastic.csv"],
+              "decay": ["decay.csv"],
+              "subspace": ["angles.csv", "crossing.csv"]}
+
+    @pytest.mark.parametrize("kind", TINY_STUDIES)
+    def test_header_rows(self, tmp_path, kind):
+        _, outdir = run_tiny(kind, tmp_path)
+        assert sorted(p.name for p in outdir.glob("*.csv")) == \
+            self.TABLES[kind]
+        for name in self.TABLES[kind]:
+            header = (outdir / name).read_text().splitlines()[0]
+            assert header == self.HEADERS[name] + ",config_hash,version"
 
 
 class TestDeterminismContract:
@@ -350,6 +403,17 @@ class TestCli:
         assert main(["run", str(tmp_path / "config.json")]) == 2
         assert ("set size 20 is not below the reference size 15"
                 in capsys.readouterr().err)
+
+    def test_oversized_dimension_count_is_a_clean_error(self, tmp_path,
+                                                        capsys):
+        bad = tmp_path / "decay.json"
+        bad.write_text(json.dumps({"kind": "decay", "eps": 1e-6,
+                                   "varsigma": 1.5,
+                                   "output": str(tmp_path / "dc")}))
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "limit of 100000" in err
+        assert not (tmp_path / "dc").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

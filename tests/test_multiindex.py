@@ -1,6 +1,7 @@
 """Tests for anisotropic multi-index set generation, ordering, and I/O."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -174,10 +175,25 @@ class TestGeneration:
             generate_index_set(0.0, varsigma=3.2)
 
     def test_max_dimension_matches_weight_cutoff(self):
-        for eps in (0.1, 0.01, 0.001):
-            aset = generate_index_set(eps, varsigma=3.2)
-            eta = dimension_weights(3.2, aset.max_dimension + 5)
+        for varsigma, eps in [(1.5, 0.1), (1.5, 0.01), (2.0, 0.001),
+                              (3.2, 0.1), (3.2, 0.01), (3.2, 0.001)]:
+            aset = generate_index_set(eps, varsigma=varsigma)
+            eta = dimension_weights(varsigma, aset.max_dimension + 5)
             assert aset.max_dimension == int(np.sum(eta > eps))
+
+    @pytest.mark.parametrize("eps, varsigma, count", [
+        (1e-6, 1.5, "10^11.4"), (1e-6, 1.01, "10^569.9")])
+    def test_too_many_dimensions_rejected_before_allocating(self, eps,
+                                                            varsigma, count):
+        # 2.5e11 weights would take 1.82 TiB; varsigma near 1 would
+        # overflow a float before the cutoff is known
+        message = f"about {count} dimensions, more than the limit of 100000"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_index_set(eps, varsigma=varsigma)
+
+    def test_rejects_flat_decay_by_eps(self):
+        with pytest.raises(ValueError, match="varsigma must exceed 1"):
+            generate_index_set(0.01, varsigma=1.0)
 
 
 class TestPositions:
