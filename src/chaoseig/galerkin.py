@@ -136,7 +136,7 @@ class KroneckerOperator:
     first.  The mean term and the shift scale each slice elementwise by
     lam_i + lam_j - shift; each fluctuation term adds one gathered product
     [diag(lam) Y | Y] (M'_m; A'_m) per touched row, and the terms along x_2
-    do the same on Y^T and add their sum transposed.
+    do the same on Y^T and add each chunk's products transposed.
     """
 
     def __init__(self, terms, shift=0.0):
@@ -155,9 +155,6 @@ class KroneckerOperator:
         Y = V.reshape(P, n, n)
         out = Y * self.diagonal
         for axis, chunks in enumerate(t.passes):
-            if not chunks:
-                continue
-            acc = np.zeros_like(out) if axis else out
             for rows, runs, targets, scatter in chunks:
                 G = np.empty((rows.size, n, 2 * n))
                 G[..., n:] = Y[rows].transpose(0, 2, 1) if axis else Y[rows]
@@ -166,66 +163,88 @@ class KroneckerOperator:
                 for start, end, right in runs:
                     np.matmul(G[start:end].reshape(-1, 2 * n), right,
                               out=T[start:end].reshape(-1, n))
-                acc.reshape(P, -1)[targets] += scatter @ T.reshape(
-                    rows.size, -1)
-            if axis:
-                out += acc.transpose(0, 2, 1)
+                S = (scatter @ T.reshape(rows.size, -1)).reshape(-1, n, n)
+                out[targets] += S.transpose(0, 2, 1) if axis else S
         return out.reshape(P, self.N)
 
-    def mean_solve(self, R):
+    def mean_solve(self, R, out=None):
         """The mean-based preconditioner: K_0^-1, a division by
-        lam_i + lam_j in these coordinates, on a (P, N) block."""
-        return R / self.terms.mean.ravel()
+        lam_i + lam_j in these coordinates, on a (P, N) block; written
+        into `out` when given."""
+        return np.divide(R, self.terms.mean.ravel(), out=out)
 
 
 @dataclass
 class PcgInfo:
+    """How a `pcg_solve` ended.  `trace` holds the relative residual of
+    every iterate, the start first; `product` is the operator's product
+    with the returned solution, formed as B - R from CG's residual R, which
+    the next solve of a warm-started sequence takes as its `ax0`."""
+
     converged: bool
     iterations: int
     relative_residual: float
     trace: np.ndarray
+    product: np.ndarray
 
 
-def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500, x0=None):
+def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500, x0=None,
+              ax0=None):
     """Conjugate gradients on coefficient blocks, preconditioned by the
     operator's `mean_solve`.
 
     Stops when the preconditioner-norm residual sqrt(r.Pr) drops below tol
     times the same norm of the right-hand side (a fixed target, so warm
-    starts genuinely help).  Raises IndefiniteOperatorError on negative
-    curvature, which signals a bad spectral shift.
+    starts genuinely help).  A warm start x0 costs one operator product for
+    its residual, unless `ax0`, its product op.apply(x0), comes with it:
+    the `product` a previous solve returned in its PcgInfo is that product
+    for its solution, so a sequence of warm-started solves costs exactly
+    its CG iterations in products.  Raises IndefiniteOperatorError on
+    negative curvature, which signals a bad spectral shift.  rhs, x0 and
+    ax0 are left unchanged.
     """
     B = np.asarray(rhs, dtype=float)
-    target = np.sqrt(max(np.sum(B * op.mean_solve(B)), 0.0))
+    if ax0 is not None and (x0 is None or np.shape(ax0) != B.shape):
+        raise ValueError(f"ax0 needs x0 and the shape {B.shape} of the "
+                         f"right-hand side")
+    Z = op.mean_solve(B)
+    target = np.sqrt(max(np.vdot(B, Z), 0.0))
     if target == 0.0:
-        return np.zeros_like(B), PcgInfo(True, 0, 0.0, np.zeros(1))
-    X = np.zeros_like(B) if x0 is None else np.array(x0, dtype=float)
-    R = B - op.apply(X) if x0 is not None else B.copy()
-    Z = op.mean_solve(R)
-    rz = float(np.sum(R * Z))
+        return np.zeros_like(B), PcgInfo(True, 0, 0.0, np.zeros(1),
+                                         np.zeros_like(B))
+    if x0 is None:
+        X, R = np.zeros_like(B), B.copy()
+    else:
+        X = np.array(x0, dtype=float)
+        R = B - (op.apply(X) if ax0 is None else ax0)
+    op.mean_solve(R, out=Z)
+    rz = float(np.vdot(R, Z))
     Pdir = Z.copy()
     trace = [np.sqrt(max(rz, 0.0)) / target]
-    if trace[0] <= tol:
-        return X, PcgInfo(True, 0, trace[0], np.asarray(trace))
-    for it in range(1, maxiter + 1):
+    it = 0
+    while trace[-1] > tol and it < maxiter:
+        it += 1
         Ap = op.apply(Pdir)
-        curv = float(np.sum(Pdir * Ap))
+        curv = float(np.vdot(Pdir, Ap))
         if curv <= 0.0:
             raise IndefiniteOperatorError(
                 f"negative curvature at iteration {it}: direction energy "
                 f"{curv:.3e}")
         alpha = rz / curv
-        X += alpha * Pdir
-        R -= alpha * Ap
-        Z = op.mean_solve(R)
-        rz_new = float(np.sum(R * Z))
-        rel = np.sqrt(max(rz_new, 0.0)) / target
-        trace.append(rel)
-        if rel <= tol:
-            return X, PcgInfo(True, it, rel, np.asarray(trace))
-        Pdir = Z + (rz_new / rz) * Pdir
+        # Z is free until the next preconditioner solve: it holds the step
+        X += np.multiply(alpha, Pdir, out=Z)
+        Ap *= alpha
+        R -= Ap
+        op.mean_solve(R, out=Z)
+        rz_new = float(np.vdot(R, Z))
+        trace.append(np.sqrt(max(rz_new, 0.0)) / target)
+        if trace[-1] > tol:
+            Pdir *= rz_new / rz
+            Pdir += Z
         rz = rz_new
-    return X, PcgInfo(False, maxiter, trace[-1], np.asarray(trace))
+    product = np.subtract(B, R, out=R)
+    return X, PcgInfo(bool(trace[-1] <= tol), it, trace[-1],
+                      np.asarray(trace), product)
 
 
 _RCOND_FLOOR = 1e-12

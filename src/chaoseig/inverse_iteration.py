@@ -3,6 +3,8 @@
 One sweep maps the current normalized eigenvector expansion U through
 
     (1)  solve  (stiffness - shift * mass) V = mass U   by preconditioned CG,
+         warm-started from the previous sweep's V and the operator's
+         product with it, which that solve formed,
     (2)  find the chaos coefficients s of the pointwise norm of V,
     (3)  divide V by s in the Galerkin sense,
 
@@ -93,7 +95,7 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
     `initial_guess`.  The CG tolerance follows the outer progress: a
     fraction `_CG_TOL_FACTOR` of the previous increment, floored at
     `_CG_TOL_FLOOR` (constants of `subspace_iteration`), and each solve
-    warm-starts from the previous one.
+    warm-starts from the previous one and its operator product.
     """
     U0 = initial_guess(system) if initial is None else \
         np.array(initial, dtype=float) / np.linalg.norm(initial)

@@ -71,10 +71,10 @@ def _weights_at(varsigma, m):
     return 1.0 / (tau + np.sqrt(1.0 + tau * tau))
 
 
-# The most dimensions the built-in rule may activate: each active dimension
-# is a member of the set, so a larger cutoff asks for a set that cannot be
-# built in memory.
-_MAX_DIMENSIONS = 100_000
+# The most members an index set may have.  Each active dimension is a
+# member, so the built-in rule's cutoff is checked against it before any
+# weight is evaluated, and the best-first walk stops once it passes it.
+_MAX_MEMBERS = 100_000
 
 
 def _weight_cutoff(varsigma, eps):
@@ -86,10 +86,10 @@ def _weight_cutoff(varsigma, eps):
     if varsigma <= 1:
         raise ValueError("varsigma must exceed 1 for summable weights")
     log_x = math.log((1.0 / eps - eps) / 2.0) / (varsigma - 1.0)
-    if log_x > math.log(_MAX_DIMENSIONS + 2):
+    if log_x > math.log(_MAX_MEMBERS + 2):
         raise ValueError(f"eps {eps:g} with varsigma {varsigma:g} activates "
                          f"about 10^{log_x / math.log(10):.1f} dimensions, "
-                         f"more than the limit of {_MAX_DIMENSIONS}")
+                         f"more than the limit of {_MAX_MEMBERS} members")
     top = int(math.exp(log_x)) + 2
     m = np.arange(max(1, top - 5), top + 1, dtype=float)
     active = m[_weights_at(varsigma, m) > eps]
@@ -200,7 +200,8 @@ def _best_first(eta, eps, size=None):
     weight.  Without size, the walk takes every weight > eps.  With size,
     it takes size + 1 members plus the tie group of the last one and keeps
     the first size, with eps at the log-space midpoint of the size-th and
-    (size+1)-th weights.
+    (size+1)-th weights.  A walk that passes `_MAX_MEMBERS` members raises
+    ValueError.
     """
     eta = eta.tolist()
     idx, ws = [()], [1.0]
@@ -217,6 +218,9 @@ def _best_first(eta, eps, size=None):
         else:
             idx.append(alpha + ((j + 1, 1),))
         ws.append(w)
+        if len(ws) > _MAX_MEMBERS:
+            raise ValueError(f"more than the limit of {_MAX_MEMBERS} "
+                             f"members have weight above {eps:g}")
         if w * eta[j] > eps:
             heapq.heappush(heap, (-(w * eta[j]), j, len(ws) - 1))
         if j + 1 < len(eta) and ws[parent] * eta[j + 1] > eps:
@@ -240,8 +244,9 @@ def generate_index_set(eps, varsigma=None, weights=None):
 
     Exactly one of ``varsigma`` (built-in decay rule) or ``weights`` (explicit
     per-dimension weight sequence; dimensions beyond its end never activate)
-    must be given.  A built-in rule that would activate more than
-    `_MAX_DIMENSIONS` dimensions raises ValueError before any allocation.
+    must be given.  A set of more than `_MAX_MEMBERS` members raises
+    ValueError; a built-in rule that activates that many dimensions does
+    so before any allocation.
 
     Parameters
     ----------
@@ -275,12 +280,16 @@ def generate_index_set_by_size(size, varsigma=3.2, weights=None):
     weights; the best-first walk finds it without a second pass.  Raises
     ValueError if an exact weight tie straddles the cut, in which case no
     threshold realizes the requested size, or if the rule runs out of
-    weights above 1e-300 before reaching size + 1 members.  The built-in
-    rule needs at most size + 1 dimensions; explicit weights are used as
-    given (varsigma is then ignored).
+    weights above 1e-300 before reaching size + 1 members, or if size + 1
+    members pass the limit of `_MAX_MEMBERS`.  The built-in rule needs at
+    most size + 1 dimensions; explicit weights are used as given (varsigma
+    is then ignored).
     """
     if size < 1:
         raise ValueError("size must be at least 1")
+    if size >= _MAX_MEMBERS:
+        raise ValueError(f"size {size} needs a walk past the limit of "
+                         f"{_MAX_MEMBERS} members")
     if weights is None:
         eta = dimension_weights(varsigma, size + 1)
     else:

@@ -143,10 +143,12 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
                           warm_starts=None, sum_trick=False):
     """One block sweep: per-vector solves, then orthonormalization.
 
-    B is a (P, N, Q) stack in the mean eigenbasis, and so are B_next, the
-    solves and the warm starts.  Returns (B_next, solves,
-    cg_iteration_counts, extra_passes, newton_iterations, inv_s, defect);
-    `solves` holds the raw CG solutions for warm-starting the next sweep,
+    B is a (P, N, Q) stack in the mean eigenbasis, and so are B_next and
+    the solves.  Returns (B_next, solves, cg_iteration_counts,
+    extra_passes, newton_iterations, inv_s, defect).  `solves` holds one
+    pair (V, K V) per vector: the raw CG solution and the operator's
+    product with it (`PcgInfo.product`).  Passed back as `warm_starts`,
+    the pairs start the next sweep's solves without an operator product.
     `inv_s` is the Galerkin division of the constant one by the first
     column's norm expansion s in the last pass (at Q = 1, mu = shift + 1/s
     is the eigenvalue expansion), and `defect` is the orthogonality defect
@@ -158,22 +160,22 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
     solves = []
     cg_counts = []
     for L in range(q):
-        x0 = None if warm_starts is None else warm_starts[L]
+        x0, ax0 = (None, None) if warm_starts is None else warm_starts[L]
         V, info = pcg_solve(op, B[:, :, L], tol=cg_tol, maxiter=_CG_MAXITER,
-                            x0=x0)
+                            x0=x0, ax0=ax0)
         if not info.converged:
             where = f" on basis vector {L}" if q > 1 else ""
             after = "" if q > 1 else f" after {info.iterations} iterations"
             raise RuntimeError(
                 f"inner CG stalled{where} at relative residual "
                 f"{info.relative_residual:.3e}{after}")
-        solves.append(V)
+        solves.append((V, info.product))
         cg_counts.append(info.iterations)
-    work = list(solves)
+    work = [V for V, _ in solves]
     if sum_trick:
         # pooling the solves makes the leading vector a cluster average,
         # which varies smoothly across eigenvalue crossings
-        work[0] = np.sum(solves, axis=0)
+        work[0] = np.sum(work, axis=0)
     B_next, newton_steps, inv_s = _orthonormalize(tt, work)
     extra = 0
     defect = _defect(tt, B_next)
@@ -192,8 +194,9 @@ def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
     tol.
 
     The CG tolerance is a fraction `_CG_TOL_FACTOR` of the previous sweep's
-    largest increment, floored at `_CG_TOL_FLOOR`, and each solve
-    warm-starts from the previous sweep's.  Returns (B, converged,
+    largest increment, floored at `_CG_TOL_FLOOR`.  Each solve warm-starts
+    from the previous sweep's (V, K V) pair, so a solve costs exactly its
+    CG iterations in operator products.  Returns (B, converged,
     snapshots, records): the last basis; the snapshots, the first being
     the start as given; and one array per record, one row per sweep, of
     the increments and CG iterations per vector, the CG tolerance, the

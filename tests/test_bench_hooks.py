@@ -1,0 +1,74 @@
+"""The benchmark's trace hooks read the result shapes the solvers return.
+
+`bench/workloads.py` counts work off the results of traced calls: the CG
+iterations as `pcg_solve(...)[1].iterations` and the extra
+orthonormalization passes as `subspace_iterate_once(...)[3]`.  The
+benchmark stays fixed while the package changes, so these tests run its
+hooks on real results: a change to either shape fails here instead of
+breaking `bench/run.py --trace 1`.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from chaoseig.galerkin import build_system, pcg_solve
+from chaoseig.subspace_iteration import (
+    initial_basis,
+    run_subspace_iteration,
+    subspace_iterate_once,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def hooks():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the module runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.HOOKS
+
+
+class Tracer:
+    """The part of the benchmark's tracer that the two hooks use."""
+
+    def __init__(self):
+        self.counters = {}
+
+    def count(self, counter, value):
+        self.counters[counter] = self.counters.get(counter, 0) + value
+
+
+def test_pcg_hook_reads_the_iteration_count(hooks):
+    system = build_system(n=3, order=1, size=5)
+    op = system.operator()
+    rhs = initial_basis(system, 1)[:, :, 0]
+    result = pcg_solve(op, rhs, tol=1e-10)
+    X, info = result
+    assert X.shape == rhs.shape and info.iterations > 0
+    tracer = Tracer()
+    hooks["galerkin.pcg_solve"](tracer, (op, rhs), result)
+    assert tracer.counters == {"galerkin.pcg_iterations": info.iterations}
+
+
+def test_sweep_hook_reads_the_extra_passes(hooks):
+    # the first sweep of a run, whose history records its extra passes;
+    # that sweep's CG tolerance is 1e-2 (`_CG_TOL_FACTOR` times 1)
+    system = build_system(n=4, order=1, size=12)
+    B = initial_basis(system, 2)
+    result = subspace_iterate_once(system, B, 0.0, 1e-2)
+    run = run_subspace_iteration(system, q=2, kmax=1)
+    assert result[3] == run.history.extra_orthogonalizations[0]
+    tracer = Tracer()
+    hooks["subspace_iteration.subspace_iterate_once"](tracer, (system, B),
+                                                      result)
+    assert tracer.counters == {"subspace_iteration.extra_passes": result[3]}

@@ -333,6 +333,58 @@ class TestPcgSolve:
         _, info = pcg_solve(op, B, tol=1e-10, maxiter=400, x0=X)
         assert info.iterations == 0
 
+    def test_returned_product_matches_apply(self):
+        sys = small_system()
+        op = sys.operator()
+        rng = np.random.default_rng(45)
+        B = random_block(sys, rng)
+        for x0 in (None, random_block(sys, rng)):
+            X, info = pcg_solve(op, B, tol=1e-8, maxiter=400, x0=x0)
+            assert info.iterations > 0
+            np.testing.assert_allclose(info.product, op.apply(X), rtol=0,
+                                       atol=1e-13 * np.abs(B).max())
+
+    def test_carried_product_warm_start_equals_recomputed(self):
+        # a second solve on a new right-hand side, warm-started from the
+        # first: its carried product stands in for op.apply(x0)
+        sys = small_system()
+        op = sys.operator()
+        rng = np.random.default_rng(46)
+        B1, B2 = random_block(sys, rng), random_block(sys, rng)
+        X1, info1 = pcg_solve(op, B1, tol=1e-6, maxiter=400)
+        fresh, want = pcg_solve(op, B2, tol=1e-10, maxiter=400, x0=X1)
+        carried, got = pcg_solve(op, B2, tol=1e-10, maxiter=400, x0=X1,
+                                 ax0=info1.product)
+        assert got.iterations == want.iterations > 0
+        np.testing.assert_allclose(carried, fresh, rtol=0,
+                                   atol=1e-12 * np.abs(fresh).max())
+
+    def test_leaves_inputs_unchanged(self):
+        # the CG updates run in place, on the solver's own blocks only
+        sys = small_system()
+        op = sys.operator()
+        rng = np.random.default_rng(47)
+        B, x0 = random_block(sys, rng), random_block(sys, rng)
+        ax0 = op.apply(x0)
+        kept = [B.copy(), x0.copy(), ax0.copy()]
+        pcg_solve(op, B, tol=1e-10, maxiter=400, x0=x0, ax0=ax0)
+        for arg, copy in zip((B, x0, ax0), kept):
+            np.testing.assert_array_equal(arg, copy)
+
+    def test_rejects_product_without_start(self):
+        sys = small_system()
+        op = sys.operator()
+        B = random_block(sys, np.random.default_rng(48))
+        with pytest.raises(ValueError, match="ax0 needs x0"):
+            pcg_solve(op, B, ax0=np.zeros_like(B))
+
+    def test_rejects_product_of_another_shape(self):
+        sys = small_system()
+        op = sys.operator()
+        B = random_block(sys, np.random.default_rng(49))
+        with pytest.raises(ValueError, match="shape"):
+            pcg_solve(op, B, x0=np.zeros_like(B), ax0=np.zeros(B.size))
+
     def test_reports_nonconvergence(self):
         sys = small_system()
         op = sys.operator()

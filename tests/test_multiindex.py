@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -191,6 +192,14 @@ class TestGeneration:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_index_set(eps, varsigma=varsigma)
 
+    def test_too_many_members_rejected_quickly(self):
+        # two dimensions, but about 10^7 members above eps: the walk stops
+        # at the member limit instead of building them
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit of 100000 members"):
+            generate_index_set(1e-300, weights=[0.9, 0.9])
+        assert time.perf_counter() - start < 1.0
+
     def test_rejects_flat_decay_by_eps(self):
         with pytest.raises(ValueError, match="varsigma must exceed 1"):
             generate_index_set(0.01, varsigma=1.0)
@@ -230,6 +239,12 @@ class TestBySize:
         # (0.5**997 < 1e-300 < 0.5**996)
         with pytest.raises(ValueError, match=f"cannot reach size {size}"):
             generate_index_set_by_size(size, weights=weights)
+
+    def test_size_at_the_member_limit_rejected(self):
+        # the walk needs size + 1 members; 10^9 weights would take 8 GB
+        for size in (100_000, 10**9):
+            with pytest.raises(ValueError, match="limit of 100000 members"):
+                generate_index_set_by_size(size)
 
     def test_reaches_weights_down_to_the_floor(self):
         aset = generate_index_set_by_size(996, weights=[0.5])

@@ -9,7 +9,7 @@ and for alignment with directly solved invariant subspaces.
 import numpy as np
 import pytest
 
-from chaoseig import subspace_iteration
+from chaoseig import galerkin, subspace_iteration
 from chaoseig.galerkin import build_system
 from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.subspace_iteration import (
@@ -255,3 +255,32 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="basis shape"):
             run_subspace_iteration(sys, q=2,
                                    initial=np.zeros((sys.P, sys.N, 3)))
+
+
+class TestCarriedProduct:
+    """Each warm start brings the operator's product with it, so the
+    sweeps cost exactly their CG iterations in operator products."""
+
+    @pytest.fixture
+    def apply_calls(self, monkeypatch):
+        calls = []
+        apply = galerkin.KroneckerOperator.apply
+
+        def counted(op, V):
+            calls.append(1)
+            return apply(op, V)
+
+        monkeypatch.setattr(galerkin.KroneckerOperator, "apply", counted)
+        return calls
+
+    def test_inverse_iteration(self, apply_calls):
+        sys = build_system(n=3, order=2, size=8)
+        res = run_inverse_iteration(sys, tol=1e-10, kmax=40)
+        assert len(res.history) > 2
+        assert len(apply_calls) == res.history.cg_iterations.sum()
+
+    def test_subspace_iteration(self, apply_calls):
+        sys = build_system(n=4, order=1, size=12)
+        res = run_subspace_iteration(sys, q=2, tol=1e-9, kmax=25)
+        assert len(res.history) > 2
+        assert len(apply_calls) == res.history.cg_iterations.sum()
