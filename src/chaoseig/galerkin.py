@@ -18,6 +18,12 @@ tensor norm sum_a V[a] . M V[a] of the nodal values is the plain
 Frobenius norm of the coordinates; the mean term K_0 is the elementwise
 scaling by lam_i + lam_j and its inverse, the preconditioner, a division;
 each fluctuation term keeps dense 1D factors Q^T M_m Q and Q^T A_m Q.
+
+`pcg_solve` moves its warm start to the energy-optimal point of the start
+plus the span of a window of earlier solutions and increments, from their
+carried operator products alone.  Such a start lands just under the CG
+target, where a plain warm start overshot it, so the sweep's tolerance
+factor in `subspace_iteration` is 1e-3, not 1e-2.
 """
 
 from __future__ import annotations
@@ -145,15 +151,20 @@ class KroneckerOperator:
         self.N = terms.n * terms.n
         self.diagonal = terms.mean - float(shift)
 
-    def apply(self, V):
-        """Matrix-free product with a (P, N) coefficient block."""
+    def apply(self, V, out=None):
+        """Matrix-free product with a (P, N) coefficient block, written into
+        `out` when given: a C-contiguous (P, N) block that does not overlap
+        V."""
         V = np.asarray(V, dtype=float)
         if V.shape != (self.P, self.N):
             raise ValueError(f"block shape {V.shape}, expected "
                              f"{(self.P, self.N)}")
         t, P, n = self.terms, self.P, self.terms.n
         Y = V.reshape(P, n, n)
-        out = Y * self.diagonal
+        if out is None:
+            out = np.empty((P, self.N))
+        O = out.reshape(P, n, n)
+        np.multiply(Y, self.diagonal, out=O)
         for axis, chunks in enumerate(t.passes):
             for rows, runs, targets, scatter in chunks:
                 G = np.empty((rows.size, n, 2 * n))
@@ -164,8 +175,8 @@ class KroneckerOperator:
                     np.matmul(G[start:end].reshape(-1, 2 * n), right,
                               out=T[start:end].reshape(-1, n))
                 S = (scatter @ T.reshape(rows.size, -1)).reshape(-1, n, n)
-                out[targets] += S.transpose(0, 2, 1) if axis else S
-        return out.reshape(P, self.N)
+                O[targets] += S.transpose(0, 2, 1) if axis else S
+        return out
 
     def mean_solve(self, R, out=None):
         """The mean-based preconditioner: K_0^-1, a division by
@@ -188,8 +199,61 @@ class PcgInfo:
     product: np.ndarray
 
 
+# A window direction's energy D . K D is trusted when it exceeds its
+# largest possible roundoff, taken as this share of the largest of |B| and
+# the window's products, times |D|: carried products agree with fresh ones
+# to about 1e-15 |B|, and a difference of two nearly equal solves carries
+# their error in full.
+_WINDOW_NOISE = 1e-12
+# Eigenvalues of the Jacobi-scaled window Gram below this share of the
+# largest are dropped: their directions are numerically dependent on the
+# others (a solve that took no CG step adds an increment inside the span).
+_WINDOW_RCOND = 1e-8
+
+
+def _project_start(window, B, X, R, work):
+    """Move the start X, with residual R = B - K X, to the point of
+    X + span(D) closest to the solution of K x = B in the energy norm, over
+    the window's (D, K D) pairs; X and R are updated in place, `work` is a
+    scratch block.
+
+    The coefficients c solve the Gram system (D_i . K D_j) c = (D_i . R),
+    Jacobi-scaled and by an eigendecomposition that drops numerically
+    dependent directions.  R was formed from the carried product, so the
+    right-hand side never subtracts two energies of nearly equal size.  A
+    direction whose energy lies within its roundoff (an increment between
+    solves that agree to the last bits, or exactly zero) is skipped; one
+    of clearly negative energy means the operator is indefinite, which CG
+    would only see once it takes a step.
+    """
+    noise = _WINDOW_NOISE * max(np.linalg.norm(B),
+                                *(np.linalg.norm(KD) for _, KD in window))
+    pairs, energies = [], []
+    for D, KD in window:
+        energy, bound = np.vdot(D, KD), noise * np.linalg.norm(D)
+        if energy < -bound:
+            raise IndefiniteOperatorError(
+                f"start window direction of energy {energy:.3e}")
+        if energy > bound:
+            pairs.append((D, KD))
+            energies.append(energy)
+    if not pairs:
+        return
+    G = np.diag(energies)
+    for i, j in zip(*np.triu_indices(len(pairs), 1)):
+        G[i, j] = G[j, i] = np.vdot(pairs[i][0], pairs[j][1])
+    scale = 1.0 / np.sqrt(energies)
+    w, Q = np.linalg.eigh(scale[:, None] * G * scale)
+    keep = w > _WINDOW_RCOND * w[-1]
+    g = scale * np.array([np.vdot(D, R) for D, _ in pairs])
+    c = scale * (Q[:, keep] @ ((Q[:, keep].T @ g) / w[keep]))
+    for (D, KD), ci in zip(pairs, c):
+        X += np.multiply(ci, D, out=work)
+        R -= np.multiply(ci, KD, out=work)
+
+
 def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500, x0=None,
-              ax0=None):
+              ax0=None, window=()):
     """Conjugate gradients on coefficient blocks, preconditioned by the
     operator's `mean_solve`.
 
@@ -199,16 +263,22 @@ def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500, x0=None,
     its residual, unless `ax0`, its product op.apply(x0), comes with it:
     the `product` a previous solve returned in its PcgInfo is that product
     for its solution, so a sequence of warm-started solves costs exactly
-    its CG iterations in products.  Raises IndefiniteOperatorError on
-    negative curvature, which signals a bad spectral shift.  rhs, x0 and
-    ax0 are left unchanged.
+    its CG iterations in products.  `window` holds (D, op.apply(D)) pairs,
+    for instance earlier solutions and their increments with their carried
+    products: CG then starts from the point of x0 + span(D) of least
+    energy-norm error (see `_project_start`), at no operator product.
+    Raises IndefiniteOperatorError on negative curvature, in CG or in the
+    window, which signals a bad spectral shift.  rhs, x0, ax0 and the
+    window are left unchanged.
     """
     B = np.asarray(rhs, dtype=float)
     if ax0 is not None and (x0 is None or np.shape(ax0) != B.shape):
         raise ValueError(f"ax0 needs x0 and the shape {B.shape} of the "
                          f"right-hand side")
-    Z = op.mean_solve(B)
-    target = np.sqrt(max(np.vdot(B, Z), 0.0))
+    # W is the one scratch block: the preconditioned right-hand side, then
+    # each product with a direction, step and preconditioned residual
+    W = op.mean_solve(B)
+    target = np.sqrt(max(np.vdot(B, W), 0.0))
     if target == 0.0:
         return np.zeros_like(B), PcgInfo(True, 0, 0.0, np.zeros(1),
                                          np.zeros_like(B))
@@ -217,30 +287,30 @@ def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500, x0=None,
     else:
         X = np.array(x0, dtype=float)
         R = B - (op.apply(X) if ax0 is None else ax0)
-    op.mean_solve(R, out=Z)
-    rz = float(np.vdot(R, Z))
-    Pdir = Z.copy()
+    if window:
+        _project_start(window, B, X, R, W)
+    Pdir = op.mean_solve(R)
+    rz = float(np.vdot(R, Pdir))
     trace = [np.sqrt(max(rz, 0.0)) / target]
     it = 0
     while trace[-1] > tol and it < maxiter:
         it += 1
-        Ap = op.apply(Pdir)
-        curv = float(np.vdot(Pdir, Ap))
+        op.apply(Pdir, out=W)
+        curv = float(np.vdot(Pdir, W))
         if curv <= 0.0:
             raise IndefiniteOperatorError(
                 f"negative curvature at iteration {it}: direction energy "
                 f"{curv:.3e}")
         alpha = rz / curv
-        # Z is free until the next preconditioner solve: it holds the step
-        X += np.multiply(alpha, Pdir, out=Z)
-        Ap *= alpha
-        R -= Ap
-        op.mean_solve(R, out=Z)
-        rz_new = float(np.vdot(R, Z))
+        W *= alpha
+        R -= W
+        X += np.multiply(alpha, Pdir, out=W)
+        op.mean_solve(R, out=W)
+        rz_new = float(np.vdot(R, W))
         trace.append(np.sqrt(max(rz_new, 0.0)) / target)
         if trace[-1] > tol:
             Pdir *= rz_new / rz
-            Pdir += Z
+            Pdir += W
         rz = rz_new
     product = np.subtract(B, R, out=R)
     return X, PcgInfo(bool(trace[-1] <= tol), it, trace[-1],

@@ -284,10 +284,12 @@ class TestCsvColumns:
         "iteration.csv": "k,increment,eigenvalue_mean,eigenvalue_change,"
                          "eigenvalue_error,field_error,cg_iterations,"
                          "cg_tolerance,newton_iterations",
-        "spatial.csv": "n,h,ndof,steps,eigenvalue_mean,field_error,"
-                       "eigenvalue_error,eigenvalue_mean_error",
-        "stochastic.csv": "set_size,eps,max_dimension,steps,eigenvalue_mean,"
-                          "field_error,eigenvalue_error",
+        "spatial.csv": "n,h,ndof,steps,converged,final_increment,"
+                       "eigenvalue_mean,field_error,eigenvalue_error,"
+                       "eigenvalue_mean_error",
+        "stochastic.csv": "set_size,eps,max_dimension,steps,converged,"
+                          "final_increment,eigenvalue_mean,field_error,"
+                          "eigenvalue_error",
         "decay.csv": "rank,weight,field_coefficient,mu_coefficient,"
                      "field_coefficient_sorted,mu_coefficient_sorted",
         "angles.csv": "k,theta_mean,theta_var,max_increment",

@@ -12,6 +12,8 @@ oracle into the same coordinates.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoseig import galerkin
 from chaoseig.fem import build_mesh, build_parametric_operator
@@ -237,6 +239,14 @@ class TestKroneckerOperator:
                                              r"set has 0 dimensions"):
             SeparableTerms(singleton.tt, sys.fem_op)
 
+    def test_apply_writes_into_out(self):
+        sys = small_system()
+        op = sys.operator(shift=3.0)
+        V = random_block(sys, np.random.default_rng(50))
+        out = np.full((sys.P, sys.N), np.nan)
+        assert op.apply(V, out=out) is out
+        np.testing.assert_array_equal(out, op.apply(V))
+
     def test_operators_share_cached_terms(self):
         sys = small_system()
         a, b = sys.operator(), sys.operator(shift=2.0)
@@ -418,6 +428,98 @@ class TestPcgSolve:
                             maxiter=30)
         assert info.converged
         assert info.iterations <= 30
+
+
+def energy_error(op, X, exact):
+    E = X - exact
+    return float(np.vdot(E, op.apply(E)))
+
+
+class TestProjectedStart:
+    """CG starts from the energy-optimal point of x0 plus the span of a
+    window of (D, K D) pairs."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+           st.integers(-12, 0))
+    def test_no_worse_than_the_plain_start(self, seed, m, spread):
+        # directions: one near the error of x0, then ones within 10^spread
+        # of it (numerically dependent at -12), then a random one
+        sys = small_system()
+        op = sys.operator()
+        rng = np.random.default_rng(seed)
+        B = random_block(sys, rng)
+        exact, _ = pcg_solve(op, B, tol=1e-14, maxiter=400)
+        x0 = exact + 1e-3 * random_block(sys, rng)
+        D0 = exact - x0 + 1e-4 * random_block(sys, rng)
+        dirs = [D0 + 10.0 ** spread * random_block(sys, rng) * i
+                for i in range(m)] + [random_block(sys, rng)]
+        X, info = pcg_solve(op, B, maxiter=0, x0=x0, ax0=op.apply(x0),
+                            window=[(D, op.apply(D)) for D in dirs])
+        assert info.iterations == 0
+        plain = energy_error(op, x0, exact)
+        assert energy_error(op, X, exact) <= plain * (1.0 + 1e-8)
+
+    def test_exact_when_the_solution_is_in_the_span(self):
+        sys = small_system()
+        op = sys.operator()
+        rng = np.random.default_rng(51)
+        x0, D1, D2 = (random_block(sys, rng) for _ in range(3))
+        want = x0 + 0.3 * D1 - 2.0 * D2
+        X, info = pcg_solve(op, op.apply(want), tol=1e-10, x0=x0,
+                            ax0=op.apply(x0),
+                            window=[(D1, op.apply(D1)), (D2, op.apply(D2))])
+        assert info.iterations == 0 and info.converged
+        np.testing.assert_allclose(X, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(info.product, op.apply(X), rtol=0,
+                                   atol=1e-12 * np.abs(info.product).max())
+
+    def test_negative_energy_raises_before_any_cg_step(self):
+        # a start that already meets its tolerance never reaches CG's
+        # curvature check: the window's own energies must catch the shift
+        sys = small_system()
+        op = sys.operator(shift=1e3)
+        rng = np.random.default_rng(52)
+        B, x0 = random_block(sys, rng), random_block(sys, rng)
+        D = np.zeros((sys.P, sys.N))
+        D[0] = sys.fem_op.mean_eigenpairs(1)[1][:, 0]
+        with pytest.raises(IndefiniteOperatorError, match="window"):
+            pcg_solve(op, B, tol=1e300, x0=x0, ax0=op.apply(x0),
+                      window=[(D, op.apply(D))])
+
+    def test_zero_and_roundoff_directions_are_skipped(self):
+        # an exactly zero increment (two solves equal to the bit, as at
+        # P = 1) and one whose product is roundoff of either sign change
+        # nothing and divide by nothing
+        sys = small_system()
+        op = sys.operator()
+        rng = np.random.default_rng(53)
+        B, x0 = random_block(sys, rng), random_block(sys, rng)
+        ax0 = op.apply(x0)
+        zero = np.zeros_like(B)
+        tiny = 1e-16 * random_block(sys, rng)
+        noise = 1e-15 * np.linalg.norm(ax0) * tiny / np.linalg.norm(tiny)
+        want, _ = pcg_solve(op, B, tol=1e-10, x0=x0, ax0=ax0,
+                            window=[(x0, ax0)])
+        for KD in (noise, -noise):
+            with np.errstate(all="raise"):
+                got, _ = pcg_solve(op, B, tol=1e-10, x0=x0, ax0=ax0,
+                                   window=[(x0, ax0), (zero, zero),
+                                           (tiny, KD)])
+            np.testing.assert_array_equal(got, want)
+
+    def test_leaves_the_window_unchanged(self):
+        sys = small_system()
+        op = sys.operator()
+        rng = np.random.default_rng(54)
+        B, x0, D = (random_block(sys, rng) for _ in range(3))
+        window = [(x0, op.apply(x0)), (D, op.apply(D))]
+        kept = [a.copy() for pair in window for a in pair]
+        pcg_solve(op, B, tol=1e-10, x0=x0, ax0=window[0][1], window=window)
+        for arg, copy in zip((a for pair in window for a in pair), kept):
+            np.testing.assert_array_equal(arg, copy)
 
 
 class TestWeightedGram:

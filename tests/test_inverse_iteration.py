@@ -11,8 +11,9 @@ import pytest
 import scipy.linalg
 
 from chaoseig import subspace_iteration
-from chaoseig.galerkin import build_system
+from chaoseig.galerkin import IndefiniteOperatorError, build_system
 from chaoseig.inverse_iteration import initial_guess, run_inverse_iteration
+from chaoseig.subspace_iteration import run_subspace_iteration
 from chaoseig.validation import pointwise_error
 from oracles import (
     assemble_mass,
@@ -99,6 +100,16 @@ class TestSingletonSetReduction:
         np.testing.assert_allclose(1.0 / res.eigenvalue[0], 1.0 / lam,
                                    rtol=1e-6)
 
+    def test_exactly_zero_increments_are_skipped(self):
+        # the start is the exact mean mode, so every solve repeats the
+        # first to the bit: the window's increments are exactly zero, and
+        # its projection must skip them instead of dividing by their energy
+        sys = build_system(n=4, order=2, size=1)
+        with np.errstate(all="raise"):
+            res = run_inverse_iteration(sys, tol=0.0, kmax=6)
+        assert not res.history.increments.any()
+        assert not res.history.cg_iterations[1:].any()
+
     def test_converged_pair_matches_classical(self):
         sys = build_system(n=4, order=1, size=1)
         res = run_inverse_iteration(sys, tol=1e-13, kmax=60)
@@ -175,6 +186,15 @@ class TestShiftedIteration:
                                    plain.eigenvalue_mean, rtol=1e-6)
         d = sys.fem_op.to_nodal(shifted.U - plain.U)
         assert tensor_norm(d, sys.fem_op) <= 1e-5
+
+    def test_indefinite_shift_raises(self):
+        sys = build_system(n=4, order=1, size=12)
+        shift = 3.0 * sys.fem_op.mean_eigenpairs(1)[0][0]
+        with pytest.raises(IndefiniteOperatorError):
+            run_inverse_iteration(sys, tol=1e-10, kmax=40, shift=shift)
+        with pytest.raises(IndefiniteOperatorError):
+            run_subspace_iteration(sys, q=2, tol=1e-10, kmax=40,
+                                   shift=shift)
 
 
 class TestDriverBookkeeping:

@@ -266,9 +266,9 @@ class TestCarriedProduct:
         calls = []
         apply = galerkin.KroneckerOperator.apply
 
-        def counted(op, V):
+        def counted(op, V, out=None):
             calls.append(1)
-            return apply(op, V)
+            return apply(op, V, out=out)
 
         monkeypatch.setattr(galerkin.KroneckerOperator, "apply", counted)
         return calls
@@ -284,3 +284,61 @@ class TestCarriedProduct:
         res = run_subspace_iteration(sys, q=2, tol=1e-9, kmax=25)
         assert len(res.history) > 2
         assert len(apply_calls) == res.history.cg_iterations.sum()
+
+
+class TestProjectedStarts:
+    """Each solve starts from the energy-optimal combination of the last
+    sweeps' solves, formed from carried products alone."""
+
+    @pytest.fixture
+    def product_errors(self, monkeypatch):
+        """Relative gap between carried and fresh products, of every
+        projected start and every returned solution."""
+        errors, solving = [], []
+        project, solve = galerkin._project_start, subspace_iteration.pcg_solve
+
+        def gap(op, X, carried):
+            fresh = op.apply(X)
+            return float(np.linalg.norm(carried - fresh)
+                         / np.linalg.norm(fresh))
+
+        def projected(window, B, X, R, work):
+            project(window, B, X, R, work)
+            errors.append(gap(solving[-1], X, B - R))
+
+        def solved(op, rhs, **kw):
+            solving.append(op)
+            X, info = solve(op, rhs, **kw)
+            errors.append(gap(op, X, info.product))
+            return X, info
+
+        monkeypatch.setattr(galerkin, "_project_start", projected)
+        monkeypatch.setattr(subspace_iteration, "pcg_solve", solved)
+        return errors
+
+    def test_carried_products_match_fresh_ones(self, product_errors):
+        # the longest runs: 21 sweeps at N = 9025, and 14 sweeps of three
+        # vectors; a window holds the other vectors' last solves and the
+        # increments, so the first projected start comes in the third sweep
+        # at Q = 1 and in the second at Q = 3
+        sys = build_system(n=48, order=2, size=31)
+        res = run_inverse_iteration(sys, tol=1e-10, kmax=40)
+        assert len(product_errors) == 2 * len(res.history) - 2
+        # the plain warm start took 42 CG iterations here
+        assert res.history.cg_iterations.sum() <= 25
+        sys = build_system(n=16, order=1, size=120)
+        run_subspace_iteration(sys, q=3, sum_trick=True, tol=0.0, kmax=14)
+        assert len(product_errors) == 2 * len(res.history) - 2 + 2 * 42 - 3
+        assert max(product_errors) <= 1e-14
+
+    def test_window_cuts_cg_iterations(self, monkeypatch):
+        sys = build_system(n=8, order=2, size=31)
+        projected = run_inverse_iteration(sys, tol=1e-10, kmax=40)
+        solve = subspace_iteration.pcg_solve
+        monkeypatch.setattr(subspace_iteration, "pcg_solve",
+                            lambda *a, window=(), **kw: solve(*a, **kw))
+        plain = run_inverse_iteration(sys, tol=1e-10, kmax=40)
+        assert len(projected.history) == len(plain.history)
+        assert projected.history.cg_iterations.sum() <= \
+            0.6 * plain.history.cg_iterations.sum()
+        np.testing.assert_allclose(projected.U, plain.U, rtol=0, atol=1e-11)
