@@ -24,6 +24,11 @@ plus the span of a window of earlier solutions and increments, from their
 carried operator products alone.  Such a start lands just under the CG
 target, where a plain warm start overshot it, so the sweep's tolerance
 factor in `subspace_iteration` is 1e-3, not 1e-2.
+
+`newton_normalize` likewise takes a start carried from the previous
+sweep: that sweep's root and the `DeltaFactor.inverse` of its Galerkin
+multiplication operator, on which it takes chord steps, a P x P matvec
+each, before any Newton step with its P x P LU solve.
 """
 
 from __future__ import annotations
@@ -331,7 +336,10 @@ class DeltaFactor:
     extraction solve, each by one matmul.  The inverse also gives the exact
     1-norm reciprocal condition number, which guards against s(y) losing
     positivity, as that shows up here as near-singularity: an rcond below
-    `_RCOND_FLOOR` raises NearSingularError.
+    `_RCOND_FLOOR` raises NearSingularError.  The sweep carries (s,
+    `inverse`) into the next sweep's normalization of the same column,
+    whose chord steps use the inverse in place of a fresh LU solve per
+    Newton step (see `newton_normalize`).
 
     numpy.linalg runs on the same BLAS as the matmuls of the sweep; scipy's
     wheel bundles a second one, whose thread pool would compete with
@@ -352,12 +360,13 @@ class DeltaFactor:
                 f"Galerkin multiplication operator has rcond {self.rcond:.3e}"
                 "; the scalar expansion is near losing positivity")
 
-    def solve(self, rhs):
-        """Solve against a (P,) vector or (P, N) block."""
-        return self.inverse @ np.asarray(rhs, dtype=float)
+    def solve(self, rhs, out=None):
+        """Solve against a (P,) vector or (P, N) block, written into `out`
+        when given."""
+        return np.matmul(self.inverse, np.asarray(rhs, dtype=float), out=out)
 
 
-def newton_normalize(tt: TripleProductTensor, b):
+def newton_normalize(tt: TripleProductTensor, b, start=None):
     """Chaos coefficients s of the pointwise norm of an expansion block V,
     given its Gram vector b = `tt.contract_gram`(V V^T) for V in the mean
     eigenbasis, where V V^T is the mass Gram matrix of its chaos rows.
@@ -369,20 +378,45 @@ def newton_normalize(tt: TripleProductTensor, b):
     decreases (at most `_NEWTON_MAX_HALVINGS` times), and the iteration
     stops at residual `_NEWTON_TOL` ||V||^2 within `_NEWTON_MAXITER` steps.
 
+    `start` = (s0, inverse) carries the root s0 of a nearby block, such as
+    the same column's in the previous sweep, and the `DeltaFactor.inverse`
+    of its multiplication operator.  The iteration then starts from c s0,
+    with c = sqrt(b_0 / sum(s0^2)) since every root has sum(s^2) = b_0, and
+    takes chord steps s -= (inverse / c) F(s) / 2: simplified Newton on the
+    Jacobian at the start, one P x P matvec each and no factorization
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995).
+    They converge linearly, at a rate set by how far the root lies from
+    s0, and continue while each at least halves the residual; damped
+    Newton takes over from there.  Chord and Newton steps share the budget.
+
     Returns (s, residual_history); the history starts with the residual at
-    the initial guess.
+    the initial guess and has one entry per chord or Newton step.
     """
     scale = b[0]  # = ||V||^2 since the zero-index slice is the identity
     if scale <= 0.0:
         raise ValueError("cannot normalize a zero block")
-    s = np.zeros(tt.size)
-    s[0] = np.sqrt(scale)
+    if start is None:
+        s = np.zeros(tt.size)
+        s[0] = np.sqrt(scale)
+    else:
+        s0, inverse = start
+        c = np.sqrt(scale / np.dot(s0, s0))
+        s = c * s0
     F = tt.congruence(s, s) - b
     res = float(np.linalg.norm(F))
     history = [res]
     for _ in range(_NEWTON_MAXITER):
         if res <= _NEWTON_TOL * scale:
             return s, np.asarray(history)
+        if start is not None:
+            s_new = s - (0.5 / c) * (inverse @ F)
+            F_new = tt.congruence(s_new, s_new) - b
+            res_new = float(np.linalg.norm(F_new))
+            if res_new <= 0.5 * res:
+                s, F, res = s_new, F_new, res_new
+                history.append(res)
+                continue
+            start = None
         J = 2.0 * tt.multiply_matrix(s)
         try:
             step = np.linalg.solve(J, -F)

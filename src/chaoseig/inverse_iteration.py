@@ -6,7 +6,11 @@ One sweep maps the current normalized eigenvector expansion U through
          started from the energy-optimal combination of the previous
          sweep's V and the increments between the last sweeps' solves,
          whose operator products those solves formed,
-    (2)  find the chaos coefficients s of the pointwise norm of V,
+    (2)  find the chaos coefficients s of the pointwise norm of V, by
+         chord steps from the previous sweep's s on the inverse of its
+         Galerkin multiplication operator, falling back to damped Newton
+         where they stop halving the residual (cold Newton in the first
+         sweep),
     (3)  divide V by s in the Galerkin sense,
 
 all blockwise on (P, N) coefficient arrays.  This is the block sweep of
@@ -42,6 +46,8 @@ class IterationHistory:
 
     All arrays have one entry per executed sweep; eigenvalue_changes[0]
     is NaN because there is no previous estimate to compare with.
+    `newton_iterations` counts chord and Newton steps together, and so
+    does the column of that name in the iteration study's CSV.
     """
 
     increments: np.ndarray

@@ -21,6 +21,18 @@ All of them carry their operator products, so the start costs a small
 Gram system and no operator product, and it often meets the CG tolerance
 outright.
 
+The normalizations converge with the sweeps as well.  Each (pass,
+column) slot of a sweep hands its norm expansion s and the inverse of
+its Galerkin multiplication operator, which the division needs anyway
+(`DeltaFactor`), to the same slot of the next sweep.  There
+`newton_normalize` starts from s rescaled onto the new block's norm and
+takes chord steps on that inverse: a matvec each where a Newton step
+solves a P x P system, and late sweeps need none or one.  Where the
+chord steps stop halving the residual, damped Newton takes over; a
+slot the previous sweep did not have (the first sweep, or an extra pass
+it did not make) starts cold at ||V|| e_0.  The Newton iterations the
+history records count chord and Newton steps together.
+
 Blocks are held in the mean eigenbasis (see `galerkin`), where the mass
 is the identity: the right-hand side of a solve is the basis vector
 itself, tensor norms are Frobenius norms and Gram matrices plain
@@ -73,7 +85,9 @@ class SubspaceBreakdownError(RuntimeError):
 
 @dataclass
 class SubspaceHistory:
-    """Per-sweep diagnostics: increments are tensor norms per vector."""
+    """Per-sweep diagnostics: increments are tensor norms per vector;
+    `newton_iterations` counts the chord and Newton steps of all the
+    sweep's normalizations together."""
 
     increments: np.ndarray
     max_increments: np.ndarray
@@ -124,49 +138,61 @@ def _defect(tt, B):
     return worst
 
 
-def _orthonormalize(tt, columns):
+def _orthonormalize(tt, columns, starts=()):
     """One Galerkin Gram-Schmidt pass over columns, normalizing each.
 
-    Returns the (P, N, Q) basis, the Newton iterations of the pass and the
-    expansion of 1/s for the first column's norm expansion s.
+    `starts` is empty or holds one (s, inverse) pair per column, as this
+    pass returned them in the previous sweep: the column's normalization
+    then starts from it (see `newton_normalize`).  Returns the (P, N, Q)
+    basis, each of whose columns is contiguous, the Newton iterations of
+    the pass, the expansion of 1/s for the first column's norm expansion
+    s, and the pass's own (s, inverse) pairs.
     """
-    done = []
+    P, N = columns[0].shape
+    out = np.empty((len(columns), P, N)).transpose(1, 2, 0)
+    pairs = []
     newton_steps = 0
-    for W in columns:
-        for U_i in done:
-            coeff = tt.contract_gram(W @ U_i.T)
-            W = W - tt.multiply_matrix(coeff) @ U_i
+    for L, W in enumerate(columns):
+        for i in range(L):
+            coeff = tt.contract_gram(W @ out[:, :, i].T)
+            W = W - tt.multiply_matrix(coeff) @ out[:, :, i]
         norm = np.linalg.norm(W)
         if norm <= _BREAKDOWN_TOL:
             raise SubspaceBreakdownError(
                 f"basis vector collapsed to tensor norm {norm:.3e} during "
-                f"orthogonalization against {len(done)} previous vectors")
-        s, nhist = newton_normalize(tt, tt.contract_gram(W @ W.T))
+                f"orthogonalization against {L} previous vectors")
+        s, nhist = newton_normalize(tt, tt.contract_gram(W @ W.T),
+                                    starts[L] if starts else None)
         factor = DeltaFactor(tt, s)
-        if not done:
+        if L == 0:
             inv_s = factor.solve(np.eye(1, tt.size)[0])
-        done.append(factor.solve(W))
+        factor.solve(W, out=out[:, :, L])
+        pairs.append((s, factor.inverse))
         newton_steps += len(nhist) - 1
-    return np.stack(done, axis=2), newton_steps, inv_s
+    return out, newton_steps, inv_s, pairs
 
 
 def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
-                          warm_starts=None, sum_trick=False):
+                          warm_starts=None, sum_trick=False,
+                          normalizers=None):
     """One block sweep: per-vector solves, then orthonormalization.
 
     B is a (P, N, Q) stack in the mean eigenbasis, and so are B_next and
     the solves.  Returns (B_next, solves, cg_iteration_counts,
-    extra_passes, newton_iterations, inv_s, defect).  `solves` holds one
-    pair (V, K V) per vector: the raw CG solution and the operator's
-    product with it (`PcgInfo.product`).  `warm_starts` holds such pairs,
-    one per vector, optionally followed by more (D, K D) pairs: the solve
-    of vector L starts from its pair, moved to the energy-optimal point of
-    that pair plus the span of all the others (`pcg_solve`'s `window`), at
-    no operator product.
+    extra_passes, newton_iterations, inv_s, defect, normalizers).
+    `solves` holds one pair (V, K V) per vector: the raw CG solution and
+    the operator's product with it (`PcgInfo.product`).  `warm_starts`
+    holds such pairs, one per vector, optionally followed by more (D, K D)
+    pairs: the solve of vector L starts from its pair, moved to the
+    energy-optimal point of that pair plus the span of all the others
+    (`pcg_solve`'s `window`), at no operator product.
     `inv_s` is the Galerkin division of the constant one by the first
     column's norm expansion s in the last pass (at Q = 1, mu = shift + 1/s
     is the eigenvalue expansion), and `defect` is the orthogonality defect
-    of B_next.
+    of B_next.  `normalizers` holds, per orthonormalization pass, the
+    (s, `DeltaFactor.inverse`) pair of each column's normalization; given
+    back to the next sweep, each pass that sweep shares with this one
+    starts its normalizations from them (see `_orthonormalize`).
     """
     q = B.shape[2]
     op = system.operator(shift)
@@ -192,17 +218,22 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
         # pooling the solves makes the leading vector a cluster average,
         # which varies smoothly across eigenvalue crossings
         work[0] = np.sum(work, axis=0)
-    B_next, newton_steps, inv_s = _orthonormalize(tt, work)
+    carried = normalizers or ()
+    B_next, newton_steps, inv_s, pairs = _orthonormalize(
+        tt, work, carried[0] if carried else ())
+    passes = [pairs]
     extra = 0
     defect = _defect(tt, B_next)
     while extra < _MAX_REORTH and defect > _REORTH_THRESHOLD:
-        B_next, steps, inv_s = _orthonormalize(
-            tt, [B_next[:, :, L] for L in range(q)])
-        newton_steps += steps
         extra += 1
+        B_next, steps, inv_s, pairs = _orthonormalize(
+            tt, [B_next[:, :, L] for L in range(q)],
+            carried[extra] if extra < len(carried) else ())
+        passes.append(pairs)
+        newton_steps += steps
         defect = _defect(tt, B_next)
     return (B_next, solves, np.asarray(cg_counts, dtype=int), extra,
-            newton_steps, inv_s, defect)
+            newton_steps, inv_s, defect, passes)
 
 
 def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
@@ -216,7 +247,8 @@ def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
     lands just under its target, where the plain warm start's two CG steps
     overshot it about eightfold, so the factor is 1e-3 where that start
     used 1e-2: the solves end up at least as accurate, save those whose
-    target is the floor.
+    target is the floor.  Each normalization starts from the same slot's
+    root and factor in the previous sweep.
 
     Returns (B, converged, snapshots, records): the last basis; the
     snapshots, the first being the start as given; and one array per
@@ -229,13 +261,15 @@ def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
     snapshots = [B.copy()] if store else None
     rows = []
     warm, deltas = [], []
+    normalizers = None
     prev_inc = 1.0
     converged = False
     for _ in range(kmax):
         cg_tol = max(_CG_TOL_FLOOR, _CG_TOL_FACTOR * prev_inc)
-        B_next, solves, counts, extra, newton_steps, inv_s, defect = \
-            subspace_iterate_once(system, B, shift, cg_tol,
-                                  [*warm, *deltas] or None, sum_trick)
+        (B_next, solves, counts, extra, newton_steps, inv_s, defect,
+         normalizers) = subspace_iterate_once(
+            system, B, shift, cg_tol, [*warm, *deltas] or None, sum_trick,
+            normalizers)
         # the last sweep's pairs turn into the newest increments in place,
         # as nothing else holds them; the oldest increments drop out
         deltas = [*(tuple(np.subtract(new, old, out=old)

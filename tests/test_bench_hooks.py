@@ -1,11 +1,13 @@
 """The benchmark's trace hooks read the result shapes the solvers return.
 
 `bench/workloads.py` counts work off the results of traced calls: the CG
-iterations as `pcg_solve(...)[1].iterations` and the extra
-orthonormalization passes as `subspace_iterate_once(...)[3]`.  The
-benchmark stays fixed while the package changes, so these tests run its
-hooks on real results: a change to either shape fails here instead of
-breaking `bench/run.py --trace 1`.
+iterations as `pcg_solve(...)[1].iterations`, the Newton steps as
+`len(newton_normalize(...)[1]) - 1`, the smallest division rcond as the
+`rcond` of each `DeltaFactor` built, and the extra orthonormalization
+passes as `subspace_iterate_once(...)[3]`.  The benchmark stays fixed
+while the package changes, so these tests run its hooks on real results:
+a change to any of these shapes fails here instead of breaking
+`bench/run.py --trace 1`.
 """
 
 import importlib.util
@@ -14,7 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from chaoseig.galerkin import build_system, pcg_solve
+from chaoseig import subspace_iteration
+from chaoseig.galerkin import (
+    DeltaFactor,
+    build_system,
+    newton_normalize,
+    pcg_solve,
+)
 from chaoseig.subspace_iteration import (
     initial_basis,
     run_subspace_iteration,
@@ -39,13 +47,17 @@ def hooks():
 
 
 class Tracer:
-    """The part of the benchmark's tracer that the two hooks use."""
+    """The part of the benchmark's tracer that the hooks use."""
 
     def __init__(self):
         self.counters = {}
 
     def count(self, counter, value):
         self.counters[counter] = self.counters.get(counter, 0) + value
+
+    def minimum(self, counter, value):
+        self.counters[counter] = min(self.counters.get(counter, value),
+                                     value)
 
 
 def test_pcg_hook_reads_the_iteration_count(hooks):
@@ -60,12 +72,41 @@ def test_pcg_hook_reads_the_iteration_count(hooks):
     assert tracer.counters == {"galerkin.pcg_iterations": info.iterations}
 
 
+def test_newton_and_division_hooks_read_steps_and_rcond(hooks):
+    # a cold normalization, then one started from its root and factor,
+    # as the next sweep's normalization of the same column is
+    system = build_system(n=4, order=1, size=12)
+    tt = system.tt
+    V = initial_basis(system, 1)[:, :, 0]
+    V[1:4] = 0.05
+    tracer = Tracer()
+    cold = newton_normalize(tt, tt.contract_gram(V @ V.T))
+    hooks["galerkin.newton_normalize"](tracer, (tt, None), cold)
+    factor = DeltaFactor(tt, cold[0])
+    hooks["galerkin.DeltaFactor.__init__"](tracer, (factor, tt, cold[0]),
+                                           None)
+    V[1:4] = 0.0501
+    carried = newton_normalize(tt, tt.contract_gram(V @ V.T),
+                               start=(cold[0], factor.inverse))
+    hooks["galerkin.newton_normalize"](tracer, (tt, None), carried)
+    other = DeltaFactor(tt, carried[0])
+    hooks["galerkin.DeltaFactor.__init__"](tracer, (other, tt, carried[0]),
+                                           None)
+    steps = (len(cold[1]) - 1, len(carried[1]) - 1)
+    assert steps[0] > steps[1] > 0
+    assert tracer.counters == {
+        "galerkin.newton_iterations": sum(steps),
+        "galerkin.division_rcond_min": min(factor.rcond, other.rcond)}
+    assert 0.0 < tracer.counters["galerkin.division_rcond_min"] <= 1.0
+
+
 def test_sweep_hook_reads_the_extra_passes(hooks):
     # the first sweep of a run, whose history records its extra passes;
-    # that sweep's CG tolerance is 1e-2 (`_CG_TOL_FACTOR` times 1)
+    # that sweep's CG tolerance is `_CG_TOL_FACTOR` times 1
     system = build_system(n=4, order=1, size=12)
     B = initial_basis(system, 2)
-    result = subspace_iterate_once(system, B, 0.0, 1e-2)
+    result = subspace_iterate_once(system, B, 0.0,
+                                   subspace_iteration._CG_TOL_FACTOR)
     run = run_subspace_iteration(system, q=2, kmax=1)
     assert result[3] == run.history.extra_orthogonalizations[0]
     tracer = Tracer()

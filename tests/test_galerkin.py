@@ -712,6 +712,103 @@ class TestNewtonNormalize:
             newton_normalize(sys.tt, gram_vector(sys, V))
 
 
+def carried(sys, V):
+    """The (s, inverse) pair that normalizing V leaves for the next."""
+    s, _ = newton_normalize(sys.tt, gram_vector(sys, V))
+    return s, DeltaFactor(sys.tt, s).inverse
+
+
+def far_from_its_start(sys, rng):
+    """A block V and the pair its mean row alone leaves: V has a mean row u
+    plus u / 2 on the row linear in y_1, so v(y) = u (1 + sqrt(3) y_1 / 2)
+    nearly vanishes at y_1 = -1 and its norm expansion is far from the
+    mean-only one."""
+    V = np.zeros((sys.P, sys.N))
+    V[0] = rng.standard_normal(sys.N)
+    mean_only = V.copy()
+    V[sys.aset.position(((1, 1),))] = 0.5 * V[0]
+    return V, carried(sys, mean_only)
+
+
+class TestCarriedNewtonStart:
+    """A start carried from a nearby root: chord steps on its factor, and
+    damped Newton where they stop halving the residual."""
+
+    @pytest.fixture
+    def lu_calls(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return calls
+
+    def test_reaches_the_cold_root_by_chord_steps(self, lu_calls):
+        # the next sweep's block differs from this one by an increment
+        sys = small_system(size=12)
+        rng = np.random.default_rng(78)
+        V = random_block(sys, rng, scale_by_weight=True)
+        start = carried(sys, V)
+        V += 1e-3 * random_block(sys, rng, scale_by_weight=True)
+        cold, cold_hist = newton_normalize(sys.tt, gram_vector(sys, V))
+        del lu_calls[:]
+        s, hist = newton_normalize(sys.tt, gram_vector(sys, V), start=start)
+        np.testing.assert_allclose(s, cold, rtol=1e-12,
+                                   atol=1e-12 * np.linalg.norm(cold))
+        assert not lu_calls
+        assert 1 <= len(hist) - 1 < len(cold_hist) - 1
+        assert np.all(hist[1:] <= 0.5 * hist[:-1])
+        assert hist[-1] <= 1e-12 * tensor_norm(V, sys.fem_op) ** 2
+
+    def test_rescaled_block_starts_at_its_root(self):
+        # every root has sum(s^2) = b_0, so the start rescales s0 onto it
+        sys = small_system(size=12)
+        V = random_block(sys, np.random.default_rng(79),
+                         scale_by_weight=True)
+        start = carried(sys, V)
+        s, hist = newton_normalize(sys.tt, gram_vector(sys, 3.0 * V),
+                                   start=start)
+        np.testing.assert_allclose(s, 3.0 * start[0], rtol=0,
+                                   atol=1e-12 * np.linalg.norm(s))
+        assert len(hist) == 1
+
+    def test_distant_factor_falls_back_to_newton(self, lu_calls):
+        sys = small_system(size=12)
+        V, start = far_from_its_start(sys, np.random.default_rng(80))
+        cold, _ = newton_normalize(sys.tt, gram_vector(sys, V))
+        del lu_calls[:]
+        s, hist = newton_normalize(sys.tt, gram_vector(sys, V), start=start)
+        assert lu_calls
+        np.testing.assert_allclose(s, cold, rtol=1e-12,
+                                   atol=1e-12 * np.linalg.norm(cold))
+        assert hist[-1] <= 1e-12 * tensor_norm(V, sys.fem_op) ** 2
+
+    def test_stalls_without_halvings(self, monkeypatch):
+        monkeypatch.setattr(galerkin, "_NEWTON_MAX_HALVINGS", 0)
+        sys = small_system(size=12)
+        V, start = far_from_its_start(sys, np.random.default_rng(81))
+        with pytest.raises(NearSingularError,
+                           match=r"Newton stalled: no decrease from residual "
+                                 r"\d\.\d{3}e[+-]\d+ after 0 halvings"):
+            newton_normalize(sys.tt, gram_vector(sys, V), start=start)
+
+    def test_iteration_budget_exhausted(self, monkeypatch):
+        sys = small_system(size=12)
+        rng = np.random.default_rng(82)
+        V = random_block(sys, rng, scale_by_weight=True)
+        start = carried(sys, V)
+        V += 1e-3 * random_block(sys, rng, scale_by_weight=True)
+        monkeypatch.setattr(galerkin, "_NEWTON_MAXITER", 1)
+        monkeypatch.setattr(galerkin, "_NEWTON_TOL", 0.0)
+        with pytest.raises(NearSingularError,
+                           match=r"did not reach tolerance 0\.0e\+00 in 1 "
+                                 r"iterations \(last residual \d\.\d{3}e"):
+            newton_normalize(sys.tt, gram_vector(sys, V), start=start)
+
+
 class TestBuildSystem:
     def test_shapes_are_consistent(self):
         sys = build_system(n=3, order=2, size=12)

@@ -286,6 +286,44 @@ class TestCarriedProduct:
         assert len(apply_calls) == res.history.cg_iterations.sum()
 
 
+class TestCarriedNormalization:
+    """Each pass of a sweep starts its columns' Newton normalizations from
+    the roots and factors the same pass left in the previous sweep."""
+
+    def test_carried_sweep_matches_the_cold_sweep(self):
+        sys = build_system(n=4, order=1, size=12)
+        B = initial_basis(sys, 2)
+        normalizers = None
+        for _ in range(3):
+            cold = subspace_iteration.subspace_iterate_once(sys, B, 0.0, 1e-8)
+            warm = subspace_iteration.subspace_iterate_once(
+                sys, B, 0.0, 1e-8, normalizers=normalizers)
+            np.testing.assert_allclose(warm[0], cold[0], rtol=0,
+                                       atol=1e-12 * np.linalg.norm(cold[0]))
+            assert warm[3] == cold[3]
+            assert len(warm[7]) == warm[3] + 1
+            B, normalizers = warm[0], warm[7]
+        # the third sweep normalized from the second sweep's roots
+        assert warm[4] < cold[4]
+
+    def test_lu_solves_only_in_the_first_sweep(self, monkeypatch):
+        # chord steps on the carried factors take no LU solve; every one
+        # of this converged run's is a Newton step of its first sweep
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        sys = build_system(n=3, order=2, size=8)
+        res = run_inverse_iteration(sys, tol=1e-10, kmax=40)
+        assert res.converged and len(res.history) == 20
+        assert len(calls) == res.history.newton_iterations[0] == 4
+        assert res.history.newton_iterations.sum() == 22
+
+
 class TestProjectedStarts:
     """Each solve starts from the energy-optimal combination of the last
     sweeps' solves, formed from carried products alone."""
