@@ -24,11 +24,12 @@ vals, _ = sys_.fem_op.mean_eigenpairs(2)
 rho = vals[0] / vals[1]
 print(f"mean-problem gap ratio (predicted contraction): {rho:.5f}")
 print(" k   increment     ratio     cg its")
-inc = res.history.increments
+# one column per basis vector; inverse iteration has one
+inc = res.history.increments[:, 0]
 for k in range(len(inc)):
     ratio = inc[k] / inc[k - 1] if k else np.nan
     print(f"{k + 1:2d}   {inc[k]:.3e}   {ratio:7.4f}   "
-          f"{res.history.cg_iterations[k]:3d}")
+          f"{res.history.cg_iterations[k, 0]:3d}")
 print()
 
 print(f"eigenvalue mean     = {res.eigenvalue_mean:.10f}")

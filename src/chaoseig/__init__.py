@@ -13,7 +13,7 @@ multiindex          anisotropic sparse multi-index sets
 legendre            normalized Legendre basis and moment tensors
 fem                 uniform-grid FEM on the unit square, in 1D factors
 galerkin            Kronecker-structured solver kernels
-inverse_iteration   spectral inverse iteration for the smallest eigenpair
+inverse_iteration   smallest eigenpair: the Q = 1 view of subspace_iteration
 subspace_iteration  spectral subspace iteration for invariant subspaces
 validation          pointwise oracles, statistics, and error metrics
 experiments         reproducible study runner behind the CLI

@@ -221,7 +221,7 @@ def _stop(res):
     """How an inverse-iteration solve stopped: whether it met the stop
     tolerance, and its last increment."""
     return {"converged": bool(res.converged),
-            "final_increment": float(res.history.increments[-1])}
+            "final_increment": float(res.history.max_increments[-1])}
 
 
 def _aligned_field_error(U, U_ref):
@@ -336,16 +336,18 @@ def _run_stochastic(cfg):
 def _run_iteration(cfg):
     sys_ = _build(cfg)
     target = _solve(cfg, sys_, tol=1e-13, kmax=cfg.kmax_reference)
-    res = _solve(cfg, sys_, store_iterates=True)
+    res = _solve(cfg, sys_, store_snapshots=True)
     h = res.history
+    changes = np.append(np.nan, np.abs(np.diff(h.eigenvalue_means)))
     rows = [{
-        "k": k + 1, "increment": h.increments[k],
+        "k": k + 1, "increment": h.increments[k, 0],
         "eigenvalue_mean": h.eigenvalue_means[k],
-        "eigenvalue_change": h.eigenvalue_changes[k],
+        "eigenvalue_change": changes[k],
         "eigenvalue_error": abs(h.eigenvalue_means[k]
                                 - target.eigenvalue_mean),
-        "field_error": _aligned_field_error(res.iterates[k + 1], target.U),
-        "cg_iterations": int(h.cg_iterations[k]),
+        "field_error": _aligned_field_error(res.snapshots[k + 1][:, :, 0],
+                                            target.U),
+        "cg_iterations": int(h.cg_iterations[k, 0]),
         "cg_tolerance": h.cg_tolerances[k],
         "newton_iterations": int(h.newton_iterations[k])}
         for k in range(len(h))]

@@ -10,7 +10,8 @@ divided by the expansion of its pointwise norm.  Pointwise products of
 truncated expansions fall outside the chaos space, so one pass leaves an
 orthogonality defect at truncation level; the sweep refines with up to
 `_MAX_REORTH` extra passes while the defect exceeds `_REORTH_THRESHOLD`.
-`inverse_iteration` runs this sweep and its loop at Q = 1.
+At Q = 1 this is spectral inverse iteration, and `inverse_iteration` is
+that view of `run_subspace_iteration`.
 
 The right-hand sides of consecutive sweeps converge geometrically, so the
 last few solves predict the next one.  Each solve starts from the point
@@ -38,15 +39,19 @@ is the identity: the right-hand side of a solve is the basis vector
 itself, tensor norms are Frobenius norms and Gram matrices plain
 products.
 
-Per-vector eigenvalue expansions are deliberately not produced here: when
-eigenvalues cross inside the tracked cluster, individual pairs are not
-smooth functions of the parameter and only the subspace itself is a
-meaningful object.
+At Q = 1 the reciprocal of s also carries the eigenvalue: with a shift
+below the target eigenvalue, mu(y) = shift + 1/s(y), so one Galerkin
+division of the constant one by s yields the eigenvalue expansion of the
+sweep, the only one a run computes.  At Q > 1 per-vector eigenvalue
+expansions are deliberately not produced: when eigenvalues cross inside
+the tracked cluster, individual pairs are not smooth functions of the
+parameter and only the subspace itself is a meaningful object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +71,7 @@ __all__ = [
     "run_subspace_iteration",
 ]
 
-# fixed numerics of the sweep; the CG tolerance schedule is in `_iterate`
+# fixed numerics of the sweep; the driver holds the CG tolerance schedule
 _CG_TOL_FLOOR = 1e-12
 _CG_TOL_FACTOR = 1e-3
 _CG_MAXITER = 500
@@ -85,32 +90,58 @@ class SubspaceBreakdownError(RuntimeError):
 
 @dataclass
 class SubspaceHistory:
-    """Per-sweep diagnostics: increments are tensor norms per vector;
-    `newton_iterations` counts the chord and Newton steps of all the
-    sweep's normalizations together."""
+    """Per-sweep diagnostics, one row per executed sweep.
+
+    `increments` (tensor norms) and `cg_iterations` are (K, Q), one column
+    per basis vector; `newton_iterations` counts the chord and Newton
+    steps of all the sweep's normalizations together.  `eigenvalue_means`
+    (the mean of each sweep's mu) is None at Q > 1.
+    """
 
     increments: np.ndarray
-    max_increments: np.ndarray
-    orthogonality_defects: np.ndarray
-    extra_orthogonalizations: np.ndarray
     cg_iterations: np.ndarray
     cg_tolerances: np.ndarray
     newton_iterations: np.ndarray
+    extra_orthogonalizations: np.ndarray
+    orthogonality_defects: np.ndarray
+    eigenvalue_means: np.ndarray = None
+
+    @property
+    def max_increments(self):
+        return self.increments.max(axis=1)
 
     def __len__(self):
-        return len(self.max_increments)
+        return len(self.increments)
 
 
 @dataclass
 class SubspaceResult:
     """Iterated basis of an invariant subspace: `basis` and the snapshots
-    are (P, N, Q) stacks in the mean eigenbasis."""
+    are (P, N, Q) stacks in the mean eigenbasis, and `U` is the first
+    column.  `eigenvalue` is the last sweep's mu = shift + 1/s at Q = 1;
+    at Q > 1 it and its statistics are None.
+    """
 
     system: GalerkinSystem
     basis: np.ndarray
     converged: bool
     history: SubspaceHistory
     snapshots: list = field(default=None, repr=False)
+    eigenvalue: np.ndarray = None
+
+    @cached_property
+    def U(self):
+        return self.basis[:, :, 0]
+
+    @property
+    def eigenvalue_mean(self):
+        mu = self.eigenvalue
+        return None if mu is None else float(mu[0])
+
+    @property
+    def eigenvalue_variance(self):
+        mu = self.eigenvalue
+        return None if mu is None else float(np.sum(mu[1:] ** 2))
 
 
 def initial_basis(system: GalerkinSystem, q):
@@ -236,9 +267,16 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
             newton_steps, inv_s, defect, passes)
 
 
-def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
-    """Sweep the start basis B until its largest vector increment is below
-    tol.
+def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
+                           shift=0.0, sum_trick=False, initial=None,
+                           store_snapshots=False):
+    """Sweep a Q-vector basis until its largest increment is below tol.
+
+    The start (`initial`, by default `initial_basis`), the basis and the
+    snapshots are (P, N, Q) stacks in the mean eigenbasis; snapshot k is
+    the basis after k sweeps.  The sign of each vector follows the start:
+    the sweep is odd, so a negated start gives the negated basis, bit for
+    bit, with the same eigenvalue and history.
 
     The CG tolerance is a fraction `_CG_TOL_FACTOR` of the previous sweep's
     largest increment, floored at `_CG_TOL_FLOOR`.  Each solve starts from
@@ -249,21 +287,21 @@ def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
     used 1e-2: the solves end up at least as accurate, save those whose
     target is the floor.  Each normalization starts from the same slot's
     root and factor in the previous sweep.
-
-    Returns (B, converged, snapshots, records): the last basis; the
-    snapshots, the first being the start as given; and one array per
-    record, one row per sweep, of the increments and CG iterations per
-    vector, the CG tolerance, the Newton iterations, the extra passes, the
-    orthogonality defect and the first vector's 1/s.
     """
+    if q < 1:
+        raise ValueError("need at least one basis vector")
     if kmax < 1:
         raise ValueError("kmax must be positive")
-    snapshots = [B.copy()] if store else None
+    B = (initial_basis(system, q) if initial is None else
+         np.array(initial, dtype=float))
+    if B.shape != (system.P, system.N, q):
+        raise ValueError(f"basis shape {B.shape}, expected "
+                         f"{(system.P, system.N, q)}")
+    snapshots = [B.copy()] if store_snapshots else None
     rows = []
     warm, deltas = [], []
     normalizers = None
     prev_inc = 1.0
-    converged = False
     for _ in range(kmax):
         cg_tol = max(_CG_TOL_FLOOR, _CG_TOL_FACTOR * prev_inc)
         (B_next, solves, counts, extra, newton_steps, inv_s, defect,
@@ -275,47 +313,25 @@ def _iterate(system, B, tol, kmax, store, shift, sum_trick=False):
         deltas = [*(tuple(np.subtract(new, old, out=old)
                           for new, old in zip(pair, prev))
                     for pair, prev in zip(solves, warm)),
-                  *deltas][:(_WINDOW - 1) * B.shape[2]]
+                  *deltas][:(_WINDOW - 1) * q]
         warm = solves
-        inc = np.linalg.norm(B_next - B, axis=(0, 1))
+        # so does the old basis: the snapshots are copies, and the start is
+        # this function's own array
+        inc = np.linalg.norm(np.subtract(B, B_next, out=B), axis=(0, 1))
+        inv_s[0] += shift
+        # one entry per field of SubspaceHistory, in its order
         rows.append((inc, counts, cg_tol, newton_steps, extra, defect,
-                     inv_s))
+                     inv_s[0]))
         B = B_next
-        if store:
+        if store_snapshots:
             snapshots.append(B.copy())
         prev_inc = float(inc.max())
-        if prev_inc < tol:
-            converged = True
+        converged = prev_inc < tol
+        if converged:
             break
-    return B, converged, snapshots, [np.asarray(r) for r in zip(*rows)]
-
-
-def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
-                           shift=0.0, sum_trick=False, initial=None,
-                           store_snapshots=False):
-    """Iterate a Q-vector basis until the largest vector increment is small.
-
-    Inverse iteration runs the same sweep and loop at Q = 1, so both share
-    the projected CG starts, the CG-tolerance schedule (`_CG_TOL_FACTOR`,
-    `_CG_TOL_FLOOR`; see `_iterate`) and the stop test.  The start
-    (`initial`, by default `initial_basis`), the basis and the snapshots
-    are (P, N, Q) stacks in the mean eigenbasis.  Snapshots (when
-    requested) include the initial basis, so entry k is the basis after k
-    sweeps.
-    """
-    if q < 1:
-        raise ValueError("need at least one basis vector")
-    start = [initial_basis(system, q) if initial is None else
-             np.array(initial, dtype=float)]
-    if start[0].shape != (system.P, system.N, q):
-        raise ValueError(f"basis shape {start[0].shape}, expected "
-                         f"{(system.P, system.N, q)}")
-    # popped into the call, so _iterate frees the start after the first
-    # sweep
-    B, converged, snapshots, (inc, cg_its, cg_tols, newton_its, extras,
-                              defects, _) = \
-        _iterate(system, start.pop(), tol, kmax, store_snapshots, shift,
-                 sum_trick)
-    history = SubspaceHistory(inc, inc.max(axis=1), defects, extras, cg_its,
-                              cg_tols, newton_its)
-    return SubspaceResult(system, B, converged, history, snapshots)
+    *records, means = (np.asarray(r) for r in zip(*rows))
+    if q > 1:
+        # mu = shift + 1/s is an eigenvalue expansion only at Q = 1
+        inv_s = means = None
+    return SubspaceResult(system, B, converged,
+                          SubspaceHistory(*records, means), snapshots, inv_s)

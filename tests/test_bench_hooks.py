@@ -1,15 +1,18 @@
-"""The benchmark's trace hooks read the result shapes the solvers return.
+"""The benchmark reads the result shapes the solvers return.
 
 `bench/workloads.py` counts work off the results of traced calls: the CG
 iterations as `pcg_solve(...)[1].iterations`, the Newton steps as
 `len(newton_normalize(...)[1]) - 1`, the smallest division rcond as the
 `rcond` of each `DeltaFactor` built, and the extra orthonormalization
-passes as `subspace_iterate_once(...)[3]`.  The benchmark stays fixed
-while the package changes, so these tests run its hooks on real results:
-a change to any of these shapes fails here instead of breaking
-`bench/run.py --trace 1`.
+passes as `subspace_iterate_once(...)[3]`.  It also reads both drivers'
+results: the sweep, CG, Newton and extra-pass counts of their histories,
+`U`, `eigenvalue`, `eigenvalue_mean` and the snapshots.  The benchmark
+stays fixed while the package changes, so these tests run its code on
+real results: a change to any of these names or shapes fails here instead
+of breaking `bench/run.py`.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -23,6 +26,7 @@ from chaoseig.galerkin import (
     newton_normalize,
     pcg_solve,
 )
+from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.subspace_iteration import (
     initial_basis,
     run_subspace_iteration,
@@ -33,7 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
-def hooks():
+def workloads():
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
@@ -43,7 +47,12 @@ def hooks():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.HOOKS
+    return module
+
+
+@pytest.fixture(scope="module")
+def hooks(workloads):
+    return workloads.HOOKS
 
 
 class Tracer:
@@ -113,3 +122,58 @@ def test_sweep_hook_reads_the_extra_passes(hooks):
     hooks["subspace_iteration.subspace_iterate_once"](tracer, (system, B),
                                                       result)
     assert tracer.counters == {"subspace_iteration.extra_passes": result[3]}
+
+
+def test_workloads_read_both_drivers_results(workloads, monkeypatch):
+    # both drivers run under the counting hooks of the calls they make, so
+    # the work counts the workloads read off the histories are checked
+    # against the traced ones
+    tracer = Tracer()
+    for name, module in (("pcg_solve", "galerkin"),
+                         ("newton_normalize", "galerkin"),
+                         ("subspace_iterate_once", "subspace_iteration")):
+        def counted(*args, _call=getattr(subspace_iteration, name),
+                    _hook=workloads.HOOKS[f"{module}.{name}"], **kwargs):
+            result = _call(*args, **kwargs)
+            _hook(tracer, args, result)
+            return result
+
+        monkeypatch.setattr(subspace_iteration, name, counted)
+    system = build_system(n=4, order=1, size=12)
+    inv = run_inverse_iteration(system, tol=1e-10, kmax=40)
+    inverse_counts = dict(tracer.counters)
+    tracer.counters.clear()
+    sub = run_subspace_iteration(system, q=2, tol=0, kmax=4,
+                                 store_snapshots=True)
+    assert workloads._inverse_counts(inv) == {
+        "inverse_iteration.sweeps": len(inv.history.increments),
+        "inverse_iteration.pcg_iterations":
+            inverse_counts["galerkin.pcg_iterations"],
+        "inverse_iteration.newton_iterations":
+            inverse_counts["galerkin.newton_iterations"]}
+    subspace = workloads.WORKLOADS["subspace-validation"]
+    assert subspace.counts((sub, inv)) == {
+        "subspace_iteration.sweeps": 4,
+        "subspace_iteration.pcg_iterations":
+            tracer.counters["galerkin.pcg_iterations"],
+        "subspace_iteration.extra_passes":
+            tracer.counters["subspace_iteration.extra_passes"],
+        **workloads._inverse_counts(inv)}
+
+    assert workloads._eigenvalue_check(inv.eigenvalue_mean)(inv) is None
+    assert "eigenvalue mean" in workloads._eigenvalue_check(
+        1.001 * inv.eigenvalue_mean)(inv)
+    # the validations read U, eigenvalue, eigenvalue_mean and snapshots;
+    # their bounds are the full-size workloads', so only the reads count
+    inverse = workloads.WORKLOADS["fine-mesh"]
+    Y = inverse.inputs(system, seed=1)[:2]
+    ops = workloads.Ops()
+    accuracy = inverse.validate(system, inv, Y, ops)
+    assert ops.attempted == 2
+    assert set(accuracy) == {"surrogate_residual_max",
+                             "eigenvalue_error_max"}
+    ops = workloads.Ops()
+    small = dataclasses.replace(subspace, angle_points=4, mc_samples=20)
+    accuracy = small.validate(system, (sub, inv), 1, ops)
+    assert ops.attempted == 2
+    assert set(accuracy) == {"angle_error_final", "mc_mean_z"}

@@ -147,6 +147,16 @@ class TestIterationStudy:
             assert row["version"] == __version__
         assert float(rows[-1]["increment"]) < float(rows[0]["increment"])
 
+    def test_eigenvalue_changes_follow_the_means(self, tmp_path):
+        # one change per sweep; the first has no previous mean to compare
+        rows = read_rows(run_experiment(tiny_config(
+            "iteration", tmp_path / "it")) / "iteration.csv")
+        assert len(rows) >= 2
+        means = [float(r["eigenvalue_mean"]) for r in rows]
+        changes = [float(r["eigenvalue_change"]) for r in rows]
+        assert np.isnan(changes[0])
+        assert changes[1:] == [abs(b - a) for a, b in zip(means, means[1:])]
+
     def test_manifest_digests_match_files(self, tmp_path):
         cfg = tiny_config("iteration", tmp_path / "it")
         outdir = run_experiment(cfg)

@@ -12,8 +12,8 @@ import scipy.linalg
 
 from chaoseig import subspace_iteration
 from chaoseig.galerkin import IndefiniteOperatorError, build_system
-from chaoseig.inverse_iteration import initial_guess, run_inverse_iteration
-from chaoseig.subspace_iteration import run_subspace_iteration
+from chaoseig.inverse_iteration import run_inverse_iteration
+from chaoseig.subspace_iteration import initial_basis, run_subspace_iteration
 from chaoseig.validation import pointwise_error
 from oracles import (
     assemble_mass,
@@ -41,7 +41,7 @@ def classical_inverse_iteration(K, M, x0, steps):
 class TestInitialGuess:
     def test_unit_norm_zero_block_only(self):
         sys = build_system(n=3, order=2, size=8)
-        U = initial_guess(sys)
+        U = initial_basis(sys, 1)[:, :, 0]
         assert U.shape == (sys.P, sys.N)
         np.testing.assert_allclose(
             tensor_norm(sys.fem_op.to_nodal(U), sys.fem_op), 1.0, rtol=1e-12)
@@ -49,7 +49,7 @@ class TestInitialGuess:
 
     def test_matches_reference_ground_mode(self):
         sys = build_system(n=3, order=2, size=8)
-        U = initial_guess(sys)
+        U = initial_basis(sys, 1)[:, :, 0]
         _, vecs = smallest_eigenpairs(matrix_at(sys.fem_op),
                                       assemble_mass(sys.mesh), 1, tol=1e-12)
         np.testing.assert_allclose(sys.fem_op.to_nodal(U[0]), vecs[:, 0],
@@ -86,15 +86,15 @@ class TestSingletonSetReduction:
         monkeypatch.setattr(subspace_iteration, "_CG_TOL_FACTOR", 0.0)
         sys = build_system(n=4, order=2, size=1)
         res = run_inverse_iteration(sys, tol=0.0, kmax=6,
-                                    store_iterates=True)
-        x = sys.fem_op.to_nodal(initial_guess(sys)[0])
+                                    store_snapshots=True)
+        x = sys.fem_op.to_nodal(initial_basis(sys, 1)[0, :, 0])
         Kd = matrix_at(sys.fem_op).toarray()
         Md = assemble_mass(sys.mesh).toarray()
-        assert len(res.iterates) == 7
-        for U in res.iterates[1:]:
+        assert len(res.snapshots) == 7
+        for S in res.snapshots[1:]:
             x = np.linalg.solve(Kd, Md @ x)
             x /= np.sqrt(x @ Md @ x)
-            np.testing.assert_allclose(sys.fem_op.to_nodal(U[0]), x,
+            np.testing.assert_allclose(sys.fem_op.to_nodal(S[0, :, 0]), x,
                                        atol=1e-9)
         lam = (x @ Kd @ x) / (x @ Md @ x)
         np.testing.assert_allclose(1.0 / res.eigenvalue[0], 1.0 / lam,
@@ -116,7 +116,7 @@ class TestSingletonSetReduction:
         assert res.converged
         lam, x = classical_inverse_iteration(
             matrix_at(sys.fem_op), assemble_mass(sys.mesh),
-            sys.fem_op.to_nodal(initial_guess(sys)[0]), 60)
+            sys.fem_op.to_nodal(initial_basis(sys, 1)[0, :, 0]), 60)
         np.testing.assert_allclose(res.eigenvalue_mean, lam, rtol=1e-10)
         d = sys.fem_op.to_nodal(res.U[0]) - x
         assert np.sqrt(d @ sys.fem_op.mass_apply(d)) <= 1e-8
@@ -199,20 +199,24 @@ class TestShiftedIteration:
 
 class TestDriverBookkeeping:
     def test_history_and_iterates_shapes(self):
+        # the iterates are the snapshots of the Q = 1 basis; the eigenvalue
+        # changes are the iteration study's (see test_experiments)
         sys = build_system(n=3, order=1, size=5)
         res = run_inverse_iteration(sys, tol=1e-9, kmax=40,
-                                    store_iterates=True)
+                                    store_snapshots=True)
         h = res.history
         k = len(h)
         assert k >= 2
-        for arr in (h.increments, h.eigenvalue_means, h.eigenvalue_changes,
-                    h.cg_iterations, h.cg_tolerances, h.newton_iterations):
-            assert len(arr) == k
-        assert np.isnan(h.eigenvalue_changes[0])
-        assert len(res.iterates) == k + 1
-        np.testing.assert_array_equal(res.iterates[0], initial_guess(sys))
-        np.testing.assert_array_equal(res.iterates[-1], res.U)
-        assert not np.shares_memory(res.iterates[-1], res.U)
+        assert h.increments.shape == h.cg_iterations.shape == (k, 1)
+        for arr in (h.max_increments, h.eigenvalue_means, h.cg_tolerances,
+                    h.newton_iterations, h.extra_orthogonalizations,
+                    h.orthogonality_defects):
+            assert arr.shape == (k,)
+        assert len(res.snapshots) == k + 1
+        np.testing.assert_array_equal(res.snapshots[0][:, :, 0],
+                                      initial_basis(sys, 1)[:, :, 0])
+        np.testing.assert_array_equal(res.snapshots[-1][:, :, 0], res.U)
+        assert not np.shares_memory(res.snapshots[-1][:, :, 0], res.U)
 
     def test_cg_tolerance_schedule(self, monkeypatch):
         monkeypatch.setattr(subspace_iteration, "_CG_TOL_FLOOR", 1e-12)
@@ -221,7 +225,7 @@ class TestDriverBookkeeping:
         res = run_inverse_iteration(sys, tol=1e-10, kmax=40)
         h = res.history
         np.testing.assert_allclose(h.cg_tolerances[0], 1e-2)
-        want = np.maximum(1e-12, 1e-2 * h.increments[:-1])
+        want = np.maximum(1e-12, 1e-2 * h.increments[:-1, 0])
         np.testing.assert_allclose(h.cg_tolerances[1:], want)
 
     def test_nonconvergence_is_flagged_not_raised(self):
@@ -232,9 +236,10 @@ class TestDriverBookkeeping:
 
     def test_custom_initial_is_normalized(self):
         sys = build_system(n=3, order=1, size=5)
+        start = initial_basis(sys, 1)[:, :, 0]
         res1 = run_inverse_iteration(sys, tol=1e-10, kmax=40)
         res2 = run_inverse_iteration(sys, tol=1e-10, kmax=40,
-                                     initial=3.7 * initial_guess(sys))
+                                     initial=3.7 * start)
         np.testing.assert_allclose(res1.U, res2.U, atol=1e-10)
 
     def test_kmax_validation(self):

@@ -1,10 +1,12 @@
 """Block iteration checks: single-vector limit, classical limit, spans.
 
-The Q=1 block sweep must reproduce the single-vector driver exactly; the
+The single-vector driver must be the Q = 1 view of the block driver; the
 singleton index set must reproduce classical block inverse iteration; on
 stochastic sets the converged basis is checked for Galerkin orthogonality
 and for alignment with directly solved invariant subspaces.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from chaoseig.galerkin import build_system
 from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.subspace_iteration import (
     SubspaceBreakdownError,
+    SubspaceResult,
     initial_basis,
     run_subspace_iteration,
 )
@@ -84,20 +87,70 @@ class TestInitialBasis:
 
 class TestSingleVectorLimit:
     def test_q1_reproduces_inverse_iteration(self):
+        # inverse iteration is the Q = 1 view of the block driver: the same
+        # result type, with one history column per (single) vector; the
+        # eigenvalue expansion exists only at Q = 1
         sys = build_system(n=3, order=2, size=12)
         single = run_inverse_iteration(sys, tol=1e-10, kmax=40)
         block = run_subspace_iteration(sys, q=1, tol=1e-10, kmax=40)
+        assert type(single) is type(block) is SubspaceResult
         assert block.converged
-        assert len(block.history) == len(single.history)
+        k = len(block.history)
+        assert k == len(single.history)
+        assert single.history.increments.shape == (k, 1)
+        assert single.history.cg_iterations.shape == (k, 1)
         np.testing.assert_array_equal(block.history.max_increments,
-                                      single.history.increments)
-        np.testing.assert_array_equal(block.history.cg_iterations[:, 0],
+                                      single.history.increments[:, 0])
+        np.testing.assert_array_equal(block.history.cg_iterations,
                                       single.history.cg_iterations)
         np.testing.assert_array_equal(block.history.cg_tolerances,
                                       single.history.cg_tolerances)
         np.testing.assert_array_equal(block.history.newton_iterations,
                                       single.history.newton_iterations)
+        np.testing.assert_array_equal(block.history.eigenvalue_means,
+                                      single.history.eigenvalue_means)
         np.testing.assert_array_equal(block.basis[:, :, 0], single.U)
+        np.testing.assert_array_equal(block.eigenvalue, single.eigenvalue)
+        assert single.eigenvalue_mean == single.history.eigenvalue_means[-1]
+        pair = run_subspace_iteration(sys, q=2, tol=1e-10, kmax=3)
+        assert pair.history.increments.shape == (3, 2)
+        assert pair.eigenvalue is None
+        assert pair.eigenvalue_mean is None
+        assert pair.eigenvalue_variance is None
+        assert pair.history.eigenvalue_means is None
+
+
+class TestSignFollowsStart:
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_negated_start_negates_the_basis_bitwise(self, q):
+        # the sweep is odd in its basis: solves, Gram-Schmidt projections
+        # and divisions all commute with negation, so no sign is fixed up
+        sys = build_system(n=4, order=1, size=12)
+        start = initial_basis(sys, q)
+        plain = run_subspace_iteration(sys, q, tol=1e-9, kmax=25,
+                                       initial=start, store_snapshots=True)
+        flipped = run_subspace_iteration(sys, q, tol=1e-9, kmax=25,
+                                         initial=-start,
+                                         store_snapshots=True)
+        np.testing.assert_array_equal(flipped.basis, -plain.basis)
+        np.testing.assert_array_equal(flipped.U, -plain.U)
+        for a, b in zip(flipped.snapshots, plain.snapshots, strict=True):
+            np.testing.assert_array_equal(a, -b)
+        assert flipped.converged == plain.converged
+        if q == 1:
+            np.testing.assert_array_equal(flipped.eigenvalue,
+                                          plain.eigenvalue)
+        else:
+            assert flipped.eigenvalue is plain.eigenvalue is None
+        for f in dataclasses.fields(plain.history):
+            np.testing.assert_array_equal(getattr(flipped.history, f.name),
+                                          getattr(plain.history, f.name))
+        if q == 1:
+            inverse = run_inverse_iteration(sys, tol=1e-9, kmax=25,
+                                            initial=-start[:, :, 0])
+            np.testing.assert_array_equal(inverse.U, -plain.U)
+            np.testing.assert_array_equal(inverse.eigenvalue,
+                                          plain.eigenvalue)
 
 
 class TestSingletonSetLimit:
