@@ -9,8 +9,9 @@ Two moment contractions drive all Galerkin products:
 
 * the triple product tensor with entries E[Lam_a Lam_b Lam_c], factorizing
   into univariate triples that vanish unless each coordinate's degrees pass
-  the parity and triangle conditions; built by a vectorized search over
-  all triples (see `build_triple_tensor`).
+  the parity and triangle conditions; on a downward-closed set its entries
+  are the triangles of the graph of splits x + y of the members, found in
+  time that follows their number (see `build_triple_tensor`).
 * raise matrices, one per dimension m >= 1, with entries
   E[y_m Lam_a Lam_b]: nonzero only when a and b agree except in coordinate m
   where they differ by one, with univariate value (p+1)/sqrt((2p+1)(2p+3));
@@ -24,6 +25,8 @@ Univariate triple products are evaluated by exact-degree Gauss quadrature
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,93 +134,87 @@ class TripleProductTensor:
         return D
 
 
-# Candidate (a, b, c) triples are formed and filtered in chunks of about
-# this many, so memory stays bounded on low-dimensional sets, where one row
-# a can pair up nearly all P**2 (b, c).
-_CHUNK_TRIPLES = 2**20
+def _splits(aset):
+    """Sparse rows of the members and every split x + y = s of each member.
 
-
-def _equal_key_pairs(K):
-    """Chunks (a, b, c) of every ordered pair (b, c) with K[a, b] == K[a, c].
-
-    Each row of K is sorted; each member of a run of equal keys is repeated
-    once per member of its run and paired with each of them in turn.
+    Returns S and E, the support dimensions and exponents of each member,
+    padded with 0, and the positions (x, y, s) of all splits.  Both parts
+    are reached from s by lowering its support one step at a time, last
+    column first, so that the earlier columns keep their places; a set
+    that lacks a lowered index is not downward closed and raises
+    ValueError naming it.
     """
-    P = K.shape[0]
-    order = np.argsort(K, axis=1, kind="stable").ravel()
-    key = np.take_along_axis(K, order.reshape(P, P), axis=1).ravel()
-    first = np.ones(P * P, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    first[::P] = True
-    run = np.cumsum(first) - 1
-    start = np.flatnonzero(first)
-    reps = np.diff(np.append(start, P * P))[run]
-    total = np.cumsum(reps.reshape(P, P).sum(axis=1))
-    cuts = np.searchsorted(total, np.arange(_CHUNK_TRIPLES, total[-1],
-                                            _CHUNK_TRIPLES), side="right")
-    cuts = np.unique(np.concatenate([[0], cuts, [P]]))
-    for lo, hi in zip(cuts[:-1] * P, cuts[1:] * P):
-        n = reps[lo:hi]
-        src = np.repeat(np.arange(lo, hi), n)
-        offset = np.arange(src.size) - np.repeat(np.cumsum(n) - n, n)
-        yield src // P, order[src], order[start[run[src]] + offset]
+    P, L = len(aset), max(1, max(len(a) for a in aset.indices))
+    S = np.zeros((P, L), dtype=np.int64)
+    E = np.zeros((P, L), dtype=np.int64)
+    down = np.zeros((P, L), dtype=np.int64)  # s minus one in column k
+    for i, alpha in enumerate(aset.indices):
+        for k, (d, e) in enumerate(alpha):
+            S[i, k], E[i, k] = d, e
+            beta = alpha[:k] + (((d, e - 1),) if e > 1 else ()) + alpha[k + 1:]
+            j = aset.position(beta)
+            if j is None:
+                raise ValueError(f"index set is not downward closed: {beta} "
+                                 f"is missing below {alpha}")
+            down[i, k] = j
+    # the split x of s: the mixed-radix digits of its rank among the splits
+    counts = np.prod(E + 1, axis=1)
+    x = y = s = np.repeat(np.arange(P), counts)
+    rank = np.arange(s.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    for k in reversed(range(L)):
+        e = E[s, k]
+        xk, rank = rank % (e + 1), rank // (e + 1)
+        for step in range(int(E[:, k].max())):
+            y = np.where(xk > step, down[y, k], y)
+            x = np.where(e - xk > step, down[x, k], x)
+    return S, E, x, y, s
 
 
 def build_triple_tensor(aset: MultiIndexSet) -> TripleProductTensor:
-    """All nonzero triples over the index set, vectorized over all triples.
+    """All nonzero triples over a downward-closed index set.
 
-    An entry (a, b, c) is nonzero only if b and c agree outside supp(a)
-    (there a_m = 0 forces b_m = c_m) and every coordinate passes the
-    triangle and parity conditions.  Rows are hashed with the coordinates
-    of supp(a) removed; pairs in one hash group of row a are the
-    candidates, which the conditions on supp(a) then filter.  The value is
-    the product of univariate triples over the union support in ascending
-    coordinate order, each distinct univariate triple evaluated once.  A
-    hash collision would leave a pair that differs outside supp(a), whose
-    factor univariate_triple(0, p, q) with p != q is exactly zero: such
-    entries are dropped.
+    Each coordinate of a nonzero entry (a, b, c) passes the triangle and
+    parity conditions, so a = y + z, b = x + z and c = x + y for
+    nonnegative x, y, z, which downward closedness makes members.  The
+    entries are thus exactly the ordered triangles (x, y, z) of the graph
+    with an edge x - y for each split x + y of a member, and none is
+    filtered: each edge finds its triangles among the neighbours z of its
+    endpoint of lower degree.  A set that is not downward closed raises
+    ValueError.  The value is the product of univariate triples over the
+    union support in ascending coordinate order, read from one table of
+    `univariate_triple`; outside supp(a) each factor is
+    univariate_triple(0, p, p) = 1, so only supp(a) is multiplied.
     """
-    P, M = len(aset), aset.max_dimension
-    # dense exponents plus a zero column M; supports padded with M
-    D = np.zeros((P, M + 1), dtype=np.int64)
-    S = np.full((P, max(1, max(len(a) for a in aset.indices))), M)
-    for i, alpha in enumerate(aset.indices):
-        for k, (d, e) in enumerate(alpha):
-            D[i, d - 1] = e
-            S[i, k] = d - 1
-    # fixed multipliers below 2**40: sums of a few small exponents times
-    # them cannot overflow
-    r = np.random.default_rng(0).integers(1, 2**40, size=M + 1)
-    r[M] = 0
-    # K[a, b]: hash of row b without the coordinates of supp(a)
-    K = np.tile(D @ r, (P, 1))
-    for k in range(S.shape[1]):
-        K -= D[:, S[:, k]].T * r[S[:, k]][:, None]
-    parts = []
-    for ia, ib, ic in _equal_key_pairs(K):
-        ok = np.ones(ia.size, dtype=bool)
-        for k in range(S.shape[1]):
-            m = S[ia, k]
-            pa, pb, pc = D[ia, m], D[ib, m], D[ic, m]
-            ok &= (np.abs(pb - pc) <= pa) & (pa <= pb + pc) \
-                & ((pa + pb + pc) % 2 == 0)
-        parts.append(np.stack([ia[ok], ib[ok], ic[ok]]))
-    ia, ib, ic = np.concatenate(parts, axis=1)
-    # union supports in ascending order, repeats replaced by the zero column
-    dims = np.sort(np.concatenate([S[ia], S[ib], S[ic]], axis=1), axis=1)
-    dims[:, 1:][dims[:, 1:] == dims[:, :-1]] = M
-    base = int(D.max()) + 1
-    codes = (D[ia[:, None], dims] * base + D[ib[:, None], dims]) * base \
-        + D[ic[:, None], dims]
-    uniq, inv = np.unique(codes, return_inverse=True)
-    table = np.array([univariate_triple(u // base**2, u // base % base,
-                                        u % base) for u in uniq])
-    factors = table[inv.reshape(codes.shape)]
-    values = np.ones(ia.size)
-    for k in range(factors.shape[1]):
-        values *= factors[:, k]
-    keep = values != 0.0
-    ia, ib, ic, values = ia[keep], ib[keep], ic[keep], values[keep]
+    S, E, x, y, s = _splits(aset)
+    P = len(aset)
+    # edges sorted by (x, y): the neighbours of each member are contiguous
+    code = x * P + y
+    o = np.argsort(code)
+    code, x, y, s = code[o], x[o], y[o], s[o]
+    deg = np.bincount(x, minlength=P)
+    swap = deg[x] > deg[y]
+    u, w = np.where(swap, y, x), np.where(swap, x, y)
+    n = deg[u]
+    edge = np.repeat(np.arange(code.size), n)
+    # edge nb = (u, z) for each neighbour z of u; (w, z) closes the triangle
+    nb = np.repeat(np.cumsum(deg)[u] - deg[u] - np.cumsum(n) + n, n) \
+        + np.arange(edge.size)
+    want = w[edge] * P + y[nb]
+    at = np.minimum(np.searchsorted(code, want), code.size - 1)
+    hit = code[at] == want
+    edge, near, far = edge[hit], s[nb[hit]], s[at[hit]]
+    # near = u + z and far = w + z, with a = y + z and b = x + z
+    ia = np.where(swap[edge], near, far)
+    ib = np.where(swap[edge], far, near)
+    ic = s[edge]
+    d = int(E.max()) + 1
+    table = np.array([univariate_triple(*t)
+                      for t in itertools.product(range(d), repeat=3)])
+    # exponents of b and c at the support dimensions of a, ascending
+    Sa = S[ia][:, :, None]
+    eb, ec = ((E[r][:, None] * (S[r][:, None] == Sa)).sum(axis=2)
+              for r in (ib, ic))
+    values = functools.reduce(np.multiply, table[(E[ia] * d + eb) * d + ec].T)
     o = np.lexsort((ic, ib, ia))
     return TripleProductTensor(aset, ia[o], ib[o], ic[o], values[o])
 

@@ -1,6 +1,7 @@
 """The benchmark reads the result shapes the solvers return.
 
-`bench/workloads.py` counts work off the results of traced calls: the CG
+`bench/workloads.py` counts work off the results of traced calls: the
+triple tensor's entries as `build_triple_tensor(...).values.size`, the CG
 iterations as `pcg_solve(...)[1].iterations`, the Newton steps as
 `len(newton_normalize(...)[1]) - 1`, the smallest division rcond as the
 `rcond` of each `DeltaFactor` built, and the extra orthonormalization
@@ -67,6 +68,15 @@ class Tracer:
     def minimum(self, counter, value):
         self.counters[counter] = min(self.counters.get(counter, value),
                                      value)
+
+
+def test_triple_tensor_hook_reads_the_entry_count(hooks):
+    system = build_system(n=2, order=1, size=264)
+    tt = system.tt
+    tracer = Tracer()
+    hooks["legendre.build_triple_tensor"](tracer, (system.aset,), tt)
+    assert tracer.counters == {"legendre.triple_tensor_nnz": tt.values.size}
+    assert tt.values.size == 4_715
 
 
 def test_pcg_hook_reads_the_iteration_count(hooks):

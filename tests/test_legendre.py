@@ -1,12 +1,14 @@
 """Tests for the normalized Legendre basis and moment tensors."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from chaoseig import legendre
 from chaoseig.legendre import (
     basis_matrix,
     build_triple_tensor,
@@ -15,7 +17,11 @@ from chaoseig.legendre import (
     gauss_rule,
     univariate_triple,
 )
-from chaoseig.multiindex import generate_index_set, generate_index_set_by_size
+from chaoseig.multiindex import (
+    MultiIndexSet,
+    generate_index_set,
+    generate_index_set_by_size,
+)
 from oracles import build_moment_matrices
 
 
@@ -231,21 +237,45 @@ def assert_matches_pair_scan(aset):
 
 
 class TestTripleTensorAgainstPairScan:
-    @pytest.mark.parametrize("size", [1, 2, 6, 31, 52, 120])
+    # 264 is the reference set, where the pair scan takes about 2 s
+    @pytest.mark.parametrize("size", [1, 2, 6, 31, 52, 120, 264])
     def test_rule_sets(self, size):
         assert_matches_pair_scan(generate_index_set_by_size(size,
                                                             varsigma=3.2))
 
-    def test_chunked_candidates_give_the_same_tensor(self, monkeypatch):
-        aset = generate_index_set_by_size(52, varsigma=3.2)
-        whole = build_triple_tensor(aset)
-        monkeypatch.setattr(legendre, "_CHUNK_TRIPLES", 50)
-        chunked = build_triple_tensor(aset)
-        for name in ("ia", "ib", "ic", "values"):
-            assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+    def test_large_set_is_closed_under_permutations(self):
+        # every slot order of an entry is an entry: (a, b, c) = (y + z,
+        # x + z, x + y) for a triangle (x, y, z) of splits, in any order
+        aset = generate_index_set_by_size(1000, varsigma=3.2)
+        tt = build_triple_tensor(aset)
+        assert tt.values.size == 35_751
+        P = len(aset)
+        slots = (tt.ia, tt.ib, tt.ic)
+        codes = np.sort((tt.ia * P + tt.ib) * P + tt.ic)
+        for i, j, k in itertools.permutations(range(3)):
+            moved = (slots[i] * P + slots[j]) * P + slots[k]
+            assert np.array_equal(np.sort(moved), codes)
+
+    def test_large_build_holds_no_quadratic_intermediate(self):
+        # the build needs about 12 MB; each P x P int64 array would add 8 MB
+        aset = generate_index_set_by_size(1000, varsigma=3.2)
+        tracemalloc.start()
+        try:
+            build_triple_tensor(aset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    def test_set_missing_a_split_part_is_rejected(self):
+        # ((1, 2),) = ((1, 1),) + ((1, 1),), and ((1, 1),) is no member
+        aset = MultiIndexSet([(), ((1, 2),)], [1.0, 0.5], 0.1)
+        with pytest.raises(ValueError, match=r"\(\(1, 1\),\) is missing"):
+            build_triple_tensor(aset)
 
     def test_one_dimensional_set(self):
-        # every entry of a 1D set shares one support: one hash group per row
+        # one dimension of degree 19: every member is a split part of each
+        # higher one, and the univariate table is at its largest
         assert_matches_pair_scan(generate_index_set(1e-6, weights=[0.5]))
 
     # the pair scan is slow on large low-dimensional sets: keep P <= 80
