@@ -10,6 +10,7 @@ degree only in the first few dimensions.
 import numpy as np
 
 from chaoseig.multiindex import (
+    MultiIndexSet,
     dimension_weights,
     generate_index_set,
     generate_index_set_by_size,
@@ -36,4 +37,8 @@ for alpha, w in zip(aset.indices, aset.weights):
     dense = tuple(dict(alpha).get(d, 0) for d in range(1, width + 1))
     print(f"  weight {w:8.5f}   exponents {dense}")
 print()
-print("downward closed:", aset.is_downward_closed())
+# every set is downward closed: the type rejects one that is not
+try:
+    MultiIndexSet([(), ((1, 2),)], [1.0, 0.5], 0.1)
+except ValueError as exc:
+    print("rejected:", exc)

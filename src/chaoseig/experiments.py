@@ -58,10 +58,6 @@ class ExperimentConfig:
     when both are left unset).  Sweep kinds read their axis from
     mesh_sizes / set_sizes and compare against a reference computed at
     reference_n / reference_size on the same remaining parameters.
-    `shift` is the spectral shift of every inverse-iteration and subspace
-    solve.  It moves the truncated fixed point, not only the speed (see
-    `run_inverse_iteration`): at P = 264 a shift of 15 moves U by 5.3e-7
-    and mu by 2.1e-7 relative.
     """
 
     kind: str
@@ -73,7 +69,6 @@ class ExperimentConfig:
     eps: float = None
     tol: float = 1e-10
     kmax: int = 30
-    shift: float = 0.0
     q: int = 3
     sum_trick: bool = False
     seed: int = 2024
@@ -210,11 +205,10 @@ def _build(cfg, n=None, size=None):
 
 
 def _solve(cfg, system, **kw):
-    """Inverse iteration at the config's tol, kmax and shift, unless kw
-    sets them."""
+    """Inverse iteration at the config's tol and kmax, unless kw sets
+    them."""
     return run_inverse_iteration(
-        system, **{"tol": cfg.tol, "kmax": cfg.kmax, "shift": cfg.shift,
-                   **kw})
+        system, **{"tol": cfg.tol, "kmax": cfg.kmax, **kw})
 
 
 def _stop(res):
@@ -371,8 +365,7 @@ def _run_decay(cfg):
 def _run_subspace(cfg):
     sys_ = _build(cfg)
     res = run_subspace_iteration(sys_, q=cfg.q, tol=cfg.tol, kmax=cfg.kmax,
-                                 shift=cfg.shift, sum_trick=cfg.sum_trick,
-                                 store_snapshots=True)
+                                 sum_trick=cfg.sum_trick, store_snapshots=True)
     mean, var = angle_statistics(sys_.fem_op, sys_.aset, res.snapshots,
                                  npoints=cfg.angle_points, seed=cfg.seed)
     increments = [float("nan"), *map(float, res.history.max_increments)]

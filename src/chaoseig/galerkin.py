@@ -33,7 +33,8 @@ each, before any Newton step with its P x P LU solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,7 +46,6 @@ from .multiindex import generate_index_set, generate_index_set_by_size
 __all__ = [
     "IndefiniteOperatorError",
     "NearSingularError",
-    "SeparableTerms",
     "KroneckerOperator",
     "PcgInfo",
     "pcg_solve",
@@ -57,7 +57,9 @@ __all__ = [
 
 
 class IndefiniteOperatorError(RuntimeError):
-    """Negative curvature met in CG: the (shifted) operator is indefinite."""
+    """Negative curvature met in CG or in a start window: the operator is
+    not positive definite, or a warm start's carried products do not
+    belong to it."""
 
 
 class NearSingularError(RuntimeError):
@@ -71,17 +73,17 @@ class NearSingularError(RuntimeError):
 _CHUNK_BYTES = 2**16
 
 
-class SeparableTerms:
-    """The affine stiffness terms in the mean eigenbasis, with the chaos
-    rows each one touches; built once per system and shared by its
-    operators.
+class KroneckerOperator:
+    """The affine Galerkin stiffness operator in the mean eigenbasis,
+    applied blockwise; `GalerkinSystem.operator` builds one per system.
 
-    In the coordinates Y = (MQ)^T X (MQ) of (lam, Q) = the operator's
-    `mean_eigenbasis` the mass M (x) M is the identity and K_0 is the
-    elementwise scaling by `mean` = lam_i + lam_j (the operator's
-    `mean_values`).  A term along x_1, M (x) A_m + A (x) M_m, maps Y to
-    Y A'_m + diag(lam) Y M'_m with the dense 1D factors M'_m = Q^T M_m Q
-    and A'_m = Q^T A_m Q (the operator's `spectral_factors`), that is
+    Built from the triple tensor `tt` and the FEM operator `fem_op`.  In
+    the coordinates Y = (MQ)^T X (MQ) of (lam, Q) = `fem_op.mean_eigenbasis`
+    the mass M (x) M is the identity and K_0 is the elementwise scaling by
+    `mean` = lam_i + lam_j (`fem_op.mean_values`).  A term along x_1,
+    M (x) A_m + A (x) M_m, maps Y to Y A'_m + diag(lam) Y M'_m with the
+    dense 1D factors M'_m = Q^T M_m Q and A'_m = Q^T A_m Q
+    (`fem_op.spectral_factors`), that is
     [diag(lam) Y | Y] times the stacked (M'_m; A'_m).  Term m >= 1 enters
     the operator as G_m (x) K_m, G_m being a slice of the triple tensor
     (`raise_entries`) with nonzeros in few rows, so only the blocks Y[b]
@@ -103,6 +105,7 @@ class SeparableTerms:
         self.P = tt.size
         self.lam = fem_op.mean_eigenbasis[0]
         self.n = n = len(self.lam)
+        self.N = n * n
         self.mean = fem_op.mean_values
         factors = fem_op.spectral_factors
         self.step = max(1, _CHUNK_BYTES // (8 * n * n))
@@ -130,51 +133,32 @@ class SeparableTerms:
                         for a, b in zip(cuts, cuts[1:])]
                 chunks.append((rows[lo:hi], runs, targets, scatter))
 
-
-class KroneckerOperator:
-    """Blockwise application of the affine Galerkin stiffness operator, in
-    the mean eigenbasis (see `SeparableTerms`).
-
-    Parameters
-    ----------
-    terms : SeparableTerms of the system (raise-matrix rows, 1D factors).
-    shift : optional spectral shift; the operator becomes
-        (stiffness part) - shift * (identity (x) mass), the mass being the
-        identity in these coordinates.  Shifted operators may be
-        indefinite; pcg_solve reports that instead of silently iterating.
-
-    A block Y is applied as P slices Y[b] reshaped to (n, n), x_2 index
-    first.  The mean term and the shift scale each slice elementwise by
-    lam_i + lam_j - shift; each fluctuation term adds one gathered product
-    [diag(lam) Y | Y] (M'_m; A'_m) per touched row, and the terms along x_2
-    do the same on Y^T and add each chunk's products transposed.
-    """
-
-    def __init__(self, terms, shift=0.0):
-        self.terms = terms
-        self.P = terms.P
-        self.N = terms.n * terms.n
-        self.diagonal = terms.mean - float(shift)
-
     def apply(self, V, out=None):
         """Matrix-free product with a (P, N) coefficient block, written into
         `out` when given: a C-contiguous (P, N) block that does not overlap
-        V."""
+        V.
+
+        The block is applied as P slices Y[b] reshaped to (n, n), x_2 index
+        first.  The mean term scales each slice elementwise by
+        lam_i + lam_j; each fluctuation term adds one gathered product
+        [diag(lam) Y | Y] (M'_m; A'_m) per touched row, and the terms along
+        x_2 do the same on Y^T and add each chunk's products transposed.
+        """
         V = np.asarray(V, dtype=float)
         if V.shape != (self.P, self.N):
             raise ValueError(f"block shape {V.shape}, expected "
                              f"{(self.P, self.N)}")
-        t, P, n = self.terms, self.P, self.terms.n
+        P, n = self.P, self.n
         Y = V.reshape(P, n, n)
         if out is None:
             out = np.empty((P, self.N))
         O = out.reshape(P, n, n)
-        np.multiply(Y, self.diagonal, out=O)
-        for axis, chunks in enumerate(t.passes):
+        np.multiply(Y, self.mean, out=O)
+        for axis, chunks in enumerate(self.passes):
             for rows, runs, targets, scatter in chunks:
                 G = np.empty((rows.size, n, 2 * n))
                 G[..., n:] = Y[rows].transpose(0, 2, 1) if axis else Y[rows]
-                np.multiply(t.lam[:, None], G[..., n:], out=G[..., :n])
+                np.multiply(self.lam[:, None], G[..., n:], out=G[..., :n])
                 T = np.empty((rows.size, n, n))
                 for start, end, right in runs:
                     np.matmul(G[start:end].reshape(-1, 2 * n), right,
@@ -187,7 +171,7 @@ class KroneckerOperator:
         """The mean-based preconditioner: K_0^-1, a division by
         lam_i + lam_j in these coordinates, on a (P, N) block; written
         into `out` when given."""
-        return np.divide(R, self.terms.mean.ravel(), out=out)
+        return np.divide(R, self.mean.ravel(), out=out)
 
 
 @dataclass
@@ -195,7 +179,7 @@ class PcgInfo:
     """How a `pcg_solve` ended.  `trace` holds the relative residual of
     every iterate, the start first; `product` is the operator's product
     with the returned solution, formed as B - R from CG's residual R, which
-    the next solve of a warm-started sequence takes as its `ax0`."""
+    the next solve of a warm-started sequence takes into its `start`."""
 
     converged: bool
     iterations: int
@@ -228,8 +212,9 @@ def _project_start(window, B, X, R, work):
     right-hand side never subtracts two energies of nearly equal size.  A
     direction whose energy lies within its roundoff (an increment between
     solves that agree to the last bits, or exactly zero) is skipped; one
-    of clearly negative energy means the operator is indefinite, which CG
-    would only see once it takes a step.
+    of clearly negative energy means the operator is not positive
+    definite or the pair's product is not its own, which CG would only see
+    once it takes a step.
     """
     noise = _WINDOW_NOISE * max(np.linalg.norm(B),
                                 *(np.linalg.norm(KD) for _, KD in window))
@@ -257,29 +242,28 @@ def _project_start(window, B, X, R, work):
         R -= np.multiply(ci, KD, out=work)
 
 
-def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500, x0=None,
-              ax0=None, window=()):
+def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500,
+              start=None, window=()):
     """Conjugate gradients on coefficient blocks, preconditioned by the
     operator's `mean_solve`.
 
     Stops when the preconditioner-norm residual sqrt(r.Pr) drops below tol
     times the same norm of the right-hand side (a fixed target, so warm
-    starts genuinely help).  A warm start x0 costs one operator product for
-    its residual, unless `ax0`, its product op.apply(x0), comes with it:
-    the `product` a previous solve returned in its PcgInfo is that product
-    for its solution, so a sequence of warm-started solves costs exactly
-    its CG iterations in products.  `window` holds (D, op.apply(D)) pairs,
-    for instance earlier solutions and their increments with their carried
-    products: CG then starts from the point of x0 + span(D) of least
-    energy-norm error (see `_project_start`), at no operator product.
-    Raises IndefiniteOperatorError on negative curvature, in CG or in the
-    window, which signals a bad spectral shift.  rhs, x0, ax0 and the
-    window are left unchanged.
+    starts genuinely help).  A warm start is a pair `start` = (x0, ax0) of
+    the start and its product op.apply(x0): the `product` a previous solve
+    returned in its PcgInfo is that product for its solution, so a sequence
+    of warm-started solves costs exactly its CG iterations in products.
+    `window` holds (D, op.apply(D)) pairs, for instance earlier solutions
+    and their increments with their carried products: CG then starts from
+    the point of x0 + span(D) of least energy-norm error (see
+    `_project_start`), at no operator product.  Raises
+    IndefiniteOperatorError on negative curvature, in CG or in the window.
+    rhs, the start and the window are left unchanged.
     """
     B = np.asarray(rhs, dtype=float)
-    if ax0 is not None and (x0 is None or np.shape(ax0) != B.shape):
-        raise ValueError(f"ax0 needs x0 and the shape {B.shape} of the "
-                         f"right-hand side")
+    if start is not None and any(np.shape(a) != B.shape for a in start):
+        raise ValueError(f"start needs two blocks of the shape {B.shape} "
+                         f"of the right-hand side")
     # W is the one scratch block: the preconditioned right-hand side, then
     # each product with a direction, step and preconditioned residual
     W = op.mean_solve(B)
@@ -287,11 +271,11 @@ def pcg_solve(op: KroneckerOperator, rhs, tol=1e-10, maxiter=500, x0=None,
     if target == 0.0:
         return np.zeros_like(B), PcgInfo(True, 0, 0.0, np.zeros(1),
                                          np.zeros_like(B))
-    if x0 is None:
+    if start is None:
         X, R = np.zeros_like(B), B.copy()
     else:
-        X = np.array(x0, dtype=float)
-        R = B - (op.apply(X) if ax0 is None else ax0)
+        X = np.array(start[0], dtype=float)
+        R = B - start[1]
     if window:
         _project_start(window, B, X, R, W)
     Pdir = op.mean_solve(R)
@@ -448,13 +432,13 @@ class GalerkinSystem:
     """Everything one discretized problem needs: index set, mesh, matrices.
 
     Bundles the parametric FEM operator with the chaos moment structures
-    over one multi-index set, plus the cached separable terms.
+    over one multi-index set, and the one stiffness operator every solve
+    on the system shares, built on first use.
     """
 
     aset: object
     fem_op: ParametricOperator
     tt: TripleProductTensor
-    _terms: SeparableTerms = field(default=None, repr=False)
 
     @property
     def mesh(self):
@@ -468,14 +452,9 @@ class GalerkinSystem:
     def N(self):
         return self.fem_op.ndof
 
-    @property
-    def terms(self):
-        if self._terms is None:
-            self._terms = SeparableTerms(self.tt, self.fem_op)
-        return self._terms
-
-    def operator(self, shift=0.0):
-        return KroneckerOperator(self.terms, shift=shift)
+    @cached_property
+    def operator(self):
+        return KroneckerOperator(self.tt, self.fem_op)
 
 
 def build_system(n, order=2, size=None, eps=None, varsigma=3.2,

@@ -1,12 +1,12 @@
 """Spectral inverse iteration: the Q = 1 view of the subspace sweep.
 
-One sweep solves (stiffness - shift * mass) V = mass U by preconditioned
-CG, finds the chaos coefficients s of the pointwise norm of V, and divides
-V by s in the Galerkin sense, all blockwise on (P, N) coefficient arrays
-in the mean eigenbasis (see `subspace_iteration` for how each step starts
+One sweep solves stiffness V = mass U by preconditioned CG, finds the
+chaos coefficients s of the pointwise norm of V, and divides V by s in
+the Galerkin sense, all blockwise on (P, N) coefficient arrays in the
+mean eigenbasis (see `subspace_iteration` for how each step starts
 from the previous sweep).  This is `run_subspace_iteration` at Q = 1: one
 driver and one `SubspaceResult`, whose `U` is the single basis column and
-whose `eigenvalue` is the expansion mu = shift + 1/s of the last sweep.
+whose `eigenvalue` is the expansion mu = 1/s of the last sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ __all__ = ["run_inverse_iteration"]
 
 
 def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
-                          shift=0.0, initial=None, store_snapshots=False):
+                          initial=None, store_snapshots=False):
     """Drive inverse iteration to a fixed point of the three-step sweep.
 
     Stops when the tensor norm of the iterate increment drops below tol
@@ -30,16 +30,9 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
     ground mode of `initial_basis`.  The sign of U follows the start.
     Returns the `SubspaceResult` of `run_subspace_iteration` with Q = 1,
     whose snapshots (when stored) are (P, N, 1) stacks.
-
-    `shift` speeds up the contraction, but it also moves the truncated
-    fixed point: the sweep divides by the chaos expansion of the shifted
-    solve's norm, a nonlinear map that the shift changes.  At P = 264
-    (n = 16, both runs converged to 1e-12), a shift of 15 moves U by
-    5.3e-7 and mu by 2.1e-7 relative, the mean of mu by 1.1e-11.
     """
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
         initial = (initial / np.linalg.norm(initial))[:, :, None]
-    return run_subspace_iteration(system, 1, tol, kmax, shift,
-                                  initial=initial,
+    return run_subspace_iteration(system, 1, tol, kmax, initial=initial,
                                   store_snapshots=store_snapshots)

@@ -140,23 +140,17 @@ def _splits(aset):
     Returns S and E, the support dimensions and exponents of each member,
     padded with 0, and the positions (x, y, s) of all splits.  Both parts
     are reached from s by lowering its support one step at a time, last
-    column first, so that the earlier columns keep their places; a set
-    that lacks a lowered index is not downward closed and raises
-    ValueError naming it.
+    column first, so that the earlier columns keep their places; the set
+    holds each member's lowered positions (`MultiIndexSet.lowered`).
     """
     P, L = len(aset), max(1, max(len(a) for a in aset.indices))
     S = np.zeros((P, L), dtype=np.int64)
     E = np.zeros((P, L), dtype=np.int64)
     down = np.zeros((P, L), dtype=np.int64)  # s minus one in column k
-    for i, alpha in enumerate(aset.indices):
+    for i, (alpha, below) in enumerate(zip(aset.indices, aset.lowered)):
         for k, (d, e) in enumerate(alpha):
             S[i, k], E[i, k] = d, e
-            beta = alpha[:k] + (((d, e - 1),) if e > 1 else ()) + alpha[k + 1:]
-            j = aset.position(beta)
-            if j is None:
-                raise ValueError(f"index set is not downward closed: {beta} "
-                                 f"is missing below {alpha}")
-            down[i, k] = j
+        down[i, :len(below)] = below
     # the split x of s: the mixed-radix digits of its rank among the splits
     counts = np.prod(E + 1, axis=1)
     x = y = s = np.repeat(np.arange(P), counts)
@@ -179,10 +173,9 @@ def build_triple_tensor(aset: MultiIndexSet) -> TripleProductTensor:
     entries are thus exactly the ordered triangles (x, y, z) of the graph
     with an edge x - y for each split x + y of a member, and none is
     filtered: each edge finds its triangles among the neighbours z of its
-    endpoint of lower degree.  A set that is not downward closed raises
-    ValueError.  The value is the product of univariate triples over the
-    union support in ascending coordinate order, read from one table of
-    `univariate_triple`; outside supp(a) each factor is
+    endpoint of lower degree.  The value is the product of univariate
+    triples over the union support in ascending coordinate order, read
+    from one table of `univariate_triple`; outside supp(a) each factor is
     univariate_triple(0, p, p) = 1, so only supp(a) is multiplied.
     """
     S, E, x, y, s = _splits(aset)

@@ -112,6 +112,10 @@ class MultiIndexSet:
         first; decreasing weight, ties by degree then lexicographic order).
     weights : ndarray of matching product weights, non-increasing.
     eps : float threshold; every member has weight > eps.
+    lowered : per member, the positions of the member lowered by one in
+        each of its support columns, in column order.  A set that lacks
+        one of them is not downward closed, and the constructor raises
+        ValueError naming it.
     """
 
     def __init__(self, indices, weights, eps):
@@ -125,6 +129,17 @@ class MultiIndexSet:
         self._pos = {a: i for i, a in enumerate(self.indices)}
         if len(self._pos) != len(self.indices):
             raise ValueError("duplicate multi-indices")
+        self.lowered = []
+        for a in self.indices:
+            below = []
+            for k, (d, e) in enumerate(a):
+                b = a[:k] + (((d, e - 1),) if e > 1 else ()) + a[k + 1:]
+                j = self._pos.get(b)
+                if j is None:
+                    raise ValueError(f"index set is not downward closed: "
+                                     f"{b} is missing below {a}")
+                below.append(j)
+            self.lowered.append(below)
 
     def __len__(self):
         return len(self.indices)
@@ -160,18 +175,6 @@ class MultiIndexSet:
                 if e > out[d - 1]:
                     out[d - 1] = e
         return out
-
-    def is_downward_closed(self):
-        """True if every index minus one in any exponent stays a member."""
-        for a in self.indices:
-            for i, (d, e) in enumerate(a):
-                if e > 1:
-                    b = a[:i] + ((d, e - 1),) + a[i + 1:]
-                else:
-                    b = a[:i] + a[i + 1:]
-                if b not in self._pos:
-                    return False
-        return True
 
 
 def _explicit_weights(weights):

@@ -39,13 +39,13 @@ is the identity: the right-hand side of a solve is the basis vector
 itself, tensor norms are Frobenius norms and Gram matrices plain
 products.
 
-At Q = 1 the reciprocal of s also carries the eigenvalue: with a shift
-below the target eigenvalue, mu(y) = shift + 1/s(y), so one Galerkin
-division of the constant one by s yields the eigenvalue expansion of the
-sweep, the only one a run computes.  At Q > 1 per-vector eigenvalue
-expansions are deliberately not produced: when eigenvalues cross inside
-the tracked cluster, individual pairs are not smooth functions of the
-parameter and only the subspace itself is a meaningful object.
+At Q = 1 the reciprocal of s also carries the eigenvalue, mu(y) =
+1/s(y), so one Galerkin division of the constant one by s yields the
+eigenvalue expansion of the sweep, the only one a run computes.  At
+Q > 1 per-vector eigenvalue expansions are deliberately not produced:
+when eigenvalues cross inside the tracked cluster, individual pairs are
+not smooth functions of the parameter and only the subspace itself is a
+meaningful object.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class SubspaceHistory:
 class SubspaceResult:
     """Iterated basis of an invariant subspace: `basis` and the snapshots
     are (P, N, Q) stacks in the mean eigenbasis, and `U` is the first
-    column.  `eigenvalue` is the last sweep's mu = shift + 1/s at Q = 1;
+    column.  `eigenvalue` is the last sweep's mu = 1/s at Q = 1;
     at Q > 1 it and its statistics are None.
     """
 
@@ -203,7 +203,7 @@ def _orthonormalize(tt, columns, starts=()):
     return out, newton_steps, inv_s, pairs
 
 
-def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
+def subspace_iterate_once(system: GalerkinSystem, B, cg_tol=1e-12,
                           warm_starts=None, sum_trick=False,
                           normalizers=None):
     """One block sweep: per-vector solves, then orthonormalization.
@@ -218,23 +218,22 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
     energy-optimal point of that pair plus the span of all the others
     (`pcg_solve`'s `window`), at no operator product.
     `inv_s` is the Galerkin division of the constant one by the first
-    column's norm expansion s in the last pass (at Q = 1, mu = shift + 1/s
-    is the eigenvalue expansion), and `defect` is the orthogonality defect
+    column's norm expansion s in the last pass (at Q = 1, mu = 1/s is the
+    eigenvalue expansion), and `defect` is the orthogonality defect
     of B_next.  `normalizers` holds, per orthonormalization pass, the
     (s, `DeltaFactor.inverse`) pair of each column's normalization; given
     back to the next sweep, each pass that sweep shares with this one
     starts its normalizations from them (see `_orthonormalize`).
     """
     q = B.shape[2]
-    op = system.operator(shift)
+    op = system.operator
     tt = system.tt
     solves = []
     cg_counts = []
     starts = warm_starts or ()
     for L in range(q):
-        x0, ax0 = starts[L] if starts else (None, None)
         V, info = pcg_solve(op, B[:, :, L], tol=cg_tol, maxiter=_CG_MAXITER,
-                            x0=x0, ax0=ax0,
+                            start=starts[L] if starts else None,
                             window=[*starts[:L], *starts[L + 1:]])
         if not info.converged:
             where = f" on basis vector {L}" if q > 1 else ""
@@ -268,7 +267,7 @@ def subspace_iterate_once(system: GalerkinSystem, B, shift=0.0, cg_tol=1e-12,
 
 
 def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
-                           shift=0.0, sum_trick=False, initial=None,
+                           sum_trick=False, initial=None,
                            store_snapshots=False):
     """Sweep a Q-vector basis until its largest increment is below tol.
 
@@ -306,7 +305,7 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
         cg_tol = max(_CG_TOL_FLOOR, _CG_TOL_FACTOR * prev_inc)
         (B_next, solves, counts, extra, newton_steps, inv_s, defect,
          normalizers) = subspace_iterate_once(
-            system, B, shift, cg_tol, [*warm, *deltas] or None, sum_trick,
+            system, B, cg_tol, [*warm, *deltas] or None, sum_trick,
             normalizers)
         # the last sweep's pairs turn into the newest increments in place,
         # as nothing else holds them; the oldest increments drop out
@@ -318,7 +317,6 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
         # so does the old basis: the snapshots are copies, and the start is
         # this function's own array
         inc = np.linalg.norm(np.subtract(B, B_next, out=B), axis=(0, 1))
-        inv_s[0] += shift
         # one entry per field of SubspaceHistory, in its order
         rows.append((inc, counts, cg_tol, newton_steps, extra, defect,
                      inv_s[0]))
@@ -331,7 +329,7 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
             break
     *records, means = (np.asarray(r) for r in zip(*rows))
     if q > 1:
-        # mu = shift + 1/s is an eigenvalue expansion only at Q = 1
+        # mu = 1/s is an eigenvalue expansion only at Q = 1
         inv_s = means = None
     return SubspaceResult(system, B, converged,
                           SubspaceHistory(*records, means), snapshots, inv_s)

@@ -172,10 +172,10 @@ def rayleigh_quotient(system, U):
     expansion U: the Galerkin division of the energy u(y)' K(y) u(y) by
     the squared mass norm of u(y), formed on the coordinates Y =
     `to_spectral`(U), in which the mass norm is the plain norm.  An
-    eigenvalue route independent of the sweep's mu = shift + 1/s."""
+    eigenvalue route independent of the sweep's mu = 1/s."""
     Y = system.fem_op.to_spectral(U)
     tt = system.tt
-    num = tt.contract_gram(Y @ system.operator().apply(Y).T)
+    num = tt.contract_gram(Y @ system.operator.apply(Y).T)
     return DeltaFactor(tt, tt.contract_gram(Y @ Y.T)).solve(num)
 
 
@@ -450,6 +450,14 @@ def box_indices(aset):
     """Dense exponent tuples padded to the set's max dimension."""
     mdim = aset.max_dimension
     return [dense_exponents(a, mdim) for a in aset.indices]
+
+
+def is_downward_closed(aset):
+    """Every member minus one in any exponent is a member, checked on the
+    dense exponent tuples."""
+    members = set(box_indices(aset))
+    return all(d[:i] + (d[i] - 1,) + d[i + 1:] in members
+               for d in members for i in range(len(d)) if d[i])
 
 
 def dense_triple_tensor(tt):

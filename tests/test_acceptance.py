@@ -194,12 +194,12 @@ def test_08_subspace_angles_variance_and_crossing():
 def test_09_operator_coercivity():
     budget, t0 = 10.0, time.perf_counter()
     sys_ = build_system(n=8, order=2, size=31)
-    op = sys_.operator()
+    op = sys_.operator
     rng = np.random.default_rng(777)
     for _ in range(100):
         V = rng.standard_normal((sys_.P, sys_.N))
         assert float(np.sum(V * op.apply(V))) > 0.0
-    # an unshifted solve must never trip the negative-curvature guard; the
+    # a solve must never trip the negative-curvature guard; the
     # right-hand side M U is U's own coordinates in the eigenbasis
     rhs = sys_.fem_op.to_spectral(rng.standard_normal((sys_.P, sys_.N)))
     _, info = pcg_solve(op, rhs, tol=1e-10)

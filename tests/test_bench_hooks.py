@@ -7,14 +7,18 @@ iterations as `pcg_solve(...)[1].iterations`, the Newton steps as
 `rcond` of each `DeltaFactor` built, and the extra orthonormalization
 passes as `subspace_iterate_once(...)[3]`.  It also reads both drivers'
 results: the sweep, CG, Newton and extra-pass counts of their histories,
-`U`, `eigenvalue`, `eigenvalue_mean` and the snapshots.  The benchmark
-stays fixed while the package changes, so these tests run its code on
-real results: a change to any of these names or shapes fails here instead
-of breaking `bench/run.py`.
+`U`, `eigenvalue`, `eigenvalue_mean` and the snapshots, and it passes
+each workload's keyword arguments to `build_system` and both drivers.  The
+benchmark stays fixed while the package changes, so these tests run its
+code on real results: a change to any of these names or shapes fails here
+instead of breaking `bench/run.py`.  Its `setup_s` times `build_system`
+and its `solve_s` the drivers, so the operator is built on first use, and
+then shared, not built with the system.
 """
 
 import dataclasses
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -81,7 +85,7 @@ def test_triple_tensor_hook_reads_the_entry_count(hooks):
 
 def test_pcg_hook_reads_the_iteration_count(hooks):
     system = build_system(n=3, order=1, size=5)
-    op = system.operator()
+    op = system.operator
     rhs = initial_basis(system, 1)[:, :, 0]
     result = pcg_solve(op, rhs, tol=1e-10)
     X, info = result
@@ -124,7 +128,7 @@ def test_sweep_hook_reads_the_extra_passes(hooks):
     # that sweep's CG tolerance is `_CG_TOL_FACTOR` times 1
     system = build_system(n=4, order=1, size=12)
     B = initial_basis(system, 2)
-    result = subspace_iterate_once(system, B, 0.0,
+    result = subspace_iterate_once(system, B,
                                    subspace_iteration._CG_TOL_FACTOR)
     run = run_subspace_iteration(system, q=2, kmax=1)
     assert result[3] == run.history.extra_orthogonalizations[0]
@@ -187,3 +191,37 @@ def test_workloads_read_both_drivers_results(workloads, monkeypatch):
     accuracy = small.validate(system, (sub, inv), 1, ops)
     assert ops.attempted == 2
     assert set(accuracy) == {"angle_error_final", "mc_mean_z"}
+
+
+def test_workload_arguments_bind_to_the_library(workloads):
+    # a keyword the benchmark passes but the library no longer takes
+    # fails to bind here
+    build = inspect.signature(build_system)
+    inverse = inspect.signature(run_inverse_iteration)
+    subspace = inspect.signature(run_subspace_iteration)
+    bound = 0
+    for workload in workloads.WORKLOADS.values():
+        build.bind(**workload.build_args)
+        inverse.bind(None, **workload.inverse_args)
+        if hasattr(workload, "subspace_args"):
+            subspace.bind(None, **workload.subspace_args)
+            bound += 1
+    assert bound == 1
+
+
+def test_build_leaves_the_operator_to_the_drivers(monkeypatch):
+    # built on the first solve and shared by every later one on the system
+    system = build_system(n=4, order=1, size=12)
+    assert "operator" not in vars(system)
+    seen = []
+    solve = subspace_iteration.pcg_solve
+
+    def recorded(op, *args, **kwargs):
+        seen.append(op)
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(subspace_iteration, "pcg_solve", recorded)
+    run_inverse_iteration(system, tol=1e-8, kmax=3)
+    run_subspace_iteration(system, q=2, tol=0, kmax=2)
+    assert len(seen) == 3 + 2 * 2
+    assert all(op is system.operator for op in seen)

@@ -71,6 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config fields: nn"):
             ExperimentConfig.from_dict({"kind": "iteration", "nn": 4})
 
+    def test_shift_is_no_field(self):
+        # the spectral shift moved the fixed point and is gone: a config
+        # that still sets it fails instead of silently running unshifted
+        with pytest.raises(ValueError, match="unknown config fields: shift"):
+            ExperimentConfig.from_dict({"kind": "iteration", "shift": 0.0})
+
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             ExperimentConfig.from_dict({"n": 4})

@@ -9,6 +9,8 @@ the mean eigenbasis; the nodal checks reach them through the operator's
 oracle into the same coordinates.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,7 +25,6 @@ from chaoseig.galerkin import (
     IndefiniteOperatorError,
     KroneckerOperator,
     NearSingularError,
-    SeparableTerms,
     build_system,
     newton_normalize,
     pcg_solve,
@@ -113,7 +114,7 @@ class TestTensorNorm:
 class TestKroneckerOperator:
     def test_matches_dense_kron(self):
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         dense = materialize_kronecker(raise_matrices(sys),
                                       assembled_terms(sys))
         rng = np.random.default_rng(21)
@@ -123,20 +124,9 @@ class TestKroneckerOperator:
             want = dense @ V.ravel()
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
-    def test_shifted_matches_dense(self):
-        sys = small_system()
-        op = sys.operator(shift=7.5)
-        dense = materialize_kronecker(raise_matrices(sys),
-                                      assembled_terms(sys), shift=7.5,
-                                      mass=assemble_mass(sys.mesh))
-        rng = np.random.default_rng(22)
-        V = random_block(sys, rng)
-        np.testing.assert_allclose(nodal_apply(sys, op, V).ravel(),
-                                   dense @ V.ravel(), rtol=1e-12, atol=1e-13)
-
     def test_apply_is_symmetric(self):
         sys = build_system(n=3, order=2, size=12)
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(23)
         V = random_block(sys, rng)
         W = random_block(sys, rng)
@@ -150,6 +140,8 @@ class TestKroneckerOperator:
     @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
     def test_separable_apply_matches_assembled(self, order, nquad, shift,
                                                rows_per_chunk, monkeypatch):
+        # shift * (identity (x) mass) comes off both sides: the coordinates
+        # must make the assembled mass the identity, under every rule
         use_cell_rule(monkeypatch, nquad)
         sys = build_system(n=3, order=order, size=12)
         assert sys.fem_op.nterms >= 2  # terms along both axes
@@ -158,13 +150,16 @@ class TestKroneckerOperator:
             slice_bytes = sys.N * 8
             monkeypatch.setattr(galerkin, "_CHUNK_BYTES",
                                 rows_per_chunk * slice_bytes)
-            assert sys.terms.step == rows_per_chunk
+            assert sys.operator.step == rows_per_chunk
         dense = materialize_kronecker(raise_matrices(sys),
                                       assembled_terms(sys, nquad),
                                       shift=shift,
                                       mass=assemble_mass(sys.mesh, nquad))
         V = random_block(sys, np.random.default_rng(26))
-        got = nodal_apply(sys, sys.operator(shift), V).ravel()
+        f = sys.fem_op
+        Y = f.to_spectral(V)
+        got = f.mass_apply(f.to_nodal(sys.operator.apply(Y)
+                                      - shift * Y)).ravel()
         want = dense @ V.ravel()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -174,13 +169,14 @@ class TestKroneckerOperator:
     @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
     def test_spectral_apply_matches_assembled(self, order, nquad, shift,
                                               rows_per_chunk, monkeypatch):
-        # the dense oracle in Q (x) Q coordinates: (I (x) T)^T K (I (x) T)
+        # the dense oracle in Q (x) Q coordinates: (I (x) T)^T K (I (x) T),
+        # where shift * (identity (x) mass) is shift times the identity
         use_cell_rule(monkeypatch, nquad)
         sys = build_system(n=3, order=order, size=12)
         if rows_per_chunk is not None:
             monkeypatch.setattr(galerkin, "_CHUNK_BYTES",
                                 rows_per_chunk * sys.N * 8)
-            assert sys.terms.step == rows_per_chunk
+            assert sys.operator.step == rows_per_chunk
         dense = materialize_kronecker(raise_matrices(sys),
                                       assembled_terms(sys, nquad),
                                       shift=shift,
@@ -188,7 +184,7 @@ class TestKroneckerOperator:
         Q = sys.fem_op.mean_eigenbasis[1]
         T = np.kron(np.eye(sys.P), np.kron(Q, Q))
         Y = random_block(sys, np.random.default_rng(28))
-        got = sys.operator(shift).apply(Y).ravel()
+        got = (sys.operator.apply(Y) - shift * Y).ravel()
         want = T.T @ (dense @ (T @ Y.ravel()))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -196,7 +192,7 @@ class TestKroneckerOperator:
         # the default varsigma = 3.2 keeps the amplitude sum zeta(3.2) - 1
         # below one, so a(x,y) > 0 and the energy is positive
         sys = build_system(n=4, order=1, size=12)
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(24)
         for _ in range(50):
             V = random_block(sys, rng)
@@ -204,7 +200,7 @@ class TestKroneckerOperator:
 
     def test_single_index_set_reduces_to_mean_term(self):
         sys = build_system(n=3, order=1, size=1)
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(25)
         V = random_block(sys, rng)
         want = (matrix_at(sys.fem_op) @ V.T).T
@@ -215,21 +211,9 @@ class TestKroneckerOperator:
 
     def test_rejects_wrong_shape(self):
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         with pytest.raises(ValueError, match="block shape"):
             op.apply(np.zeros((sys.P, sys.N + 1)))
-
-    def test_shift_requires_mass(self):
-        # the shift term is taken from the 1D mass factors; it must equal
-        # shift * (identity (x) assembled mass)
-        sys = small_system()
-        V = random_block(sys, np.random.default_rng(27))
-        diff = (nodal_apply(sys, KroneckerOperator(sys.terms), V)
-                - nodal_apply(sys, KroneckerOperator(sys.terms, shift=1.5),
-                              V))
-        np.testing.assert_allclose(diff,
-                                   1.5 * (assemble_mass(sys.mesh) @ V.T).T,
-                                   rtol=1e-12, atol=1e-12)
 
     def test_rejects_length_mismatch(self):
         sys = small_system()
@@ -237,20 +221,21 @@ class TestKroneckerOperator:
         assert sys.fem_op.nterms > singleton.aset.max_dimension
         with pytest.raises(ValueError, match=r"\d+ stiffness terms, but the "
                                              r"set has 0 dimensions"):
-            SeparableTerms(singleton.tt, sys.fem_op)
+            KroneckerOperator(singleton.tt, sys.fem_op)
 
     def test_apply_writes_into_out(self):
         sys = small_system()
-        op = sys.operator(shift=3.0)
+        op = sys.operator
         V = random_block(sys, np.random.default_rng(50))
         out = np.full((sys.P, sys.N), np.nan)
         assert op.apply(V, out=out) is out
         np.testing.assert_array_equal(out, op.apply(V))
 
-    def test_operators_share_cached_terms(self):
+    def test_one_operator_per_system(self):
         sys = small_system()
-        a, b = sys.operator(), sys.operator(shift=2.0)
-        assert a.terms is b.terms is sys.terms
+        op = sys.operator
+        assert isinstance(op, KroneckerOperator)
+        assert sys.operator is op
 
 
 class TestMeanPreconditioner:
@@ -305,7 +290,7 @@ class TestMeanPreconditioner:
             assert sys.fem_op.spectral_factors.shape[:2] == \
                 (sys.fem_op.nterms + 1, 2)
             sys.fem_op.mean_eigenpairs(2)
-            sys.operator().apply(R)
+            sys.operator.apply(R)
         assert len(calls) == 1
 
 
@@ -314,7 +299,7 @@ class TestPcgSolve:
         # K V = M U, solved in the eigenbasis, where the right-hand side is
         # U's own coordinates
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         dense = materialize_kronecker(raise_matrices(sys),
                                       assembled_terms(sys))
         rng = np.random.default_rng(41)
@@ -329,27 +314,29 @@ class TestPcgSolve:
 
     def test_zero_rhs_short_circuits(self):
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         X, info = pcg_solve(op, np.zeros((sys.P, sys.N)))
         assert info.converged and info.iterations == 0
         assert not X.any()
 
     def test_warm_start_at_solution_costs_nothing(self):
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(42)
         B = random_block(sys, rng)
-        X, _ = pcg_solve(op, B, tol=1e-13, maxiter=400)
-        _, info = pcg_solve(op, B, tol=1e-10, maxiter=400, x0=X)
+        X, first = pcg_solve(op, B, tol=1e-13, maxiter=400)
+        _, info = pcg_solve(op, B, tol=1e-10, maxiter=400,
+                            start=(X, first.product))
         assert info.iterations == 0
 
     def test_returned_product_matches_apply(self):
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(45)
         B = random_block(sys, rng)
-        for x0 in (None, random_block(sys, rng)):
-            X, info = pcg_solve(op, B, tol=1e-8, maxiter=400, x0=x0)
+        x0 = random_block(sys, rng)
+        for start in (None, (x0, op.apply(x0))):
+            X, info = pcg_solve(op, B, tol=1e-8, maxiter=400, start=start)
             assert info.iterations > 0
             np.testing.assert_allclose(info.product, op.apply(X), rtol=0,
                                        atol=1e-13 * np.abs(B).max())
@@ -358,13 +345,14 @@ class TestPcgSolve:
         # a second solve on a new right-hand side, warm-started from the
         # first: its carried product stands in for op.apply(x0)
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(46)
         B1, B2 = random_block(sys, rng), random_block(sys, rng)
         X1, info1 = pcg_solve(op, B1, tol=1e-6, maxiter=400)
-        fresh, want = pcg_solve(op, B2, tol=1e-10, maxiter=400, x0=X1)
-        carried, got = pcg_solve(op, B2, tol=1e-10, maxiter=400, x0=X1,
-                                 ax0=info1.product)
+        fresh, want = pcg_solve(op, B2, tol=1e-10, maxiter=400,
+                                start=(X1, op.apply(X1)))
+        carried, got = pcg_solve(op, B2, tol=1e-10, maxiter=400,
+                                 start=(X1, info1.product))
         assert got.iterations == want.iterations > 0
         np.testing.assert_allclose(carried, fresh, rtol=0,
                                    atol=1e-12 * np.abs(fresh).max())
@@ -372,32 +360,33 @@ class TestPcgSolve:
     def test_leaves_inputs_unchanged(self):
         # the CG updates run in place, on the solver's own blocks only
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(47)
         B, x0 = random_block(sys, rng), random_block(sys, rng)
         ax0 = op.apply(x0)
         kept = [B.copy(), x0.copy(), ax0.copy()]
-        pcg_solve(op, B, tol=1e-10, maxiter=400, x0=x0, ax0=ax0)
+        pcg_solve(op, B, tol=1e-10, maxiter=400, start=(x0, ax0))
         for arg, copy in zip((B, x0, ax0), kept):
             np.testing.assert_array_equal(arg, copy)
 
     def test_rejects_product_without_start(self):
+        # the start's product comes only with the start itself
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         B = random_block(sys, np.random.default_rng(48))
-        with pytest.raises(ValueError, match="ax0 needs x0"):
-            pcg_solve(op, B, ax0=np.zeros_like(B))
+        with pytest.raises(ValueError, match="start needs two blocks"):
+            pcg_solve(op, B, start=(None, np.zeros_like(B)))
 
     def test_rejects_product_of_another_shape(self):
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         B = random_block(sys, np.random.default_rng(49))
         with pytest.raises(ValueError, match="shape"):
-            pcg_solve(op, B, x0=np.zeros_like(B), ax0=np.zeros(B.size))
+            pcg_solve(op, B, start=(np.zeros_like(B), np.zeros(B.size)))
 
     def test_reports_nonconvergence(self):
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(43)
         B = random_block(sys, rng)
         _, info = pcg_solve(op, B, tol=1e-14, maxiter=1)
@@ -405,13 +394,17 @@ class TestPcgSolve:
         assert info.iterations == 1
         assert info.trace.shape == (2,)
 
-    def test_detects_indefiniteness_under_huge_shift(self):
+    def test_detects_negative_curvature(self):
+        # the system's operator with its sign flipped: every direction has
+        # negative energy, and CG meets one at its first step
         sys = small_system()
-        op = sys.operator(shift=1e6)
-        rng = np.random.default_rng(44)
-        B = random_block(sys, rng)
+        op = sys.operator
+        flipped = SimpleNamespace(
+            apply=lambda V, out=None: np.negative(op.apply(V), out=out),
+            mean_solve=op.mean_solve)
+        B = random_block(sys, np.random.default_rng(44))
         with pytest.raises(IndefiniteOperatorError, match="curvature"):
-            pcg_solve(op, B)
+            pcg_solve(flipped, B)
 
     def test_iteration_budget_mean_preconditioned(self):
         # regression bound: the mean-based preconditioner keeps the count
@@ -423,7 +416,7 @@ class TestPcgSolve:
         v /= np.sqrt(v @ (M @ v))
         U = np.zeros((sys.P, sys.N))
         U[0] = v
-        op = sys.operator()
+        op = sys.operator
         _, info = pcg_solve(op, sys.fem_op.to_spectral(U), tol=1e-10,
                             maxiter=30)
         assert info.converged
@@ -447,7 +440,7 @@ class TestProjectedStart:
         # directions: one near the error of x0, then ones within 10^spread
         # of it (numerically dependent at -12), then a random one
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(seed)
         B = random_block(sys, rng)
         exact, _ = pcg_solve(op, B, tol=1e-14, maxiter=400)
@@ -455,7 +448,7 @@ class TestProjectedStart:
         D0 = exact - x0 + 1e-4 * random_block(sys, rng)
         dirs = [D0 + 10.0 ** spread * random_block(sys, rng) * i
                 for i in range(m)] + [random_block(sys, rng)]
-        X, info = pcg_solve(op, B, maxiter=0, x0=x0, ax0=op.apply(x0),
+        X, info = pcg_solve(op, B, maxiter=0, start=(x0, op.apply(x0)),
                             window=[(D, op.apply(D)) for D in dirs])
         assert info.iterations == 0
         plain = energy_error(op, x0, exact)
@@ -463,12 +456,12 @@ class TestProjectedStart:
 
     def test_exact_when_the_solution_is_in_the_span(self):
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(51)
         x0, D1, D2 = (random_block(sys, rng) for _ in range(3))
         want = x0 + 0.3 * D1 - 2.0 * D2
-        X, info = pcg_solve(op, op.apply(want), tol=1e-10, x0=x0,
-                            ax0=op.apply(x0),
+        X, info = pcg_solve(op, op.apply(want), tol=1e-10,
+                            start=(x0, op.apply(x0)),
                             window=[(D1, op.apply(D1)), (D2, op.apply(D2))])
         assert info.iterations == 0 and info.converged
         np.testing.assert_allclose(X, want, rtol=0,
@@ -478,46 +471,47 @@ class TestProjectedStart:
 
     def test_negative_energy_raises_before_any_cg_step(self):
         # a start that already meets its tolerance never reaches CG's
-        # curvature check: the window's own energies must catch the shift
+        # curvature check: the window's own energies must catch a pair
+        # whose carried product is not the operator's
         sys = small_system()
-        op = sys.operator(shift=1e3)
+        op = sys.operator
         rng = np.random.default_rng(52)
         B, x0 = random_block(sys, rng), random_block(sys, rng)
         D = np.zeros((sys.P, sys.N))
         D[0] = sys.fem_op.mean_eigenpairs(1)[1][:, 0]
         with pytest.raises(IndefiniteOperatorError, match="window"):
-            pcg_solve(op, B, tol=1e300, x0=x0, ax0=op.apply(x0),
-                      window=[(D, op.apply(D))])
+            pcg_solve(op, B, tol=1e300, start=(x0, op.apply(x0)),
+                      window=[(D, -op.apply(D))])
 
     def test_zero_and_roundoff_directions_are_skipped(self):
         # an exactly zero increment (two solves equal to the bit, as at
         # P = 1) and one whose product is roundoff of either sign change
         # nothing and divide by nothing
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(53)
         B, x0 = random_block(sys, rng), random_block(sys, rng)
         ax0 = op.apply(x0)
         zero = np.zeros_like(B)
         tiny = 1e-16 * random_block(sys, rng)
         noise = 1e-15 * np.linalg.norm(ax0) * tiny / np.linalg.norm(tiny)
-        want, _ = pcg_solve(op, B, tol=1e-10, x0=x0, ax0=ax0,
+        want, _ = pcg_solve(op, B, tol=1e-10, start=(x0, ax0),
                             window=[(x0, ax0)])
         for KD in (noise, -noise):
             with np.errstate(all="raise"):
-                got, _ = pcg_solve(op, B, tol=1e-10, x0=x0, ax0=ax0,
+                got, _ = pcg_solve(op, B, tol=1e-10, start=(x0, ax0),
                                    window=[(x0, ax0), (zero, zero),
                                            (tiny, KD)])
             np.testing.assert_array_equal(got, want)
 
     def test_leaves_the_window_unchanged(self):
         sys = small_system()
-        op = sys.operator()
+        op = sys.operator
         rng = np.random.default_rng(54)
         B, x0, D = (random_block(sys, rng) for _ in range(3))
         window = [(x0, op.apply(x0)), (D, op.apply(D))]
         kept = [a.copy() for pair in window for a in pair]
-        pcg_solve(op, B, tol=1e-10, x0=x0, ax0=window[0][1], window=window)
+        pcg_solve(op, B, tol=1e-10, start=window[0], window=window)
         for arg, copy in zip((a for pair in window for a in pair), kept):
             np.testing.assert_array_equal(arg, copy)
 

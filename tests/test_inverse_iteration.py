@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from chaoseig import subspace_iteration
-from chaoseig.galerkin import IndefiniteOperatorError, build_system
+from chaoseig.galerkin import build_system
 from chaoseig.inverse_iteration import run_inverse_iteration
 from chaoseig.subspace_iteration import initial_basis, run_subspace_iteration
 from chaoseig.validation import pointwise_error
@@ -171,30 +171,6 @@ class TestConvergence:
         assert res.eigenvalue_mean == res.eigenvalue[0]
         assert res.eigenvalue_variance == pytest.approx(
             float(np.sum(res.eigenvalue[1:] ** 2)))
-
-
-class TestShiftedIteration:
-    def test_shift_accelerates_same_fixed_point(self):
-        sys = build_system(n=4, order=1, size=12)
-        plain = run_inverse_iteration(sys, tol=1e-11, kmax=80)
-        shifted = run_inverse_iteration(sys, tol=1e-11, kmax=80, shift=10.0)
-        assert plain.converged and shifted.converged
-        assert len(shifted.history) < len(plain.history)
-        # the two sweeps project the eigenvalue through different nonlinear
-        # maps, so their fixed points agree only to truncation level
-        np.testing.assert_allclose(shifted.eigenvalue_mean,
-                                   plain.eigenvalue_mean, rtol=1e-6)
-        d = sys.fem_op.to_nodal(shifted.U - plain.U)
-        assert tensor_norm(d, sys.fem_op) <= 1e-5
-
-    def test_indefinite_shift_raises(self):
-        sys = build_system(n=4, order=1, size=12)
-        shift = 3.0 * sys.fem_op.mean_eigenpairs(1)[0][0]
-        with pytest.raises(IndefiniteOperatorError):
-            run_inverse_iteration(sys, tol=1e-10, kmax=40, shift=shift)
-        with pytest.raises(IndefiniteOperatorError):
-            run_subspace_iteration(sys, q=2, tol=1e-10, kmax=40,
-                                   shift=shift)
 
 
 class TestDriverBookkeeping:

@@ -268,10 +268,10 @@ class TestTripleTensorAgainstPairScan:
         assert peak < 32e6
 
     def test_set_missing_a_split_part_is_rejected(self):
-        # ((1, 2),) = ((1, 1),) + ((1, 1),), and ((1, 1),) is no member
-        aset = MultiIndexSet([(), ((1, 2),)], [1.0, 0.5], 0.1)
+        # ((1, 2),) = ((1, 1),) + ((1, 1),), and ((1, 1),) is no member: the
+        # set itself is rejected, before any tensor is built from it
         with pytest.raises(ValueError, match=r"\(\(1, 1\),\) is missing"):
-            build_triple_tensor(aset)
+            MultiIndexSet([(), ((1, 2),)], [1.0, 0.5], 0.1)
 
     def test_one_dimensional_set(self):
         # one dimension of degree 19: every member is a split part of each

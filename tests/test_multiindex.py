@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chaoseig.multiindex import (
+    MultiIndexSet,
     _sort_key,
     dimension_weights,
     generate_index_set,
@@ -149,7 +150,25 @@ class TestGeneration:
     def test_downward_closed(self):
         for eps in (0.3, 0.05, 0.005, 0.0005):
             aset = generate_index_set(eps, varsigma=3.2)
-            assert aset.is_downward_closed()
+            assert oracles.is_downward_closed(aset)
+
+    def test_set_that_is_not_downward_closed_is_rejected(self):
+        # ((1, 1), (2, 1)) lowered in dimension 1 is ((2, 1),), no member
+        with pytest.raises(ValueError, match=r"not downward closed: "
+                           r"\(\(2, 1\),\) is missing below "
+                           r"\(\(1, 1\), \(2, 1\)\)"):
+            MultiIndexSet([(), ((1, 1),), ((1, 1), (2, 1))],
+                          [1.0, 0.5, 0.2], 0.1)
+
+    def test_lowered_positions(self):
+        aset = generate_index_set(0.005, varsigma=3.2)
+        ndim = aset.max_dimension
+        for alpha, below in zip(aset.indices, aset.lowered):
+            assert len(below) == len(alpha)
+            for (d, _), j in zip(alpha, below):
+                want = list(oracles.dense_exponents(alpha, ndim))
+                want[d - 1] -= 1
+                assert oracles.dense_exponents(aset[j], ndim) == tuple(want)
 
     def test_one_step_extension_completeness(self):
         aset = generate_index_set(0.005, varsigma=3.2)
@@ -286,4 +305,4 @@ class TestBySize:
         assert aset.indices == ref.indices
         assert aset.weights.tobytes() == ref.weights.tobytes()
         assert aset.eps == ref.eps
-        assert aset.is_downward_closed()
+        assert oracles.is_downward_closed(aset)

@@ -348,9 +348,9 @@ class TestCarriedNormalization:
         B = initial_basis(sys, 2)
         normalizers = None
         for _ in range(3):
-            cold = subspace_iteration.subspace_iterate_once(sys, B, 0.0, 1e-8)
+            cold = subspace_iteration.subspace_iterate_once(sys, B, 1e-8)
             warm = subspace_iteration.subspace_iterate_once(
-                sys, B, 0.0, 1e-8, normalizers=normalizers)
+                sys, B, 1e-8, normalizers=normalizers)
             np.testing.assert_allclose(warm[0], cold[0], rtol=0,
                                        atol=1e-12 * np.linalg.norm(cold[0]))
             assert warm[3] == cold[3]
