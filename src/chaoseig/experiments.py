@@ -96,6 +96,9 @@ class ExperimentConfig:
             if not all(type(v) is int and v >= 1 for v in counts):
                 raise ValueError(f"field {f.name} must be positive: integers "
                                  f">= 1, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"field seed must be a non-negative integer, "
+                             f"got {self.seed!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got "
                              f"{self.kind!r}")

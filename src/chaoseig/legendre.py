@@ -135,22 +135,16 @@ class TripleProductTensor:
 
 
 def _splits(aset):
-    """Sparse rows of the members and every split x + y = s of each member.
+    """Positions (x, y, s) of all splits x + y = s of each member.
 
-    Returns S and E, the support dimensions and exponents of each member,
-    padded with 0, and the positions (x, y, s) of all splits.  Both parts
-    are reached from s by lowering its support one step at a time, last
-    column first, so that the earlier columns keep their places; the set
-    holds each member's lowered positions (`MultiIndexSet.lowered`).
+    Both parts are reached from s by lowering its support one step at a
+    time, last column first, so that the earlier columns keep their places;
+    the set's decoded arrays give each member's exponents and its lowered
+    positions (`MultiIndexSet.exponents`, `MultiIndexSet.lowered`), whose
+    padding has exponent 0 and is never lowered.
     """
-    P, L = len(aset), max(1, max(len(a) for a in aset.indices))
-    S = np.zeros((P, L), dtype=np.int64)
-    E = np.zeros((P, L), dtype=np.int64)
-    down = np.zeros((P, L), dtype=np.int64)  # s minus one in column k
-    for i, (alpha, below) in enumerate(zip(aset.indices, aset.lowered)):
-        for k, (d, e) in enumerate(alpha):
-            S[i, k], E[i, k] = d, e
-        down[i, :len(below)] = below
+    E, down = aset.exponents, aset.lowered
+    P, L = E.shape
     # the split x of s: the mixed-radix digits of its rank among the splits
     counts = np.prod(E + 1, axis=1)
     x = y = s = np.repeat(np.arange(P), counts)
@@ -161,7 +155,7 @@ def _splits(aset):
         for step in range(int(E[:, k].max())):
             y = np.where(xk > step, down[y, k], y)
             x = np.where(e - xk > step, down[x, k], x)
-    return S, E, x, y, s
+    return x, y, s
 
 
 def build_triple_tensor(aset: MultiIndexSet) -> TripleProductTensor:
@@ -178,7 +172,8 @@ def build_triple_tensor(aset: MultiIndexSet) -> TripleProductTensor:
     from one table of `univariate_triple`; outside supp(a) each factor is
     univariate_triple(0, p, p) = 1, so only supp(a) is multiplied.
     """
-    S, E, x, y, s = _splits(aset)
+    S, E = aset.support, aset.exponents
+    x, y, s = _splits(aset)
     P = len(aset)
     # edges sorted by (x, y): the neighbours of each member are contiguous
     code = x * P + y

@@ -112,10 +112,13 @@ class MultiIndexSet:
         first; decreasing weight, ties by degree then lexicographic order).
     weights : ndarray of matching product weights, non-increasing.
     eps : float threshold; every member has weight > eps.
-    lowered : per member, the positions of the member lowered by one in
-        each of its support columns, in column order.  A set that lacks
-        one of them is not downward closed, and the constructor raises
-        ValueError naming it.
+    support, exponents, lowered : read-only (P, L) int64 arrays, decoded
+        once, L the widest support: member i's support dimensions, its
+        exponents there, and the positions of the member lowered by one in
+        each support column, padded with 0, 0 and -1.  A set that lacks a
+        lowered member is not downward closed: ValueError names it.
+    max_dimension : int, largest active dimension (0 for the zero set).
+    max_degrees : read-only per-dimension maximal exponents.
     """
 
     def __init__(self, indices, weights, eps):
@@ -129,17 +132,26 @@ class MultiIndexSet:
         self._pos = {a: i for i, a in enumerate(self.indices)}
         if len(self._pos) != len(self.indices):
             raise ValueError("duplicate multi-indices")
-        self.lowered = []
-        for a in self.indices:
-            below = []
+        # per member and support column: dimension, exponent, lowered
+        rows = np.zeros((3, len(self), max(map(len, self)) or 1),
+                        dtype=np.int64)
+        rows[2] = -1
+        for i, a in enumerate(self.indices):
             for k, (d, e) in enumerate(a):
                 b = a[:k] + (((d, e - 1),) if e > 1 else ()) + a[k + 1:]
                 j = self._pos.get(b)
                 if j is None:
                     raise ValueError(f"index set is not downward closed: "
                                      f"{b} is missing below {a}")
-                below.append(j)
-            self.lowered.append(below)
+                rows[:, i, k] = d, e, j
+        self.max_dimension = int(rows[0].max())
+        # the padding's exponent 0 lands in the dropped slot of dimension 0
+        degrees = np.zeros(self.max_dimension + 1, dtype=np.int64)
+        np.maximum.at(degrees, rows[0], rows[1])
+        for arr in (rows, degrees):
+            arr.flags.writeable = False
+        self.support, self.exponents, self.lowered = rows
+        self.max_degrees = degrees[1:]
 
     def __len__(self):
         return len(self.indices)
@@ -160,21 +172,6 @@ class MultiIndexSet:
     def position(self, alpha):
         """Position in the canonical order, or None if alpha is absent."""
         return self._pos.get(alpha)
-
-    @property
-    def max_dimension(self):
-        """Largest active dimension over all members (0 for the zero set)."""
-        return max((a[-1][0] for a in self.indices if a), default=0)
-
-    @property
-    def max_degrees(self):
-        """Array of per-dimension maximal exponents, length max_dimension."""
-        out = np.zeros(self.max_dimension, dtype=int)
-        for a in self.indices:
-            for d, e in a:
-                if e > out[d - 1]:
-                    out[d - 1] = e
-        return out
 
 
 def _explicit_weights(weights):

@@ -104,6 +104,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="field kmax must be positive"):
             ExperimentConfig(kind="iteration", kmax=0)
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="field seed must be a "
+                                             "non-negative integer, got -1"):
+            ExperimentConfig(kind="subspace", seed=-1)
+        assert ExperimentConfig(kind="subspace", seed=0).seed == 0
+
     def test_max_terms_must_be_positive(self):
         with pytest.raises(ValueError, match="field max_terms must be positive"):
             ExperimentConfig(kind="iteration", max_terms=0)

@@ -6,6 +6,8 @@ independent comparator.  Contraction-rate and pointwise-accuracy checks
 run on small meshes; the full-size versions live in the acceptance suite.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -222,6 +224,17 @@ class TestDriverBookkeeping:
         sys = build_system(n=3, order=1, size=5)
         with pytest.raises(ValueError, match="kmax"):
             run_inverse_iteration(sys, kmax=0)
+
+    @pytest.mark.parametrize("entry", [0.0, np.nan], ids=["zero", "nan"])
+    def test_bad_start_is_rejected_before_the_division(self, entry):
+        sys = build_system(n=3, order=1, size=5)
+        start = np.zeros((sys.P, sys.N))
+        start[1, 2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="start column 0 is zero or not finite"):
+                run_inverse_iteration(sys, initial=start)
 
     def test_cg_stall_names_the_iteration_count(self, monkeypatch):
         monkeypatch.setattr(subspace_iteration, "_CG_MAXITER", 1)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from chaoseig.legendre import basis_matrix, build_triple_tensor
 from chaoseig.multiindex import (
     MultiIndexSet,
     _sort_key,
@@ -160,15 +161,59 @@ class TestGeneration:
             MultiIndexSet([(), ((1, 1),), ((1, 1), (2, 1))],
                           [1.0, 0.5, 0.2], 0.1)
 
-    def test_lowered_positions(self):
-        aset = generate_index_set(0.005, varsigma=3.2)
+    # explicit rules of one to four dimensions and built-in rules, at eps
+    # = 10**-x; every entry of the decoded arrays is checked against the
+    # sparse tuples
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(
+        st.tuples(st.lists(st.floats(0.2, 0.7), min_size=1, max_size=4),
+                  st.floats(1.0, 2.0)).map(
+            lambda t: (t[1], {"weights": sorted(t[0], reverse=True)})),
+        st.tuples(st.floats(2.0, 4.0), st.floats(1.0, 3.0)).map(
+            lambda t: (t[1], {"varsigma": t[0]}))))
+    def test_decoded_arrays_match_the_tuples(self, rule):
+        aset = generate_index_set(10.0 ** -rule[0], **rule[1])
         ndim = aset.max_dimension
-        for alpha, below in zip(aset.indices, aset.lowered):
-            assert len(below) == len(alpha)
-            for (d, _), j in zip(alpha, below):
-                want = list(oracles.dense_exponents(alpha, ndim))
+        assert type(ndim) is int
+        assert ndim == max((a[-1][0] for a in aset if a), default=0)
+        assert aset.support.shape == aset.exponents.shape \
+            == aset.lowered.shape == (len(aset), max(map(len, aset)) or 1)
+        for i, alpha in enumerate(aset):
+            n = len(alpha)
+            dense = np.zeros(ndim, dtype=int)
+            dense[aset.support[i, :n] - 1] = aset.exponents[i, :n]
+            assert tuple(dense) == oracles.dense_exponents(alpha, ndim)
+            assert np.all(np.diff(aset.support[i, :n]) > 0)
+            assert not aset.support[i, n:].any()
+            assert not aset.exponents[i, n:].any()
+            assert np.all(aset.lowered[i, n:] == -1)
+            for k, d in enumerate(aset.support[i, :n]):
+                want = dense.copy()
                 want[d - 1] -= 1
-                assert oracles.dense_exponents(aset[j], ndim) == tuple(want)
+                below = aset[aset.lowered[i, k]]
+                assert oracles.dense_exponents(below, ndim) == tuple(want)
+        box = np.array(oracles.box_indices(aset)).reshape(len(aset), ndim)
+        np.testing.assert_array_equal(aset.max_degrees, box.max(axis=0))
+        for arr in (aset.support, aset.exponents, aset.lowered,
+                    aset.max_degrees):
+            assert arr.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_zero_only_set(self):
+        aset = generate_index_set(0.9, weights=[0.5])
+        assert aset.indices == [()]
+        for arr, pad in ((aset.support, 0), (aset.exponents, 0),
+                         (aset.lowered, -1)):
+            np.testing.assert_array_equal(arr, [[pad]])
+        assert aset.max_dimension == 0 and type(aset.max_dimension) is int
+        assert aset.max_degrees.shape == (0,)
+        tt = build_triple_tensor(aset)
+        assert (tt.ia.tolist(), tt.ib.tolist(), tt.ic.tolist(),
+                tt.values.tolist()) == ([0], [0], [0], [1.0])
+        np.testing.assert_array_equal(basis_matrix(aset, np.zeros((3, 0))),
+                                      np.ones((3, 1)))
 
     def test_one_step_extension_completeness(self):
         aset = generate_index_set(0.005, varsigma=3.2)

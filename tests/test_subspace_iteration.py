@@ -309,6 +309,18 @@ class TestFailureModes:
             run_subspace_iteration(sys, q=2,
                                    initial=np.zeros((sys.P, sys.N, 3)))
 
+    @pytest.mark.parametrize("where, entry, column", [
+        (np.s_[:], 0.0, 0), (np.s_[1, 2, 1], np.nan, 1),
+        (np.s_[:, :, 1], 0.0, 1)],
+        ids=["zero-block", "nan-entry", "zero-column"])
+    def test_bad_start_names_its_column(self, where, entry, column):
+        sys = build_system(n=3, order=1, size=5)
+        B = initial_basis(sys, 2)
+        B[where] = entry
+        with pytest.raises(ValueError, match=f"start column {column} is "
+                                             f"zero or not finite"):
+            run_subspace_iteration(sys, q=2, initial=B)
+
 
 class TestCarriedProduct:
     """Each warm start brings the operator's product with it, so the
