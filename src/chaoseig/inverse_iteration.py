@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .galerkin import GalerkinSystem
-from .subspace_iteration import _check_start, run_subspace_iteration
+from .subspace_iteration import run_subspace_iteration
 
 __all__ = ["run_inverse_iteration"]
 
@@ -32,8 +32,10 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
     whose snapshots (when stored) are (P, N, 1) stacks.
     """
     if initial is not None:
-        initial = np.asarray(initial, dtype=float)[:, :, None]
-        _check_start(initial)
-        initial = initial / np.linalg.norm(initial)
+        initial = np.asarray(initial, dtype=float)[..., None]
+        norm = np.linalg.norm(initial)
+        if not 0.0 < norm < np.inf:
+            raise ValueError("start column 0 is zero or not finite")
+        initial = initial / norm
     return run_subspace_iteration(system, 1, tol, kmax, initial=initial,
                                   store_snapshots=store_snapshots)

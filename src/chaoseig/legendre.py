@@ -138,10 +138,9 @@ def _splits(aset):
     """Positions (x, y, s) of all splits x + y = s of each member.
 
     Both parts are reached from s by lowering its support one step at a
-    time, last column first, so that the earlier columns keep their places;
-    the set's decoded arrays give each member's exponents and its lowered
-    positions (`MultiIndexSet.exponents`, `MultiIndexSet.lowered`), whose
-    padding has exponent 0 and is never lowered.
+    time, last column first, so that the earlier columns keep their places
+    (`MultiIndexSet.exponents` and `lowered`, whose padding has exponent 0
+    and is never lowered).
     """
     E, down = aset.exponents, aset.lowered
     P, L = E.shape
@@ -222,12 +221,9 @@ def basis_matrix(aset: MultiIndexSet, Y):
     mdim = aset.max_dimension
     if Y.shape[1] < mdim:
         raise ValueError(f"points have {Y.shape[1]} dims, set needs {mdim}")
-    degs = aset.max_degrees
     # per active dimension: univariate values up to that dimension's max degree
-    univ = {}
-    for m in range(1, mdim + 1):
-        if degs[m - 1] > 0:
-            univ[m] = eval_univariate_all(degs[m - 1], Y[:, m - 1])
+    univ = {m: eval_univariate_all(p, Y[:, m - 1])
+            for m, p in enumerate(aset.max_degrees, 1) if p > 0}
     out = np.ones((Y.shape[0], len(aset)))
     for j, alpha in enumerate(aset.indices):
         for m, p in alpha:

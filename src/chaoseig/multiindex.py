@@ -112,13 +112,13 @@ class MultiIndexSet:
         first; decreasing weight, ties by degree then lexicographic order).
     weights : ndarray of matching product weights, non-increasing.
     eps : float threshold; every member has weight > eps.
-    support, exponents, lowered : read-only (P, L) int64 arrays, decoded
-        once, L the widest support: member i's support dimensions, its
-        exponents there, and the positions of the member lowered by one in
-        each support column, padded with 0, 0 and -1.  A set that lacks a
-        lowered member is not downward closed: ValueError names it.
-    max_dimension : int, largest active dimension (0 for the zero set).
-    max_degrees : read-only per-dimension maximal exponents.
+    support, exponents, lowered : read-only (P, L) int64 arrays, L the
+        widest support: member i's support dimensions, its exponents there
+        and the positions of it lowered by one in each support column,
+        padded with 0, 0 and -1.  A set that lacks a lowered member is not
+        downward closed: ValueError names it.
+    max_dimension, max_degrees : largest active dimension, an int (0 for
+        the zero set), and read-only per-dimension maximal exponents.
     """
 
     def __init__(self, indices, weights, eps):
@@ -133,9 +133,7 @@ class MultiIndexSet:
         if len(self._pos) != len(self.indices):
             raise ValueError("duplicate multi-indices")
         # per member and support column: dimension, exponent, lowered
-        rows = np.zeros((3, len(self), max(map(len, self)) or 1),
-                        dtype=np.int64)
-        rows[2] = -1
+        entries = []
         for i, a in enumerate(self.indices):
             for k, (d, e) in enumerate(a):
                 b = a[:k] + (((d, e - 1),) if e > 1 else ()) + a[k + 1:]
@@ -143,15 +141,17 @@ class MultiIndexSet:
                 if j is None:
                     raise ValueError(f"index set is not downward closed: "
                                      f"{b} is missing below {a}")
-                rows[:, i, k] = d, e, j
-        self.max_dimension = int(rows[0].max())
-        # the padding's exponent 0 lands in the dropped slot of dimension 0
-        degrees = np.zeros(self.max_dimension + 1, dtype=np.int64)
-        np.maximum.at(degrees, rows[0], rows[1])
-        for arr in (rows, degrees):
-            arr.flags.writeable = False
+                entries += i, k, d, e, j
+        i, k, d, e, j = np.array(entries, dtype=np.int64).reshape(-1, 5).T
+        rows = np.zeros((3, len(self), max(map(len, self)) or 1),
+                        dtype=np.int64)
+        rows[2] = -1
+        rows[:, i, k] = d, e, j
+        self.max_dimension = int(d.max(initial=0))
+        self.max_degrees = np.zeros(self.max_dimension, dtype=np.int64)
+        np.maximum.at(self.max_degrees, d - 1, e)
+        rows.flags.writeable = self.max_degrees.flags.writeable = False
         self.support, self.exponents, self.lowered = rows
-        self.max_degrees = degrees[1:]
 
     def __len__(self):
         return len(self.indices)

@@ -157,13 +157,6 @@ def initial_basis(system: GalerkinSystem, q):
     return B
 
 
-def _check_start(B):
-    """Raise ValueError naming the first zero or non-finite start column."""
-    for L in range(B.shape[2]):
-        if not (np.isfinite(B[:, :, L]).all() and B[:, :, L].any()):
-            raise ValueError(f"start column {L} is zero or not finite")
-
-
 def _defect(tt, B):
     """Largest chaos-coefficient norm of <u_i(y), u_j(y)> over pairs i<j of
     a (P, N, Q) stack in the mean eigenbasis."""
@@ -303,7 +296,9 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
     if B.shape != (system.P, system.N, q):
         raise ValueError(f"basis shape {B.shape}, expected "
                          f"{(system.P, system.N, q)}")
-    _check_start(B)
+    bad = ~(np.isfinite(B).all(axis=(0, 1)) & B.any(axis=(0, 1)))
+    if bad.any():
+        raise ValueError(f"start column {bad.argmax()} is zero or not finite")
     snapshots = [B.copy()] if store_snapshots else None
     rows = []
     warm, deltas = [], []

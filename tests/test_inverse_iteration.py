@@ -236,6 +236,11 @@ class TestDriverBookkeeping:
                                match="start column 0 is zero or not finite"):
                 run_inverse_iteration(sys, initial=start)
 
+    def test_flat_start_is_rejected_by_its_shape(self):
+        sys = build_system(n=3, order=1, size=5)
+        with pytest.raises(ValueError, match=r"basis shape \(20, 1\)"):
+            run_inverse_iteration(sys, initial=np.ones(sys.P * sys.N))
+
     def test_cg_stall_names_the_iteration_count(self, monkeypatch):
         monkeypatch.setattr(subspace_iteration, "_CG_MAXITER", 1)
         monkeypatch.setattr(subspace_iteration, "_CG_TOL_FACTOR", 0.0)
