@@ -20,7 +20,7 @@ from chaoseig.validation import (
 )
 
 sys_ = build_system(n=8, order=1, size=52)
-res = run_subspace_iteration(sys_, q=3, sum_trick=True, tol=1e-9, kmax=10,
+res = run_subspace_iteration(sys_, q=3, tol=1e-9, kmax=10,
                              store_snapshots=True)
 print(f"block of 3, {len(res.history.max_increments)} sweeps, "
       f"converged = {res.converged}")

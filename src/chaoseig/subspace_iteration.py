@@ -3,13 +3,13 @@
 The sweep of spectral inverse iteration, on a basis of Q expansions held
 as a (P, N, Q) stack.  Each sweep solves the Galerkin system per basis
 vector, optionally pools the solves into the first vector (`sum_trick`,
-which stabilizes bases that straddle eigenvalue crossings), then runs a
+which stabilizes bases that straddle eigenvalue crossings), then runs one
 Gram-Schmidt pass in the Galerkin product sense: the projection of w onto
 u removes the chaos expansion of <w(y), u(y)> times u, and each vector is
 divided by the expansion of its pointwise norm.  Pointwise products of
-truncated expansions fall outside the chaos space, so one pass leaves an
-orthogonality defect at truncation level; the sweep refines with up to
-`_MAX_REORTH` extra passes while the defect exceeds `_REORTH_THRESHOLD`.
+truncated expansions fall outside the chaos space, so the pass leaves an
+orthogonality defect at truncation level.  The sweep records it and does
+not refine: another pass lowers the defect but does not move the span.
 At Q = 1 this is spectral inverse iteration, and `inverse_iteration` is
 that view of `run_subspace_iteration`.
 
@@ -22,17 +22,17 @@ All of them carry their operator products, so the start costs a small
 Gram system and no operator product, and it often meets the CG tolerance
 outright.
 
-The normalizations converge with the sweeps as well.  Each (pass,
-column) slot of a sweep hands its norm expansion s and the inverse of
-its Galerkin multiplication operator, which the division needs anyway
-(`DeltaFactor`), to the same slot of the next sweep.  There
+The normalizations converge with the sweeps as well.  Each column of a
+sweep hands its norm expansion s and the inverse of its Galerkin
+multiplication operator, which the division needs anyway
+(`DeltaFactor`), to the same column of the next sweep.  There
 `newton_normalize` starts from s rescaled onto the new block's norm and
 takes chord steps on that inverse: a matvec each where a Newton step
 solves a P x P system, and late sweeps need none or one.  Where the
-chord steps stop halving the residual, damped Newton takes over; a
-slot the previous sweep did not have (the first sweep, or an extra pass
-it did not make) starts cold at ||V|| e_0.  The Newton iterations the
-history records count chord and Newton steps together.
+chord steps stop halving the residual, damped Newton takes over; the
+first sweep, which has no previous one, starts cold at ||V|| e_0.  The
+Newton iterations the history records count chord and Newton steps
+together.
 
 Blocks are held in the mean eigenbasis (see `galerkin`), where the mass
 is the identity: the right-hand side of a solve is the basis vector
@@ -77,8 +77,6 @@ _CG_TOL_FACTOR = 1e-3
 _CG_MAXITER = 500
 # sweeps whose solves span the next sweep's CG starts
 _WINDOW = 3
-_REORTH_THRESHOLD = 1e-8
-_MAX_REORTH = 3
 _BREAKDOWN_TOL = 1e-10
 
 
@@ -96,12 +94,17 @@ class SubspaceHistory:
     per basis vector; `newton_iterations` counts the chord and Newton
     steps of all the sweep's normalizations together.  `eigenvalue_means`
     (the mean of each sweep's mu) is None at Q > 1.
+    `orthogonality_defects`, a diagnostic, sits at truncation level: 1e-8
+    to 5e-5 for a pooled basis, at most 5e-8 unpooled, on the runs measured.
     """
 
     increments: np.ndarray
     cg_iterations: np.ndarray
     cg_tolerances: np.ndarray
     newton_iterations: np.ndarray
+    # always 0, as is the fourth slot of `subspace_iterate_once`'s tuple:
+    # the benchmark reads both, and ROADMAP item 1 drops them together
+    # with its `subspace_iteration.extra_passes` counter
     extra_orthogonalizations: np.ndarray
     orthogonality_defects: np.ndarray
     eigenvalue_means: np.ndarray = None
@@ -161,20 +164,17 @@ def _defect(tt, B):
     """Largest chaos-coefficient norm of <u_i(y), u_j(y)> over pairs i<j of
     a (P, N, Q) stack in the mean eigenbasis."""
     q = B.shape[2]
-    worst = 0.0
-    for i in range(q):
-        for j in range(i + 1, q):
-            f = tt.contract_gram(B[:, :, i] @ B[:, :, j].T)
-            worst = max(worst, float(np.linalg.norm(f)))
-    return worst
+    grams = (tt.contract_gram(B[:, :, i] @ B[:, :, j].T)
+             for i in range(q) for j in range(i + 1, q))
+    return max((float(np.linalg.norm(f)) for f in grams), default=0.0)
 
 
 def _orthonormalize(tt, columns, starts=()):
     """One Galerkin Gram-Schmidt pass over columns, normalizing each.
 
-    `starts` is empty or holds one (s, inverse) pair per column, as this
-    pass returned them in the previous sweep: the column's normalization
-    then starts from it (see `newton_normalize`).  Returns the (P, N, Q)
+    `starts` is empty or holds one (s, inverse) pair per column, as the
+    previous sweep's pass returned them: the column's normalization then
+    starts from it (see `newton_normalize`).  Returns the (P, N, Q)
     basis, each of whose columns is contiguous, the Newton iterations of
     the pass, the expansion of 1/s for the first column's norm expansion
     s, and the pass's own (s, inverse) pairs.
@@ -217,13 +217,13 @@ def subspace_iterate_once(system: GalerkinSystem, B, cg_tol=1e-12,
     pairs: the solve of vector L starts from its pair, moved to the
     energy-optimal point of that pair plus the span of all the others
     (`pcg_solve`'s `window`), at no operator product.
-    `inv_s` is the Galerkin division of the constant one by the first
-    column's norm expansion s in the last pass (at Q = 1, mu = 1/s is the
-    eigenvalue expansion), and `defect` is the orthogonality defect
-    of B_next.  `normalizers` holds, per orthonormalization pass, the
-    (s, `DeltaFactor.inverse`) pair of each column's normalization; given
-    back to the next sweep, each pass that sweep shares with this one
-    starts its normalizations from them (see `_orthonormalize`).
+    `extra_passes` is always 0 (see `SubspaceHistory`).  `inv_s` is the
+    Galerkin division of the constant one by the first column's norm
+    expansion s (at Q = 1, mu = 1/s is the eigenvalue expansion), and
+    `defect` is the orthogonality defect of B_next.  `normalizers` holds
+    the (s, `DeltaFactor.inverse`) pair of each column's normalization;
+    given back to the next sweep, they start its normalizations (see
+    `_orthonormalize`).
     """
     q = B.shape[2]
     op = system.operator
@@ -248,22 +248,10 @@ def subspace_iterate_once(system: GalerkinSystem, B, cg_tol=1e-12,
         # pooling the solves makes the leading vector a cluster average,
         # which varies smoothly across eigenvalue crossings
         work[0] = np.sum(work, axis=0)
-    carried = normalizers or ()
     B_next, newton_steps, inv_s, pairs = _orthonormalize(
-        tt, work, carried[0] if carried else ())
-    passes = [pairs]
-    extra = 0
-    defect = _defect(tt, B_next)
-    while extra < _MAX_REORTH and defect > _REORTH_THRESHOLD:
-        extra += 1
-        B_next, steps, inv_s, pairs = _orthonormalize(
-            tt, [B_next[:, :, L] for L in range(q)],
-            carried[extra] if extra < len(carried) else ())
-        passes.append(pairs)
-        newton_steps += steps
-        defect = _defect(tt, B_next)
-    return (B_next, solves, np.asarray(cg_counts, dtype=int), extra,
-            newton_steps, inv_s, defect, passes)
+        tt, work, normalizers or ())
+    return (B_next, solves, np.asarray(cg_counts, dtype=int), 0,
+            newton_steps, inv_s, _defect(tt, B_next), pairs)
 
 
 def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
@@ -284,11 +272,13 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
     lands just under its target, where the plain warm start's two CG steps
     overshot it about eightfold, so the factor is 1e-3 where that start
     used 1e-2: the solves end up at least as accurate, save those whose
-    target is the floor.  Each normalization starts from the same slot's
+    target is the floor.  Each normalization starts from the same column's
     root and factor in the previous sweep.
     """
     if q < 1:
         raise ValueError("need at least one basis vector")
+    if q > system.N:
+        raise ValueError(f"q = {q} exceeds the N = {system.N} spatial dofs")
     if kmax < 1:
         raise ValueError("kmax must be positive")
     B = (initial_basis(system, q) if initial is None else

@@ -5,10 +5,11 @@ triple tensor's entries as `build_triple_tensor(...).values.size`, the CG
 iterations as `pcg_solve(...)[1].iterations`, the Newton steps as
 `len(newton_normalize(...)[1]) - 1`, the smallest division rcond as the
 `rcond` of each `DeltaFactor` built, and the extra orthonormalization
-passes as `subspace_iterate_once(...)[3]`.  It also reads both drivers'
-results: the sweep, CG, Newton and extra-pass counts of their histories,
-`U`, `eigenvalue`, `eigenvalue_mean` and the snapshots, and it passes
-each workload's keyword arguments to `build_system` and both drivers.  The
+passes as `subspace_iterate_once(...)[3]`, which now reads 0: each sweep
+makes one pass.  It also reads both drivers' results: the sweep, CG,
+Newton and extra-pass counts (0 too) of their histories, `U`,
+`eigenvalue`, `eigenvalue_mean` and the snapshots, and it passes each
+workload's keyword arguments to `build_system` and both drivers.  The
 benchmark stays fixed while the package changes, so these tests run its
 code on real results: a change to any of these names or shapes fails here
 instead of breaking `bench/run.py`.  Its `setup_s` times `build_system`

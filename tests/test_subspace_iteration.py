@@ -20,7 +20,7 @@ from chaoseig.subspace_iteration import (
     initial_basis,
     run_subspace_iteration,
 )
-from chaoseig.validation import subspace_angle
+from chaoseig.validation import angle_statistics, subspace_angle
 from oracles import (
     assemble_mass,
     assemble_stiffness,
@@ -221,27 +221,17 @@ class TestStochasticBlock:
         np.testing.assert_allclose(res.history.max_increments,
                                    res.history.increments.max(axis=1))
 
-    @pytest.mark.parametrize("max_reorth, threshold, capped", [
-        (0, 0.0, True), (1, 0.0, True), (3, 1e-8, False)])
-    def test_history_defects_are_those_of_the_snapshots(self, max_reorth,
-                                                        threshold, capped,
-                                                        monkeypatch):
-        # the sweep reports the defect of the basis it returns, both when
-        # the refinement passes end below the threshold and when max_reorth
-        # cuts them off above it.  The sweep measures it in the eigenbasis,
-        # the oracle on the snapshots' nodal values through the mass, so the
-        # two agree to roundoff.  With the pooled q = 3 basis the defects
-        # stay far above roundoff (4e-12 to 3e-6; they agree to 2.6e-8
-        # relative), and one more pass would change each by 99.89% or more,
-        # far outside the tolerance
-        monkeypatch.setattr(subspace_iteration, "_REORTH_THRESHOLD",
-                            threshold)
-        monkeypatch.setattr(subspace_iteration, "_MAX_REORTH", max_reorth)
+    def test_history_defects_are_those_of_the_snapshots(self):
+        # the sweep reports the defect of the one-pass basis it returns,
+        # measured in the eigenbasis; the oracle measures it on the
+        # snapshots' nodal values through the mass, so the two agree to
+        # roundoff.  With the pooled q = 3 basis the defects stay far above
+        # roundoff (8e-8 to 1.3e-6), and a second pass would lower each by
+        # orders of magnitude, far outside the tolerance
         sys = build_system(n=3, order=1, size=31)
         res = run_subspace_iteration(sys, q=3, tol=1e-9, kmax=6,
                                      sum_trick=True, store_snapshots=True)
-        extras = res.history.extra_orthogonalizations
-        assert np.all(extras == max_reorth) == capped
+        assert not res.history.extra_orthogonalizations.any()
         want = [orthogonality_defect(sys, nodal_columns(sys.fem_op, S))
                 for S in res.snapshots[1:]]
         np.testing.assert_allclose(res.history.orthogonality_defects, want,
@@ -280,6 +270,18 @@ class TestStochasticBlock:
         theta = subspace_angle(span_at(res.basis), span_at(pooled.basis))
         assert theta >= 1.0 - 1e-4
 
+    def test_unpooled_block_converges(self):
+        # the subspace-validation system: without pooling every increment
+        # settles, so the run reports convergence (measured: 30 sweeps, a
+        # last increment of 7.51e-9 and an angle error of 4.53e-6 at 64
+        # points of seed 1)
+        sys = build_system(n=16, order=1, size=120)
+        res = run_subspace_iteration(sys, q=3, tol=1e-8, kmax=40)
+        assert res.converged and len(res.history) == 30
+        mean, _ = angle_statistics(sys.fem_op, sys.aset, [res.basis],
+                                   npoints=64, seed=1)
+        assert np.arccos(min(mean[0], 1.0)) <= 5e-6
+
 
 class TestFailureModes:
     def test_breakdown_on_duplicated_column(self):
@@ -305,6 +307,12 @@ class TestFailureModes:
             run_subspace_iteration(sys, q=1, kmax=0)
         with pytest.raises(ValueError, match="basis vector"):
             run_subspace_iteration(sys, q=0)
+        # more columns than spatial dofs: q = 5 on N = 4, and two columns
+        # on N = 1, where both would start from the one mean mode
+        with pytest.raises(ValueError, match="q = 5 exceeds the N = 4 "):
+            run_subspace_iteration(sys, q=5)
+        with pytest.raises(ValueError, match="q = 2 exceeds the N = 1 "):
+            run_subspace_iteration(build_system(n=2, order=1, size=3), q=2)
         with pytest.raises(ValueError, match="basis shape"):
             run_subspace_iteration(sys, q=2,
                                    initial=np.zeros((sys.P, sys.N, 3)))
@@ -352,8 +360,9 @@ class TestCarriedProduct:
 
 
 class TestCarriedNormalization:
-    """Each pass of a sweep starts its columns' Newton normalizations from
-    the roots and factors the same pass left in the previous sweep."""
+    """Each sweep makes one Gram-Schmidt pass, and starts its columns'
+    Newton normalizations from the roots and factors the same columns
+    left in the previous sweep."""
 
     def test_carried_sweep_matches_the_cold_sweep(self):
         sys = build_system(n=4, order=1, size=12)
@@ -366,10 +375,28 @@ class TestCarriedNormalization:
             np.testing.assert_allclose(warm[0], cold[0], rtol=0,
                                        atol=1e-12 * np.linalg.norm(cold[0]))
             assert warm[3] == cold[3]
-            assert len(warm[7]) == warm[3] + 1
+            assert len(warm[7]) == 2
             B, normalizers = warm[0], warm[7]
         # the third sweep normalized from the second sweep's roots
         assert warm[4] < cold[4]
+
+    def test_one_normalization_per_column_and_sweep(self, monkeypatch):
+        # the pooled q = 3 basis, whose defects lie above 1e-8, where any
+        # refinement pass would normalize every column once more
+        calls = []
+        normalize = subspace_iteration.newton_normalize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return normalize(*args, **kwargs)
+
+        monkeypatch.setattr(subspace_iteration, "newton_normalize", counted)
+        sys = build_system(n=3, order=1, size=31)
+        res = run_subspace_iteration(sys, q=3, tol=1e-9, kmax=6,
+                                     sum_trick=True)
+        assert len(res.history) == 6
+        assert min(res.history.orthogonality_defects) > 1e-8
+        assert len(calls) == 3 * len(res.history)
 
     def test_lu_solves_only_in_the_first_sweep(self, monkeypatch):
         # chord steps on the carried factors take no LU solve; every one
