@@ -1,23 +1,31 @@
 """Spectral inverse iteration: the smallest eigenpair as a chaos expansion.
 
-One run on a desk-scale problem.  The increment between consecutive
-coefficient blocks contracts geometrically; the contraction factor matches
-the gap ratio of the two smallest eigenvalues of the mean problem.  At the
-end the expansion is evaluated at a random parameter point and checked
-against a direct solve there.
+One run on a desk-scale problem, from the mean ground mode.  The increment
+between consecutive coefficient blocks contracts geometrically; the
+contraction factor matches the gap ratio of the two smallest eigenvalues
+of the mean problem.  The solver's default start, the mean mode with its
+first-order perturbation correction, reaches the same tolerance in fewer
+sweeps.  At the end the expansion is evaluated at a random parameter point
+and checked against a direct solve there.
 """
 
 import numpy as np
 
 from chaoseig.galerkin import build_system
 from chaoseig.inverse_iteration import run_inverse_iteration
+from chaoseig.subspace_iteration import initial_basis
 from chaoseig.validation import pointwise_error
 
 sys_ = build_system(n=8, order=2, size=31)
 print(f"chaos basis size {sys_.P}, spatial dofs {sys_.N}")
 
-res = run_inverse_iteration(sys_, tol=1e-10, kmax=30)
-print(f"converged = {res.converged} after {len(res.history)} sweeps")
+res = run_inverse_iteration(sys_, tol=1e-10, kmax=30,
+                            initial=initial_basis(sys_, 1)[:, :, 0])
+default = run_inverse_iteration(sys_, tol=1e-10, kmax=30)
+for label, run in (("mean mode", res), ("perturbed (default)", default)):
+    print(f"{label} start: converged = {run.converged} after "
+          f"{len(run.history)} sweeps, "
+          f"{run.history.cg_iterations.sum()} CG iterations")
 print()
 
 vals, _ = sys_.fem_op.mean_eigenpairs(2)

@@ -121,12 +121,26 @@ class KroneckerOperator:
             if not width:
                 continue
             rows, term, srow, scol, sval = map(np.concatenate, zip(*pieces))
-            for lo in range(0, width, self.step):
+            # the entries by chunk, target row and gathered row: each
+            # chunk's scatter in CSR order, whose row pointers are the
+            # first entries of its (chunk, target) runs
+            chunk = scol // self.step
+            order = np.lexsort((scol, srow, chunk))
+            chunk, srow, scol, sval = (x[order] for x in
+                                       (chunk, srow, scol, sval))
+            first = np.flatnonzero(np.diff(chunk * self.P + srow, prepend=-1))
+            ptr = np.append(first, srow.size)
+            starts = range(0, width, self.step)
+            split = np.searchsorted(
+                first, np.searchsorted(chunk, np.arange(len(starts) + 1)))
+            for lo, r0, r1 in zip(starts, split, split[1:]):
                 hi = min(lo + self.step, width)
-                nz = (scol >= lo) & (scol < hi)
-                targets, local = np.unique(srow[nz], return_inverse=True)
-                scatter = sp.csr_matrix((sval[nz], (local, scol[nz] - lo)),
-                                        shape=(targets.size, hi - lo))
+                lo_nz, hi_nz = ptr[r0], ptr[r1]
+                targets = srow[first[r0:r1]]
+                scatter = sp.csr_matrix(
+                    (sval[lo_nz:hi_nz], scol[lo_nz:hi_nz] - lo,
+                     ptr[r0:r1 + 1] - lo_nz),
+                    shape=(targets.size, hi - lo))
                 cuts = [0, *(np.flatnonzero(np.diff(term[lo:hi])) + 1),
                         hi - lo]
                 runs = [(a, b, factors[term[lo + a]].reshape(2 * n, n))

@@ -25,9 +25,12 @@ def run_inverse_iteration(system: GalerkinSystem, tol=1e-10, kmax=50,
 
     Stops when the tensor norm of the iterate increment drops below tol
     (both iterates have unit pointwise norm up to truncation, so absolute
-    and relative increments agree).  `initial` is a (P, N) block in the
-    mean eigenbasis, scaled to unit tensor norm; by default the mean
-    ground mode of `initial_basis`.  The sign of U follows the start.
+    and relative increments agree), in a sweep whose solves were held to
+    tol.  `initial` is a (P, N) block in the mean eigenbasis, scaled to
+    unit tensor norm; by default the mean ground mode plus its first-order
+    perturbation correction (see `run_subspace_iteration`), and
+    `initial_basis(system, 1)[:, :, 0]` is the mean ground mode itself.
+    The sign of U follows the start.
     Returns the `SubspaceResult` of `run_subspace_iteration` with Q = 1,
     whose snapshots (when stored) are (P, N, 1) stacks.
     """

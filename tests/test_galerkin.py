@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,6 +237,30 @@ class TestKroneckerOperator:
         op = sys.operator
         assert isinstance(op, KroneckerOperator)
         assert sys.operator is op
+
+    @pytest.mark.parametrize("args", [
+        dict(n=16, order=2, size=264), dict(n=48, order=2, size=31),
+        dict(n=16, order=1, size=120)],
+        ids=["reference-264", "fine-mesh", "subspace-validation"])
+    def test_scatters_apply_as_their_coo_builds(self, args):
+        # each chunk's scatter is built in CSR form from sorted entries:
+        # canonical, so that its product sums every row in the order of
+        # the same entries sent through scipy's COO route, to the bit
+        sys = build_system(**args)
+        op = sys.operator
+        V = random_block(sys, np.random.default_rng(52))
+        want = op.apply(V)
+        for chunks in op.passes:
+            for i, (rows, runs, targets, scatter) in enumerate(chunks):
+                assert scatter.has_canonical_format
+                assert scatter.shape == (targets.size, rows.size)
+                assert (np.diff(targets) > 0).all()
+                local = np.repeat(np.arange(targets.size),
+                                  np.diff(scatter.indptr))
+                coo = sp.csr_matrix((scatter.data, (local, scatter.indices)),
+                                    shape=scatter.shape)
+                chunks[i] = (rows, runs, targets, coo)
+        np.testing.assert_array_equal(op.apply(V), want)
 
 
 class TestMeanPreconditioner:

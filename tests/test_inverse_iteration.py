@@ -178,9 +178,11 @@ class TestConvergence:
 class TestDriverBookkeeping:
     def test_history_and_iterates_shapes(self):
         # the iterates are the snapshots of the Q = 1 basis; the eigenvalue
-        # changes are the iteration study's (see test_experiments)
+        # changes are the iteration study's (see test_experiments), which
+        # starts from the mean mode
         sys = build_system(n=3, order=1, size=5)
-        res = run_inverse_iteration(sys, tol=1e-9, kmax=40,
+        start = initial_basis(sys, 1)[:, :, 0]
+        res = run_inverse_iteration(sys, tol=1e-9, kmax=40, initial=start,
                                     store_snapshots=True)
         h = res.history
         k = len(h)
@@ -191,8 +193,7 @@ class TestDriverBookkeeping:
                     h.orthogonality_defects):
             assert arr.shape == (k,)
         assert len(res.snapshots) == k + 1
-        np.testing.assert_array_equal(res.snapshots[0][:, :, 0],
-                                      initial_basis(sys, 1)[:, :, 0])
+        np.testing.assert_array_equal(res.snapshots[0][:, :, 0], start)
         np.testing.assert_array_equal(res.snapshots[-1][:, :, 0], res.U)
         assert not np.shares_memory(res.snapshots[-1][:, :, 0], res.U)
 

@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chaoseig import galerkin, subspace_iteration
 from chaoseig.galerkin import build_system
@@ -24,15 +25,27 @@ from chaoseig.validation import angle_statistics, subspace_angle
 from oracles import (
     assemble_mass,
     assemble_stiffness,
+    assemble_terms,
     dense_generalized_eigenpairs,
+    materialize_kronecker,
     matrix_at,
     nodal_columns,
     orthogonality_defect,
+    raise_matrices_dense,
     smallest_eigenpairs,
     spectral_columns,
     tensor_dot,
     tensor_norm,
 )
+
+
+def span_gap(A, B):
+    """Distance between the spans of two (P, N, Q) stacks in the mean
+    eigenbasis, where the tensor inner product is the plain one: the norm
+    of the part of A's orthonormalized columns outside B's span."""
+    QA = np.linalg.qr(A.reshape(-1, A.shape[2]))[0]
+    QB = np.linalg.qr(B.reshape(-1, B.shape[2]))[0]
+    return float(np.linalg.norm(QA - QB @ (QB.T @ QA)))
 
 
 class TestInitialBasis:
@@ -83,6 +96,62 @@ class TestInitialBasis:
         other = build_system(n=16, order=1, size=1)
         np.testing.assert_array_equal(
             X, nodal_columns(other.fem_op, initial_basis(other, 3)[0]))
+
+
+class TestPerturbedStart:
+    """The default start: each mean mode plus its first-order
+    Rayleigh-Schroedinger correction."""
+
+    @staticmethod
+    def default_start(sys, q):
+        return run_subspace_iteration(sys, q, kmax=1,
+                                      store_snapshots=True).snapshots[0]
+
+    def test_matches_dense_first_order_solve(self):
+        # u_j = x_j - (K_0 - mu_j M)^+ (K - K_0) x_j on the assembled
+        # PN x PN operator, the pseudo-inverse dropping the generalized
+        # eigenvectors of (K_0, M) whose values lie at one of the cluster's;
+        # q = 3 takes in the degenerate pair lam_2 = lam_3
+        sys = build_system(n=3, order=2, size=8)
+        q, f = 3, sys.fem_op
+        K = assemble_terms(sys.mesh, f.nterms, f.varsigma)
+        G = raise_matrices_dense(sys.aset)[:f.nterms]
+        fluctuation = materialize_kronecker(G, K[1:])
+        vals, vecs = scipy.linalg.eigh(K[0].toarray(),
+                                       assemble_mass(sys.mesh).toarray())
+        mu = vals[:q]
+        away = np.abs(vals[:, None] - mu).min(axis=1) > 1e-8 * mu[-1]
+        assert away.sum() == sys.N - q
+        X = nodal_columns(f, initial_basis(sys, q))
+        got = nodal_columns(f, self.default_start(sys, q))
+        for j in range(q):
+            pinv = (vecs[:, away] / (vals[away] - mu[j])) @ vecs[:, away].T
+            R = (fluctuation @ X[:, :, j].ravel()).reshape(sys.P, sys.N)
+            want = X[:, :, j] - R @ pinv
+            want /= tensor_norm(want, f)
+            np.testing.assert_allclose(got[:, :, j], want, rtol=0,
+                                       atol=1e-12)
+        assert np.abs(got - X).max() > 1e-3
+
+    def test_cut_through_a_degenerate_level(self):
+        # q = 2 on the unit square cuts between the exactly degenerate
+        # lam_2 = lam_3: the start divides by no zero, and its run ends in
+        # the span the mean modes' run ends in, in fewer sweeps (measured:
+        # 27 and 33 sweeps, spans 1.5e-9 apart).  The increments contract
+        # by about 0.6 a sweep, so a run that stops at an increment below
+        # tol lies within 1.5 tol of the limit
+        sys = build_system(n=4, order=1, size=12)
+        start = self.default_start(sys, 2)
+        assert np.isfinite(start).all()
+        np.testing.assert_allclose(np.linalg.norm(start, axis=(0, 1)), 1.0,
+                                   rtol=1e-14)
+        tol = 1e-9
+        perturbed = run_subspace_iteration(sys, 2, tol=tol, kmax=60)
+        mean = run_subspace_iteration(sys, 2, tol=tol, kmax=60,
+                                      initial=initial_basis(sys, 2))
+        assert perturbed.converged and mean.converged
+        assert len(perturbed.history) < len(mean.history)
+        assert span_gap(perturbed.basis, mean.basis) <= 3 * tol
 
 
 class TestSingleVectorLimit:
@@ -177,8 +246,10 @@ class TestSingletonSetLimit:
 
 @pytest.fixture(scope="module")
 def block_solved():
+    # from the mean modes, so that the snapshots start at `initial_basis`
     sys = build_system(n=4, order=1, size=12)
     res = run_subspace_iteration(sys, q=2, tol=1e-9, kmax=25,
+                                 initial=initial_basis(sys, 2),
                                  store_snapshots=True)
     return sys, res
 
@@ -272,15 +343,41 @@ class TestStochasticBlock:
 
     def test_unpooled_block_converges(self):
         # the subspace-validation system: without pooling every increment
-        # settles, so the run reports convergence (measured: 30 sweeps, a
-        # last increment of 7.51e-9 and an angle error of 4.53e-6 at 64
-        # points of seed 1)
+        # settles, so the run reports convergence (measured from the
+        # default start: 23 sweeps, a last increment of 8.96e-9 and an
+        # angle error of 4.53e-6 at 64 points of seed 1; from the mean
+        # modes it took 30 sweeps to the same angle error)
         sys = build_system(n=16, order=1, size=120)
         res = run_subspace_iteration(sys, q=3, tol=1e-8, kmax=40)
-        assert res.converged and len(res.history) == 30
+        assert res.converged and len(res.history) == 23
         mean, _ = angle_statistics(sys.fem_op, sys.aset, [res.basis],
                                    npoints=64, seed=1)
         assert np.arccos(min(mean[0], 1.0)) <= 5e-6
+
+
+class TestStopOnASolvedSweep:
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_small_first_increment_does_not_stop_the_run(self, q,
+                                                         monkeypatch):
+        # at varsigma 10 the fluctuations are so weak that one loose solve
+        # from the mean modes barely moves them: the first increment fell
+        # below tol after CG to 1e-3, and the run stopped there, 6.6e-5
+        # (q = 1) and 1.6e-4 (q = 3) from a tight solve.  It now sweeps on
+        # until a sweep solved to tol also moved less than tol (measured
+        # from either start: 13 sweeps and 5.5e-11 or 3.3e-11 at q = 1,
+        # 23-25 sweeps and 1.3e-10 at q = 3)
+        sys = build_system(n=8, order=2, size=31, varsigma=10.0)
+        tol = 1e-10
+        runs = [run_subspace_iteration(sys, q, tol=tol, kmax=60),
+                run_subspace_iteration(sys, q, tol=tol, kmax=60,
+                                       initial=initial_basis(sys, q))]
+        monkeypatch.setattr(subspace_iteration, "_CG_TOL_FACTOR", 0.0)
+        tight = run_subspace_iteration(sys, q, tol=1e-13, kmax=200)
+        assert tight.converged
+        for res in runs:
+            assert res.converged and len(res.history) > 10
+            assert res.history.cg_tolerances[-1] <= tol
+            assert span_gap(res.basis, tight.basis) <= 1e-9
 
 
 class TestFailureModes:
@@ -332,7 +429,8 @@ class TestFailureModes:
 
 class TestCarriedProduct:
     """Each warm start brings the operator's product with it, so the
-    sweeps cost exactly their CG iterations in operator products."""
+    sweeps cost exactly their CG iterations in operator products; the
+    default start adds one product per column."""
 
     @pytest.fixture
     def apply_calls(self, monkeypatch):
@@ -350,13 +448,13 @@ class TestCarriedProduct:
         sys = build_system(n=3, order=2, size=8)
         res = run_inverse_iteration(sys, tol=1e-10, kmax=40)
         assert len(res.history) > 2
-        assert len(apply_calls) == res.history.cg_iterations.sum()
+        assert len(apply_calls) == res.history.cg_iterations.sum() + 1
 
     def test_subspace_iteration(self, apply_calls):
         sys = build_system(n=4, order=1, size=12)
         res = run_subspace_iteration(sys, q=2, tol=1e-9, kmax=25)
         assert len(res.history) > 2
-        assert len(apply_calls) == res.history.cg_iterations.sum()
+        assert len(apply_calls) == res.history.cg_iterations.sum() + 2
 
 
 class TestCarriedNormalization:
@@ -411,9 +509,9 @@ class TestCarriedNormalization:
         monkeypatch.setattr(np.linalg, "solve", counted)
         sys = build_system(n=3, order=2, size=8)
         res = run_inverse_iteration(sys, tol=1e-10, kmax=40)
-        assert res.converged and len(res.history) == 20
+        assert res.converged and len(res.history) == 14
         assert len(calls) == res.history.newton_iterations[0] == 4
-        assert res.history.newton_iterations.sum() == 22
+        assert res.history.newton_iterations.sum() == 16
 
 
 class TestProjectedStarts:
@@ -447,7 +545,7 @@ class TestProjectedStarts:
         return errors
 
     def test_carried_products_match_fresh_ones(self, product_errors):
-        # the longest runs: 21 sweeps at N = 9025, and 14 sweeps of three
+        # the longest runs: 17 sweeps at N = 9025, and 14 sweeps of three
         # vectors; a window holds the other vectors' last solves and the
         # increments, so the first projected start comes in the third sweep
         # at Q = 1 and in the second at Q = 3
