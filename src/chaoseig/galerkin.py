@@ -19,6 +19,12 @@ Frobenius norm of the coordinates; the mean term K_0 is the elementwise
 scaling by lam_i + lam_j and its inverse, the preconditioner, a division;
 each fluctuation term keeps dense 1D factors Q^T M_m Q and Q^T A_m Q.
 
+An operator may act on the coordinates of a subset of the x_1 mean modes
+only, the rest held at zero: K(y) keeps the x_1-even modes among
+themselves (`fem.ParametricOperator.even_modes`), so there its product on
+that half equals the full product restricted to it, at about half the
+work.  `GalerkinSystem.operator_on` builds one such operator per mode set.
+
 `pcg_solve` moves its warm start to the energy-optimal point of the start
 plus the span of a window of earlier solutions and increments, from their
 carried operator products alone.  Such a start lands just under the CG
@@ -33,7 +39,7 @@ each, before any Newton step with its P x P LU solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -93,22 +99,37 @@ class KroneckerOperator:
     split into two passes by axis.  Each pass is a list of chunks of at
     most `step` gathered rows: (rows, runs, targets, scatter).  `runs`
     holds (start, end, right) for the stretch of the chunk that belongs to
-    one term, `right` being that term's contiguous (2n, n) stack
-    (M'_m; A'_m).  `scatter` maps the chunk's products onto the chaos rows
-    `targets`.
+    one term, `right` being that term's contiguous stack (M'_m; A'_m).
+    `scatter` maps the chunk's products onto the chaos rows `targets`.
+
+    Given `modes`, positions of 1D mean modes whose coordinates no term
+    couples to the others' (`fem.ParametricOperator.even_modes`), the
+    operator acts on the slices Y[:, modes] alone, (n, k) for k modes and
+    N = n k: the mean term on `mean`[:, modes], the terms along x_1 on the
+    kept rows and columns of their factors, and those along x_2, which
+    reach the x_1 index only through diag(lam), on lam[modes].  By default
+    every mode is kept.
     """
 
-    def __init__(self, tt, fem_op):
+    def __init__(self, tt, fem_op, modes=None):
         if fem_op.nterms > tt.aset.max_dimension:
             raise ValueError(f"{fem_op.nterms} stiffness terms, but the "
                              f"set has {tt.aset.max_dimension} dimensions")
         self.P = tt.size
         self.lam = fem_op.mean_eigenbasis[0]
         self.n = n = len(self.lam)
-        self.N = n * n
-        self.mean = fem_op.mean_values
-        factors = fem_op.spectral_factors
-        self.step = max(1, _CHUNK_BYTES // (8 * n * n))
+        self.modes = np.arange(n) if modes is None else np.asarray(modes)
+        k = self.modes.size
+        self.N = n * k
+        self.mean = fem_op.mean_values[:, self.modes]
+        # per pass, the eigenvalues along the leading axis of the slices it
+        # gathers (Y for x_1 terms, Y^T for x_2 terms) and the stacked
+        # factors (M'_m; A'_m) of every term
+        self.lead = (self.lam, self.lam[self.modes])
+        F = fem_op.spectral_factors
+        stacks = (F[:, :, self.modes[:, None], self.modes].reshape(
+            len(F), 2 * k, k), F.reshape(len(F), 2 * n, n))
+        self.step = max(1, _CHUNK_BYTES // (8 * self.N))
         self.passes = ([], [])
         for axis, chunks in enumerate(self.passes):
             pieces, width = [], 0
@@ -143,7 +164,7 @@ class KroneckerOperator:
                     shape=(targets.size, hi - lo))
                 cuts = [0, *(np.flatnonzero(np.diff(term[lo:hi])) + 1),
                         hi - lo]
-                runs = [(a, b, factors[term[lo + a]].reshape(2 * n, n))
+                runs = [(a, b, stacks[axis][term[lo + a]])
                         for a, b in zip(cuts, cuts[1:])]
                 chunks.append((rows[lo:hi], runs, targets, scatter))
 
@@ -152,7 +173,7 @@ class KroneckerOperator:
         `out` when given: a C-contiguous (P, N) block that does not overlap
         V.
 
-        The block is applied as P slices Y[b] reshaped to (n, n), x_2 index
+        The block is applied as P slices Y[b] reshaped to (n, k), x_2 index
         first.  The mean term scales each slice elementwise by
         lam_i + lam_j; each fluctuation term adds one gathered product
         [diag(lam) Y | Y] (M'_m; A'_m) per touched row, and the terms along
@@ -162,22 +183,26 @@ class KroneckerOperator:
         if V.shape != (self.P, self.N):
             raise ValueError(f"block shape {V.shape}, expected "
                              f"{(self.P, self.N)}")
-        P, n = self.P, self.n
-        Y = V.reshape(P, n, n)
+        P, n, k = self.P, self.n, self.modes.size
+        Y = V.reshape(P, n, k)
         if out is None:
             out = np.empty((P, self.N))
-        O = out.reshape(P, n, n)
+        O = out.reshape(P, n, k)
         np.multiply(Y, self.mean, out=O)
         for axis, chunks in enumerate(self.passes):
+            # the gathered slices are (a, b): Y's for x_1 terms, Y^T's for
+            # x_2 terms
+            a, b = (k, n) if axis else (n, k)
+            lam = self.lead[axis][:, None]
             for rows, runs, targets, scatter in chunks:
-                G = np.empty((rows.size, n, 2 * n))
-                G[..., n:] = Y[rows].transpose(0, 2, 1) if axis else Y[rows]
-                np.multiply(self.lam[:, None], G[..., n:], out=G[..., :n])
-                T = np.empty((rows.size, n, n))
+                G = np.empty((rows.size, a, 2 * b))
+                G[..., b:] = Y[rows].transpose(0, 2, 1) if axis else Y[rows]
+                np.multiply(lam, G[..., b:], out=G[..., :b])
+                T = np.empty((rows.size, a, b))
                 for start, end, right in runs:
-                    np.matmul(G[start:end].reshape(-1, 2 * n), right,
-                              out=T[start:end].reshape(-1, n))
-                S = (scatter @ T.reshape(rows.size, -1)).reshape(-1, n, n)
+                    np.matmul(G[start:end].reshape(-1, 2 * b), right,
+                              out=T[start:end].reshape(-1, b))
+                S = (scatter @ T.reshape(rows.size, -1)).reshape(-1, a, b)
                 O[targets] += S.transpose(0, 2, 1) if axis else S
         return out
 
@@ -446,13 +471,16 @@ class GalerkinSystem:
     """Everything one discretized problem needs: index set, mesh, matrices.
 
     Bundles the parametric FEM operator with the chaos moment structures
-    over one multi-index set, and the one stiffness operator every solve
-    on the system shares, built on first use.
+    over one multi-index set, and the stiffness operators the solves on
+    the system share: `operator` on every mode, and one per set of x_1
+    mean modes through `operator_on`, each built on first use.
     """
 
     aset: object
     fem_op: ParametricOperator
     tt: TripleProductTensor
+    _sectors: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def mesh(self):
@@ -469,6 +497,18 @@ class GalerkinSystem:
     @cached_property
     def operator(self):
         return KroneckerOperator(self.tt, self.fem_op)
+
+    def operator_on(self, modes):
+        """The stiffness operator on the coordinates of the x_1 mean modes
+        `modes` (see `KroneckerOperator`), built on the first call with
+        these modes and shared by every later one; `operator` when None."""
+        if modes is None:
+            return self.operator
+        key = tuple(int(j) for j in modes)
+        if key not in self._sectors:
+            self._sectors[key] = KroneckerOperator(self.tt, self.fem_op,
+                                                   key)
+        return self._sectors[key]
 
 
 def build_system(n, order=2, size=None, eps=None, varsigma=3.2,

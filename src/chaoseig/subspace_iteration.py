@@ -46,6 +46,16 @@ is the identity: the right-hand side of a solve is the basis vector
 itself, tensor norms are Frobenius norms and Gram matrices plain
 products.
 
+K(y) keeps the coordinates whose x_1 mean mode is even about x_1 = 1/2
+among themselves (`fem.ParametricOperator.even_modes`).  When the q mean
+modes of the cluster all lie there, as the ground mode at Q = 1 does, a
+run sweeps on that half alone, with the operator
+`GalerkinSystem.operator_on` builds for it: it projects the start onto
+the half, and expands the basis and the snapshots back to full size,
+exactly zero off the half, before it returns.  Otherwise, as at Q > 1 on
+the built-in family, whose cluster spans both parities, it sweeps on
+every coordinate.
+
 At Q = 1 the reciprocal of s also carries the eigenvalue, mu(y) =
 1/s(y), so one Galerkin division of the constant one by s yields the
 eigenvalue expansion of the sweep, the only one a run computes.  At
@@ -58,7 +68,6 @@ meaningful object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -138,10 +147,10 @@ class SubspaceResult:
     history: SubspaceHistory
     snapshots: list = field(default=None, repr=False)
     eigenvalue: np.ndarray = None
+    U: np.ndarray = field(init=False, repr=False)
 
-    @cached_property
-    def U(self):
-        return self.basis[:, :, 0]
+    def __post_init__(self):
+        self.U = self.basis[:, :, 0]
 
     @property
     def eigenvalue_mean(self):
@@ -167,9 +176,38 @@ def initial_basis(system: GalerkinSystem, q):
     return B
 
 
-def _perturbed_basis(system: GalerkinSystem, q):
+def _sector(system: GalerkinSystem, q):
+    """The x_1 mean modes a q-vector run keeps: the even ones when the q
+    mean modes all are, else None, for every mode."""
+    fem_op = system.fem_op
+    even = fem_op.even_modes
+    if even is None:
+        return None
+    x1 = np.argmax(fem_op.mean_eigenpairs(q)[1], axis=0) % len(
+        fem_op.mean_values)
+    return even if np.isin(x1, even).all() else None
+
+
+def _restrict(op, B):
+    """The coordinates on op's x_1 modes of a (..., N, Q) stack."""
+    lead = B.shape[:-2]
+    return B.reshape(*lead, op.n, op.n, -1)[..., op.modes, :].reshape(
+        *lead, op.N, -1)
+
+
+def _expand(op, B):
+    """The (P, N, Q) stack, zero off op's x_1 modes, whose coordinates on
+    them are B."""
+    P, n = op.P, op.n
+    out = np.zeros((P, n, n, B.shape[2]))
+    out[:, :, op.modes] = B.reshape(P, n, op.modes.size, -1)
+    return out.reshape(P, n * n, -1)
+
+
+def _perturbed_basis(system: GalerkinSystem, q, op):
     """The mean modes with their first-order Rayleigh-Schroedinger
-    corrections: the default start of `run_subspace_iteration`.
+    corrections, in the coordinates of the operator `op`: the default
+    start of `run_subspace_iteration`.
 
     Column j is E_j - (K_0 - mu_j)^+ (K E_j - K_0 E_j), scaled to unit
     tensor norm, for column E_j of `initial_basis` and its mean eigenvalue
@@ -183,11 +221,11 @@ def _perturbed_basis(system: GalerkinSystem, q):
     One operator product per column.
     """
     mu, modes = system.fem_op.mean_eigenpairs(q)
-    op = system.operator
+    modes = _restrict(op, modes)
     mean = op.mean.ravel()
     cut = np.isin(mean, mu)
-    B = np.empty((system.P, system.N, q))
-    E = np.zeros((system.P, system.N))
+    B = np.empty((op.P, op.N, q))
+    E = np.zeros((op.P, op.N))
     for j in range(q):
         E[0] = modes[:, j]
         W = op.apply(E)
@@ -242,12 +280,14 @@ def _orthonormalize(tt, columns, starts=()):
 
 def subspace_iterate_once(system: GalerkinSystem, B, cg_tol=1e-12,
                           warm_starts=None, sum_trick=False,
-                          normalizers=None):
+                          normalizers=None, operator=None):
     """One block sweep: per-vector solves, then orthonormalization.
 
     B is a (P, N, Q) stack in the mean eigenbasis, and so are B_next and
-    the solves.  Returns (B_next, solves, cg_iteration_counts,
-    extra_passes, newton_iterations, inv_s, defect, normalizers).
+    the solves; given an `operator` from `system.operator_on`, N is its
+    own and the stacks hold the coordinates on its modes.  Returns
+    (B_next, solves, cg_iteration_counts, extra_passes, newton_iterations,
+    inv_s, defect, normalizers).
     `solves` holds one pair (V, K V) per vector: the raw CG solution and
     the operator's product with it (`PcgInfo.product`).  `warm_starts`
     holds such pairs, one per vector, optionally followed by more (D, K D)
@@ -263,7 +303,7 @@ def subspace_iterate_once(system: GalerkinSystem, B, cg_tol=1e-12,
     `_orthonormalize`).
     """
     q = B.shape[2]
-    op = system.operator
+    op = system.operator if operator is None else operator
     tt = system.tt
     solves = []
     cg_counts = []
@@ -304,7 +344,10 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
     pass `initial_basis(system, q)` to start from the mean modes
     themselves.  The sign of each vector follows the start: the sweep is
     odd, so a negated start gives the negated basis, bit for bit, with the
-    same eigenvalue and history.
+    same eigenvalue and history.  When the run keeps the x_1-even half of
+    the mean eigenbasis (see the module docstring), the part of the start
+    off it is dropped, and a start column with no part on it raises
+    ValueError; the basis and the snapshots are zero off it.
 
     The CG tolerance is a fraction `_CG_TOL_FACTOR` of the previous sweep's
     largest increment, floored at `_CG_TOL_FLOOR`.  Each solve starts from
@@ -324,15 +367,33 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
         raise ValueError(f"q = {q} exceeds the N = {system.N} spatial dofs")
     if kmax < 1:
         raise ValueError("kmax must be positive")
-    B = (_perturbed_basis(system, q) if initial is None else
-         np.array(initial, dtype=float))
-    if B.shape != (system.P, system.N, q):
-        raise ValueError(f"basis shape {B.shape}, expected "
-                         f"{(system.P, system.N, q)}")
-    bad = ~(np.isfinite(B).all(axis=(0, 1)) & B.any(axis=(0, 1)))
-    if bad.any():
-        raise ValueError(f"start column {bad.argmax()} is zero or not finite")
-    snapshots = [B.copy()] if store_snapshots else None
+    modes = _sector(system, q)
+    op = system.operator_on(modes)
+    if initial is None:
+        B = _perturbed_basis(system, q, op)
+    else:
+        B = np.array(initial, dtype=float)
+        if B.shape != (system.P, system.N, q):
+            raise ValueError(f"basis shape {B.shape}, expected "
+                             f"{(system.P, system.N, q)}")
+        bad = ~(np.isfinite(B).all(axis=(0, 1)) & B.any(axis=(0, 1)))
+        if bad.any():
+            raise ValueError(
+                f"start column {bad.argmax()} is zero or not finite")
+        if modes is not None:
+            B = _restrict(op, B)
+            bad = ~B.any(axis=(0, 1))
+            if bad.any():
+                raise ValueError(
+                    f"start column {bad.argmax()} has no part in the "
+                    f"x_1-even sector of the mean eigenbasis, the only "
+                    f"one a {q}-vector run on this system sweeps")
+
+    def full(B):
+        # a full-size copy: the snapshots and the basis returned
+        return B.copy() if modes is None else _expand(op, B)
+
+    snapshots = [full(B)] if store_snapshots else None
     rows = []
     warm, deltas = [], []
     normalizers = None
@@ -342,7 +403,7 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
         (B_next, solves, counts, extra, newton_steps, inv_s, defect,
          normalizers) = subspace_iterate_once(
             system, B, cg_tol, [*warm, *deltas] or None, sum_trick,
-            normalizers)
+            normalizers, op)
         # the last sweep's pairs turn into the newest increments in place,
         # as nothing else holds them; the oldest increments drop out
         deltas = [*(tuple(np.subtract(new, old, out=old)
@@ -358,7 +419,7 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
                      inv_s[0]))
         B = B_next
         if store_snapshots:
-            snapshots.append(B.copy())
+            snapshots.append(full(B))
         prev_inc = float(inc.max())
         converged = prev_inc < tol and cg_tol <= max(tol, _CG_TOL_FLOOR)
         if converged:
@@ -367,5 +428,5 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
     if q > 1:
         # mu = 1/s is an eigenvalue expansion only at Q = 1
         inv_s = means = None
-    return SubspaceResult(system, B, converged,
+    return SubspaceResult(system, B if modes is None else full(B), converged,
                           SubspaceHistory(*records, means), snapshots, inv_s)

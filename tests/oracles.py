@@ -269,6 +269,31 @@ def use_cell_rule(monkeypatch, nquad):
                             lambda order: cell_rule_1d(order, nquad))
 
 
+def use_skewed_first_term(monkeypatch):
+    """Make the package's first fluctuation a_1 = 2^-varsigma x_1 for the
+    rest of a test.  It is not symmetric about x_1 = 1/2, so its factors
+    couple the x_1-even mean modes to the x_1-odd ones; `matrix_at` reads
+    the factors, so it stays the pointwise oracle."""
+    profile = fem._coefficient_profile
+
+    def skewed(m, varsigma):
+        if m != 1:
+            return profile(m, varsigma)
+        amp = fem.coefficient_amplitude(1, varsigma)
+        return 0, lambda t: amp * np.asarray(t, dtype=float)
+
+    monkeypatch.setattr(fem, "_coefficient_profile", skewed)
+
+
+def basis_at(aset, y):
+    """Values of the set's chaos basis at one point y, through `legval`."""
+    out = np.ones(len(aset))
+    for j, alpha in enumerate(aset.indices):
+        for m, p in alpha:
+            out[j] *= legval_normalized(p, y[m - 1])
+    return out
+
+
 def quadrature(mesh, nquad=None):
     """Tensor Gauss rule per cell (`cell_rule_1d`): points (ncells, nq, 2),
     weights (nq,), reference basis values (nq, nb) and gradients

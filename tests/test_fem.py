@@ -22,6 +22,7 @@ from oracles import (
     l2_error_against_function,
     prolongation_matrix,
     use_cell_rule,
+    use_skewed_first_term,
 )
 
 PI2_2 = 19.739208802178717  # 2*pi^2, smallest Dirichlet Laplace eigenvalue
@@ -258,6 +259,37 @@ class TestMeanEigenbasis:
                 W = back(there(V))
                 assert W.shape == V.shape
                 assert np.abs(W - V).max() <= 1e-14 * np.abs(V).max()
+
+
+class TestParity:
+    """K(y) keeps the x_1-even mean modes among themselves."""
+
+    @pytest.mark.parametrize("n, order", TestMeanEigenbasis.MESHES)
+    def test_even_modes_alternate_from_the_ground_mode(self, n, order):
+        op = build_parametric_operator(build_mesh(n, order), nterms=6)
+        Q = op.mean_eigenbasis[1]
+        sign = (-1.0) ** np.arange(len(Q))
+        assert np.abs(Q[::-1] - sign * Q).max() <= 1e-12 * np.abs(Q).max()
+        np.testing.assert_array_equal(op.even_modes,
+                                      np.arange(0, len(Q), 2))
+
+    @pytest.mark.parametrize("n, order", [(4, 1), (3, 2)])
+    def test_reflection_leaves_every_term_unchanged(self, n, order):
+        # the fact behind even_modes, on the assembled 2D matrices: the
+        # x_1 reflection of the nodes commutes with every K_m
+        mesh = build_mesh(n, order)
+        side = n * order - 1
+        flip = (np.arange(side)[:, None] * side
+                + np.arange(side)[::-1]).ravel()
+        for K in assemble_terms(mesh, 6):
+            K = K.toarray()
+            assert np.abs(K[np.ix_(flip, flip)] - K).max() \
+                <= 1e-14 * np.abs(K).max()
+
+    def test_skewed_term_keeps_every_mode(self, monkeypatch):
+        use_skewed_first_term(monkeypatch)
+        op = build_parametric_operator(build_mesh(4, 1), nterms=3)
+        assert op.even_modes is None
 
 
 class TestSpatialConvergence:

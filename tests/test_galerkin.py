@@ -238,6 +238,43 @@ class TestKroneckerOperator:
         assert isinstance(op, KroneckerOperator)
         assert sys.operator is op
 
+    @pytest.mark.parametrize("args, columns", [
+        (dict(n=16, order=2, size=264), 496),
+        (dict(n=48, order=2, size=31), 4_560),
+        (dict(n=16, order=1, size=120), 120)],
+        ids=["reference-264", "fine-mesh", "subspace-validation"])
+    def test_even_sector_apply_is_the_restricted_apply(self, args, columns):
+        # the full product of a block that is zero on the x_1-odd modes,
+        # restricted to the x_1-even ones; off them it is roundoff
+        sys = build_system(**args)
+        even = sys.fem_op.even_modes
+        op = sys.operator_on(even)
+        assert isinstance(op, KroneckerOperator)
+        assert op.N == columns and sys.operator_on(even) is op
+        n = len(even) * 2 - 1
+        Y = random_block(sys, np.random.default_rng(53)).reshape(-1, n, n)
+        Y[:, :, 1::2] = 0.0
+        kept = Y[:, :, ::2].reshape(sys.P, -1)
+
+        def restricted(apply):
+            Z = apply(Y.reshape(sys.P, -1)).reshape(-1, n, n)
+            return Z[:, :, ::2].reshape(sys.P, -1), Z[:, :, 1::2]
+
+        want, off = restricted(sys.operator.apply)
+        got = op.apply(kept)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(off).max() <= 1e-14 * np.abs(want).max()
+        want, off = restricted(sys.operator.mean_solve)
+        np.testing.assert_array_equal(op.mean_solve(kept), want)
+        assert not off.any()
+
+    def test_every_mode_is_the_full_operator(self):
+        sys = small_system()
+        assert sys.operator_on(None) is sys.operator
+        every = KroneckerOperator(sys.tt, sys.fem_op, np.arange(3))
+        V = random_block(sys, np.random.default_rng(54))
+        np.testing.assert_array_equal(every.apply(V), sys.operator.apply(V))
+
     @pytest.mark.parametrize("args", [
         dict(n=16, order=2, size=264), dict(n=48, order=2, size=31),
         dict(n=16, order=1, size=120)],

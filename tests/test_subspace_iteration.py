@@ -26,6 +26,7 @@ from oracles import (
     assemble_mass,
     assemble_stiffness,
     assemble_terms,
+    basis_at,
     dense_generalized_eigenpairs,
     materialize_kronecker,
     matrix_at,
@@ -36,6 +37,7 @@ from oracles import (
     spectral_columns,
     tensor_dot,
     tensor_norm,
+    use_skewed_first_term,
 )
 
 
@@ -220,6 +222,79 @@ class TestSignFollowsStart:
             np.testing.assert_array_equal(inverse.U, -plain.U)
             np.testing.assert_array_equal(inverse.eigenvalue,
                                           plain.eigenvalue)
+
+
+def odd_part(sys, B):
+    """The coordinates of a (P, N, ...) stack on the x_1-odd mean modes,
+    a view when the stack is contiguous."""
+    n = len(sys.fem_op.mean_values)
+    return B.reshape(sys.P, n, n, -1)[:, :, 1::2]
+
+
+class TestEvenSector:
+    """At Q = 1 a run keeps the x_1-even half of the mean eigenbasis,
+    which K(y) never couples to the other half."""
+
+    def test_odd_coordinates_are_exact_zeros(self):
+        # they were roundoff, up to 1e-16, when the run swept them too
+        sys = build_system(n=8, order=2, size=31)
+        res = run_inverse_iteration(sys, tol=1e-10, kmax=40,
+                                    store_snapshots=True)
+        assert res.converged and len(res.snapshots) == len(res.history) + 1
+        for B in (res.basis, res.U, *res.snapshots):
+            assert not odd_part(sys, B).any()
+        assert np.abs(res.U).max() > 0.5
+
+    def test_odd_part_of_the_start_is_dropped(self):
+        sys = build_system(n=4, order=2, size=12)
+        rng = np.random.default_rng(7)
+        even = initial_basis(sys, 1)[:, :, 0]
+        even[1:] = 0.1 * rng.standard_normal(even[1:].shape)
+        odd_part(sys, even)[...] = 0.0
+        mixed = even.copy()
+        odd_part(sys, mixed)[...] = rng.standard_normal(
+            odd_part(sys, mixed).shape)
+        tol = 1e-10
+        plain, dropped = (run_inverse_iteration(sys, tol=tol, kmax=60,
+                                                initial=start)
+                          for start in (even, mixed))
+        assert plain.converged and dropped.converged
+        assert not odd_part(sys, dropped.U).any()
+        np.testing.assert_allclose(dropped.U, plain.U, rtol=0, atol=tol)
+
+    def test_start_without_an_even_part_is_rejected(self):
+        sys = build_system(n=4, order=2, size=12)
+        start = np.zeros((sys.P, sys.N, 1))
+        odd_part(sys, start)[...] = 1.0
+        with pytest.raises(ValueError, match="start column 0 has no part "
+                                             "in the x_1-even sector"):
+            run_inverse_iteration(sys, initial=start[:, :, 0])
+        with pytest.raises(ValueError, match="x_1-even sector"):
+            run_subspace_iteration(sys, 1, initial=start)
+
+    def test_coupled_parities_keep_every_mode(self, monkeypatch):
+        # a first fluctuation that is not symmetric about x_1 = 1/2 couples
+        # the halves, so the run sweeps every coordinate: its pointwise
+        # eigenpairs match the dense ones of K(y) to 1e-4, where a run kept
+        # on the even half misses the field by 7e-3 to 2e-2 and the
+        # eigenvalue by up to 5e-4 at these points
+        use_skewed_first_term(monkeypatch)
+        sys = build_system(n=4, order=1, size=12)
+        assert sys.fem_op.even_modes is None
+        res = run_inverse_iteration(sys, tol=1e-10, kmax=60)
+        assert res.converged
+        assert np.abs(odd_part(sys, res.U)).max() > 1e-3
+        M = assemble_mass(sys.mesh)
+        rng = np.random.default_rng(3)
+        for y in rng.uniform(-1, 1, (3, sys.fem_op.nterms)):
+            vals, vecs = dense_generalized_eigenpairs(
+                matrix_at(sys.fem_op, y), M, 1)
+            phi = basis_at(sys.aset, y)
+            u = sys.fem_op.to_nodal(phi @ res.U)
+            u *= np.sign(u @ (M @ vecs[:, 0])) / np.sqrt(u @ (M @ u))
+            d = u - vecs[:, 0]
+            assert np.sqrt(d @ (M @ d)) <= 1e-3
+            assert abs(phi @ res.eigenvalue - vals[0]) <= 2e-4 * vals[0]
 
 
 class TestSingletonSetLimit:
