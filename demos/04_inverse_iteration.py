@@ -18,10 +18,13 @@ from chaoseig.validation import pointwise_error
 
 sys_ = build_system(n=8, order=2, size=31)
 # the sweeps run on the x_1-even half of the mean eigenbasis, which K(y)
-# never couples to the other half
-sector = sys_.operator_on(sys_.fem_op.even_modes)
+# never couples to the other half, and within it on each chaos row's x_2
+# modes of the parity of its class: a quarter of the block
+half = sys_.operator_on(sys_.fem_op.even_modes)
+quarter = sys_.operator_on(sys_.fem_op.even_modes, True)
 print(f"chaos basis size {sys_.P}, spatial dofs {sys_.N}, "
-      f"of which the sweeps keep {sector.N} (x_1-even)")
+      f"of which the sweeps keep {quarter.N} (x_2 classes of the "
+      f"x_1-even half, {half.N} columns)")
 
 res = run_inverse_iteration(sys_, tol=1e-10, kmax=30,
                             initial=initial_basis(sys_, 1)[:, :, 0])

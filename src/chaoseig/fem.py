@@ -47,7 +47,9 @@ sin(m pi x_1) with m odd.  Each 1D mean mode is then even or odd about the
 midline, and no term couples an x_1-even mode Q_j to an x_1-odd one:
 K(y) keeps the coordinates with an even x_1 mode among themselves for
 every y (Bossavit, CMAME 56, 1986).  `even_modes` names those modes once
-it has checked both facts on the assembled factors.
+it has checked both facts on the assembled factors.  Each sin(m pi x_2),
+m even, is odd about x_2 = 1/2, so reflecting x_2 and flipping every such
+y_m leaves K(y) unchanged; `x2_terms_flip_parity` checks it.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ __all__ = [
 ]
 
 
-# a mode's reflection, and an x_1 factor's coupling of an even mode to an
-# odd one, count as zero below this share of their largest entry; both sit
-# under 2e-13 on the built-in family at n = 3 to 95
+# a mode's reflection, an x_1 factor's coupling of an even mode to an odd
+# one and an x_2 factor's coupling of two modes of one parity count as
+# zero below this share of their largest entry; all three sit under 2e-13
+# on the built-in family at n = 3 to 95
 _PARITY_TOL = 1e-10
 
 
@@ -265,6 +268,20 @@ class ParametricOperator:
         if (coupling > _PARITY_TOL * np.abs(F).max(axis=(-2, -1))).any():
             return None
         return even
+
+    @cached_property
+    def x2_terms_flip_parity(self):
+        """Whether `even_modes` holds and every term along x_2 couples only
+        1D mean modes of opposite parity, to `_PARITY_TOL` of the largest
+        factor entry of all terms: a term that aliases to roundoff on the
+        grid (sin 32 pi x_2 at n = 16, order 1) has no scale of its own."""
+        if self.even_modes is None:
+            return False
+        F = self.spectral_factors
+        parity = np.arange(F.shape[-1]) % 2
+        same = parity[:, None] == parity
+        return bool(np.abs(F[1:][self.axes[1:] == 1][..., same]).max(
+            initial=0.0) <= _PARITY_TOL * np.abs(F).max())
 
     def mass_apply(self, V):
         """M (x) M applied along the last axis of V: each (n, n) slice X

@@ -19,11 +19,12 @@ Frobenius norm of the coordinates; the mean term K_0 is the elementwise
 scaling by lam_i + lam_j and its inverse, the preconditioner, a division;
 each fluctuation term keeps dense 1D factors Q^T M_m Q and Q^T A_m Q.
 
-An operator may act on the coordinates of a subset of the x_1 mean modes
-only, the rest held at zero: K(y) keeps the x_1-even modes among
-themselves (`fem.ParametricOperator.even_modes`), so there its product on
-that half equals the full product restricted to it, at about half the
-work.  `GalerkinSystem.operator_on` builds one such operator per mode set.
+An operator may act on a sector of the coordinates that K(y) never
+couples to the rest, the rest held at zero: the x_1-even modes, and of
+those each chaos row's x_2 modes of the parity of its class (see
+`KroneckerOperator`).  There its product equals the full product
+restricted to the sector, at about a quarter of the work.
+`GalerkinSystem.operator_on` builds one operator per sector.
 
 `pcg_solve` moves its warm start to the energy-optimal point of the start
 plus the span of a window of earlier solutions and increments, from their
@@ -86,7 +87,7 @@ class KroneckerOperator:
     Built from the triple tensor `tt` and the FEM operator `fem_op`.  In
     the coordinates Y = (MQ)^T X (MQ) of (lam, Q) = `fem_op.mean_eigenbasis`
     the mass M (x) M is the identity and K_0 is the elementwise scaling by
-    `mean` = lam_i + lam_j (`fem_op.mean_values`).  A term along x_1,
+    lam_i + lam_j (`fem_op.mean_values`).  A term along x_1,
     M (x) A_m + A (x) M_m, maps Y to Y A'_m + diag(lam) Y M'_m with the
     dense 1D factors M'_m = Q^T M_m Q and A'_m = Q^T A_m Q
     (`fem_op.spectral_factors`), that is
@@ -97,51 +98,88 @@ class KroneckerOperator:
     through the nonzeros of G_m.  A term along x_2 acts on Y[b]^T as a term
     along x_1 acts on Y[b] (transpose the separable form), so the terms are
     split into two passes by axis.  Each pass is a list of chunks of at
-    most `step` gathered rows: (rows, runs, targets, scatter).  `runs`
-    holds (start, end, right) for the stretch of the chunk that belongs to
-    one term, `right` being that term's contiguous stack (M'_m; A'_m).
-    `scatter` maps the chunk's products onto the chaos rows `targets`.
+    most `step` gathered rows: (rows, lead, runs, targets, scatter).
+    `lead` holds the eigenvalues along the leading axis of each gathered
+    slice, `runs` (start, end, right) for each stretch of the chunk that
+    belongs to one term and one row class, `right` being their stacked
+    factors (M'_m; A'_m), and `scatter` maps the chunk's products onto the
+    chaos rows `targets`.
 
-    Given `modes`, positions of 1D mean modes whose coordinates no term
-    couples to the others' (`fem.ParametricOperator.even_modes`), the
-    operator acts on the slices Y[:, modes] alone, (n, k) for k modes and
-    N = n k: the mean term on `mean`[:, modes], the terms along x_1 on the
-    kept rows and columns of their factors, and those along x_2, which
-    reach the x_1 index only through diag(lam), on lam[modes].  By default
-    every mode is kept.
+    Given `modes`, x_1 mean modes no term couples to the others
+    (`fem.ParametricOperator.even_modes`), each slice keeps the columns
+    Y[:, modes]: the terms along x_1 act on the kept rows and columns of
+    their factors, those along x_2 reach them only through diag(lam).
+    With `x2_classes` (`fem.ParametricOperator.x2_terms_flip_parity`),
+    chaos row b of class c, its total degree over the dimensions along x_2
+    mod 2, keeps in its slice only the x_2 modes of parity c: 0, 2, ...
+    or 1, 3, ... plus one padded row for an odd count.  An x_2 term maps
+    each class onto the other, through the factor rows of the source class
+    and the columns of the target class.  The padded row has mean value 1,
+    lead eigenvalue 0 and zero factors: it stays exactly zero.  A block is
+    (P, N), N = h k for h x_2 slots and k x_1 modes; `coords` holds per
+    class the flat position of each slot in the full (n, n) slice, -1 when
+    padded.  By default every mode is kept, in one class.
     """
 
-    def __init__(self, tt, fem_op, modes=None):
+    def __init__(self, tt, fem_op, modes=None, x2_classes=False):
         if fem_op.nterms > tt.aset.max_dimension:
             raise ValueError(f"{fem_op.nterms} stiffness terms, but the "
                              f"set has {tt.aset.max_dimension} dimensions")
-        self.P = tt.size
-        self.lam = fem_op.mean_eigenbasis[0]
-        self.n = n = len(self.lam)
+        self.P = P = tt.size
+        self.lam = lam = fem_op.mean_eigenbasis[0]
+        self.n = n = len(lam)
         self.modes = np.arange(n) if modes is None else np.asarray(modes)
         k = self.modes.size
-        self.N = n * k
-        self.mean = fem_op.mean_values[:, self.modes]
-        # per pass, the eigenvalues along the leading axis of the slices it
-        # gathers (Y for x_1 terms, Y^T for x_2 terms) and the stacked
-        # factors (M'_m; A'_m) of every term
-        self.lead = (self.lam, self.lam[self.modes])
+        ncls = 2 if x2_classes else 1
+        aset = tt.aset
+        along_x2 = np.pad(fem_op.axes == 1,
+                          (0, aset.max_dimension - fem_op.nterms))
+        self.classes = (aset.exponents * along_x2[aset.support]).sum(
+            axis=1) % ncls
+        # the x_2 modes each class keeps, the padded slot as -1
+        self.h = h = -(-n // ncls)
+        self.x2 = np.arange(ncls * h).reshape(h, ncls).T
+        self.x2[self.x2 >= n] = -1
+        self.N = h * k
+        self.coords = np.where(self.x2[:, :, None] < 0, -1,
+                               self.x2[:, :, None] * n + self.modes).reshape(
+            ncls, self.N)
+        # K_0 per chaos row, or one (1, N) row for all in one class
+        self.mean = np.append(fem_op.mean_values, 1.0)[
+            self.coords[self.classes if x2_classes else [0]]]
+        # the eigenvalues along the leading axis of the slices a pass
+        # gathers: per class along x_2 for Y, along x_1 for Y^T
+        lead_x1 = np.append(lam, 0.0)[self.x2][:, :, None]
+        lead_x2 = lam[self.modes][:, None]
         F = fem_op.spectral_factors
-        stacks = (F[:, :, self.modes[:, None], self.modes].reshape(
-            len(F), 2 * k, k), F.reshape(len(F), 2 * n, n))
         self.step = max(1, _CHUNK_BYTES // (8 * self.N))
         self.passes = ([], [])
+        at = np.empty(P, dtype=int)
         for axis, chunks in enumerate(self.passes):
-            pieces, width = [], 0
+            pieces, width, right = [], 0, {}
             for m in np.flatnonzero(fem_op.axes[1:] == axis) + 1:
+                # the term's stacked factors (M'_m; A'_m) per source class:
+                # an x_2 term flips the class (with one class there is none
+                # to flip), and index -1 of its padded factors is zero
+                if axis:
+                    Fm = np.pad(F[m], ((0, 0), (0, 1), (0, 1)))
+                    right[m] = [Fm[:, self.x2[c][:, None],
+                                   self.x2[c ^ (ncls - 1)]].reshape(2 * h, h)
+                                for c in range(ncls)]
+                else:
+                    right[m] = [F[m][:, self.modes[:, None],
+                                     self.modes].reshape(2 * k, k)] * ncls
                 row, col, val = tt.raise_entries(m)
-                touched = np.unique(col)
+                # the term's gathered rows class by class
+                touched = np.unique(self.classes[col] * P + col) % P
+                at[touched] = np.arange(touched.size)
                 pieces.append((touched, np.full(touched.size, m), row,
-                               width + np.searchsorted(touched, col), val))
+                               width + at[col], val))
                 width += touched.size
             if not width:
                 continue
             rows, term, srow, scol, sval = map(np.concatenate, zip(*pieces))
+            cls = self.classes[rows]
             # the entries by chunk, target row and gathered row: each
             # chunk's scatter in CSR order, whose row pointers are the
             # first entries of its (chunk, target) runs
@@ -162,18 +200,19 @@ class KroneckerOperator:
                     (sval[lo_nz:hi_nz], scol[lo_nz:hi_nz] - lo,
                      ptr[r0:r1 + 1] - lo_nz),
                     shape=(targets.size, hi - lo))
-                cuts = [0, *(np.flatnonzero(np.diff(term[lo:hi])) + 1),
-                        hi - lo]
-                runs = [(a, b, stacks[axis][term[lo + a]])
+                key = term[lo:hi] * ncls + cls[lo:hi]
+                cuts = [0, *(np.flatnonzero(np.diff(key)) + 1), hi - lo]
+                runs = [(a, b, right[term[lo + a]][cls[lo + a]])
                         for a, b in zip(cuts, cuts[1:])]
-                chunks.append((rows[lo:hi], runs, targets, scatter))
+                lead = lead_x2 if axis else lead_x1[cls[lo:hi]]
+                chunks.append((rows[lo:hi], lead, runs, targets, scatter))
 
     def apply(self, V, out=None):
         """Matrix-free product with a (P, N) coefficient block, written into
         `out` when given: a C-contiguous (P, N) block that does not overlap
         V.
 
-        The block is applied as P slices Y[b] reshaped to (n, k), x_2 index
+        The block is applied as P slices Y[b] reshaped to (h, k), x_2 index
         first.  The mean term scales each slice elementwise by
         lam_i + lam_j; each fluctuation term adds one gathered product
         [diag(lam) Y | Y] (M'_m; A'_m) per touched row, and the terms along
@@ -183,21 +222,20 @@ class KroneckerOperator:
         if V.shape != (self.P, self.N):
             raise ValueError(f"block shape {V.shape}, expected "
                              f"{(self.P, self.N)}")
-        P, n, k = self.P, self.n, self.modes.size
-        Y = V.reshape(P, n, k)
+        P, h, k = self.P, self.h, self.modes.size
+        Y = V.reshape(P, h, k)
         if out is None:
             out = np.empty((P, self.N))
-        O = out.reshape(P, n, k)
-        np.multiply(Y, self.mean, out=O)
+        np.multiply(V, self.mean, out=out)
+        O = out.reshape(P, h, k)
         for axis, chunks in enumerate(self.passes):
             # the gathered slices are (a, b): Y's for x_1 terms, Y^T's for
             # x_2 terms
-            a, b = (k, n) if axis else (n, k)
-            lam = self.lead[axis][:, None]
-            for rows, runs, targets, scatter in chunks:
+            a, b = (k, h) if axis else (h, k)
+            for rows, lead, runs, targets, scatter in chunks:
                 G = np.empty((rows.size, a, 2 * b))
                 G[..., b:] = Y[rows].transpose(0, 2, 1) if axis else Y[rows]
-                np.multiply(lam, G[..., b:], out=G[..., :b])
+                np.multiply(lead, G[..., b:], out=G[..., :b])
                 T = np.empty((rows.size, a, b))
                 for start, end, right in runs:
                     np.matmul(G[start:end].reshape(-1, 2 * b), right,
@@ -210,7 +248,7 @@ class KroneckerOperator:
         """The mean-based preconditioner: K_0^-1, a division by
         lam_i + lam_j in these coordinates, on a (P, N) block; written
         into `out` when given."""
-        return np.divide(R, self.mean.ravel(), out=out)
+        return np.divide(R, self.mean, out=out)
 
 
 @dataclass
@@ -367,12 +405,21 @@ class DeltaFactor:
     numpy.linalg runs on the same BLAS as the matmuls of the sweep; scipy's
     wheel bundles a second one, whose thread pool would compete with
     numpy's for the cores (see README).
+
+    Given the row `classes` of a `KroneckerOperator` on x_2 classes and
+    an s that is zero on class 1, the matrix is block diagonal, and each
+    class block is inverted apart: at a quarter of the cost, exactly zero
+    off the blocks, which never mix the x_2 modes two classes hold.
     """
 
-    def __init__(self, tt: TripleProductTensor, s):
+    def __init__(self, tt: TripleProductTensor, s, classes=None):
         self.matrix = tt.multiply_matrix(np.asarray(s, dtype=float))
+        blocks = ([np.s_[:, :]] if classes is None else
+                  [np.ix_(classes == c, classes == c) for c in (0, 1)])
+        self.inverse = np.zeros_like(self.matrix)
         try:
-            self.inverse = np.linalg.inv(self.matrix)
+            for block in blocks:
+                self.inverse[block] = np.linalg.inv(self.matrix[block])
         except np.linalg.LinAlgError:
             self.rcond = 0.0
         else:
@@ -472,8 +519,8 @@ class GalerkinSystem:
 
     Bundles the parametric FEM operator with the chaos moment structures
     over one multi-index set, and the stiffness operators the solves on
-    the system share: `operator` on every mode, and one per set of x_1
-    mean modes through `operator_on`, each built on first use.
+    the system share: `operator` on every mode, and one per sector through
+    `operator_on`, each built on first use.
     """
 
     aset: object
@@ -498,16 +545,17 @@ class GalerkinSystem:
     def operator(self):
         return KroneckerOperator(self.tt, self.fem_op)
 
-    def operator_on(self, modes):
-        """The stiffness operator on the coordinates of the x_1 mean modes
-        `modes` (see `KroneckerOperator`), built on the first call with
-        these modes and shared by every later one; `operator` when None."""
-        if modes is None:
+    def operator_on(self, modes, x2_classes=False):
+        """The stiffness operator on the x_1 mean modes `modes` (every mode
+        when None) and with `x2_classes` (see `KroneckerOperator`), built
+        on the first call for this sector and shared by every later one."""
+        if modes is None and not x2_classes:
             return self.operator
-        key = tuple(int(j) for j in modes)
+        key = (None if modes is None else tuple(int(j) for j in modes),
+               bool(x2_classes))
         if key not in self._sectors:
             self._sectors[key] = KroneckerOperator(self.tt, self.fem_op,
-                                                   key)
+                                                   *key)
         return self._sectors[key]
 
 

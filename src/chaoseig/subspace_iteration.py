@@ -50,10 +50,15 @@ K(y) keeps the coordinates whose x_1 mean mode is even about x_1 = 1/2
 among themselves (`fem.ParametricOperator.even_modes`).  When the q mean
 modes of the cluster all lie there, as the ground mode at Q = 1 does, a
 run sweeps on that half alone, with the operator
-`GalerkinSystem.operator_on` builds for it: it projects the start onto
-the half, and expands the basis and the snapshots back to full size,
-exactly zero off the half, before it returns.  Otherwise, as at Q > 1 on
-the built-in family, whose cluster spans both parities, it sweeps on
+`GalerkinSystem.operator_on` builds for it, and on the x_2 classes within
+it (`fem.ParametricOperator.x2_terms_flip_parity`) when the q mean modes
+are x_2-even too: a quarter of the block.  Rows of two classes hold
+different x_2 modes in one slot, so their row Gram entries are zero, and
+the division inverts each class block apart (`DeltaFactor`).  The run
+projects the start onto the sector, and expands the basis and the
+snapshots back to full size, exactly zero off the sector, before it
+returns; mu = 1/s is zero on the class-1 rows.  Otherwise, as at Q > 1 on
+the built-in family, whose cluster spans both x_1 parities, it sweeps on
 every coordinate.
 
 At Q = 1 the reciprocal of s also carries the eigenvalue, mu(y) =
@@ -177,31 +182,37 @@ def initial_basis(system: GalerkinSystem, q):
 
 
 def _sector(system: GalerkinSystem, q):
-    """The x_1 mean modes a q-vector run keeps: the even ones when the q
-    mean modes all are, else None, for every mode."""
+    """The operator a q-vector run sweeps with: on the x_1-even modes when
+    the q mean modes all are, and on their x_2 classes when the q mean
+    modes are x_2-even and the x_2 terms flip parity; else every mode."""
     fem_op = system.fem_op
     even = fem_op.even_modes
-    if even is None:
-        return None
-    x1 = np.argmax(fem_op.mean_eigenpairs(q)[1], axis=0) % len(
-        fem_op.mean_values)
-    return even if np.isin(x1, even).all() else None
+    x2, x1 = np.divmod(np.argmax(fem_op.mean_eigenpairs(q)[1], axis=0),
+                       len(fem_op.mean_values))
+    if even is None or not np.isin(x1, even).all():
+        return system.operator
+    return system.operator_on(even, fem_op.x2_terms_flip_parity
+                              and np.isin(x2, even).all())
 
 
 def _restrict(op, B):
-    """The coordinates on op's x_1 modes of a (..., N, Q) stack."""
-    lead = B.shape[:-2]
-    return B.reshape(*lead, op.n, op.n, -1)[..., op.modes, :].reshape(
-        *lead, op.N, -1)
+    """The coordinates on op's sector of a (P', N, Q) stack of the first
+    P' <= P chaos rows, in op's layout; the padded slots are zero."""
+    pos = op.coords[op.classes[:len(B)]]
+    keep = pos >= 0
+    out = np.zeros(pos.shape + B.shape[2:])
+    out[keep] = B[np.nonzero(keep)[0], pos[keep]]
+    return out
 
 
 def _expand(op, B):
-    """The (P, N, Q) stack, zero off op's x_1 modes, whose coordinates on
-    them are B."""
-    P, n = op.P, op.n
-    out = np.zeros((P, n, n, B.shape[2]))
-    out[:, :, op.modes] = B.reshape(P, n, op.modes.size, -1)
-    return out.reshape(P, n * n, -1)
+    """The (P, N, Q) stack, zero off op's sector, whose coordinates on it
+    are B."""
+    pos = op.coords[op.classes]
+    keep = pos >= 0
+    out = np.zeros((op.P, op.n ** 2, B.shape[2]))
+    out[np.nonzero(keep)[0], pos[keep]] = B[keep]
+    return out
 
 
 def _perturbed_basis(system: GalerkinSystem, q, op):
@@ -221,35 +232,45 @@ def _perturbed_basis(system: GalerkinSystem, q, op):
     One operator product per column.
     """
     mu, modes = system.fem_op.mean_eigenpairs(q)
-    modes = _restrict(op, modes)
-    mean = op.mean.ravel()
-    cut = np.isin(mean, mu)
+    modes = _restrict(op, modes[None])[0]
+    cut = np.isin(op.mean, mu)  # (P, N), or (1, N) for one class
     B = np.empty((op.P, op.N, q))
     E = np.zeros((op.P, op.N))
     for j in range(q):
         E[0] = modes[:, j]
         W = op.apply(E)
-        np.divide(W, mu[j] - mean, out=W, where=~cut)
-        W[:, cut] = E[:, cut]
+        np.divide(W, mu[j] - op.mean, out=W, where=~cut)
+        np.copyto(W, E, where=cut)
         np.divide(W, np.linalg.norm(W), out=B[:, :, j])
     return B
 
 
-def _defect(tt, B):
+def _gram(A, B, classes):
+    """The row Gram A B^T of two (P, N) blocks, zero between rows of
+    different `classes` (None for one), whose slots hold other x_2 modes."""
+    G = A @ B.T
+    if classes is not None:
+        G[classes[:, None] != classes] = 0.0
+    return G
+
+
+def _defect(tt, B, classes):
     """Largest chaos-coefficient norm of <u_i(y), u_j(y)> over pairs i<j of
-    a (P, N, Q) stack in the mean eigenbasis."""
+    a (P, N, Q) stack in the mean eigenbasis, with row `classes` as in
+    `_gram`."""
     q = B.shape[2]
-    grams = (tt.contract_gram(B[:, :, i] @ B[:, :, j].T)
+    grams = (tt.contract_gram(_gram(B[:, :, i], B[:, :, j], classes))
              for i in range(q) for j in range(i + 1, q))
     return max((float(np.linalg.norm(f)) for f in grams), default=0.0)
 
 
-def _orthonormalize(tt, columns, starts=()):
+def _orthonormalize(tt, columns, classes, starts=()):
     """One Galerkin Gram-Schmidt pass over columns, normalizing each.
 
-    `starts` is empty or holds one (s, inverse) pair per column, as the
-    previous sweep's pass returned them: the column's normalization then
-    starts from it (see `newton_normalize`).  Returns the (P, N, Q)
+    `classes` are the columns' row classes, as in `_gram`.  `starts` is
+    empty or holds one (s, inverse) pair per column, as the previous
+    sweep's pass returned them: the column's normalization then starts
+    from it (see `newton_normalize`).  Returns the (P, N, Q)
     basis, each of whose columns is contiguous, the Newton iterations of
     the pass, the expansion of 1/s for the first column's norm expansion
     s, and the pass's own (s, inverse) pairs.
@@ -260,16 +281,17 @@ def _orthonormalize(tt, columns, starts=()):
     newton_steps = 0
     for L, W in enumerate(columns):
         for i in range(L):
-            coeff = tt.contract_gram(W @ out[:, :, i].T)
+            coeff = tt.contract_gram(_gram(W, out[:, :, i], classes))
             W = W - tt.multiply_matrix(coeff) @ out[:, :, i]
         norm = np.linalg.norm(W)
         if norm <= _BREAKDOWN_TOL:
             raise SubspaceBreakdownError(
                 f"basis vector collapsed to tensor norm {norm:.3e} during "
                 f"orthogonalization against {L} previous vectors")
-        s, nhist = newton_normalize(tt, tt.contract_gram(W @ W.T),
-                                    starts[L] if starts else None)
-        factor = DeltaFactor(tt, s)
+        s, nhist = newton_normalize(
+            tt, tt.contract_gram(_gram(W, W, classes)),
+            starts[L] if starts else None)
+        factor = DeltaFactor(tt, s, classes)
         if L == 0:
             inv_s = factor.solve(np.eye(1, tt.size)[0])
         factor.solve(W, out=out[:, :, L])
@@ -285,7 +307,7 @@ def subspace_iterate_once(system: GalerkinSystem, B, cg_tol=1e-12,
 
     B is a (P, N, Q) stack in the mean eigenbasis, and so are B_next and
     the solves; given an `operator` from `system.operator_on`, N is its
-    own and the stacks hold the coordinates on its modes.  Returns
+    own and the stacks hold the coordinates on its sector.  Returns
     (B_next, solves, cg_iteration_counts, extra_passes, newton_iterations,
     inv_s, defect, normalizers).
     `solves` holds one pair (V, K V) per vector: the raw CG solution and
@@ -325,10 +347,11 @@ def subspace_iterate_once(system: GalerkinSystem, B, cg_tol=1e-12,
         # the leading vector becomes the sum of the solves: the basis
         # changes inside their span, the span does not
         work[0] = np.sum(work, axis=0)
+    classes = op.classes if len(op.x2) > 1 else None
     B_next, newton_steps, inv_s, pairs = _orthonormalize(
-        tt, work, normalizers or ())
+        tt, work, classes, normalizers or ())
     return (B_next, solves, np.asarray(cg_counts, dtype=int), 0,
-            newton_steps, inv_s, _defect(tt, B_next), pairs)
+            newton_steps, inv_s, _defect(tt, B_next, classes), pairs)
 
 
 def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
@@ -344,10 +367,10 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
     pass `initial_basis(system, q)` to start from the mean modes
     themselves.  The sign of each vector follows the start: the sweep is
     odd, so a negated start gives the negated basis, bit for bit, with the
-    same eigenvalue and history.  When the run keeps the x_1-even half of
-    the mean eigenbasis (see the module docstring), the part of the start
-    off it is dropped, and a start column with no part on it raises
-    ValueError; the basis and the snapshots are zero off it.
+    same eigenvalue and history.  When the run keeps a sector of the mean
+    eigenbasis (see the module docstring), the part of the start off it is
+    dropped, and a start column with no part on it raises ValueError; the
+    basis and the snapshots are zero off it.
 
     The CG tolerance is a fraction `_CG_TOL_FACTOR` of the previous sweep's
     largest increment, floored at `_CG_TOL_FLOOR`.  Each solve starts from
@@ -367,8 +390,9 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
         raise ValueError(f"q = {q} exceeds the N = {system.N} spatial dofs")
     if kmax < 1:
         raise ValueError("kmax must be positive")
-    modes = _sector(system, q)
-    op = system.operator_on(modes)
+    op = _sector(system, q)
+    # on every coordinate the sweep's stacks are full-size already
+    whole = op.N == system.N
     if initial is None:
         B = _perturbed_basis(system, q, op)
     else:
@@ -380,18 +404,20 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
         if bad.any():
             raise ValueError(
                 f"start column {bad.argmax()} is zero or not finite")
-        if modes is not None:
+        if not whole:
             B = _restrict(op, B)
             bad = ~B.any(axis=(0, 1))
             if bad.any():
+                within = (", within each chaos row's x_2 class"
+                          if len(op.x2) > 1 else "")
                 raise ValueError(
                     f"start column {bad.argmax()} has no part in the "
-                    f"x_1-even sector of the mean eigenbasis, the only "
-                    f"one a {q}-vector run on this system sweeps")
+                    f"x_1-even sector of the mean eigenbasis{within}, the "
+                    f"only one a {q}-vector run on this system sweeps")
 
     def full(B):
         # a full-size copy: the snapshots and the basis returned
-        return B.copy() if modes is None else _expand(op, B)
+        return B.copy() if whole else _expand(op, B)
 
     snapshots = [full(B)] if store_snapshots else None
     rows = []
@@ -428,5 +454,5 @@ def run_subspace_iteration(system: GalerkinSystem, q, tol=1e-8, kmax=30,
     if q > 1:
         # mu = 1/s is an eigenvalue expansion only at Q = 1
         inv_s = means = None
-    return SubspaceResult(system, B if modes is None else full(B), converged,
+    return SubspaceResult(system, B if whole else full(B), converged,
                           SubspaceHistory(*records, means), snapshots, inv_s)

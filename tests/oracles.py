@@ -269,18 +269,21 @@ def use_cell_rule(monkeypatch, nquad):
                             lambda order: cell_rule_1d(order, nquad))
 
 
-def use_skewed_first_term(monkeypatch):
-    """Make the package's first fluctuation a_1 = 2^-varsigma x_1 for the
-    rest of a test.  It is not symmetric about x_1 = 1/2, so its factors
-    couple the x_1-even mean modes to the x_1-odd ones; `matrix_at` reads
-    the factors, so it stays the pointwise oracle."""
+def use_skewed_term(monkeypatch, m=1):
+    """Make the package's fluctuation m a_m = (m+1)^-varsigma t for the
+    rest of a test, t being its own coordinate (x_1 for odd m, x_2 for
+    even m).  It is not symmetric about t = 1/2, so its factors couple
+    mean modes that the built-in profile keeps apart: the x_1-even modes
+    to the x_1-odd ones for m = 1, modes of one parity for m = 2.
+    `matrix_at` reads the factors, so it stays the pointwise oracle."""
     profile = fem._coefficient_profile
 
-    def skewed(m, varsigma):
-        if m != 1:
-            return profile(m, varsigma)
-        amp = fem.coefficient_amplitude(1, varsigma)
-        return 0, lambda t: amp * np.asarray(t, dtype=float)
+    def skewed(j, varsigma):
+        axis, f = profile(j, varsigma)
+        if j != m:
+            return axis, f
+        amp = fem.coefficient_amplitude(m, varsigma)
+        return axis, lambda t: amp * np.asarray(t, dtype=float)
 
     monkeypatch.setattr(fem, "_coefficient_profile", skewed)
 

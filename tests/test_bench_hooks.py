@@ -213,8 +213,9 @@ def test_workload_arguments_bind_to_the_library(workloads):
 
 def test_build_leaves_the_operator_to_the_drivers(monkeypatch):
     # built on the first solve and shared by every later one on the
-    # system: Q = 1 solves share the operator on the x_1-even mean modes,
-    # and q = 2 solves, whose mean modes have both parities, the full one
+    # system: Q = 1 solves share the operator on the x_2 classes of the
+    # x_1-even mean modes, and q = 2 solves, whose mean modes have both
+    # x_1 parities, the full one
     built = []
     init = galerkin.KroneckerOperator.__init__
 
@@ -237,9 +238,10 @@ def test_build_leaves_the_operator_to_the_drivers(monkeypatch):
         run_inverse_iteration(system, tol=1e-8, kmax=3)
     for _ in range(2):
         run_subspace_iteration(system, q=2, tol=0, kmax=2)
-    sector = system.operator_on(system.fem_op.even_modes)
+    sector = system.operator_on(system.fem_op.even_modes, True)
     assert built == [sector, system.operator]
-    assert sector.N < system.N
+    # two x_2 slots (one padded in class 1) by two x_1-even modes of 3 x 3
+    assert (sector.N, system.N) == (4, 9)
     assert seen == [sector] * 2 * 3 + [system.operator] * 2 * 2 * 2
 
 

@@ -22,7 +22,7 @@ from oracles import (
     l2_error_against_function,
     prolongation_matrix,
     use_cell_rule,
-    use_skewed_first_term,
+    use_skewed_term,
 )
 
 PI2_2 = 19.739208802178717  # 2*pi^2, smallest Dirichlet Laplace eigenvalue
@@ -262,7 +262,8 @@ class TestMeanEigenbasis:
 
 
 class TestParity:
-    """K(y) keeps the x_1-even mean modes among themselves."""
+    """K(y) keeps the x_1-even mean modes among themselves, and each term
+    along x_2 maps the x_2-even modes onto the x_2-odd ones and back."""
 
     @pytest.mark.parametrize("n, order", TestMeanEigenbasis.MESHES)
     def test_even_modes_alternate_from_the_ground_mode(self, n, order):
@@ -287,9 +288,57 @@ class TestParity:
                 <= 1e-14 * np.abs(K).max()
 
     def test_skewed_term_keeps_every_mode(self, monkeypatch):
-        use_skewed_first_term(monkeypatch)
+        use_skewed_term(monkeypatch)
         op = build_parametric_operator(build_mesh(4, 1), nterms=3)
         assert op.even_modes is None
+        assert not op.x2_terms_flip_parity
+
+    @pytest.mark.parametrize("n, order", TestMeanEigenbasis.MESHES)
+    def test_x2_terms_couple_opposite_parities(self, n, order):
+        op = build_parametric_operator(build_mesh(n, order), nterms=6)
+        assert op.x2_terms_flip_parity
+        F = op.spectral_factors[op.axes == 1]
+        parity = np.arange(F.shape[-1]) % 2
+        same = parity[:, None] == parity
+        assert np.abs(F[..., same]).max() \
+            <= 1e-13 * np.abs(op.spectral_factors).max()
+
+    @pytest.mark.parametrize("n, order", [(4, 1), (3, 2)])
+    def test_x2_reflection_flips_the_x2_terms(self, n, order):
+        # the fact behind x2_terms_flip_parity, on the assembled 2D
+        # matrices: the x_2 reflection of the nodes negates every K_m
+        # along x_2 and keeps K_0 and the terms along x_1, to roundoff of
+        # the largest term
+        mesh = build_mesh(n, order)
+        side = n * order - 1
+        flip = (np.arange(side)[::-1, None] * side
+                + np.arange(side)).ravel()
+        terms = [K.toarray() for K in assemble_terms(mesh, 6)]
+        scale = max(np.abs(K).max() for K in terms)
+        for m, K in enumerate(terms):
+            sign = -1.0 if m and m % 2 == 0 else 1.0
+            assert np.abs(K[np.ix_(flip, flip)] - sign * K).max() \
+                <= 1e-14 * scale
+
+    def test_aliased_x2_term_keeps_the_classes(self):
+        # sin(32 pi x_2) is roundoff at every quadrature point of n = 16,
+        # order 1, so its factors are noise of no parity: scaled by its
+        # own largest entry the term would fail, scaled by the largest of
+        # all terms it passes
+        op = build_parametric_operator(build_mesh(16, 1), nterms=32)
+        F = op.spectral_factors[32]
+        assert op.axes[32] == 1
+        assert np.abs(F).max() <= 1e-16
+        parity = np.arange(F.shape[-1]) % 2
+        same = parity[:, None] == parity
+        assert np.abs(F[:, same]).max() > 1e-10 * np.abs(F).max()
+        assert op.x2_terms_flip_parity
+
+    def test_skewed_x2_term_couples_one_parity(self, monkeypatch):
+        use_skewed_term(monkeypatch, 2)
+        op = build_parametric_operator(build_mesh(4, 1), nterms=3)
+        np.testing.assert_array_equal(op.even_modes, [0, 2])
+        assert not op.x2_terms_flip_parity
 
 
 class TestSpatialConvergence:

@@ -268,6 +268,41 @@ class TestKroneckerOperator:
         np.testing.assert_array_equal(op.mean_solve(kept), want)
         assert not off.any()
 
+    @pytest.mark.parametrize("args, columns", [
+        (dict(n=16, order=2, size=264), 256),
+        (dict(n=48, order=2, size=31), 2_304),
+        (dict(n=16, order=1, size=120), 64)],
+        ids=["reference-264", "fine-mesh", "subspace-validation"])
+    def test_class_sector_apply_is_the_restricted_apply(self, args,
+                                                        columns):
+        # the full product of a block that is zero off the sector (the
+        # x_1-even modes, and of those the x_2 modes of each row's class),
+        # restricted to it; off it the product is roundoff, and the
+        # padded slots of the sector block stay exact zeros
+        sys = build_system(**args)
+        even = sys.fem_op.even_modes
+        op = sys.operator_on(even, True)
+        assert isinstance(op, KroneckerOperator)
+        assert op.N == columns and sys.operator_on(even, True) is op
+        pos = op.coords[op.classes]
+        pad = pos < 0
+        assert pad.any() and (pad.sum(axis=1) % op.modes.size == 0).all()
+        rows, at = np.nonzero(pad)[0], np.nonzero(~pad)
+        X = np.random.default_rng(56).standard_normal((sys.P, op.N))
+        X[pad] = 0.0
+        Y = np.zeros((sys.P, sys.N))
+        Y[at[0], pos[at]] = X[at]
+        for full, sector in ((sys.operator.apply, op.apply),
+                             (sys.operator.mean_solve, op.mean_solve)):
+            want, got = full(Y), sector(X)
+            scale = np.abs(want).max()
+            assert np.abs(got[at] - want[at[0], pos[at]]).max() \
+                <= 1e-14 * scale
+            assert not got[pad].any()
+            want[at[0], pos[at]] = 0.0
+            assert np.abs(want).max() <= 1e-14 * scale
+        assert rows.size and (op.classes[rows] == 1).all()
+
     def test_every_mode_is_the_full_operator(self):
         sys = small_system()
         assert sys.operator_on(None) is sys.operator
@@ -282,22 +317,26 @@ class TestKroneckerOperator:
     def test_scatters_apply_as_their_coo_builds(self, args):
         # each chunk's scatter is built in CSR form from sorted entries:
         # canonical, so that its product sums every row in the order of
-        # the same entries sent through scipy's COO route, to the bit
+        # the same entries sent through scipy's COO route, to the bit; on
+        # every coordinate and on the x_2 classes of the x_1-even half
         sys = build_system(**args)
-        op = sys.operator
-        V = random_block(sys, np.random.default_rng(52))
-        want = op.apply(V)
-        for chunks in op.passes:
-            for i, (rows, runs, targets, scatter) in enumerate(chunks):
-                assert scatter.has_canonical_format
-                assert scatter.shape == (targets.size, rows.size)
-                assert (np.diff(targets) > 0).all()
-                local = np.repeat(np.arange(targets.size),
-                                  np.diff(scatter.indptr))
-                coo = sp.csr_matrix((scatter.data, (local, scatter.indices)),
-                                    shape=scatter.shape)
-                chunks[i] = (rows, runs, targets, coo)
-        np.testing.assert_array_equal(op.apply(V), want)
+        for op in (sys.operator,
+                   sys.operator_on(sys.fem_op.even_modes, True)):
+            V = np.random.default_rng(52).standard_normal((sys.P, op.N))
+            want = op.apply(V)
+            for chunks in op.passes:
+                for i, (rows, lead, runs, targets, scatter) in enumerate(
+                        chunks):
+                    assert scatter.has_canonical_format
+                    assert scatter.shape == (targets.size, rows.size)
+                    assert (np.diff(targets) > 0).all()
+                    local = np.repeat(np.arange(targets.size),
+                                      np.diff(scatter.indptr))
+                    coo = sp.csr_matrix(
+                        (scatter.data, (local, scatter.indices)),
+                        shape=scatter.shape)
+                    chunks[i] = (rows, lead, runs, targets, coo)
+            np.testing.assert_array_equal(op.apply(V), want)
 
 
 class TestMeanPreconditioner:
@@ -674,6 +713,43 @@ class TestDeltaFactor:
         sys = small_system()
         with pytest.raises(NearSingularError, match="rcond 0"):
             DeltaFactor(sys.tt, np.zeros(sys.P))
+
+    @pytest.mark.parametrize("args", [dict(n=2, order=2, size=30),
+                                      dict(n=16, order=2, size=264)])
+    def test_class_blocks_invert_on_their_own(self, args):
+        # an s on the class-0 rows couples no two rows of different x_2
+        # classes: inverted block by block, the inverse is inv's to
+        # roundoff and exactly zero off the blocks, and rcond is its exact
+        # 1-norm value
+        sys = build_system(**args)
+        classes = sys.operator_on(None, True).classes
+        assert classes.any()
+        rng = np.random.default_rng(65)
+        s = np.where(classes == 0, 0.1 * rng.standard_normal(sys.P), 0.0)
+        s[0] = 1.5
+        fac = DeltaFactor(sys.tt, s, classes)
+        cross = classes[:, None] != classes
+        assert not fac.matrix[cross].any() and not fac.inverse[cross].any()
+        want = np.linalg.inv(fac.matrix)
+        assert np.abs(fac.inverse - want).max() \
+            <= 1e-13 * np.abs(want).max()
+        np.testing.assert_allclose(fac.rcond,
+                                   1.0 / np.linalg.cond(fac.matrix, 1),
+                                   rtol=1e-12)
+
+    def test_class_blocks_flag_singular_multiplication(self):
+        # the two singular cases above, inverted block by block: s(y) =
+        # 1 + sqrt(3) y_1 on the two-member set, whose class 1 is empty,
+        # and s = 0 on a set of both classes
+        sys = small_system(size=2)
+        s = np.zeros(sys.P)
+        s[0] = s[sys.aset.position(((1, 1),))] = 1.0
+        with pytest.raises(NearSingularError, match="rcond"):
+            DeltaFactor(sys.tt, s, np.zeros(sys.P, dtype=int))
+        sys = build_system(n=2, order=2, size=30)
+        classes = sys.operator_on(None, True).classes
+        with pytest.raises(NearSingularError, match="rcond 0"):
+            DeltaFactor(sys.tt, np.zeros(sys.P), classes)
 
     def test_rcond_is_exact(self):
         sys = small_system(size=12)

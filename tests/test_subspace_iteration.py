@@ -37,7 +37,7 @@ from oracles import (
     spectral_columns,
     tensor_dot,
     tensor_norm,
-    use_skewed_first_term,
+    use_skewed_term,
 )
 
 
@@ -278,7 +278,7 @@ class TestEvenSector:
         # eigenpairs match the dense ones of K(y) to 1e-4, where a run kept
         # on the even half misses the field by 7e-3 to 2e-2 and the
         # eigenvalue by up to 5e-4 at these points
-        use_skewed_first_term(monkeypatch)
+        use_skewed_term(monkeypatch)
         sys = build_system(n=4, order=1, size=12)
         assert sys.fem_op.even_modes is None
         res = run_inverse_iteration(sys, tol=1e-10, kmax=60)
@@ -286,6 +286,97 @@ class TestEvenSector:
         assert np.abs(odd_part(sys, res.U)).max() > 1e-3
         M = assemble_mass(sys.mesh)
         rng = np.random.default_rng(3)
+        for y in rng.uniform(-1, 1, (3, sys.fem_op.nterms)):
+            vals, vecs = dense_generalized_eigenpairs(
+                matrix_at(sys.fem_op, y), M, 1)
+            phi = basis_at(sys.aset, y)
+            u = sys.fem_op.to_nodal(phi @ res.U)
+            u *= np.sign(u @ (M @ vecs[:, 0])) / np.sqrt(u @ (M @ u))
+            d = u - vecs[:, 0]
+            assert np.sqrt(d @ (M @ d)) <= 1e-3
+            assert abs(phi @ res.eigenvalue - vals[0]) <= 2e-4 * vals[0]
+
+
+def off_quarter(sys, B):
+    """A copy of a (P, N, ...) stack with its coordinates on the Q = 1
+    sector set to zero: the sector holds each chaos row's x_1-even mean
+    modes with the x_2 modes of the row's class."""
+    op = sys.operator_on(sys.fem_op.even_modes, True)
+    pos = op.coords[op.classes]
+    at = np.nonzero(pos >= 0)
+    out = np.array(B)
+    out.reshape(sys.P, sys.N, -1)[at[0], pos[at]] = 0.0
+    return out
+
+
+class TestX2ClassSector:
+    """Of the x_1-even half, a Q = 1 run keeps each chaos row's x_2 mean
+    modes of the parity of its class, (total degree over the dimensions
+    along x_2) mod 2: about a quarter of the block."""
+
+    def test_off_sector_coordinates_are_exact_zeros(self):
+        # they were roundoff when the run swept them too: up to 1.7e-17
+        # in U and 1.7e-15 in the odd-class entries of mu
+        sys = build_system(n=8, order=2, size=31)
+        even = sys.fem_op.even_modes
+        op = sys.operator_on(even, True)
+        assert subspace_iteration._sector(sys, 1) is op
+        res = run_inverse_iteration(sys, tol=1e-10, kmax=40,
+                                    store_snapshots=True)
+        assert res.converged
+        for B in (res.basis, res.U, *res.snapshots):
+            assert not off_quarter(sys, B).any()
+        assert np.abs(res.U).max() > 0.5
+        assert op.classes.any()
+        assert not res.eigenvalue[op.classes == 1].any()
+        assert res.eigenvalue_mean > 19.0
+
+    def test_start_off_the_sector_converges_to_its_projection(self):
+        sys = build_system(n=4, order=2, size=12)
+        rng = np.random.default_rng(8)
+        start = initial_basis(sys, 1)[:, :, 0]
+        start += 0.1 * rng.standard_normal(start.shape)
+        projected = start - off_quarter(sys, start)
+        assert np.abs(off_quarter(sys, start)).max() > 0.1
+        tol = 1e-10
+        plain, off = (run_inverse_iteration(sys, tol=tol, kmax=60,
+                                            initial=x)
+                      for x in (projected, start))
+        assert plain.converged and off.converged
+        assert not off_quarter(sys, off.U).any()
+        np.testing.assert_allclose(off.U, plain.U, rtol=0, atol=tol)
+
+    def test_start_without_a_part_on_the_sector_is_rejected(self):
+        # on the x_1-even half, but each row only on the x_2 modes of the
+        # other class
+        sys = build_system(n=4, order=2, size=12)
+        start = off_quarter(sys, np.ones((sys.P, sys.N, 1)))
+        odd_part(sys, start)[...] = 0.0
+        assert start.any()
+        sector = ("start column 0 has no part in the x_1-even sector of the "
+                  "mean eigenbasis, within each chaos row's x_2 class")
+        with pytest.raises(ValueError, match=sector):
+            run_inverse_iteration(sys, initial=start[:, :, 0])
+        with pytest.raises(ValueError, match=sector):
+            run_subspace_iteration(sys, 1, initial=start)
+
+    def test_coupled_x2_parities_keep_the_x1_half(self, monkeypatch):
+        # a second fluctuation that is not odd about x_2 = 1/2 couples the
+        # x_2 classes, so the run keeps the whole x_1-even half, where U
+        # has 3.9e-5 off the quarter: its pointwise eigenvalues match the
+        # dense ones of K(y) to 2e-4, where a run forced onto the quarter
+        # misses them by 5e-4 to 1e-2 at these points
+        use_skewed_term(monkeypatch, 2)
+        sys = build_system(n=4, order=1, size=12)
+        even = sys.fem_op.even_modes
+        assert even is not None and not sys.fem_op.x2_terms_flip_parity
+        assert subspace_iteration._sector(sys, 1) is sys.operator_on(even)
+        res = run_inverse_iteration(sys, tol=1e-10, kmax=60)
+        assert res.converged
+        assert not odd_part(sys, res.U).any()
+        assert np.abs(off_quarter(sys, res.U)).max() > 1e-5
+        M = assemble_mass(sys.mesh)
+        rng = np.random.default_rng(4)
         for y in rng.uniform(-1, 1, (3, sys.fem_op.nterms)):
             vals, vecs = dense_generalized_eigenpairs(
                 matrix_at(sys.fem_op, y), M, 1)
